@@ -204,7 +204,7 @@ def _cmd_eval(args) -> int:
     elif args.measure == "cs":
         synth = load_embeddings(args.synth)
         natural = load_embeddings(args.natural)
-        loss = metrics.batch_cs_loss(list(synth), list(natural))
+        loss = metrics.batch_cs_loss(synth, natural)
         _emit({"command": "eval-cs", "cs_loss": loss, "mean_cs": 1.0 - loss,
                "pairs": len(synth)})
     else:

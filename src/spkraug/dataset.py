@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .audio_io import read_wav, speed_change, write_wav
-from .embedding import EmbeddingSet, select_k_nearest
+from .embedding import EmbeddingSet, _first_seen, select_k_nearest
 from .errors import (
     InsufficientPoolError,
     InsufficientUtterancesError,
@@ -99,11 +99,7 @@ class Manifest:
         return self._by_id[utterance_id]
 
     def speakers(self) -> list:
-        out = []
-        for r in self.records:
-            if r.speaker_id not in out:
-                out.append(r.speaker_id)
-        return out
+        return _first_seen(r.speaker_id for r in self.records)
 
     def naturals(self) -> list:
         return [r for r in self.records if r.is_natural]

@@ -6,7 +6,7 @@ deterministic stand-in extractor (mel log-energy statistics) so the whole
 pipeline can run self-contained.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 
@@ -47,22 +47,27 @@ class EmbeddingVector:
         return len(self.values)
 
 
-@dataclass
 class EmbeddingSet:
-    dimension: int
-    entries: list = field(default_factory=list)
+    """Embeddings of one dimension: `ids` and `speaker_ids` (lists, in entry
+    order) plus one read-only (n, dimension) float64 `matrix`. `get()` and
+    iteration yield EmbeddingVector views of its rows."""
 
-    def __post_init__(self):
-        seen = set()
-        for e in self.entries:
-            if e.dimension != self.dimension:
+    def __init__(self, dimension: int, entries=()):
+        entries = list(entries)
+        self.dimension = dimension
+        self._index = {}  # utterance_id -> row
+        for e in entries:
+            if e.dimension != dimension:
                 raise DimensionMismatchError(
-                    f"{e.utterance_id}: dimension {e.dimension}, set is {self.dimension}"
+                    f"{e.utterance_id}: dimension {e.dimension}, set is {dimension}"
                 )
-            if e.utterance_id in seen:
+            if e.utterance_id in self._index:
                 raise EmbeddingFileError(f"duplicate utterance_id {e.utterance_id!r}")
-            seen.add(e.utterance_id)
-        self._by_id = {e.utterance_id: e for e in self.entries}
+            self._index[e.utterance_id] = len(self._index)
+        self.ids = list(self._index)
+        self.speaker_ids = [e.speaker_id for e in entries]
+        self.matrix = np.stack([e.values for e in entries]) if entries else np.empty((0, dimension))
+        self.matrix.setflags(write=False)
 
     @classmethod
     def from_entries(cls, entries) -> "EmbeddingSet":
@@ -72,35 +77,52 @@ class EmbeddingSet:
         return cls(entries[0].dimension, entries)
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.ids)
 
     def __iter__(self):
-        return iter(self.entries)
+        return map(self._row, range(len(self.ids)))
 
     def __contains__(self, utterance_id: str) -> bool:
-        return utterance_id in self._by_id
+        return utterance_id in self._index
 
     def get(self, utterance_id: str) -> EmbeddingVector:
-        if utterance_id not in self._by_id:
-            raise KeyError(utterance_id)
-        return self._by_id[utterance_id]
+        return self._row(self._index[utterance_id])
 
     def speakers(self) -> list:
-        out = []
-        for e in self.entries:
-            if e.speaker_id not in out:
-                out.append(e.speaker_id)
-        return out
+        return _first_seen(self.speaker_ids)
+
+    def _row(self, i: int) -> EmbeddingVector:
+        return EmbeddingVector(self.ids[i], self.speaker_ids[i], self.matrix[i])
+
+    def _rows(self, utterance_ids) -> np.ndarray:
+        """Matrix rows of the given ids, in that order."""
+        return self.matrix[[self._index[uid] for uid in utterance_ids]]
+
+
+def _first_seen(items) -> list:
+    """Distinct items in first-seen order."""
+    return list(dict.fromkeys(items))
+
+
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # matmul sums each row as np.dot does; einsum, (a*b).sum(1), norm(axis=1) differ in the last bit
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+
+def _cosine_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Cosine similarity of each row of `a` with the same row of `b`, equal bit
+    for bit to np.dot(x, y) / (np.linalg.norm(x) * np.linalg.norm(y)), clipped."""
+    if a.shape[1] != b.shape[1]:
+        raise DimensionMismatchError(f"{a.shape[1]} vs {b.shape[1]}")
+    na = np.sqrt(_row_dots(a, a))
+    nb = np.sqrt(_row_dots(b, b))
+    if np.any(na == 0.0) or np.any(nb == 0.0):
+        raise ZeroNormError("cosine similarity undefined for zero-norm vectors")
+    return np.clip(_row_dots(a, b) / (na * nb), -1.0, 1.0)
 
 
 def cosine_similarity(a: EmbeddingVector, b: EmbeddingVector) -> float:
-    if a.dimension != b.dimension:
-        raise DimensionMismatchError(f"{a.dimension} vs {b.dimension}")
-    na = np.linalg.norm(a.values)
-    nb = np.linalg.norm(b.values)
-    if na == 0.0 or nb == 0.0:
-        raise ZeroNormError("cosine similarity undefined for zero-norm vectors")
-    return float(np.clip(np.dot(a.values, b.values) / (na * nb), -1.0, 1.0))
+    return float(_cosine_rows(a.values[None], b.values[None])[0])
 
 
 def euclidean_distance(a: EmbeddingVector, b: EmbeddingVector) -> float:
@@ -119,19 +141,19 @@ def select_k_nearest(natural: EmbeddingVector, candidates: EmbeddingSet, k: int)
         raise KTooLargeError(f"k={k} but only {len(candidates)} candidates")
     if k < 0:
         raise KTooLargeError(f"k must be non-negative, got {k}")
-    ranked = sorted(
-        ((euclidean_distance(natural, c), c.utterance_id) for c in candidates),
-    )
+    if natural.dimension != candidates.dimension:
+        raise DimensionMismatchError(f"{natural.dimension} vs {candidates.dimension}")
+    diff = natural.values - candidates.matrix
+    ranked = sorted(zip(np.sqrt(_row_dots(diff, diff)).tolist(), candidates.ids))
     return [uid for _, uid in ranked[:k]]
 
 
 def speaker_centroid(embeddings: EmbeddingSet, speaker_id: str) -> EmbeddingVector:
     """Arithmetic mean of one speaker's embeddings."""
-    rows = [e.values for e in embeddings if e.speaker_id == speaker_id]
-    if not rows:
+    rows = embeddings.matrix[[s == speaker_id for s in embeddings.speaker_ids]]
+    if len(rows) == 0:
         raise UnknownSpeakerError(f"no embeddings for speaker {speaker_id!r}")
-    mean = np.mean(np.stack(rows), axis=0)
-    return EmbeddingVector(f"centroid:{speaker_id}", speaker_id, mean)
+    return EmbeddingVector(f"centroid:{speaker_id}", speaker_id, rows.mean(axis=0))
 
 
 def _hz_to_mel(f):
@@ -192,9 +214,10 @@ def extract_standin_embedding(clip: AudioClip, utterance_id: str = "",
 def save_embeddings(embeddings: EmbeddingSet, path) -> None:
     """Write the TSV format: `#dim=D` header then id, speaker, D floats per row."""
     lines = [f"#dim={embeddings.dimension}"]
-    for e in embeddings:
-        vals = "\t".join(repr(float(v)) for v in e.values)
-        lines.append(f"{e.utterance_id}\t{e.speaker_id}\t{vals}")
+    rows = zip(embeddings.ids, embeddings.speaker_ids, embeddings.matrix.tolist())
+    for uid, speaker, values in rows:
+        vals = "\t".join(map(repr, values))
+        lines.append(f"{uid}\t{speaker}\t{vals}")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

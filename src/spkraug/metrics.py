@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .embedding import EmbeddingSet, cosine_similarity
+from .embedding import EmbeddingSet, _cosine_rows
 from .errors import (
     EmptyReferenceError,
     InsufficientReferencesError,
@@ -81,7 +81,8 @@ def batch_cs_loss(synth, natural) -> float:
         raise LengthMismatchError(
             f"need equal non-empty batches, got {len(synth)} vs {len(natural)}"
         )
-    sims = [cosine_similarity(s, n) for s, n in zip(synth, natural)]
+    sims = _cosine_rows(np.stack([s.values for s in synth]),
+                        np.stack([n.values for n in natural]))
     return float(1.0 - np.mean(sims))
 
 
@@ -93,33 +94,32 @@ def equal_error_rate(pairs) -> tuple:
     fraction of impostor scores >= t, then interpolates linearly between the
     two operating points where FAR - FRR changes sign.
     """
-    genuine = np.array([p.score for p in pairs if p.same_speaker], dtype=np.float64)
-    impostor = np.array([p.score for p in pairs if not p.same_speaker], dtype=np.float64)
     if any(p.score is None for p in pairs):
         raise NonFiniteError("all pairs must be scored before computing EER")
+    scores = np.array([p.score for p in pairs], dtype=np.float64)
+    same = np.array([p.same_speaker for p in pairs], dtype=bool)
+    return _eer(scores[same], scores[~same])
+
+
+def _eer(genuine: np.ndarray, impostor: np.ndarray) -> tuple:
+    """equal_error_rate's sweep over score arrays, one sort per class."""
     if len(genuine) == 0 or len(impostor) == 0:
         raise MissingClassError(
             f"need both classes, got {len(genuine)} genuine / {len(impostor)} impostor"
         )
-
     scores = np.unique(np.concatenate([genuine, impostor]))
     thresholds = np.append(scores, scores[-1] + 1.0)
-    prev_t = prev_far = prev_frr = None
-    for t in thresholds:
-        frr = float(np.mean(genuine < t))
-        far = float(np.mean(impostor >= t))
-        diff = far - frr
-        if diff == 0.0:
-            return frr, float(t)
-        if diff < 0.0:
-            # crossing lies between the previous threshold and this one
-            d1 = prev_far - prev_frr
-            d2 = diff
-            lam = d1 / (d1 - d2)
-            eer = prev_frr + lam * (frr - prev_frr)
-            return float(eer), float(prev_t + lam * (t - prev_t))
-        prev_t, prev_far, prev_frr = float(t), far, frr
-    raise AssertionError("threshold sweep found no crossing")  # pragma: no cover
+    # counts are exact, so count / n equals np.mean of the comparison bit for bit
+    frr = np.searchsorted(np.sort(genuine), thresholds) / len(genuine)
+    far = (len(impostor) - np.searchsorted(np.sort(impostor), thresholds)) / len(impostor)
+    diff = far - frr
+    i = int(np.argmax(diff <= 0.0))  # the first threshold has far = 1, frr = 0
+    if diff[i] == 0.0:
+        return float(frr[i]), float(thresholds[i])
+    # crossing lies between the previous threshold and this one
+    lam = diff[i - 1] / (diff[i - 1] - diff[i])
+    eer = frr[i - 1] + lam * (frr[i] - frr[i - 1])
+    return float(eer), float(thresholds[i - 1] + lam * (thresholds[i] - thresholds[i - 1]))
 
 
 def eer_loss(batch_synth: EmbeddingSet, reference_pool: EmbeddingSet,
@@ -134,27 +134,26 @@ def eer_loss(batch_synth: EmbeddingSet, reference_pool: EmbeddingSet,
         raise InsufficientReferencesError(
             f"per_utterance_refs must be >= 1, got {per_utterance_refs}"
         )
-    by_speaker = {}
-    for e in reference_pool:
-        by_speaker.setdefault(e.speaker_id, []).append(e)
+    references = np.array(reference_pool.speaker_ids)
+    pools = {speaker: (np.flatnonzero(references == speaker),
+                       np.flatnonzero(references != speaker))
+             for speaker in set(batch_synth.speaker_ids)}
 
     rng = rng_for(seed, "metrics.eer_loss")
-    pairs = []
-    for synth in batch_synth:
-        same = by_speaker.get(synth.speaker_id, [])
-        diff = [e for e in reference_pool if e.speaker_id != synth.speaker_id]
+    ref_rows = []
+    for speaker in batch_synth.speaker_ids:
+        same, diff = pools[speaker]
         if len(same) < per_utterance_refs or len(diff) < per_utterance_refs:
             raise InsufficientReferencesError(
-                f"speaker {synth.speaker_id!r}: have {len(same)} same / {len(diff)} other "
+                f"speaker {speaker!r}: have {len(same)} same / {len(diff)} other "
                 f"references, need {per_utterance_refs} of each"
             )
-        for pool, flag in ((same, True), (diff, False)):
-            picks = rng.choice(len(pool), size=per_utterance_refs, replace=False)
-            for i in picks:
-                ref = pool[int(i)]
-                pairs.append(ScoredPair(synth.utterance_id, ref.utterance_id, flag,
-                                        cosine_similarity(synth, ref)))
-    eer, _ = equal_error_rate(pairs)
+        for pool in (same, diff):
+            ref_rows.extend(pool[rng.choice(len(pool), size=per_utterance_refs, replace=False)])
+    synth = np.repeat(batch_synth.matrix, 2 * per_utterance_refs, axis=0)
+    scores = _cosine_rows(synth, reference_pool.matrix[ref_rows])
+    genuine = np.tile(np.repeat([True, False], per_utterance_refs), len(batch_synth))
+    eer, _ = _eer(scores[genuine], scores[~genuine])
     return eer
 
 
@@ -238,14 +237,13 @@ def load_pairs(path) -> list:
 
 def score_pairs(pairs, embeddings: EmbeddingSet) -> list:
     """Fill in missing scores using cosine similarity of stored embeddings."""
-    out = []
-    for p in pairs:
-        if p.score is not None:
-            out.append(p)
-            continue
+    todo = [p for p in pairs if p.score is None]
+    for p in todo:
         for uid in (p.enroll_id, p.test_id):
             if uid not in embeddings:
                 raise MissingEmbeddingError(f"no embedding for utterance {uid!r}")
-        score = cosine_similarity(embeddings.get(p.enroll_id), embeddings.get(p.test_id))
-        out.append(ScoredPair(p.enroll_id, p.test_id, p.same_speaker, score))
-    return out
+    scores = iter(_cosine_rows(embeddings._rows(p.enroll_id for p in todo),
+                               embeddings._rows(p.test_id for p in todo)))
+    return [p if p.score is not None
+            else ScoredPair(p.enroll_id, p.test_id, p.same_speaker, next(scores))
+            for p in pairs]

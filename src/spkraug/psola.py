@@ -9,6 +9,7 @@ their original spacing so noise is never pitch-shifted.
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .audio_io import AudioClip
 from .errors import (
@@ -85,10 +86,7 @@ def estimate_f0(clip: AudioClip, f0_min: float = DEFAULT_F0_MIN,
     x = clip.samples
     if len(x) < win:
         return PitchTrack(F0_HOP_SECONDS, np.zeros(0), np.zeros(0, dtype=bool))
-    n_frames = 1 + (len(x) - win) // hop
-
-    idx = np.arange(n_frames)[:, None] * hop + np.arange(win)[None, :]
-    frames = x[idx]
+    frames = sliding_window_view(x, win)[::hop]
     frames = frames - frames.mean(axis=1, keepdims=True)
 
     # autocorrelation of every frame at once, lags 0..win-1
@@ -122,7 +120,7 @@ def estimate_f0(clip: AudioClip, f0_min: float = DEFAULT_F0_MIN,
                         np.argmax(region, axis=1))
     peak_lag = peak_off + lag_min
 
-    f0 = np.zeros(n_frames)
+    f0 = np.zeros(len(frames))
     rows = np.flatnonzero(voiced)
     for i in rows:
         lag = peak_lag[i]

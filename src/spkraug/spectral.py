@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .audio_io import AudioClip, _check_rate
 from .errors import InvalidParamsError
@@ -73,8 +74,7 @@ def _frame_signal(x: np.ndarray, frame_length: int, frame_shift: int) -> np.ndar
     if padded_len > n:
         mode = "reflect" if n > 1 else "edge"
         x = np.pad(x, (0, padded_len - n), mode=mode)
-    idx = np.arange(n_frames)[:, None] * frame_shift + np.arange(frame_length)[None, :]
-    return x[idx]
+    return sliding_window_view(x, frame_length)[::frame_shift]
 
 
 def _stft_array(x, frame_length, frame_shift, fft_size):
@@ -88,13 +88,10 @@ def _istft_array(spec, frame_length, frame_shift, fft_size):
     frames = frames * win
     n_frames = frames.shape[0]
     out_len = frame_length + (n_frames - 1) * frame_shift
-    num = np.zeros(out_len)
-    den = np.zeros(out_len)
-    win_sq = win * win
-    for i in range(n_frames):
-        start = i * frame_shift
-        num[start:start + frame_length] += frames[i]
-        den[start:start + frame_length] += win_sq
+    # bincount adds each sample's overlaps in frame order, as a frame loop would
+    idx = _frame_signal(np.arange(out_len), frame_length, frame_shift).ravel()
+    num = np.bincount(idx, weights=frames.ravel(), minlength=out_len)
+    den = np.bincount(idx, weights=np.tile(win * win, n_frames), minlength=out_len)
     nonzero = den > 1e-12
     num[nonzero] /= den[nonzero]
     num[~nonzero] = 0.0

@@ -176,8 +176,8 @@ def run_tsne(embeddings: EmbeddingSet, config: TsneConfig = TsneConfig(),
             f"perplexity {config.perplexity} too large for {n} points "
             f"(needs perplexity < {(n - 1) / 3:.2f})"
         )
-    X = np.stack([e.values for e in embeddings])
-    P = conditional_probabilities(squareform(pdist(X, "sqeuclidean")), config.perplexity)
+    d2 = squareform(pdist(embeddings.matrix, "sqeuclidean"))
+    P = conditional_probabilities(d2, config.perplexity)
 
     rng = rng_for(config.seed, "tsne.init")
     Y = rng.normal(0.0, INIT_SCALE, size=(n, config.output_dim))
@@ -204,9 +204,9 @@ def save_coordinates(embeddings: EmbeddingSet, coords: np.ndarray, path) -> None
             f"{coords.shape[0]} coordinate rows for {len(embeddings)} embeddings"
         )
     lines = []
-    for e, row in zip(embeddings, coords):
-        vals = "\t".join(repr(float(v)) for v in row)
-        lines.append(f"{e.utterance_id}\t{e.speaker_id}\t{vals}")
+    for uid, speaker, row in zip(embeddings.ids, embeddings.speaker_ids, coords.tolist()):
+        vals = "\t".join(map(repr, row))
+        lines.append(f"{uid}\t{speaker}\t{vals}")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -222,10 +222,7 @@ def render_scatter_svg(embeddings: EmbeddingSet, coords: np.ndarray, path,
         raise DimensionMismatchError(
             f"scatter needs n x 2 coordinates, got {coords.shape} for {len(embeddings)} points"
         )
-    speakers = []
-    for e in embeddings:
-        if e.speaker_id not in speakers:
-            speakers.append(e.speaker_id)
+    speakers = embeddings.speakers()
     color = {s: _PALETTE[i % len(_PALETTE)] for i, s in enumerate(speakers)}
 
     margin = 40.0
@@ -243,11 +240,11 @@ def render_scatter_svg(embeddings: EmbeddingSet, coords: np.ndarray, path,
         f'viewBox="0 0 {width} {height}">',
         f'<rect width="{width}" height="{height}" fill="white"/>',
     ]
-    for e, row in zip(embeddings, coords):
+    for uid, speaker, row in zip(embeddings.ids, embeddings.speaker_ids, coords):
         x, y = place(row)
         parts.append(
-            f'<circle cx="{x:.3f}" cy="{y:.3f}" r="3" fill="{color[e.speaker_id]}" '
-            f'fill-opacity="0.8"><title>{e.utterance_id}</title></circle>'
+            f'<circle cx="{x:.3f}" cy="{y:.3f}" r="3" fill="{color[speaker]}" '
+            f'fill-opacity="0.8"><title>{uid}</title></circle>'
         )
     for i, s in enumerate(speakers):
         ly = 16 + 16 * i

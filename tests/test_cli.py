@@ -6,7 +6,12 @@ import pytest
 from spkraug.audio_io import read_wav
 from spkraug.cli import main
 from spkraug.dataset import Manifest, load_manifest, save_manifest
-from spkraug.embedding import EmbeddingSet, extract_standin_embedding, save_embeddings
+from spkraug.embedding import (
+    EmbeddingSet,
+    EmbeddingVector,
+    extract_standin_embedding,
+    save_embeddings,
+)
 from spkraug.metrics import load_pairs
 from spkraug.spectral import magnitude_spectrogram, write_spectrogram
 from synth import build_corpus, sine
@@ -299,6 +304,19 @@ def test_eval_cs_cli(capsys, cli_env):
     assert report["cs_loss"] == pytest.approx(0.0, abs=1e-12)
     assert report["mean_cs"] == pytest.approx(1.0, abs=1e-12)
     assert report["pairs"] == 12
+
+
+def test_eval_cs_cli_dimension_mismatch(capsys, tmp_path):
+    paths = {}
+    for dim in (2, 3):
+        paths[dim] = tmp_path / f"emb{dim}.tsv"
+        save_embeddings(EmbeddingSet.from_entries(
+            [EmbeddingVector("u", "s", np.arange(1.0, dim + 1.0))]), paths[dim])
+    rc, report, err = _run(capsys, ["eval", "cs", "--synth", str(paths[2]),
+                                    "--natural", str(paths[3])])
+    assert rc == 1
+    assert report is None
+    assert err == "spkraug eval: error: 2 vs 3\n"
 
 
 # -- tsne / vocode -----------------------------------------------------------

@@ -66,6 +66,11 @@ def test_set_lookup_and_speakers():
     assert emb.speakers() == ["alice", "bob"]
     with pytest.raises(KeyError):
         emb.get("u9")
+    assert emb.ids == ["u1", "u2", "u3"]
+    assert emb.speaker_ids == ["alice", "bob", "alice"]
+    assert emb.matrix.shape == (3, 2)
+    assert np.array_equal(emb.get("u3").values, emb.matrix[2])
+    assert [e.utterance_id for e in emb] == emb.ids
 
 
 def test_from_entries_requires_at_least_one():
@@ -132,10 +137,10 @@ def test_select_k_nearest_example():
 
 def test_select_k_nearest_ties_break_by_id():
     query = _vec("q", 0.0, 0.0)
-    cands = EmbeddingSet.from_entries([
-        _vec("zeta", 1.0, 0.0), _vec("alpha", 0.0, 1.0), _vec("mike", -1.0, 0.0),
-    ])
-    assert select_k_nearest(query, cands, 2) == ["alpha", "mike"]
+    points = {"zeta": (1.0, 0.0), "alpha": (0.0, 1.0), "mike": (-1.0, 0.0)}
+    for order in (["zeta", "alpha", "mike"], ["zeta", "mike", "alpha"]):  # mixed, reverse id
+        cands = EmbeddingSet.from_entries([_vec(uid, *points[uid]) for uid in order])
+        assert select_k_nearest(query, cands, 2) == ["alpha", "mike"]
 
 
 def test_select_k_nearest_matches_oracle():

@@ -4,8 +4,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from oracles import eer_sweep_oracle, wer_table_oracle
-from spkraug.embedding import EmbeddingSet, EmbeddingVector
+from spkraug.embedding import EmbeddingSet, EmbeddingVector, cosine_similarity
 from spkraug.errors import (
+    DimensionMismatchError,
     EmptyReferenceError,
     InsufficientReferencesError,
     LengthMismatchError,
@@ -103,6 +104,32 @@ def test_batch_cs_loss_length_mismatch():
         batch_cs_loss(a, a + a)
     with pytest.raises(LengthMismatchError):
         batch_cs_loss([], [])
+
+
+def test_batch_cs_loss_dimension_mismatch():
+    with pytest.raises(DimensionMismatchError):
+        batch_cs_loss([_vec("a", "s", 1.0, 0.0)], [_vec("b", "s", 1.0, 0.0, 0.0)])
+
+
+def _cosine_reference(a, b):
+    """The per-pair formula the batched scores must reproduce bit for bit."""
+    return float(np.clip(np.dot(a, b) / (np.linalg.norm(a) * np.linalg.norm(b)), -1.0, 1.0))
+
+
+@pytest.mark.parametrize("dim", [64, 160])
+def test_batched_cosine_scores_equal_per_pair_exactly(dim):
+    rng = np.random.default_rng(dim)
+    emb = EmbeddingSet.from_entries([
+        EmbeddingVector(f"u{i}", f"s{i % 3}", rng.standard_normal(dim)) for i in range(200)
+    ])
+    pairs = [ScoredPair(f"u{i}", f"u{j}", False) for i, j in rng.integers(200, size=(500, 2))]
+    want = [_cosine_reference(emb.get(p.enroll_id).values, emb.get(p.test_id).values)
+            for p in pairs]
+    assert [cosine_similarity(emb.get(p.enroll_id), emb.get(p.test_id)) for p in pairs] == want
+    assert [p.score for p in score_pairs(pairs, emb)] == want
+    synth, natural = list(emb)[:100], list(emb)[100:]
+    sims = [_cosine_reference(s.values, n.values) for s, n in zip(synth, natural)]
+    assert batch_cs_loss(synth, natural) == float(1.0 - np.mean(sims))
 
 
 # -- equal error rate --------------------------------------------------------
