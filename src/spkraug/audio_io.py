@@ -106,8 +106,6 @@ def write_wav(clip: AudioClip, path) -> None:
             handle.setsampwidth(2)
             handle.setframerate(clip.sample_rate)
             handle.writeframes(pcm.tobytes())
-    except OSError:
-        raise
     except wave.Error as exc:
         raise OSError(f"{path}: {exc}") from exc
 

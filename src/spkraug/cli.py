@@ -8,7 +8,6 @@ but the rest were written.
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
@@ -41,8 +40,8 @@ class _Parser(argparse.ArgumentParser):
 def _build_parser() -> _Parser:
     parser = _Parser(prog="spkraug", description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=42, help="base seed for every random draw")
-    parser.add_argument("--workers", type=int, default=os.cpu_count() or 1,
-                        help="worker pool size (SPKRAUG_WORKERS overrides)")
+    parser.add_argument("--workers", type=int,
+                        help="accepted and ignored: augmentation runs serially")
     parser.add_argument("--verbose", action="store_true", help="progress messages on stderr")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -110,17 +109,6 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _workers(args) -> int:
-    env = os.environ.get("SPKRAUG_WORKERS")
-    if env is not None:
-        try:
-            value = int(env)
-        except ValueError:
-            raise SpkraugError(f"SPKRAUG_WORKERS must be an integer, got {env!r}") from None
-        return value
-    return args.workers
-
-
 def _log(args, message: str) -> None:
     if args.verbose:
         print(message, file=sys.stderr)
@@ -144,9 +132,8 @@ def _cmd_augment(args) -> int:
     manifest = dataset.load_manifest(args.manifest)
     plan = dataset.plan_augmentation(manifest, _RECIPE_BY_COMMAND[args.recipe])
     _log(args, f"{len(plan)} jobs planned")
-    augmented, failures = dataset.execute_plan(plan, args.audio_root,
-                                               workers=_workers(args),
-                                               corpus=manifest.corpus)
+    augmented, failures = dataset.execute_plan(plan, args.audio_root, corpus=manifest.corpus,
+                                               sample_rate=manifest.sample_rate)
     dataset.save_manifest(augmented, args.output)
     _emit({"command": "augment", "recipe": args.recipe, "jobs": len(plan),
            "written": len(augmented), "failures": failures, "output": args.output})

@@ -8,8 +8,8 @@ natural parent.
 
 import json
 import re
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from itertools import groupby
 from pathlib import Path
 from typing import NamedTuple
 
@@ -25,7 +25,7 @@ from .errors import (
     NonNaturalInputError,
 )
 from .metrics import ScoredPair
-from .psola import psola_modify
+from .psola import analyse, synthesise
 from .rng import rng_for
 
 NATURAL = "natural"
@@ -146,17 +146,19 @@ def load_manifest(path) -> Manifest:
         raise ManifestError(f"{path}: empty manifest file")
     try:
         meta = json.loads(lines[0])
+        corpus, sample_rate = meta["corpus"], int(meta["sample_rate"])
     except json.JSONDecodeError as exc:
         raise ManifestError(f"{path}:1: {exc}") from None
-    if not isinstance(meta, dict) or "corpus" not in meta or "sample_rate" not in meta:
-        raise ManifestError(f"{path}:1: header must carry corpus and sample_rate")
+    except (KeyError, TypeError, ValueError):
+        raise ManifestError(
+            f"{path}:1: header must carry corpus and an integer sample_rate"
+        ) from None
     records = []
     for lineno, line in enumerate(lines[1:], start=2):
         try:
             obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ManifestError(f"{path}:{lineno}: {exc}") from None
-        try:
+            if not isinstance(obj, dict):
+                raise ManifestError("record must be a JSON object")
             records.append(UtteranceRecord(
                 utterance_id=obj["utterance_id"],
                 speaker_id=obj["speaker_id"],
@@ -168,7 +170,9 @@ def load_manifest(path) -> Manifest:
             ))
         except KeyError as exc:
             raise ManifestError(f"{path}:{lineno}: missing field {exc}") from None
-    return Manifest(records, corpus=meta["corpus"], sample_rate=int(meta["sample_rate"]))
+        except (TypeError, ValueError) as exc:
+            raise ManifestError(f"{path}:{lineno}: {exc}") from None
+    return Manifest(records, corpus=corpus, sample_rate=sample_rate)
 
 
 def _utterance_number(utterance_id: str) -> int:
@@ -278,75 +282,76 @@ def job_output_name(job: AugmentationJob) -> str:
             f"_{_ratio_tag(job.duration_ratio)}_{_ratio_tag(job.f0_ratio)}")
 
 
-def _run_job(job: AugmentationJob, audio_root: Path):
-    out_id = job_output_name(job)
-    out_path = audio_root / job.parent.speaker_id / f"{out_id}.wav"
-    record = UtteranceRecord(
-        utterance_id=out_id,
-        speaker_id=job.parent.speaker_id,
-        path=str(out_path),
-        kind=job.kind,
-        duration_ratio=job.duration_ratio,
-        f0_ratio=job.f0_ratio,
-        parent_id=job.parent.utterance_id,
-    )
-    if out_path.exists():
-        return record, False
-    clip = read_wav(job.parent.path)
-    if job.kind == RESAMPLED:
-        out = speed_change(clip, job.duration_ratio)
-    else:
-        out = psola_modify(clip, job.duration_ratio, job.f0_ratio)
-    out_path.parent.mkdir(parents=True, exist_ok=True)
-    write_wav(out, out_path)
-    return record, True
+def _once(fn):
+    """Call fn on first use only; later uses return its value or re-raise
+    its error."""
+    memo = []
+
+    def call():
+        if not memo:
+            try:
+                memo.append((fn(), None))
+            except Exception as exc:  # noqa: BLE001 - re-raised to every caller
+                memo.append((None, exc))
+        value, error = memo[0]
+        if error is not None:
+            raise error
+        return value
+
+    return call
 
 
-def execute_plan(plan, audio_root, workers: int = 1, corpus: str = "augmented"):
+def _read_parent(parent: UtteranceRecord, sample_rate: int):
+    clip = read_wav(parent.path)
+    if clip.sample_rate != sample_rate:
+        raise ManifestError(f"{parent.utterance_id}: WAV is {clip.sample_rate} Hz, "
+                            f"manifest says {sample_rate} Hz")
+    return clip
+
+
+def _run_parent(parent, jobs, audio_root, sample_rate, records, failures) -> None:
+    """Write the missing outputs of consecutive jobs that share a parent,
+    appending one record or failure dict per job.
+
+    The parent WAV is read at most once and analysed at most once, and only
+    when a missing output needs it; an error there fails every job that
+    needed it.
+    """
+    clip = _once(lambda: _read_parent(parent, sample_rate))
+    analysis = _once(lambda: analyse(clip()))
+    for job in jobs:
+        out_id = job_output_name(job)
+        out_path = Path(audio_root) / parent.speaker_id / f"{out_id}.wav"
+        try:
+            if not out_path.exists():
+                if job.kind == RESAMPLED:
+                    out = speed_change(clip(), job.duration_ratio)
+                else:
+                    out = synthesise(analysis(), job.duration_ratio, job.f0_ratio)
+                out_path.parent.mkdir(parents=True, exist_ok=True)
+                write_wav(out, out_path)
+        except Exception as exc:  # noqa: BLE001 - every job failure is reported
+            failures.append({"parent_id": parent.utterance_id, "kind": job.kind,
+                             "duration_ratio": job.duration_ratio, "f0_ratio": job.f0_ratio,
+                             "error": f"{out_id}: {type(exc).__name__}: {exc}"})
+        else:
+            records.append(UtteranceRecord(out_id, parent.speaker_id, str(out_path), job.kind,
+                                           job.duration_ratio, job.f0_ratio,
+                                           parent.utterance_id))
+
+
+def execute_plan(plan, audio_root, corpus: str = "augmented", sample_rate: int = 16000):
     """Run every job, writing WAVs under audio_root/<speaker>/.
 
-    Existing output files are kept as-is (re-running a finished plan writes
-    nothing). Failures do not abort the batch; returns (manifest of
-    successful records in plan order, list of failure dicts).
+    Existing output files are kept as-is (re-running a finished plan reads
+    and writes nothing). Each parent WAV must be at sample_rate, which the
+    returned manifest carries. Failures do not abort the batch; returns
+    (manifest of successful records in plan order, list of failure dicts).
     """
-    audio_root = Path(audio_root)
-    if workers < 1:
-        raise InvalidParamsError(f"workers must be >= 1, got {workers}")
-
-    def safe(job):
-        try:
-            return _run_job(job, audio_root), None
-        except Exception as exc:  # noqa: BLE001 - every job failure is reported
-            return None, f"{job_output_name(job)}: {type(exc).__name__}: {exc}"
-
-    if workers == 1 or len(plan) <= 1:
-        outcomes = [safe(job) for job in plan]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(safe, plan))
-
     records, failures = [], []
-    sample_rate = None
-    for (job, (result, error)) in zip(plan, outcomes):
-        if error is not None:
-            failures.append({
-                "parent_id": job.parent.utterance_id,
-                "kind": job.kind,
-                "duration_ratio": job.duration_ratio,
-                "f0_ratio": job.f0_ratio,
-                "error": error,
-            })
-            continue
-        record, _written = result
-        records.append(record)
-        if sample_rate is None:
-            try:
-                sample_rate = read_wav(record.path).sample_rate
-            except Exception:  # noqa: BLE001 - metadata best effort
-                sample_rate = None
-    manifest = Manifest(records, corpus=corpus,
-                        sample_rate=sample_rate if sample_rate is not None else 16000)
-    return manifest, failures
+    for parent, jobs in groupby(plan, key=lambda job: job.parent):
+        _run_parent(parent, jobs, audio_root, sample_rate, records, failures)
+    return Manifest(records, corpus=corpus, sample_rate=sample_rate), failures
 
 
 def select_best_augmented(naturals: Manifest, augmented: Manifest,

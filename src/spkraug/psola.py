@@ -1,12 +1,14 @@
 """Pitch tracking and time-domain pitch-synchronous overlap-add (TD-PSOLA).
 
-Duration and F0 are modified independently: grains of two local periods are
-cut at analysis pitch marks, re-selected along a time-scaled axis, and
-overlap-added at a spacing of period / f0_ratio. Unvoiced stretches keep
-their original spacing so noise is never pitch-shifted.
+Duration and F0 are modified independently. `analyse` tracks F0 and places
+pitch marks once per clip; `synthesise` then, per ratio pair, cuts grains of
+two local periods at those marks, re-selects them along a time-scaled axis
+and overlap-adds them at a spacing of period / f0_ratio. Unvoiced stretches
+keep their original spacing so noise is never pitch-shifted.
 """
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -202,9 +204,37 @@ def _grain_window(left: int, right: int) -> np.ndarray:
                            np.cos(0.5 * np.pi * t_fall) ** 2])
 
 
-def psola_modify(clip: AudioClip, duration_ratio: float, f0_ratio: float,
-                 f0_min: float = DEFAULT_F0_MIN, f0_max: float = DEFAULT_F0_MAX) -> AudioClip:
-    """TD-PSOLA duration and pitch modification.
+class PsolaAnalysis(NamedTuple):
+    """The ratio-independent half of TD-PSOLA: pitch marks of one clip, the
+    local period at each interior mark and whether that mark is voiced."""
+
+    clip: AudioClip
+    marks: np.ndarray
+    periods: np.ndarray
+    voiced: np.ndarray
+
+
+def analyse(clip: AudioClip, f0_min: float = DEFAULT_F0_MIN,
+            f0_max: float = DEFAULT_F0_MAX) -> PsolaAnalysis:
+    """Track F0 and place pitch marks once; any number of synthesise calls
+    can then reuse the result."""
+    track = estimate_f0(clip, f0_min, f0_max)
+    marks = place_pitch_marks(clip, track).positions
+    if len(marks) < 3:
+        raise NoPitchMarksError(
+            f"found only {len(marks)} pitch marks; input is shorter than two periods"
+        )
+    lookup = _track_lookup(track, clip.sample_rate)
+    gaps = np.diff(marks)
+    # local analysis period per interior mark: mean of the two adjacent gaps
+    periods = 0.5 * (gaps[:-1] + gaps[1:])
+    voiced = np.array([lookup(m)[0] for m in marks[1:-1]])
+    return PsolaAnalysis(clip, marks, periods, voiced)
+
+
+def synthesise(analysis: PsolaAnalysis, duration_ratio: float,
+               f0_ratio: float) -> AudioClip:
+    """Overlap-add the analysed grains for one (duration, F0) ratio pair.
 
     duration_ratio multiplies the length (1.3 = 30% longer); f0_ratio
     multiplies voiced F0. Output length is round(len * duration_ratio);
@@ -214,27 +244,13 @@ def psola_modify(clip: AudioClip, duration_ratio: float, f0_ratio: float,
         if not (MIN_RATIO <= ratio <= MAX_RATIO) or not np.isfinite(ratio):
             raise InvalidRatioError(f"{name} must lie in [{MIN_RATIO}, {MAX_RATIO}], got {ratio}")
 
-    track = estimate_f0(clip, f0_min, f0_max)
-    marks_obj = place_pitch_marks(clip, track)
-    marks = marks_obj.positions
-    if len(marks) < 3:
-        raise NoPitchMarksError(
-            f"found only {len(marks)} pitch marks; input is shorter than two periods"
-        )
-
+    clip, marks, periods, voiced_mark = analysis
     x = clip.samples
     n = len(x)
-    sr = clip.sample_rate
-    lookup = _track_lookup(track, sr)
-
-    gaps = np.diff(marks)
-    # local analysis period per interior mark: mean of the two adjacent gaps
-    periods = 0.5 * (gaps[:-1] + gaps[1:])
-    voiced_mark = np.array([lookup(m)[0] for m in marks[1:-1]])
     interior = marks[1:-1]
 
     out_len = int(round(n * duration_ratio))
-    margin = int(gaps.max()) + 1
+    margin = int(np.diff(marks).max()) + 1
     num = np.zeros(out_len + 2 * margin)
     den = np.zeros(out_len + 2 * margin)
 
@@ -265,4 +281,11 @@ def psola_modify(clip: AudioClip, duration_ratio: float, f0_ratio: float,
     out = num[margin:margin + out_len]
     weight = den[margin:margin + out_len]
     out = out / np.maximum(weight, 0.25)
-    return AudioClip(out, sr)
+    return AudioClip(out, clip.sample_rate)
+
+
+def psola_modify(clip: AudioClip, duration_ratio: float, f0_ratio: float,
+                 f0_min: float = DEFAULT_F0_MIN, f0_max: float = DEFAULT_F0_MAX) -> AudioClip:
+    """TD-PSOLA duration and pitch modification of one clip: analyse, then
+    synthesise (see both)."""
+    return synthesise(analyse(clip, f0_min, f0_max), duration_ratio, f0_ratio)

@@ -186,25 +186,47 @@ def test_augment_cli_partial_failure_exits_2(capsys, cli_env, tmp_path):
     assert len(load_manifest(out)) == 8  # the partial manifest is still usable
 
 
-def test_workers_env_overrides_flag(capsys, cli_env, tmp_path, monkeypatch):
-    monkeypatch.setenv("SPKRAUG_WORKERS", "3")
-    out = tmp_path / "aug.jsonl"
-    rc, report, _ = _run(capsys, ["--workers", "1", "augment", "psola-mix",
-                                  "--manifest", cli_env["manifest_path"],
-                                  "--audio-root", str(tmp_path / "audio"),
-                                  "--output", str(out)])
+def test_workers_flag_is_accepted(capsys, cli_env, tmp_path):
+    """--workers is accepted for compatibility and changes nothing."""
+    built = []
+    for workers in ("1", "3"):
+        out = tmp_path / f"aug{workers}.jsonl"
+        rc, report, _ = _run(capsys, ["--workers", workers, "augment", "psola-mix",
+                                      "--manifest", cli_env["manifest_path"],
+                                      "--audio-root", str(tmp_path / f"audio{workers}"),
+                                      "--output", str(out)])
+        assert rc == 0
+        assert report["written"] == 4 * 12
+        built.append(load_manifest(out))
+    one, three = built
+    assert [r.utterance_id for r in one] == [r.utterance_id for r in three]
+    for a, b in zip(one, three):
+        assert open(a.path, "rb").read() == open(b.path, "rb").read()
+
+
+def test_augment_resume_repeats_the_report(capsys, cli_env, tmp_path):
+    """A resume over a finished root reports what the first run reported;
+    `written` counts the records in the output manifest."""
+    argv = ["augment", "resample", "--manifest", cli_env["manifest_path"],
+            "--audio-root", str(tmp_path / "audio"), "--output", str(tmp_path / "aug.jsonl")]
+    rc, first, _ = _run(capsys, argv)
     assert rc == 0
-    assert report["written"] == 4 * 12
+    assert first["jobs"] == first["written"] == 48
+    rc, second, _ = _run(capsys, argv)
+    assert rc == 0
+    assert second == first
 
 
-def test_workers_env_must_be_integer(capsys, cli_env, tmp_path, monkeypatch):
-    monkeypatch.setenv("SPKRAUG_WORKERS", "plenty")
-    rc, report, err = _run(capsys, ["augment", "psola-mix",
-                                    "--manifest", cli_env["manifest_path"],
-                                    "--audio-root", str(tmp_path / "audio"),
-                                    "--output", str(tmp_path / "aug.jsonl")])
+def test_malformed_manifest_is_one_line_error(capsys, tmp_path):
+    path = tmp_path / "bad.jsonl"
+    path.write_text('{"corpus":"c","sample_rate":16000}\n'
+                    '{"utterance_id":"u","speaker_id":"s","path":"p","duration_ratio":"abc"}\n')
+    rc, report, err = _run(capsys, ["embed", "--manifest", str(path),
+                                    "--output", str(tmp_path / "emb.tsv")])
     assert rc == 1
-    assert "SPKRAUG_WORKERS" in err
+    assert report is None
+    assert err.count("\n") == 1
+    assert err.startswith("spkraug embed: error:") and ":2:" in err
 
 
 def test_embed_cli(capsys, cli_env, tmp_path):

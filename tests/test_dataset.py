@@ -3,7 +3,7 @@ import os
 import numpy as np
 import pytest
 
-from spkraug.audio_io import read_wav
+from spkraug.audio_io import AudioClip, read_wav, write_wav
 from spkraug.dataset import (
     NATURAL,
     PSOLA_DUR,
@@ -167,6 +167,10 @@ def test_load_manifest_missing_file(tmp_path):
     '{"corpus":"c","sample_rate":16000}\n'
     '{"utterance_id":"u","speaker_id":"s","path":"p"}\n'
     '{"utterance_id":"u","speaker_id":"s","path":"p"}\n',  # duplicate
+    '{"corpus":"c","sample_rate":16000}\n'
+    '{"utterance_id":"u","speaker_id":"s","path":"p","duration_ratio":"abc"}\n',
+    '{"corpus":"c","sample_rate":16000}\n[1,2]\n',  # record is not an object
+    '{"corpus":"c","sample_rate":"x"}\n',
 ])
 def test_load_manifest_rejects_malformed(tmp_path, content):
     path = tmp_path / "bad.jsonl"
@@ -437,21 +441,85 @@ def test_execute_plan_reports_partial_failures(small_corpus, tmp_path):
     assert all(r.parent_id != "sp9_000" for r in built)
 
 
-def test_execute_plan_workers_parity(small_corpus, tmp_path):
+def _write_parent(tmp_path, uid, speaker, sr, dur=0.5):
+    from synth import speechlike
+
+    path = tmp_path / f"{uid}.wav"
+    write_wav(speechlike(150.0, (700.0, 1500.0), dur, 5, sr=sr), path)
+    return _natural(uid, speaker, path=str(path))
+
+
+def test_execute_plan_rejects_parent_at_other_rate(small_corpus, tmp_path):
     _, manifest = small_corpus
-    parents = _parents(manifest, count=3)
-    plan = plan_augmentation(parents, "up_down")
-    serial, f1 = execute_plan(plan, tmp_path / "w1", workers=1)
-    threaded, f2 = execute_plan(plan, tmp_path / "w4", workers=4)
-    assert f1 == f2 == []
-    assert [r.utterance_id for r in serial] == [r.utterance_id for r in threaded]
-    for a, b in zip(serial, threaded):
-        assert open(a.path, "rb").read() == open(b.path, "rb").read()
+    parents = _parents(manifest, count=2)
+    odd = _write_parent(tmp_path, "sp9_000", "sp9", 22050)
+    plan = plan_augmentation(Manifest(list(parents) + [odd]), "psola_mix")
+    built, failures = execute_plan(plan, tmp_path / "aug", sample_rate=16000)
+    assert len(failures) == 4  # every job of the 22050 Hz parent
+    assert all(f["parent_id"] == "sp9_000" for f in failures)
+    assert all("ManifestError" in f["error"] and "22050" in f["error"]
+               and "16000" in f["error"] for f in failures)
+    assert len(built) == 8
+    assert all(r.parent_id != "sp9_000" for r in built)
 
 
-def test_execute_plan_rejects_zero_workers(tmp_path):
-    with pytest.raises(InvalidParamsError):
-        execute_plan([], tmp_path, workers=0)
+@pytest.fixture
+def counts(monkeypatch):
+    """Count parent WAV reads in execute_plan and F0 analyses in PSOLA."""
+    import spkraug.dataset
+    import spkraug.psola
+
+    tally = {"reads": 0, "analyses": 0}
+
+    def count(module, name, key):
+        original = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            tally[key] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    count(spkraug.dataset, "read_wav", "reads")
+    count(spkraug.psola, "estimate_f0", "analyses")
+    return tally
+
+
+def test_execute_plan_reads_and_analyses_each_parent_once(small_corpus, tmp_path, counts):
+    _, manifest = small_corpus
+    plan = plan_augmentation(_parents(manifest, count=2), "psola_dur")
+    built, failures = execute_plan(plan, tmp_path / "aug")
+    assert failures == []
+    assert len(built) == 14
+    assert counts == {"reads": 2, "analyses": 2}
+
+
+def test_execute_plan_full_resume_reads_nothing(tmp_path, counts):
+    parents = Manifest([_write_parent(tmp_path, f"sp0_00{i}", "sp0", 22050) for i in range(2)],
+                       sample_rate=22050)
+    plan = plan_augmentation(parents, "psola_f0")
+    first, failures = execute_plan(plan, tmp_path / "aug", sample_rate=22050)
+    assert failures == [] and len(first) == 14
+    counts.update(reads=0, analyses=0)
+    second, failures = execute_plan(plan, tmp_path / "aug", sample_rate=22050)
+    assert failures == []
+    assert list(second) == list(first)
+    assert second.sample_rate == 22050
+    assert counts == {"reads": 0, "analyses": 0}
+
+
+def test_execute_plan_analysis_error_fails_only_psola_jobs(tmp_path, counts):
+    path = tmp_path / "tiny.wav"
+    write_wav(AudioClip(np.zeros(30), 16000), path)  # too short for two pitch periods
+    parent = _natural("sp0_000", path=str(path))
+    plan = [AugmentationJob(parent, PSOLA_F0, 1.0, 1.2),
+            AugmentationJob(parent, RESAMPLED, 1.05, 1.05),
+            AugmentationJob(parent, PSOLA_DUR, 1.1, 1.0)]
+    built, failures = execute_plan(plan, tmp_path / "aug")
+    assert [r.kind for r in built] == [RESAMPLED]
+    assert [f["kind"] for f in failures] == [PSOLA_F0, PSOLA_DUR]
+    assert all("NoPitchMarksError" in f["error"] for f in failures)
+    assert counts == {"reads": 1, "analyses": 1}
 
 
 def test_execute_plan_empty_plan(tmp_path):

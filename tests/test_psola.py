@@ -12,9 +12,11 @@ from spkraug.errors import (
 from spkraug.psola import (
     PitchMarks,
     PitchTrack,
+    analyse,
     estimate_f0,
     place_pitch_marks,
     psola_modify,
+    synthesise,
 )
 from synth import SR, glide, harmonic_glide, sawtooth, sine
 
@@ -233,3 +235,15 @@ def test_modify_deterministic():
     a = psola_modify(clip, 1.1, 0.9)
     b = psola_modify(clip, 1.1, 0.9)
     assert np.array_equal(a.samples, b.samples)
+
+
+def test_one_analysis_serves_every_ratio():
+    """Synthesis leaves the analysis untouched, so reusing it for many ratios
+    gives what a fresh analysis per ratio gives."""
+    clip = harmonic_glide(120.0, 220.0, 0.6)
+    analysis = analyse(clip)
+    for dur, f0 in [(d, 1.0) for d in DUR_RATIOS] + [(1.0, f) for f in F0_RATIOS]:
+        out = synthesise(analysis, dur, f0)
+        assert np.array_equal(out.samples, psola_modify(clip, dur, f0).samples)
+    with pytest.raises(InvalidRatioError):
+        synthesise(analysis, 2.5, 1.0)
