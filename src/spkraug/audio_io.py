@@ -84,6 +84,10 @@ def read_wav(path) -> AudioClip:
         raise UnsupportedFormatError(f"{path}: expected mono, got {channels} channels")
     if width != 2:
         raise UnsupportedFormatError(f"{path}: expected 16-bit PCM, got {8 * width}-bit")
+    if len(raw) != 2 * nframes:
+        raise CorruptHeaderError(
+            f"{path}: truncated data, {len(raw)} bytes for {nframes} frames of 2 bytes"
+        )
     pcm = np.frombuffer(raw, dtype="<i2")
     return AudioClip(pcm.astype(np.float64) / 32768.0, rate)
 

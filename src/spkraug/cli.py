@@ -13,7 +13,7 @@ import sys
 import numpy as np
 
 from . import dataset, metrics
-from .audio_io import read_wav, write_wav
+from .audio_io import write_wav
 from .embedding import EmbeddingSet, extract_standin_embedding, load_embeddings, save_embeddings
 from .errors import SpkraugError
 from .spectral import griffin_lim, read_spectrogram
@@ -145,7 +145,7 @@ def _cmd_embed(args) -> int:
     entries = []
     for record in manifest:
         _log(args, f"embedding {record.utterance_id}")
-        clip = read_wav(record.path)
+        clip = dataset.read_utterance(record, manifest.sample_rate)
         entries.append(extract_standin_embedding(clip, record.utterance_id,
                                                   record.speaker_id))
     embeddings = EmbeddingSet.from_entries(entries)

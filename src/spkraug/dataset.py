@@ -146,7 +146,10 @@ def load_manifest(path) -> Manifest:
         raise ManifestError(f"{path}: empty manifest file")
     try:
         meta = json.loads(lines[0])
-        corpus, sample_rate = meta["corpus"], int(meta["sample_rate"])
+        corpus, sample_rate = meta["corpus"], meta["sample_rate"]
+        if isinstance(sample_rate, bool):
+            raise TypeError
+        sample_rate = int(sample_rate)
     except json.JSONDecodeError as exc:
         raise ManifestError(f"{path}:1: {exc}") from None
     except (KeyError, TypeError, ValueError):
@@ -159,14 +162,16 @@ def load_manifest(path) -> Manifest:
             obj = json.loads(line)
             if not isinstance(obj, dict):
                 raise ManifestError("record must be a JSON object")
+            names = {key: obj[key] for key in ("utterance_id", "speaker_id", "path")}
+            names["parent_id"] = obj.get("parent_id")
+            for key, value in names.items():
+                if not (isinstance(value, str) or (key == "parent_id" and value is None)):
+                    raise ManifestError(f"{key} must be a string, got {value!r}")
             records.append(UtteranceRecord(
-                utterance_id=obj["utterance_id"],
-                speaker_id=obj["speaker_id"],
-                path=obj["path"],
+                **names,
                 kind=obj.get("kind", NATURAL),
                 duration_ratio=float(obj.get("duration_ratio", 1.0)),
                 f0_ratio=float(obj.get("f0_ratio", 1.0)),
-                parent_id=obj.get("parent_id"),
             ))
         except KeyError as exc:
             raise ManifestError(f"{path}:{lineno}: missing field {exc}") from None
@@ -301,10 +306,11 @@ def _once(fn):
     return call
 
 
-def _read_parent(parent: UtteranceRecord, sample_rate: int):
-    clip = read_wav(parent.path)
+def read_utterance(record: UtteranceRecord, sample_rate: int):
+    """Read a record's WAV, which must be at the manifest's sample_rate."""
+    clip = read_wav(record.path)
     if clip.sample_rate != sample_rate:
-        raise ManifestError(f"{parent.utterance_id}: WAV is {clip.sample_rate} Hz, "
+        raise ManifestError(f"{record.utterance_id}: WAV is {clip.sample_rate} Hz, "
                             f"manifest says {sample_rate} Hz")
     return clip
 
@@ -317,7 +323,7 @@ def _run_parent(parent, jobs, audio_root, sample_rate, records, failures) -> Non
     when a missing output needs it; an error there fails every job that
     needed it.
     """
-    clip = _once(lambda: _read_parent(parent, sample_rate))
+    clip = _once(lambda: read_utterance(parent, sample_rate))
     analysis = _once(lambda: analyse(clip()))
     for job in jobs:
         out_id = job_output_name(job)

@@ -5,8 +5,17 @@ pitch marks once per clip; `synthesise` then, per ratio pair, cuts grains of
 two local periods at those marks, re-selects them along a time-scaled axis
 and overlap-adds them at a spacing of period / f0_ratio. Unvoiced stretches
 keep their original spacing so noise is never pitch-shifted.
+
+Synthesis runs in two passes. The grain schedule is inherently sequential
+(each step depends on the last grain's hop), so it walks plain Python lists
+with `bisect`. Windowing and overlap-add then cover every grain of the job at
+once: one `np.bincount` sums the windowed grains and one sums the windows,
+over indices laid out grain after grain, so each output sample receives its
+terms in schedule order and the result equals a grain-by-grain loop bit for
+bit.
 """
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -224,12 +233,45 @@ def analyse(clip: AudioClip, f0_min: float = DEFAULT_F0_MIN,
         raise NoPitchMarksError(
             f"found only {len(marks)} pitch marks; input is shorter than two periods"
         )
-    lookup = _track_lookup(track, clip.sample_rate)
     gaps = np.diff(marks)
     # local analysis period per interior mark: mean of the two adjacent gaps
     periods = 0.5 * (gaps[:-1] + gaps[1:])
-    voiced = np.array([lookup(m)[0] for m in marks[1:-1]])
+    # voicing of the frame nearest each interior mark, as _track_lookup finds it
+    voiced = np.zeros(len(periods), dtype=bool)
+    if track.n_frames:
+        sr = clip.sample_rate
+        win = int(round(F0_WINDOW_SECONDS * sr))
+        hop = int(round(track.frame_shift * sr))
+        frame = np.rint((marks[1:-1] - win / 2) / hop).astype(np.int64)
+        voiced = track.voicing[np.clip(frame, 0, track.n_frames - 1)]
     return PsolaAnalysis(clip, marks, periods, voiced)
+
+
+def _grain_schedule(interior: list, hops: list, duration_ratio: float,
+                    out_len: int) -> tuple[list, list]:
+    """Walk the output axis: at output time s pick the interior mark nearest
+    s / duration_ratio, then advance s by that mark's hop.
+
+    Plain lists, no NumPy: the walk is sequential and short per step.
+    Returns the chosen mark indices and the rounded output centres.
+    """
+    last = len(interior) - 1
+    chosen, centres = [], []
+    s = interior[0] * duration_ratio
+    while s < out_len:
+        u = s / duration_ratio
+        k = bisect_left(interior, u)
+        if k == 0:
+            j = 0
+        elif k > last:
+            j = last
+        else:
+            # ties go to the earlier mark
+            j = k - 1 if u - interior[k - 1] <= interior[k] - u else k
+        chosen.append(j)
+        centres.append(round(s))
+        s += hops[j]
+    return chosen, centres
 
 
 def synthesise(analysis: PsolaAnalysis, duration_ratio: float,
@@ -246,41 +288,35 @@ def synthesise(analysis: PsolaAnalysis, duration_ratio: float,
 
     clip, marks, periods, voiced_mark = analysis
     x = clip.samples
-    n = len(x)
-    interior = marks[1:-1]
+    out_len = int(round(len(x) * duration_ratio))
+    hops = np.maximum(np.where(voiced_mark, periods / f0_ratio, periods), 1.0)
+    chosen, centres = _grain_schedule(marks[1:-1].tolist(), hops.tolist(),
+                                      float(duration_ratio), out_len)
+    if not chosen:
+        return AudioClip(np.zeros(out_len), clip.sample_rate)
 
-    out_len = int(round(n * duration_ratio))
+    # grain g spans marks[j]..marks[j + 2] around marks[j + 1], j = chosen[g]
+    j = np.asarray(chosen)
+    lo, center, hi = marks[j], marks[j + 1], marks[j + 2]
+    pairs = list(zip((center - lo).tolist(), (hi - center).tolist()))
+    windows = {pair: _grain_window(*pair) for pair in set(pairs)}
+    window = np.concatenate([windows[pair] for pair in pairs])
+
+    # every grain sample's source and destination index, grain after grain;
+    # the margin keeps destinations of grains at either edge non-negative
+    lengths = hi - lo
+    first = np.cumsum(lengths) - lengths
     margin = int(np.diff(marks).max()) + 1
-    num = np.zeros(out_len + 2 * margin)
-    den = np.zeros(out_len + 2 * margin)
+    offset = np.arange(len(window))
+    src = offset + np.repeat(lo - first, lengths)
+    dst = offset + np.repeat(np.asarray(centres) - (center - lo) + margin - first, lengths)
 
-    s = float(interior[0]) * duration_ratio
-    while s < out_len:
-        u = s / duration_ratio
-        k = int(np.searchsorted(interior, u))
-        if k == 0:
-            j = 0
-        elif k >= len(interior):
-            j = len(interior) - 1
-        else:
-            # ties go to the earlier mark
-            j = k - 1 if u - interior[k - 1] <= interior[k] - u else k
-        center = marks[j + 1]
-        left = center - marks[j]
-        right = marks[j + 2] - center
-        window = _grain_window(left, right)
-        grain = x[marks[j]:marks[j + 2]] * window
-
-        start = int(round(s)) - left + margin
-        num[start:start + left + right] += grain
-        den[start:start + left + right] += window
-
-        hop_out = periods[j] / f0_ratio if voiced_mark[j] else periods[j]
-        s += max(hop_out, 1.0)
-
-    out = num[margin:margin + out_len]
-    weight = den[margin:margin + out_len]
-    out = out / np.maximum(weight, 0.25)
+    # bincount adds each sample's terms in index order, i.e. in grain order,
+    # exactly as a sequential num[a:b] += grain loop would
+    size = out_len + 2 * margin
+    num = np.bincount(dst, weights=x[src] * window, minlength=size)
+    den = np.bincount(dst, weights=window, minlength=size)
+    out = num[margin:margin + out_len] / np.maximum(den[margin:margin + out_len], 0.25)
     return AudioClip(out, clip.sample_rate)
 
 

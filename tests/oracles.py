@@ -143,3 +143,51 @@ def median_voiced_f0(clip, f0_min=60.0, f0_max=400.0):
     if len(voiced) == 0:
         raise AssertionError("no voiced frames found")
     return float(np.median(voiced))
+
+
+def psola_grain_loop_oracle(analysis, duration_ratio, f0_ratio):
+    """TD-PSOLA synthesis as one grain at a time: schedule a grain, window
+    it, add it into the numerator and its window into the denominator, step.
+
+    The reference for `spkraug.psola.synthesise`, which must match it byte
+    for byte. Returns the output samples.
+    """
+    from spkraug.psola import _grain_window
+
+    clip, marks, periods, voiced_mark = analysis
+    x = clip.samples
+    n = len(x)
+    interior = marks[1:-1]
+
+    out_len = int(round(n * duration_ratio))
+    margin = int(np.diff(marks).max()) + 1
+    num = np.zeros(out_len + 2 * margin)
+    den = np.zeros(out_len + 2 * margin)
+
+    s = float(interior[0]) * duration_ratio
+    while s < out_len:
+        u = s / duration_ratio
+        k = int(np.searchsorted(interior, u))
+        if k == 0:
+            j = 0
+        elif k >= len(interior):
+            j = len(interior) - 1
+        else:
+            # ties go to the earlier mark
+            j = k - 1 if u - interior[k - 1] <= interior[k] - u else k
+        center = marks[j + 1]
+        left = center - marks[j]
+        right = marks[j + 2] - center
+        window = _grain_window(left, right)
+        grain = x[marks[j]:marks[j + 2]] * window
+
+        start = int(round(s)) - left + margin
+        num[start:start + left + right] += grain
+        den[start:start + left + right] += window
+
+        hop_out = periods[j] / f0_ratio if voiced_mark[j] else periods[j]
+        s += max(hop_out, 1.0)
+
+    out = num[margin:margin + out_len]
+    weight = den[margin:margin + out_len]
+    return out / np.maximum(weight, 0.25)

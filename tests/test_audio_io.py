@@ -132,6 +132,19 @@ def test_truncated_header(tmp_path):
         read_wav(path)
 
 
+@pytest.mark.parametrize("parity", [0, 1])
+def test_truncated_data_rejected(tmp_path, parity):
+    """A file cut short after its header, at an even or an odd byte, is
+    corrupt: the data chunk no longer holds the frames the header counts."""
+    path = tmp_path / "cut.wav"
+    write_wav(sine(200.0, 1.0), path)
+    data = path.read_bytes()
+    cut = len(data) // 3 // 2 * 2 + parity
+    path.write_bytes(data[:cut])
+    with pytest.raises(CorruptHeaderError, match="truncated data"):
+        read_wav(path)
+
+
 def test_stereo_rejected(tmp_path):
     path = tmp_path / "stereo.wav"
     with wave.open(str(path), "wb") as handle:

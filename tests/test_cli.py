@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from spkraug.audio_io import read_wav
+from spkraug.audio_io import read_wav, write_wav
 from spkraug.cli import main
 from spkraug.dataset import Manifest, load_manifest, save_manifest
 from spkraug.embedding import (
@@ -227,6 +227,47 @@ def test_malformed_manifest_is_one_line_error(capsys, tmp_path):
     assert report is None
     assert err.count("\n") == 1
     assert err.startswith("spkraug embed: error:") and ":2:" in err
+
+
+def _embed_one(capsys, tmp_path, record_line):
+    """Run embed over a one-record 16 kHz manifest; returns rc, report, stderr."""
+    path = tmp_path / "one.jsonl"
+    path.write_text('{"corpus":"c","sample_rate":16000}\n' + record_line + "\n")
+    return _run(capsys, ["embed", "--manifest", str(path),
+                         "--output", str(tmp_path / "emb.tsv")])
+
+
+def _assert_one_line_error(rc, report, err, *fragments):
+    assert rc == 1
+    assert report is None
+    assert err.count("\n") == 1 and err.startswith("spkraug embed: error:")
+    for fragment in fragments:
+        assert fragment in err
+
+
+def test_embed_rejects_non_string_path(capsys, tmp_path):
+    rc, report, err = _embed_one(capsys, tmp_path,
+                                 '{"utterance_id":"u","speaker_id":"s","path":null}')
+    _assert_one_line_error(rc, report, err, ":2:", "path")
+
+
+def test_embed_rejects_wav_at_another_rate(capsys, tmp_path):
+    wav = tmp_path / "u.wav"
+    write_wav(sine(200.0, 0.3, sr=22050), wav)
+    rc, report, err = _embed_one(
+        capsys, tmp_path, json.dumps({"utterance_id": "u", "speaker_id": "s", "path": str(wav)}))
+    _assert_one_line_error(rc, report, err, "22050 Hz", "16000 Hz")
+
+
+@pytest.mark.parametrize("parity", [0, 1])
+def test_embed_rejects_truncated_wav(capsys, tmp_path, parity):
+    wav = tmp_path / "u.wav"
+    write_wav(sine(200.0, 1.0), wav)
+    data = wav.read_bytes()
+    wav.write_bytes(data[:len(data) // 3 // 2 * 2 + parity])
+    rc, report, err = _embed_one(
+        capsys, tmp_path, json.dumps({"utterance_id": "u", "speaker_id": "s", "path": str(wav)}))
+    _assert_one_line_error(rc, report, err, "truncated data")
 
 
 def test_embed_cli(capsys, cli_env, tmp_path):

@@ -171,6 +171,13 @@ def test_load_manifest_missing_file(tmp_path):
     '{"utterance_id":"u","speaker_id":"s","path":"p","duration_ratio":"abc"}\n',
     '{"corpus":"c","sample_rate":16000}\n[1,2]\n',  # record is not an object
     '{"corpus":"c","sample_rate":"x"}\n',
+    '{"corpus":"c","sample_rate":true}\n',  # a bool is not a rate
+    '{"corpus":"c","sample_rate":16000}\n{"utterance_id":"u","speaker_id":"s","path":null}\n',
+    '{"corpus":"c","sample_rate":16000}\n{"utterance_id":"u","speaker_id":"s","path":3}\n',
+    '{"corpus":"c","sample_rate":16000}\n{"utterance_id":7,"speaker_id":"s","path":"p"}\n',
+    '{"corpus":"c","sample_rate":16000}\n{"utterance_id":"u","speaker_id":["s"],"path":"p"}\n',
+    '{"corpus":"c","sample_rate":16000}\n'
+    '{"utterance_id":"u","speaker_id":"s","path":"p","kind":"psola_dur","parent_id":1}\n',
 ])
 def test_load_manifest_rejects_malformed(tmp_path, content):
     path = tmp_path / "bad.jsonl"

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import median_voiced_f0
+from oracles import median_voiced_f0, psola_grain_loop_oracle
 from spkraug.audio_io import AudioClip
 from spkraug.errors import (
     EmptyClipError,
@@ -10,8 +12,12 @@ from spkraug.errors import (
     NoPitchMarksError,
 )
 from spkraug.psola import (
+    MAX_RATIO,
+    MIN_RATIO,
     PitchMarks,
     PitchTrack,
+    PsolaAnalysis,
+    _track_lookup,
     analyse,
     estimate_f0,
     place_pitch_marks,
@@ -247,3 +253,57 @@ def test_one_analysis_serves_every_ratio():
         assert np.array_equal(out.samples, psola_modify(clip, dur, f0).samples)
     with pytest.raises(InvalidRatioError):
         synthesise(analysis, 2.5, 1.0)
+
+
+# -- synthesis against the grain-by-grain loop --------------------------------
+
+def _glide_with_burst(f_start, f_end, dur, burst_at, burst_len, seed):
+    """Harmonic glide with one stretch replaced by white noise (unvoiced)."""
+    x = harmonic_glide(f_start, f_end, dur).samples.copy()
+    a = int(burst_at * len(x))
+    b = min(len(x), a + int(burst_len * SR))
+    x[a:b] = 0.2 * np.random.default_rng(seed).standard_normal(b - a)
+    return AudioClip(x, SR)
+
+
+_RATIO = st.one_of(st.sampled_from([MIN_RATIO, MAX_RATIO]),
+                   st.floats(MIN_RATIO, MAX_RATIO, allow_nan=False))
+
+
+@settings(max_examples=25)
+@given(f_start=st.floats(80.0, 350.0), f_end=st.floats(80.0, 350.0),
+       dur=st.floats(0.15, 0.5), burst_at=st.floats(0.0, 0.9),
+       burst_len=st.floats(0.02, 0.1), seed=st.integers(0, 2**16),
+       ratios=st.lists(st.tuples(_RATIO, _RATIO), min_size=1, max_size=4))
+def test_synthesise_matches_grain_loop_bitwise(f_start, f_end, dur, burst_at, burst_len,
+                                               seed, ratios):
+    analysis = analyse(_glide_with_burst(f_start, f_end, dur, burst_at, burst_len, seed))
+    for dur_ratio, f0_ratio in ratios:
+        out = synthesise(analysis, dur_ratio, f0_ratio).samples
+        assert out.tobytes() == psola_grain_loop_oracle(analysis, dur_ratio, f0_ratio).tobytes()
+
+
+@pytest.mark.parametrize("dur", [1.0, 0.5])
+def test_synthesise_without_grains_is_silence(dur):
+    """A first interior mark at or past the output end schedules no grain;
+    the output is then round(n * d) zeros, as in the loop."""
+    clip = AudioClip(np.full(100, 0.3), SR)
+    analysis = PsolaAnalysis(clip, np.array([0, 100, 120]), np.array([60.0]),
+                             np.array([True]))
+    out = synthesise(analysis, dur, 1.3).samples
+    assert out.tobytes() == np.zeros(round(100 * dur)).tobytes()
+    assert out.tobytes() == psola_grain_loop_oracle(analysis, dur, 1.3).tobytes()
+
+
+@pytest.mark.parametrize("clip", [
+    sine(200.0, 0.3), sawtooth(180.0, 0.6), glide(120.0, 240.0, 1.0),
+    harmonic_glide(120.0, 220.0, 0.6), _glide_with_burst(110.0, 260.0, 0.5, 0.4, 0.08, 3),
+    AudioClip(0.2 * np.random.default_rng(8).standard_normal(SR // 2), SR),
+    AudioClip(0.2 * np.random.default_rng(9).standard_normal(399), SR),  # no F0 frames
+], ids=["sine", "sawtooth", "glide", "harmonic_glide", "burst", "noise", "frameless"])
+def test_analyse_voicing_matches_per_mark_lookup(clip):
+    track = estimate_f0(clip)
+    marks = place_pitch_marks(clip, track).positions
+    lookup = _track_lookup(track, clip.sample_rate)
+    expected = np.array([lookup(m)[0] for m in marks[1:-1]])
+    assert np.array_equal(analyse(clip).voiced, expected)
