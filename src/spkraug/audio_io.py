@@ -6,6 +6,7 @@ default pipeline rate is 16 kHz.
 """
 
 import math
+import os
 import wave
 from dataclasses import dataclass
 from fractions import Fraction
@@ -58,19 +59,26 @@ class AudioClip:
         return len(self.samples)
 
 
-def read_wav(path) -> AudioClip:
-    """Read a 16-bit mono PCM WAV file, scaling samples to [-1, 1]."""
+def _read_pcm(path, header_only: bool):
+    """Parse a 16-bit mono PCM WAV into (rate, nframes, raw sample bytes), or
+    (rate, nframes, None) from the header alone; either way raises when the
+    data chunk holds fewer than 2 * nframes bytes."""
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(str(path))
     try:
-        with wave.open(str(path), "rb") as handle:
+        with open(path, "rb") as file, wave.open(file, "rb") as handle:
             channels = handle.getnchannels()
             width = handle.getsampwidth()
             comptype = handle.getcomptype()
             rate = handle.getframerate()
             nframes = handle.getnframes()
-            raw = handle.readframes(nframes)
+            if header_only:
+                raw = None  # wave.open leaves the file at the first sample
+                available = min(2 * nframes, os.fstat(file.fileno()).st_size - file.tell())
+            else:
+                raw = handle.readframes(nframes)
+                available = len(raw)
     except wave.Error as exc:
         # the wave module refuses non-PCM encodings while parsing the header
         if str(exc).startswith("unknown format"):
@@ -84,12 +92,25 @@ def read_wav(path) -> AudioClip:
         raise UnsupportedFormatError(f"{path}: expected mono, got {channels} channels")
     if width != 2:
         raise UnsupportedFormatError(f"{path}: expected 16-bit PCM, got {8 * width}-bit")
-    if len(raw) != 2 * nframes:
+    if available != 2 * nframes:
         raise CorruptHeaderError(
-            f"{path}: truncated data, {len(raw)} bytes for {nframes} frames of 2 bytes"
+            f"{path}: truncated data, {available} bytes for {nframes} frames of 2 bytes"
         )
+    return rate, nframes, raw
+
+
+def read_wav(path) -> AudioClip:
+    """Read a 16-bit mono PCM WAV file, scaling samples to [-1, 1]."""
+    rate, _, raw = _read_pcm(path, header_only=False)
     pcm = np.frombuffer(raw, dtype="<i2")
     return AudioClip(pcm.astype(np.float64) / 32768.0, rate)
+
+
+def read_wav_header(path) -> tuple[int, int]:
+    """(sample_rate, nframes) of a WAV that read_wav would accept, without
+    reading its samples."""
+    rate, nframes, _ = _read_pcm(path, header_only=True)
+    return rate, nframes
 
 
 def write_wav(clip: AudioClip, path) -> None:
@@ -168,11 +189,21 @@ def speed_change(clip: AudioClip, ratio: float) -> AudioClip:
     Implemented as resampling by 1/ratio with the header rate left untouched,
     so duration scales by 1/ratio and all spectral content by ratio.
     """
-    if not np.isfinite(ratio) or not (0.5 <= ratio <= 2.0):
-        raise InvalidRatioError(f"speed ratio must be in [0.5, 2.0], got {ratio!r}")
+    up, down, out_len = _speed_geometry(len(clip), ratio)
     if ratio == 1.0:
         return AudioClip(clip.samples.copy(), clip.sample_rate)
+    return AudioClip(_polyphase_resample(clip.samples, up, down, out_len), clip.sample_rate)
+
+
+def _speed_geometry(n_samples: int, ratio: float) -> tuple[int, int, int]:
+    """speed_change's (up, down, output length) for an n_samples clip."""
+    if not np.isfinite(ratio) or not (0.5 <= ratio <= 2.0):
+        raise InvalidRatioError(f"speed ratio must be in [0.5, 2.0], got {ratio!r}")
     frac = Fraction(float(ratio)).limit_denominator(10000)
     up, down = frac.denominator, frac.numerator
-    out_len = round(len(clip) * up / down)
-    return AudioClip(_polyphase_resample(clip.samples, up, down, out_len), clip.sample_rate)
+    return up, down, round(n_samples * up / down)
+
+
+def speed_change_length(n_samples: int, ratio: float) -> int:
+    """Number of samples speed_change(clip, ratio) returns for an n_samples clip."""
+    return _speed_geometry(n_samples, ratio)[2]

@@ -13,9 +13,10 @@ from itertools import groupby
 from pathlib import Path
 from typing import NamedTuple
 
-from .audio_io import read_wav, speed_change, write_wav
+from .audio_io import read_wav, read_wav_header, speed_change, speed_change_length, write_wav
 from .embedding import EmbeddingSet, _first_seen, select_k_nearest
 from .errors import (
+    EmbeddingFileError,
     InsufficientPoolError,
     InsufficientUtterancesError,
     InvalidParamsError,
@@ -23,9 +24,10 @@ from .errors import (
     ManifestError,
     MissingEmbeddingError,
     NonNaturalInputError,
+    SpkraugError,
 )
 from .metrics import ScoredPair
-from .psola import analyse, synthesise
+from .psola import analyse, synthesis_length, synthesise
 from .rng import rng_for
 
 NATURAL = "natural"
@@ -315,21 +317,40 @@ def read_utterance(record: UtteranceRecord, sample_rate: int):
     return clip
 
 
-def _run_parent(parent, jobs, audio_root, sample_rate, records, failures) -> None:
-    """Write the missing outputs of consecutive jobs that share a parent,
-    appending one record or failure dict per job.
+def _output_length(job: AugmentationJob, n_samples: int) -> int:
+    """Samples in the output of a job whose parent has n_samples."""
+    if job.kind == RESAMPLED:
+        return speed_change_length(n_samples, job.duration_ratio)
+    return synthesis_length(n_samples, job.duration_ratio)
 
+
+def _is_complete(out_path: Path, sample_rate: int, n_samples: int) -> bool:
+    """Whether an existing output's header says it is whole: a readable
+    16-bit mono WAV at sample_rate whose data holds exactly n_samples."""
+    try:
+        return read_wav_header(out_path) == (sample_rate, n_samples)
+    except (SpkraugError, OSError):
+        return False
+
+
+def _run_parent(parent, jobs, audio_root, sample_rate, records, failures) -> None:
+    """Write the missing or incomplete outputs of consecutive jobs that share
+    a parent, appending one record or failure dict per job.
+
+    An existing output is kept when its header shows the rate and length the
+    job would write (the parent's length comes from the parent's header).
     The parent WAV is read at most once and analysed at most once, and only
-    when a missing output needs it; an error there fails every job that
-    needed it.
+    when an output is written; an error there fails every job that needed it.
     """
+    parent_length = _once(lambda: read_wav_header(parent.path)[1])
     clip = _once(lambda: read_utterance(parent, sample_rate))
     analysis = _once(lambda: analyse(clip()))
     for job in jobs:
         out_id = job_output_name(job)
         out_path = Path(audio_root) / parent.speaker_id / f"{out_id}.wav"
         try:
-            if not out_path.exists():
+            if not (out_path.exists() and _is_complete(
+                    out_path, sample_rate, _output_length(job, parent_length()))):
                 if job.kind == RESAMPLED:
                     out = speed_change(clip(), job.duration_ratio)
                 else:
@@ -349,10 +370,12 @@ def _run_parent(parent, jobs, audio_root, sample_rate, records, failures) -> Non
 def execute_plan(plan, audio_root, corpus: str = "augmented", sample_rate: int = 16000):
     """Run every job, writing WAVs under audio_root/<speaker>/.
 
-    Existing output files are kept as-is (re-running a finished plan reads
-    and writes nothing). Each parent WAV must be at sample_rate, which the
-    returned manifest carries. Failures do not abort the batch; returns
-    (manifest of successful records in plan order, list of failure dicts).
+    Existing outputs whose headers show the expected rate and length are
+    kept as-is (re-running a finished plan reads headers only and writes
+    nothing); others are written again. Each parent WAV must be at
+    sample_rate, which the returned manifest carries. Failures do not abort
+    the batch; returns (manifest of successful records in plan order, list
+    of failure dicts).
     """
     records, failures = [], []
     for parent, jobs in groupby(plan, key=lambda job: job.parent):
@@ -383,9 +406,9 @@ def select_best_augmented(naturals: Manifest, augmented: Manifest,
             raise KTooLargeError(
                 f"{natural.utterance_id}: has {len(kids)} augmented children, need {k}"
             )
-        child_set = EmbeddingSet.from_entries(
-            [embeddings.get(c.utterance_id) for c in kids]
-        )
+        if not kids:  # reachable with k <= 0 only
+            raise EmbeddingFileError("cannot build an embedding set from zero entries")
+        child_set = embeddings._subset(c.utterance_id for c in kids)
         keep.update(select_k_nearest(embeddings.get(natural.utterance_id), child_set, k))
 
     selected = [r for r in augmented if r.utterance_id in keep]

@@ -54,19 +54,30 @@ class EmbeddingSet:
 
     def __init__(self, dimension: int, entries=()):
         entries = list(entries)
-        self.dimension = dimension
-        self._index = {}  # utterance_id -> row
-        for e in entries:
+        ids = [e.utterance_id for e in entries]
+        for i, e in enumerate(entries):
             if e.dimension != dimension:
+                _row_index(ids[:i])  # a duplicate before this entry is reported first
                 raise DimensionMismatchError(
                     f"{e.utterance_id}: dimension {e.dimension}, set is {dimension}"
                 )
-            if e.utterance_id in self._index:
-                raise EmbeddingFileError(f"duplicate utterance_id {e.utterance_id!r}")
-            self._index[e.utterance_id] = len(self._index)
-        self.ids = list(self._index)
-        self.speaker_ids = [e.speaker_id for e in entries]
-        self.matrix = np.stack([e.values for e in entries]) if entries else np.empty((0, dimension))
+        matrix = np.stack([e.values for e in entries]) if entries else np.empty((0, dimension))
+        self._adopt(ids, [e.speaker_id for e in entries], matrix)
+
+    @classmethod
+    def _from_matrix(cls, ids, speaker_ids, matrix: np.ndarray) -> "EmbeddingSet":
+        """A set over the rows of a float64 (n, dimension) matrix, built
+        without an EmbeddingVector per row."""
+        embeddings = cls.__new__(cls)
+        embeddings._adopt(ids, speaker_ids, matrix)
+        return embeddings
+
+    def _adopt(self, ids, speaker_ids, matrix: np.ndarray) -> None:
+        self._index = _row_index(ids)  # utterance_id -> row
+        self.ids = list(ids)
+        self.speaker_ids = list(speaker_ids)
+        self.dimension = matrix.shape[1]
+        self.matrix = matrix
         self.matrix.setflags(write=False)
 
     @classmethod
@@ -97,6 +108,24 @@ class EmbeddingSet:
     def _rows(self, utterance_ids) -> np.ndarray:
         """Matrix rows of the given ids, in that order."""
         return self.matrix[[self._index[uid] for uid in utterance_ids]]
+
+    def _subset(self, utterance_ids) -> "EmbeddingSet":
+        """The given ids' rows as a new set, in that order."""
+        rows = [self._index[uid] for uid in utterance_ids]
+        return EmbeddingSet._from_matrix([self.ids[i] for i in rows],
+                                         [self.speaker_ids[i] for i in rows], self.matrix[rows])
+
+
+def _row_index(ids) -> dict:
+    """utterance_id -> row; raises on the first id seen twice."""
+    index = dict(zip(ids, range(len(ids))))
+    if len(index) < len(ids):
+        seen = set()
+        for uid in ids:
+            if uid in seen:
+                raise EmbeddingFileError(f"duplicate utterance_id {uid!r}")
+            seen.add(uid)
+    return index
 
 
 def _first_seen(items) -> list:
@@ -222,10 +251,18 @@ def save_embeddings(embeddings: EmbeddingSet, path) -> None:
 
 
 def load_embeddings(path) -> EmbeddingSet:
+    """Read the TSV format into one matrix, row by row.
+
+    A defective line raises on its own: a wrong field count or a non-numeric
+    value as EmbeddingFileError, non-finite values as ZeroNormError, an
+    all-zero row as EmbeddingFileError; the first defective line wins, and a
+    duplicate utterance_id is reported only when every line is sound.
+    """
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(str(path))
-    lines = path.read_text(encoding="utf-8").splitlines()
+    text = path.read_text(encoding="utf-8")
+    lines = text.splitlines()
     if not lines or not lines[0].startswith("#dim="):
         raise EmbeddingFileError(f"{path}: missing #dim= header")
     try:
@@ -234,21 +271,41 @@ def load_embeddings(path) -> EmbeddingSet:
         raise EmbeddingFileError(f"{path}: unparseable header {lines[0]!r}") from None
     if dim < 1:
         raise EmbeddingFileError(f"{path}: dimension must be positive, got {dim}")
-    entries = []
+    # a row of the right width holds at least dim + 1 characters, which bounds
+    # the allocation by the file size whatever the header claims
+    matrix = np.empty((min(len(lines) - 1, len(text) // (dim + 1)), dim))
+    ids, speaker_ids, linenos = [], [], []
+
+    def raise_row_errors():
+        """Raise for the first parsed row with non-finite values or zero norm."""
+        parsed = matrix[:len(ids)]
+        bad = ~np.isfinite(parsed).all(axis=1)
+        # np.linalg.norm(v) is sqrt(np.dot(v, v)), and _row_dots sums as np.dot does
+        bad |= _row_dots(parsed, parsed) == 0.0
+        if bad.any():
+            row = int(np.argmax(bad))
+            if not np.isfinite(parsed[row]).all():
+                raise ZeroNormError(f"{ids[row]}: embedding has non-finite values")
+            raise EmbeddingFileError(f"{path}:{linenos[row]}: zero-norm embedding")
+
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
         parts = line.split("\t")
         if len(parts) != 2 + dim:
+            raise_row_errors()
             raise EmbeddingFileError(
                 f"{path}:{lineno}: expected {2 + dim} fields, found {len(parts)}"
             )
         try:
-            values = np.array([float(v) for v in parts[2:]])
+            matrix[len(ids)] = list(map(float, parts[2:]))
         except ValueError:
+            raise_row_errors()
             raise EmbeddingFileError(f"{path}:{lineno}: non-numeric value") from None
-        vec = EmbeddingVector(parts[0], parts[1], values)
-        if np.linalg.norm(vec.values) == 0.0:
-            raise EmbeddingFileError(f"{path}:{lineno}: zero-norm embedding")
-        entries.append(vec)
-    return EmbeddingSet(dim, entries)
+        ids.append(parts[0])
+        speaker_ids.append(parts[1])
+        linenos.append(lineno)
+    raise_row_errors()
+    if len(ids) < len(matrix):  # blank lines
+        matrix = matrix[:len(ids)].copy()
+    return EmbeddingSet._from_matrix(ids, speaker_ids, matrix)

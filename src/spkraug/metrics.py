@@ -162,33 +162,47 @@ def word_error_rate(reference, hypothesis) -> tuple:
 
     Unit costs; on ties the alignment prefers substitution, then insertion,
     then deletion, which fixes the reported count split deterministically.
+
+    The DP runs one reference token at a time over NumPy rows of (distance,
+    subs, dels); insertions are the rest of the distance. Each cell first
+    takes the diagonal (match or substitution) unless the deletion is
+    strictly cheaper; the insertion chain along the row is then one running
+    minimum over the cells it could start from.
     """
     ref = list(reference)
     hyp = list(hypothesis)
     if not ref:
         raise EmptyReferenceError("reference transcript has no tokens")
 
-    # each cell carries (distance, subs, dels, ins)
-    prev = [(j, 0, 0, j) for j in range(len(hyp) + 1)]
-    for i in range(1, len(ref) + 1):
-        cur = [(i, 0, i, 0)]
-        for j in range(1, len(hyp) + 1):
-            if ref[i - 1] == hyp[j - 1]:
-                d, s, dl, ins = prev[j - 1]
-                cur.append((d, s, dl, ins))
-                continue
-            d_sub, s_sub, dl_sub, in_sub = prev[j - 1]
-            d_ins, s_ins, dl_ins, in_ins = cur[j - 1]
-            d_del, s_del, dl_del, in_del = prev[j]
-            best = (d_sub + 1, s_sub + 1, dl_sub, in_sub)
-            if d_ins + 1 < best[0]:
-                best = (d_ins + 1, s_ins, dl_ins, in_ins + 1)
-            if d_del + 1 < best[0]:
-                best = (d_del + 1, s_del, dl_del + 1, in_del)
-            cur.append(best)
-        prev = cur
+    vocab = {}
+    ref_ids = np.array([vocab.setdefault(t, len(vocab)) for t in ref], dtype=np.int64)
+    hyp_ids = np.array([vocab.setdefault(t, len(vocab)) for t in hyp], dtype=np.int64)
+    m = len(hyp)
+    col = np.arange(m + 1)
+    # a chain from column k reaches column j at cost d_k + (j - k); among equal
+    # costs a diagonal start wins over a deletion start (and the column-0 cell,
+    # which is all deletions), the latest diagonal wins among diagonals and the
+    # earliest deletion among deletions, exactly as the cell-by-cell rule does
+    diag_rank = m + 1 - col
+    step_del = np.array([[1], [0], [1]])
+    prev = np.zeros((3, m + 1), dtype=np.int64)  # distance, subs, dels; ins is the rest
+    prev[0] = col
+    for i, token in enumerate(ref_ids, start=1):
+        miss = hyp_ids != token
+        diag = prev[:, :-1].copy()
+        diag[:2] += miss
+        delete = prev[:, 1:] + step_del
+        from_diag = np.concatenate(([False], diag[0] <= delete[0]))
+        cand = np.empty_like(prev)
+        cand[:, 0] = (i, 0, i)
+        cand[:, 1:] = np.where(from_diag[1:], diag, delete)
+        key = (2 * (cand[0] - col) - from_diag) * (m + 2) + np.where(from_diag, diag_rank, col)
+        start = np.maximum.accumulate(np.where(key == np.minimum.accumulate(key), col, 0))
+        prev = cand[:, start]
+        prev[0] += col - start
 
-    _, subs, dels, ins = prev[len(hyp)]
+    dist, subs, dels = (int(v) for v in prev[:, m])
+    ins = dist - subs - dels
     return (subs + dels + ins) / len(ref), subs, dels, ins
 
 

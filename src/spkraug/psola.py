@@ -131,14 +131,17 @@ def estimate_f0(clip: AudioClip, f0_min: float = DEFAULT_F0_MIN,
                         np.argmax(region, axis=1))
     peak_lag = peak_off + lag_min
 
+    # parabolic refinement of every voiced peak; a flat or upturned parabola
+    # (denominator >= -1e-15) keeps the integer lag
     f0 = np.zeros(len(frames))
     rows = np.flatnonzero(voiced)
-    for i in rows:
-        lag = peak_lag[i]
-        left, mid, right = norm[i, lag - 1], norm[i, lag], norm[i, lag + 1]
-        denom = left - 2.0 * mid + right
-        delta = 0.0 if denom >= -1e-15 else np.clip(0.5 * (left - right) / denom, -0.5, 0.5)
-        f0[i] = np.clip(sr / (lag + delta), f0_min, f0_max)
+    lag = peak_lag[rows]
+    left, mid, right = norm[rows, lag - 1], norm[rows, lag], norm[rows, lag + 1]
+    denom = left - 2.0 * mid + right
+    curved = ~(denom >= -1e-15)
+    delta = np.zeros(len(rows))
+    delta[curved] = np.clip(0.5 * (left[curved] - right[curved]) / denom[curved], -0.5, 0.5)
+    f0[rows] = np.clip(sr / (lag + delta), f0_min, f0_max)
 
     return PitchTrack(F0_HOP_SECONDS, f0, voiced)
 
@@ -274,6 +277,11 @@ def _grain_schedule(interior: list, hops: list, duration_ratio: float,
     return chosen, centres
 
 
+def synthesis_length(n_samples: int, duration_ratio: float) -> int:
+    """Number of samples synthesise returns for an n_samples clip."""
+    return int(round(n_samples * duration_ratio))
+
+
 def synthesise(analysis: PsolaAnalysis, duration_ratio: float,
                f0_ratio: float) -> AudioClip:
     """Overlap-add the analysed grains for one (duration, F0) ratio pair.
@@ -288,7 +296,7 @@ def synthesise(analysis: PsolaAnalysis, duration_ratio: float,
 
     clip, marks, periods, voiced_mark = analysis
     x = clip.samples
-    out_len = int(round(len(x) * duration_ratio))
+    out_len = synthesis_length(len(x), duration_ratio)
     hops = np.maximum(np.where(voiced_mark, periods / f0_ratio, periods), 1.0)
     chosen, centres = _grain_schedule(marks[1:-1].tolist(), hops.tolist(),
                                       float(duration_ratio), out_len)

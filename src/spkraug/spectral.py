@@ -9,6 +9,7 @@ makes the Griffin-Lim consistency error non-increasing.
 import struct
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -77,24 +78,36 @@ def _frame_signal(x: np.ndarray, frame_length: int, frame_shift: int) -> np.ndar
     return sliding_window_view(x, frame_length)[::frame_shift]
 
 
-def _stft_array(x, frame_length, frame_shift, fft_size):
-    frames = _frame_signal(x, frame_length, frame_shift) * _window(frame_length)
+def _stft_array(x, win, frame_shift, fft_size):
+    frames = _frame_signal(x, len(win), frame_shift) * win
     return np.fft.rfft(frames, n=fft_size, axis=1)
 
 
-def _istft_array(spec, frame_length, frame_shift, fft_size):
-    frames = np.fft.irfft(spec, n=fft_size, axis=1)[:, :frame_length]
+class _OverlapAdd(NamedTuple):
+    """What the least-squares inverse STFT needs besides the spectrum: the
+    window, each frame sample's output index and the summed squared window
+    (`den`) with its usable samples (`nonzero`). Depends only on the geometry."""
+
+    win: np.ndarray
+    idx: np.ndarray
+    den: np.ndarray
+    nonzero: np.ndarray
+
+
+def _overlap_add(frame_length, frame_shift, n_frames) -> _OverlapAdd:
     win = _window(frame_length)
-    frames = frames * win
-    n_frames = frames.shape[0]
     out_len = frame_length + (n_frames - 1) * frame_shift
-    # bincount adds each sample's overlaps in frame order, as a frame loop would
     idx = _frame_signal(np.arange(out_len), frame_length, frame_shift).ravel()
-    num = np.bincount(idx, weights=frames.ravel(), minlength=out_len)
     den = np.bincount(idx, weights=np.tile(win * win, n_frames), minlength=out_len)
-    nonzero = den > 1e-12
-    num[nonzero] /= den[nonzero]
-    num[~nonzero] = 0.0
+    return _OverlapAdd(win, idx, den, den > 1e-12)
+
+
+def _istft_array(spec, fft_size, ola: _OverlapAdd):
+    frames = np.fft.irfft(spec, n=fft_size, axis=1)[:, :len(ola.win)] * ola.win
+    # bincount adds each sample's overlaps in frame order, as a frame loop would
+    num = np.bincount(ola.idx, weights=frames.ravel(), minlength=len(ola.den))
+    num[ola.nonzero] /= ola.den[ola.nonzero]
+    num[~ola.nonzero] = 0.0
     return num
 
 
@@ -108,7 +121,7 @@ def stft(clip: AudioClip, frame_length: int = DEFAULT_FRAME_LENGTH,
     _check_params(frame_length, frame_shift, fft_size)
     if len(clip) == 0:
         raise InvalidParamsError("cannot analyze an empty clip")
-    return _stft_array(clip.samples, frame_length, frame_shift, fft_size)
+    return _stft_array(clip.samples, _window(frame_length), frame_shift, fft_size)
 
 
 def istft(spec: np.ndarray, frame_length: int = DEFAULT_FRAME_LENGTH,
@@ -125,7 +138,8 @@ def istft(spec: np.ndarray, frame_length: int = DEFAULT_FRAME_LENGTH,
         raise InvalidParamsError(f"spectrum must be frames x {fft_size // 2 + 1}, got {spec.shape}")
     if spec.shape[0] == 0:
         raise InvalidParamsError("spectrum has no frames")
-    return AudioClip(_istft_array(spec, frame_length, frame_shift, fft_size), sample_rate)
+    ola = _overlap_add(frame_length, frame_shift, spec.shape[0])
+    return AudioClip(_istft_array(spec, fft_size, ola), sample_rate)
 
 
 def magnitude_spectrogram(clip: AudioClip, frame_length: int = DEFAULT_FRAME_LENGTH,
@@ -164,11 +178,13 @@ def griffin_lim(spec: Spectrogram, iterations: int = DEFAULT_ITERATIONS, seed: i
         phase[:, -1] = 0.0
     s = m * np.exp(1j * phase)
 
+    # the window and the overlap-add geometry are the same in every iteration
+    ola = _overlap_add(spec.frame_length, spec.frame_shift, spec.n_frames)
     errors = []
     x = None
     for _ in range(iterations):
-        x = _istft_array(s, spec.frame_length, spec.frame_shift, spec.fft_size)
-        analyzed = _stft_array(x, spec.frame_length, spec.frame_shift, spec.fft_size)
+        x = _istft_array(s, spec.fft_size, ola)
+        analyzed = _stft_array(x, ola.win, spec.frame_shift, spec.fft_size)
         errors.append(float(np.linalg.norm(m - np.abs(analyzed)) / m_norm))
         s = m * np.exp(1j * np.angle(analyzed))
 

@@ -128,8 +128,9 @@ def conditional_probabilities(distances_sq: np.ndarray, perplexity: float) -> np
 
 
 def _student_t_weights(Y: np.ndarray) -> np.ndarray:
-    d2 = squareform(pdist(Y, "sqeuclidean"))
-    W = 1.0 / (1.0 + d2)
+    W = squareform(pdist(Y, "sqeuclidean"))
+    W += 1.0
+    np.reciprocal(W, out=W)
     np.fill_diagonal(W, 0.0)
     return W
 
@@ -142,8 +143,9 @@ def kl_gradient(P: np.ndarray, Y: np.ndarray) -> np.ndarray:
     if P.shape != (n, n) or Y.ndim != 2:
         raise DimensionMismatchError(f"P {P.shape} does not match Y {Y.shape}")
     W = _student_t_weights(Y)
-    Q = W / W.sum()
-    M = (P - Q) * W
+    M = np.divide(W, W.sum())  # Q, then M = (P - Q) * W in the same buffer
+    np.subtract(P, M, out=M)
+    M *= W
     return 4.0 * (M.sum(axis=1)[:, None] * Y - M @ Y)
 
 
@@ -184,9 +186,9 @@ def run_tsne(embeddings: EmbeddingSet, config: TsneConfig = TsneConfig(),
     Y -= Y.mean(axis=0)
     update = np.zeros_like(Y)
 
+    P_exaggerated = P * config.early_exaggeration
     for it in range(config.iterations):
-        P_eff = P * config.early_exaggeration if it < EXAGGERATION_ITERS else P
-        grad = kl_gradient(P_eff, Y)
+        grad = kl_gradient(P_exaggerated if it < EXAGGERATION_ITERS else P, Y)
         momentum = config.momentum if it < MOMENTUM_SWITCH_ITER else config.final_momentum
         update = momentum * update - config.learning_rate * grad
         Y = Y + update

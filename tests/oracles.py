@@ -191,3 +191,193 @@ def psola_grain_loop_oracle(analysis, duration_ratio, f0_ratio):
     out = num[margin:margin + out_len]
     weight = den[margin:margin + out_len]
     return out / np.maximum(weight, 0.25)
+
+
+def load_embeddings_row_oracle(path):
+    """The embedding TSV loader as one EmbeddingVector per line, checking
+    each line in full before reading the next.
+
+    The reference for `spkraug.embedding.load_embeddings`, which must return
+    the same ids, speakers and matrix bytes, or raise the same exception
+    type with the same message.
+    """
+    from pathlib import Path
+
+    from spkraug.embedding import EmbeddingSet, EmbeddingVector
+    from spkraug.errors import EmbeddingFileError
+
+    path = Path(path)
+    if not path.exists():
+        raise FileNotFoundError(str(path))
+    lines = path.read_text(encoding="utf-8").splitlines()
+    if not lines or not lines[0].startswith("#dim="):
+        raise EmbeddingFileError(f"{path}: missing #dim= header")
+    try:
+        dim = int(lines[0][5:])
+    except ValueError:
+        raise EmbeddingFileError(f"{path}: unparseable header {lines[0]!r}") from None
+    if dim < 1:
+        raise EmbeddingFileError(f"{path}: dimension must be positive, got {dim}")
+    entries = []
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        parts = line.split("\t")
+        if len(parts) != 2 + dim:
+            raise EmbeddingFileError(
+                f"{path}:{lineno}: expected {2 + dim} fields, found {len(parts)}"
+            )
+        try:
+            values = np.array([float(v) for v in parts[2:]])
+        except ValueError:
+            raise EmbeddingFileError(f"{path}:{lineno}: non-numeric value") from None
+        vec = EmbeddingVector(parts[0], parts[1], values)
+        if np.linalg.norm(vec.values) == 0.0:
+            raise EmbeddingFileError(f"{path}:{lineno}: zero-norm embedding")
+        entries.append(vec)
+    return EmbeddingSet(dim, entries)
+
+
+def wer_tuple_loop_oracle(reference, hypothesis):
+    """Levenshtein WER as a cell-by-cell loop over (distance, subs, dels, ins)
+    tuples, preferring substitution, then insertion, then deletion on ties.
+
+    The reference for `spkraug.metrics.word_error_rate`, which must return
+    the same tuple with the same types.
+    """
+    from spkraug.errors import EmptyReferenceError
+
+    ref = list(reference)
+    hyp = list(hypothesis)
+    if not ref:
+        raise EmptyReferenceError("reference transcript has no tokens")
+
+    # each cell carries (distance, subs, dels, ins)
+    prev = [(j, 0, 0, j) for j in range(len(hyp) + 1)]
+    for i in range(1, len(ref) + 1):
+        cur = [(i, 0, i, 0)]
+        for j in range(1, len(hyp) + 1):
+            if ref[i - 1] == hyp[j - 1]:
+                d, s, dl, ins = prev[j - 1]
+                cur.append((d, s, dl, ins))
+                continue
+            d_sub, s_sub, dl_sub, in_sub = prev[j - 1]
+            d_ins, s_ins, dl_ins, in_ins = cur[j - 1]
+            d_del, s_del, dl_del, in_del = prev[j]
+            best = (d_sub + 1, s_sub + 1, dl_sub, in_sub)
+            if d_ins + 1 < best[0]:
+                best = (d_ins + 1, s_ins, dl_ins, in_ins + 1)
+            if d_del + 1 < best[0]:
+                best = (d_del + 1, s_del, dl_del + 1, in_del)
+            cur.append(best)
+        prev = cur
+
+    _, subs, dels, ins = prev[len(hyp)]
+    return (subs + dels + ins) / len(ref), subs, dels, ins
+
+
+def kl_gradient_oracle(P, Y):
+    """t-SNE KL gradient with a fresh array for every intermediate: the
+    reference `spkraug.tsne.kl_gradient` must equal bit for bit."""
+    from scipy.spatial.distance import pdist, squareform
+
+    P = np.asarray(P, dtype=np.float64)
+    Y = np.asarray(Y, dtype=np.float64)
+    d2 = squareform(pdist(Y, "sqeuclidean"))
+    W = 1.0 / (1.0 + d2)
+    np.fill_diagonal(W, 0.0)
+    Q = W / W.sum()
+    M = (P - Q) * W
+    return 4.0 * (M.sum(axis=1)[:, None] * Y - M @ Y)
+
+
+def griffin_lim_oracle(spec, iterations, seed=0):
+    """Griffin-Lim that rebuilds the window, the overlap-add index and the
+    window-square normaliser in every iteration. Returns (samples, errors);
+    the reference `spkraug.spectral.griffin_lim` must equal bit for bit."""
+    from spkraug.spectral import _frame_signal, _window
+
+    fl, fs, fft = spec.frame_length, spec.frame_shift, spec.fft_size
+
+    def stft(x):
+        return np.fft.rfft(_frame_signal(x, fl, fs) * _window(fl), n=fft, axis=1)
+
+    def istft(s):
+        frames = np.fft.irfft(s, n=fft, axis=1)[:, :fl]
+        win = _window(fl)
+        frames = frames * win
+        n_frames = frames.shape[0]
+        out_len = fl + (n_frames - 1) * fs
+        idx = _frame_signal(np.arange(out_len), fl, fs).ravel()
+        num = np.bincount(idx, weights=frames.ravel(), minlength=out_len)
+        den = np.bincount(idx, weights=np.tile(win * win, n_frames), minlength=out_len)
+        nonzero = den > 1e-12
+        num[nonzero] /= den[nonzero]
+        num[~nonzero] = 0.0
+        return num
+
+    m = spec.magnitudes
+    m_norm = float(np.linalg.norm(m))
+    rng = np.random.default_rng(seed)
+    phase = rng.uniform(-np.pi, np.pi, m.shape)
+    phase[:, 0] = 0.0
+    if fft % 2 == 0:
+        phase[:, -1] = 0.0
+    s = m * np.exp(1j * phase)
+    errors = []
+    x = None
+    for _ in range(iterations):
+        x = istft(s)
+        analyzed = stft(x)
+        errors.append(float(np.linalg.norm(m - np.abs(analyzed)) / m_norm))
+        s = m * np.exp(1j * np.angle(analyzed))
+    peak = np.abs(x).max()
+    if peak > 0:
+        x = x * (0.99 / peak)
+    return x, errors
+
+
+def f0_refinement_loop_oracle(clip, f0_min=60.0, f0_max=400.0):
+    """The autocorrelation F0 tracker with its parabolic peak refinement run
+    one voiced frame at a time. Returns (f0_values, voicing); the reference
+    `spkraug.psola.estimate_f0` must equal bit for bit."""
+    from numpy.lib.stride_tricks import sliding_window_view
+
+    sr = clip.sample_rate
+    win = int(round(0.025 * sr))
+    hop = int(round(0.010 * sr))
+    x = clip.samples
+    if len(x) < win:
+        return np.zeros(0), np.zeros(0, dtype=bool)
+    frames = sliding_window_view(x, win)[::hop]
+    frames = frames - frames.mean(axis=1, keepdims=True)
+    nfft = 1 << int(np.ceil(np.log2(2 * win)))
+    spectra = np.fft.rfft(frames, n=nfft, axis=1)
+    acf = np.fft.irfft(spectra * np.conj(spectra), n=nfft, axis=1)[:, :win]
+    acf /= (win - np.arange(win))[None, :]
+    lag_min = max(2, int(np.ceil(sr / f0_max)))
+    lag_max = min(win - 2, int(np.floor(sr / f0_min)))
+    energy = acf[:, 0]
+    searchable = energy > 1e-12
+    norm = np.ones_like(acf)
+    norm[searchable] = acf[searchable] / energy[searchable, None]
+    region = norm[:, lag_min:lag_max + 1]
+    best = region.max(axis=1)
+    voiced = searchable & (best >= 0.5)
+    is_local_max = (region >= norm[:, lag_min - 1:lag_max]) & \
+                   (region >= norm[:, lag_min + 1:lag_max + 2])
+    candidate = is_local_max & (region >= 0.9 * best[:, None])
+    has_candidate = candidate.any(axis=1)
+    peak_off = np.where(has_candidate, np.argmax(candidate, axis=1),
+                        np.argmax(region, axis=1))
+    peak_lag = peak_off + lag_min
+
+    f0 = np.zeros(len(frames))
+    rows = np.flatnonzero(voiced)
+    for i in rows:
+        lag = peak_lag[i]
+        left, mid, right = norm[i, lag - 1], norm[i, lag], norm[i, lag + 1]
+        denom = left - 2.0 * mid + right
+        delta = 0.0 if denom >= -1e-15 else np.clip(0.5 * (left - right) / denom, -0.5, 0.5)
+        f0[i] = np.clip(sr / (lag + delta), f0_min, f0_max)
+    return f0, voiced

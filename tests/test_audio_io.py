@@ -7,7 +7,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from oracles import fft_bin_width, fft_peak_hz
-from spkraug.audio_io import AudioClip, read_wav, resample, speed_change, write_wav
+from spkraug.audio_io import (
+    AudioClip,
+    read_wav,
+    read_wav_header,
+    resample,
+    speed_change,
+    speed_change_length,
+    write_wav,
+)
 from spkraug.errors import (
     CorruptHeaderError,
     InvalidClipError,
@@ -145,6 +153,25 @@ def test_truncated_data_rejected(tmp_path, parity):
         read_wav(path)
 
 
+@pytest.mark.parametrize("parity", [0, 1])
+def test_header_reader_sees_truncated_data(tmp_path, parity):
+    path = tmp_path / "cut.wav"
+    write_wav(sine(200.0, 1.0, sr=22050), path)
+    assert read_wav_header(path) == (22050, 22050)
+    data = path.read_bytes()
+    path.write_bytes(data[:-2 + parity])
+    with pytest.raises(CorruptHeaderError, match="truncated data"):
+        read_wav_header(path)
+
+
+def test_header_reader_ignores_trailing_bytes(tmp_path):
+    """Bytes after the data chunk do not change what read_wav returns."""
+    path = tmp_path / "long.wav"
+    write_wav(sine(200.0, 0.1), path)
+    path.write_bytes(path.read_bytes() + b"LIST\x00\x00\x00\x00")
+    assert read_wav_header(path) == (SR, len(read_wav(path)))
+
+
 def test_stereo_rejected(tmp_path):
     path = tmp_path / "stereo.wav"
     with wave.open(str(path), "wb") as handle:
@@ -236,6 +263,13 @@ def test_speed_length_contract(ratio):
     out = speed_change(clip, ratio)
     assert out.sample_rate == clip.sample_rate
     assert abs(len(out) - len(clip) / ratio) <= 1.0
+
+
+@pytest.mark.parametrize("n", [0, 1, 7, 16000, 16001])
+@pytest.mark.parametrize("ratio", [0.95, 0.975, 1.0, 1.025, 1.05, 0.5, 2.0, 1.3, 0.7])
+def test_speed_change_length_is_the_output_length(n, ratio):
+    clip = AudioClip(np.zeros(n), SR)
+    assert speed_change_length(n, ratio) == len(speed_change(clip, ratio))
 
 
 @pytest.mark.parametrize("f0,ratio", [(200.0, 1.05), (440.0, 0.95), (200.0, 0.5), (150.0, 2.0)])

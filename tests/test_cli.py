@@ -217,6 +217,29 @@ def test_augment_resume_repeats_the_report(capsys, cli_env, tmp_path):
     assert second == first
 
 
+def test_augment_resume_rewrites_a_truncated_output(capsys, cli_env, tmp_path):
+    """A resume regenerates an output cut short, so embed can read them all."""
+    base = cli_env["manifest"]
+    one_path = tmp_path / "one.jsonl"
+    save_manifest(Manifest(base.records[:1], corpus=base.corpus,
+                           sample_rate=base.sample_rate), one_path)
+    out = tmp_path / "aug.jsonl"
+    argv = ["augment", "psola-dur", "--manifest", str(one_path),
+            "--audio-root", str(tmp_path / "audio"), "--output", str(out)]
+    rc, first, _ = _run(capsys, argv)
+    assert rc == 0 and first["written"] == 7
+    victim = load_manifest(out).records[2].path
+    full = open(victim, "rb").read()
+    with open(victim, "wb") as handle:
+        handle.write(full[:len(full) // 3])
+    rc, second, _ = _run(capsys, argv)
+    assert rc == 0 and second == first
+    assert open(victim, "rb").read() == full
+    rc, report, _ = _run(capsys, ["embed", "--manifest", str(out),
+                                  "--output", str(tmp_path / "emb.tsv")])
+    assert rc == 0 and report["records"] == 7
+
+
 def test_malformed_manifest_is_one_line_error(capsys, tmp_path):
     path = tmp_path / "bad.jsonl"
     path.write_text('{"corpus":"c","sample_rate":16000}\n'

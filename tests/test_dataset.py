@@ -1,4 +1,5 @@
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -513,6 +514,52 @@ def test_execute_plan_full_resume_reads_nothing(tmp_path, counts):
     assert list(second) == list(first)
     assert second.sample_rate == 22050
     assert counts == {"reads": 0, "analyses": 0}
+
+
+def _damage(path, how):
+    """Spoil an output WAV in one of the ways a resume must notice."""
+    data = path.read_bytes()
+    clip = read_wav(path)
+    if how in ("third", "third_odd"):
+        path.write_bytes(data[:len(data) // 3 // 2 * 2 + (how == "third_odd")])
+    elif how == "one_sample_short":
+        write_wav(AudioClip(clip.samples[:-1], clip.sample_rate), path)
+    elif how == "other_rate":
+        write_wav(AudioClip(clip.samples, 22050), path)
+    elif how == "garbage":
+        path.write_bytes(b"RIFF" + bytes(40))
+    else:
+        path.write_bytes(b"")
+
+
+@pytest.mark.parametrize("how", ["third", "third_odd", "one_sample_short", "other_rate",
+                                 "garbage", "empty"])
+@pytest.mark.parametrize("recipe", ["up_down", "psola_dur"])
+def test_execute_plan_rewrites_incomplete_outputs(tmp_path, counts, recipe, how):
+    parents = Manifest([_write_parent(tmp_path, "sp0_000", "sp0", 16000)])
+    plan = plan_augmentation(parents, recipe)
+    first, failures = execute_plan(plan, tmp_path / "aug")
+    assert failures == []
+    written = {r.path: open(r.path, "rb").read() for r in first}
+    _damage(Path(first.records[1].path), how)
+    counts.update(reads=0, analyses=0)
+    second, failures = execute_plan(plan, tmp_path / "aug")
+    assert failures == []
+    assert list(second) == list(first)
+    assert {r.path: open(r.path, "rb").read() for r in second} == written
+    assert counts == {"reads": 1, "analyses": int(recipe == "psola_dur")}
+
+
+def test_execute_plan_resume_fails_jobs_of_a_vanished_parent(tmp_path):
+    """A kept output is checked against its parent's length, so a parent
+    that is gone fails its jobs rather than passing them unchecked."""
+    parent = _write_parent(tmp_path, "sp0_000", "sp0", 16000)
+    plan = plan_augmentation(Manifest([parent]), "up_down")
+    execute_plan(plan, tmp_path / "aug")
+    os.remove(parent.path)
+    built, failures = execute_plan(plan, tmp_path / "aug")
+    assert len(built) == 0
+    assert len(failures) == 4 and all("FileNotFoundError" in f["error"] for f in failures)
 
 
 def test_execute_plan_analysis_error_fails_only_psola_jobs(tmp_path, counts):

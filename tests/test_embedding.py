@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import centroid_oracle, knn_oracle
+from oracles import centroid_oracle, knn_oracle, load_embeddings_row_oracle
 from spkraug.audio_io import AudioClip
 from spkraug.embedding import (
     STANDIN_DIMENSION,
@@ -49,6 +49,13 @@ def test_set_rejects_mixed_dimensions_and_duplicates():
         EmbeddingSet(2, [_vec("a", 1.0, 0.0), _vec("b", 1.0, 0.0, 0.0)])
     with pytest.raises(EmbeddingFileError):
         EmbeddingSet(2, [_vec("a", 1.0, 0.0), _vec("a", 0.0, 1.0)])
+
+
+def test_set_reports_the_first_defective_entry():
+    with pytest.raises(EmbeddingFileError, match="duplicate"):
+        EmbeddingSet(2, [_vec("a", 1.0, 0.0), _vec("a", 0.0, 1.0), _vec("b", 1.0)])
+    with pytest.raises(DimensionMismatchError):
+        EmbeddingSet(2, [_vec("a", 1.0, 0.0), _vec("b", 1.0), _vec("a", 0.0, 1.0)])
 
 
 def test_set_lookup_and_speakers():
@@ -320,3 +327,98 @@ def test_load_embeddings_skips_blank_lines(tmp_path):
     path = tmp_path / "blank.tsv"
     path.write_text("#dim=2\nu1\ts1\t1.0\t0.0\n\nu2\ts1\t0.0\t1.0\n")
     assert len(load_embeddings(path)) == 2
+
+
+# -- matrix loader against the per-row loader --------------------------------
+
+def _load_outcome(load, path):
+    """What a loader makes of a file: the set's contents, or its error."""
+    try:
+        emb = load(path)
+    except Exception as exc:  # noqa: BLE001 - the exception is the outcome
+        return type(exc), str(exc)
+    return emb.dimension, emb.ids, emb.speaker_ids, emb.matrix.tobytes()
+
+
+_VALUE = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-10**6, 10**6).map(str),
+    st.sampled_from(["1e3", " 2.5", "-0.0", "1_000", "+.5", "1E-5 "]),
+)
+_DEFECTS = ("ragged", "extra", "non-numeric", "nan", "inf", "overflow", "zero",
+            "underflow", "duplicate")
+
+
+def _inject(rows, defect, at, dim):
+    uid, speaker, values = rows[at]
+    if defect == "ragged":
+        values = values[:-1]
+    elif defect == "extra":
+        values = values + ["1.0"]
+    elif defect == "non-numeric":
+        values = values[:-1] + ["banana"]
+    elif defect in ("nan", "inf", "overflow"):
+        values = values[:-1] + [{"nan": "nan", "inf": "-inf", "overflow": "1e400"}[defect]]
+    elif defect == "zero":
+        values = ["0.0"] * dim
+    elif defect == "underflow":  # every square underflows, so the norm is 0
+        values = ["1e-170"] * dim
+    else:
+        uid = rows[0][0]
+    rows[at] = (uid, speaker, values)
+
+
+@st.composite
+def _embedding_files(draw):
+    dim = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 6))
+    rows = []
+    for i in range(n):
+        values = draw(st.lists(_VALUE, min_size=dim, max_size=dim))
+        if all(float(v) == 0.0 for v in values):
+            values[0] = "1.0"
+        rows.append((f"u{i}", f"s{i % 2}", values))
+    for defect in draw(st.lists(st.sampled_from(_DEFECTS), max_size=2)):
+        _inject(rows, defect, draw(st.integers(0, n - 1)), dim)
+    lines = [f"#dim={dim}"] + ["\t".join([uid, speaker, *values])
+                               for uid, speaker, values in rows]
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(1, len(lines))), draw(st.sampled_from(["", "  ", "\t"])))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")  # huge values, as in the loop
+@settings(max_examples=150)
+@given(content=_embedding_files())
+def test_load_embeddings_matches_row_loader(tmp_path_factory_session, content):
+    path = tmp_path_factory_session / "emb.tsv"
+    path.write_text(content, encoding="utf-8")
+    assert _load_outcome(load_embeddings, path) == _load_outcome(load_embeddings_row_oracle, path)
+
+
+@pytest.mark.parametrize("content", [
+    "#dim=2\nu1\ts1\t1.0\tnan\nu2\ts1\t1.0\n",         # non-finite row before a ragged one
+    "#dim=2\nu1\ts1\t0.0\t0.0\nu2\ts1\t1.0\tx\n",      # zero row before a non-numeric one
+    "#dim=2\nu1\ts1\t1.0\t2.0\nu1\ts1\t1.0\tinf\n",    # non-finite row beats a duplicate
+    "#dim=2\nu1\ts1\t1e-170\t1e-170\n",                # squares underflow: zero norm
+    "#dim=2\nu1\ts1\t1e-160\t1e-170\n",                # smallest square survives
+])
+def test_load_embeddings_first_defect_wins(tmp_path, content):
+    path = tmp_path / "emb.tsv"
+    path.write_text(content)
+    assert _load_outcome(load_embeddings, path) == _load_outcome(load_embeddings_row_oracle, path)
+
+
+def test_load_embeddings_huge_header_dimension_is_refused(tmp_path):
+    path = tmp_path / "emb.tsv"
+    path.write_text("#dim=1000000000000\nu1\ts1\t1.0\n")
+    with pytest.raises(EmbeddingFileError, match="expected 1000000000002 fields, found 3"):
+        load_embeddings(path)
+
+
+def test_load_embeddings_matrix_is_read_only(tmp_path):
+    path = tmp_path / "emb.tsv"
+    path.write_text("#dim=2\nu1\ts1\t1.0\t0.0\n\nu2\ts2\t0.0\t1.0\n\n")
+    emb = load_embeddings(path)
+    assert emb.matrix.shape == (2, 2) and not emb.matrix.flags.writeable
+    assert emb.get("u2").speaker_id == "s2"

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import eer_sweep_oracle, wer_table_oracle
+from oracles import eer_sweep_oracle, wer_table_oracle, wer_tuple_loop_oracle
 from spkraug.embedding import EmbeddingSet, EmbeddingVector, cosine_similarity
 from spkraug.errors import (
     DimensionMismatchError,
@@ -302,6 +302,18 @@ def test_wer_matches_oracle_on_random_pairs():
         want = wer_table_oracle(ref, hyp)
         assert got[0] == pytest.approx(want[0])
         assert got[1:] == want[1:]
+
+
+@settings(max_examples=200)
+@given(st.integers(1, 4).flatmap(lambda size: st.tuples(
+    st.lists(st.integers(0, size - 1), min_size=1, max_size=14),
+    st.lists(st.integers(0, size - 1), max_size=14))))
+def test_wer_matches_tuple_loop_exactly(pair):
+    ref, hyp = ([f"w{t}" for t in tokens] for tokens in pair)
+    got = word_error_rate(ref, hyp)
+    want = wer_tuple_loop_oracle(ref, hyp)
+    assert got == want
+    assert [type(v) for v in got] == [type(v) for v in want] == [float, int, int, int]
 
 
 @given(st.lists(st.sampled_from("abc"), min_size=1, max_size=10),

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import median_voiced_f0, psola_grain_loop_oracle
+from oracles import f0_refinement_loop_oracle, median_voiced_f0, psola_grain_loop_oracle
 from spkraug.audio_io import AudioClip
 from spkraug.errors import (
     EmptyClipError,
@@ -295,15 +295,41 @@ def test_synthesise_without_grains_is_silence(dur):
     assert out.tobytes() == psola_grain_loop_oracle(analysis, dur, 1.3).tobytes()
 
 
-@pytest.mark.parametrize("clip", [
+_FIXTURES = pytest.mark.parametrize("clip", [
     sine(200.0, 0.3), sawtooth(180.0, 0.6), glide(120.0, 240.0, 1.0),
     harmonic_glide(120.0, 220.0, 0.6), _glide_with_burst(110.0, 260.0, 0.5, 0.4, 0.08, 3),
     AudioClip(0.2 * np.random.default_rng(8).standard_normal(SR // 2), SR),
     AudioClip(0.2 * np.random.default_rng(9).standard_normal(399), SR),  # no F0 frames
 ], ids=["sine", "sawtooth", "glide", "harmonic_glide", "burst", "noise", "frameless"])
+
+
+@_FIXTURES
 def test_analyse_voicing_matches_per_mark_lookup(clip):
     track = estimate_f0(clip)
     marks = place_pitch_marks(clip, track).positions
     lookup = _track_lookup(track, clip.sample_rate)
     expected = np.array([lookup(m)[0] for m in marks[1:-1]])
     assert np.array_equal(analyse(clip).voiced, expected)
+
+
+# -- F0 refinement against the frame-by-frame loop ------------------------------
+
+def _assert_track_matches_loop(clip):
+    track = estimate_f0(clip)
+    f0, voicing = f0_refinement_loop_oracle(clip)
+    assert track.f0_values.tobytes() == f0.tobytes()
+    assert track.voicing.tobytes() == voicing.tobytes()
+
+
+@_FIXTURES
+def test_estimate_f0_matches_refinement_loop(clip):
+    _assert_track_matches_loop(clip)
+
+
+@settings(max_examples=25)
+@given(f_start=st.floats(50.0, 450.0), f_end=st.floats(50.0, 450.0),
+       dur=st.floats(0.03, 0.4), burst_at=st.floats(0.0, 0.9),
+       burst_len=st.floats(0.0, 0.1), seed=st.integers(0, 2**16))
+def test_estimate_f0_matches_refinement_loop_on_glides(f_start, f_end, dur, burst_at,
+                                                       burst_len, seed):
+    _assert_track_matches_loop(_glide_with_burst(f_start, f_end, dur, burst_at, burst_len, seed))

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles import griffin_lim_oracle
 from spkraug.audio_io import AudioClip
 from spkraug.errors import InvalidParamsError, InvalidRateError
 from spkraug.spectral import (
@@ -212,6 +213,19 @@ def test_griffin_lim_deterministic():
     assert np.array_equal(a.samples, b.samples)
     c = griffin_lim(spec, iterations=8, seed=5)
     assert not np.array_equal(a.samples, c.samples)
+
+
+@pytest.mark.parametrize("n,length,shift,fft", [
+    (4000, 400, 100, 512), (1000, 256, 256, 256), (300, 400, 100, 512), (2345, 200, 60, 255),
+])
+def test_griffin_lim_matches_per_iteration_oracle_bitwise(n, length, shift, fft):
+    rng = np.random.default_rng(n)
+    x = rng.standard_normal(n) * np.sin(np.arange(n) / 40.0)
+    spec = magnitude_spectrogram(AudioClip(x, SR), length, shift, fft)
+    clip, errors = griffin_lim(spec, iterations=12, seed=5, return_errors=True)
+    want_samples, want_errors = griffin_lim_oracle(spec, iterations=12, seed=5)
+    assert clip.samples.tobytes() == want_samples.tobytes()
+    assert errors == want_errors
 
 
 def test_griffin_lim_rejects_zero_iterations():

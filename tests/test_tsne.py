@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.spatial.distance import pdist, squareform
 
-from oracles import finite_difference_gradient, kl_objective_oracle
+from oracles import finite_difference_gradient, kl_gradient_oracle, kl_objective_oracle
 from spkraug.embedding import EmbeddingSet, EmbeddingVector
 from spkraug.errors import (
     DimensionMismatchError,
@@ -168,6 +168,36 @@ def test_gradient_zero_for_two_points():
     P = np.array([[0.0, 0.5], [0.5, 0.0]])
     grad = kl_gradient(P, np.array([[0.0, 0.0], [3.0, 4.0]]))
     np.testing.assert_allclose(grad, 0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n,dim,seed", [(2, 2, 0), (5, 1, 1), (12, 2, 2), (40, 3, 3)])
+def test_gradient_matches_fresh_buffer_oracle_bitwise(n, dim, seed):
+    rng = np.random.default_rng(seed)
+    P = conditional_probabilities(_dist_sq(rng.standard_normal((n, 4))), min(1.5, n - 1.0)) \
+        if n > 2 else np.array([[0.0, 0.5], [0.5, 0.0]])
+    for scale in (1e-4, 1.0, 30.0):
+        Y = scale * rng.standard_normal((n, dim))
+        for P_eff in (P, 12.0 * P):
+            assert kl_gradient(P_eff, Y).tobytes() == kl_gradient_oracle(P_eff, Y).tobytes()
+
+
+def test_run_tsne_matches_the_oracle_descent_bitwise():
+    """run_tsne's loop, spelled out with the oracle gradient and the
+    exaggerated P rebuilt in every early iteration."""
+    rng = np.random.default_rng(14)
+    emb = _embedding_clusters(rng, per_cluster=6)
+    cfg = TsneConfig(perplexity=3.0, iterations=110)
+    P = conditional_probabilities(_dist_sq(emb.matrix), cfg.perplexity)
+    Y = rng_for(cfg.seed, "tsne.init").normal(0.0, 1e-4, size=(len(emb), 2))
+    Y -= Y.mean(axis=0)
+    update = np.zeros_like(Y)
+    for it in range(cfg.iterations):
+        P_eff = P * cfg.early_exaggeration if it < 100 else P
+        momentum = cfg.momentum if it < 250 else cfg.final_momentum
+        update = momentum * update - cfg.learning_rate * kl_gradient_oracle(P_eff, Y)
+        Y = Y + update
+        Y = Y - Y.mean(axis=0)
+    assert run_tsne(emb, cfg).tobytes() == Y.tobytes()
 
 
 def test_gradient_shape_mismatch():
