@@ -3,11 +3,15 @@
 Files are RIFF/WAVE, 16-bit signed PCM, single channel. In memory everything
 is float64 in [-1, 1]; quantization happens only at the file boundary. The
 default pipeline rate is 16 kHz.
+
+Every file the package writes goes through `_replacing`, so a reader never
+sees a half-written output.
 """
 
 import math
 import os
 import wave
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -32,6 +36,22 @@ MAX_SAMPLE_RATE = 192000
 _TAPS_PER_PHASE = 32
 _KAISER_BETA = 8.6
 _CUTOFF_SCALE = 0.95
+
+
+@contextmanager
+def _replacing(path):
+    """Yield a temporary Path beside `path`; once the block succeeds it is
+    moved onto `path` with os.replace, and on any error it is removed.
+
+    A process killed mid-write leaves the old target (or none), never a
+    partial one. There is no fsync, so this does not survive a power loss.
+    """
+    tmp = Path(f"{path}.{os.getpid()}.tmp")
+    try:
+        yield tmp
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)  # still there only if the block or the rename failed
 
 
 def _check_rate(rate) -> int:
@@ -64,8 +84,6 @@ def _read_pcm(path, header_only: bool):
     (rate, nframes, None) from the header alone; either way raises when the
     data chunk holds fewer than 2 * nframes bytes."""
     path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(str(path))
     try:
         with open(path, "rb") as file, wave.open(file, "rb") as handle:
             channels = handle.getnchannels()
@@ -126,7 +144,7 @@ def write_wav(clip: AudioClip, path) -> None:
     pcm = np.trunc(x + np.copysign(0.5, x))
     pcm = np.clip(pcm, -32768, 32767).astype("<i2")
     try:
-        with wave.open(str(path), "wb") as handle:
+        with _replacing(path) as tmp, wave.open(str(tmp), "wb") as handle:
             handle.setnchannels(1)
             handle.setsampwidth(2)
             handle.setframerate(clip.sample_rate)
@@ -154,11 +172,8 @@ def _polyphase_resample(x: np.ndarray, up: int, down: int, out_len: int) -> np.n
     position m*down/up."""
     if out_len <= 0:
         return np.zeros(0, dtype=np.float64)
-    if up == down:
-        y = x[:out_len].copy()
-        if len(y) < out_len:
-            y = np.pad(y, (0, out_len - len(y)))
-        return y
+    if up == down:  # then out_len == len(x)
+        return x[:out_len].copy()
     taps, center = _design_lowpass(up, down)
     lead = (-center) % down  # shift so the filter delay lands on the output grid
     taps = np.concatenate([np.zeros(lead), taps])
@@ -175,8 +190,6 @@ def _polyphase_resample(x: np.ndarray, up: int, down: int, out_len: int) -> np.n
 def resample(clip: AudioClip, target_rate: int) -> AudioClip:
     """Band-limited conversion to target_rate; content pitch is unchanged."""
     target_rate = _check_rate(target_rate)
-    if target_rate == clip.sample_rate:
-        return AudioClip(clip.samples.copy(), clip.sample_rate)
     g = math.gcd(clip.sample_rate, target_rate)
     up, down = target_rate // g, clip.sample_rate // g
     out_len = round(len(clip) * target_rate / clip.sample_rate)
@@ -190,8 +203,6 @@ def speed_change(clip: AudioClip, ratio: float) -> AudioClip:
     so duration scales by 1/ratio and all spectral content by ratio.
     """
     up, down, out_len = _speed_geometry(len(clip), ratio)
-    if ratio == 1.0:
-        return AudioClip(clip.samples.copy(), clip.sample_rate)
     return AudioClip(_polyphase_resample(clip.samples, up, down, out_len), clip.sample_rate)
 
 

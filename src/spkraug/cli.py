@@ -37,6 +37,14 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+def _command(sub, name: str, handler, help: str) -> _Parser:
+    """Add subcommand `name`; main() prints the report dict handler(args)
+    returns and exits 2 if it lists failures, else 0."""
+    p = sub.add_parser(name, help=help)
+    p.set_defaults(handler=handler)
+    return p
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="spkraug", description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=42, help="base seed for every random draw")
@@ -45,48 +53,49 @@ def _build_parser() -> _Parser:
     parser.add_argument("--verbose", action="store_true", help="progress messages on stderr")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("subset", help="seeded per-speaker subset of natural utterances")
+    p = _command(sub, "subset", _cmd_subset, "seeded per-speaker subset of natural utterances")
     p.add_argument("--manifest", required=True)
     p.add_argument("--per-speaker", type=int, required=True)
     p.add_argument("--independent", action="store_true",
                    help="draw per speaker instead of sharing utterance numbers")
     p.add_argument("--output", required=True)
 
-    p = sub.add_parser("augment", help="generate augmented WAVs from a natural manifest")
+    p = _command(sub, "augment", _cmd_augment, "generate augmented WAVs from a natural manifest")
     p.add_argument("recipe", choices=sorted(_RECIPE_BY_COMMAND))
     p.add_argument("--manifest", required=True)
     p.add_argument("--audio-root", required=True)
     p.add_argument("--output", required=True)
 
-    p = sub.add_parser("embed", help="stand-in embeddings for every manifest record")
+    p = _command(sub, "embed", _cmd_embed, "stand-in embeddings for every manifest record")
     p.add_argument("--manifest", required=True)
     p.add_argument("--output", required=True)
 
-    p = sub.add_parser("select-best", help="keep each natural's k nearest augmented children")
+    p = _command(sub, "select-best", _cmd_select_best,
+                 "keep each natural's k nearest augmented children")
     p.add_argument("--naturals", required=True)
     p.add_argument("--augmented", required=True)
     p.add_argument("--embeddings", required=True)
     p.add_argument("--k", type=int, default=4)
     p.add_argument("--output", required=True)
 
-    p = sub.add_parser("pairs", help="genuine/impostor trial list for EER")
+    p = _command(sub, "pairs", _cmd_pairs, "genuine/impostor trial list for EER")
     p.add_argument("--eval", dest="eval_manifest", required=True)
     p.add_argument("--pool", required=True)
     p.add_argument("--output", required=True)
 
     p = sub.add_parser("eval", help="objective measures")
     ev = p.add_subparsers(dest="measure", required=True)
-    e = ev.add_parser("eer", help="equal error rate over a scored pair list")
+    e = _command(ev, "eer", _cmd_eval_eer, "equal error rate over a scored pair list")
     e.add_argument("--pairs", required=True)
     e.add_argument("--embeddings", help="used to score pairs lacking a score column")
-    e = ev.add_parser("cs", help="cosine-similarity loss between aligned embedding files")
+    e = _command(ev, "cs", _cmd_eval_cs, "cosine-similarity loss between aligned embedding files")
     e.add_argument("--synth", required=True)
     e.add_argument("--natural", required=True)
-    e = ev.add_parser("wer", help="word error rate between transcripts")
+    e = _command(ev, "wer", _cmd_eval_wer, "word error rate between transcripts")
     e.add_argument("--ref", required=True)
     e.add_argument("--hyp", required=True)
 
-    p = sub.add_parser("loss", help="combined weighted training loss")
+    p = _command(sub, "loss", _cmd_loss, "combined weighted training loss")
     p.add_argument("--l1", type=float, required=True)
     p.add_argument("--att", type=float, required=True)
     p.add_argument("--sv", type=float, required=True)
@@ -94,14 +103,14 @@ def _build_parser() -> _Parser:
     p.add_argument("--beta", type=float, default=metrics.DEFAULT_LOSS_WEIGHTS[1])
     p.add_argument("--gamma", type=float, default=metrics.DEFAULT_LOSS_WEIGHTS[2])
 
-    p = sub.add_parser("tsne", help="project an embedding TSV to 2-D")
+    p = _command(sub, "tsne", _cmd_tsne, "project an embedding TSV to 2-D")
     p.add_argument("--embeddings", required=True)
     p.add_argument("--output", required=True)
     p.add_argument("--svg", help="also render a speaker-colored scatter plot")
     p.add_argument("--perplexity", type=float, default=30.0)
     p.add_argument("--iterations", type=int, default=1000)
 
-    p = sub.add_parser("vocode", help="Griffin-Lim a stored magnitude spectrogram")
+    p = _command(sub, "vocode", _cmd_vocode, "Griffin-Lim a stored magnitude spectrogram")
     p.add_argument("--spectrogram", required=True)
     p.add_argument("--output", required=True)
     p.add_argument("--iterations", type=int, default=60)
@@ -114,33 +123,27 @@ def _log(args, message: str) -> None:
         print(message, file=sys.stderr)
 
 
-def _emit(report: dict) -> None:
-    print(json.dumps(report, indent=2, sort_keys=True))
-
-
-def _cmd_subset(args) -> int:
+def _cmd_subset(args) -> dict:
     manifest = dataset.load_manifest(args.manifest)
     result = dataset.select_subset(manifest, args.per_speaker, args.seed,
                                    parallel=not args.independent)
     dataset.save_manifest(result, args.output)
-    _emit({"command": "subset", "records": len(result),
-           "speakers": len(result.speakers()), "output": args.output})
-    return 0
+    return {"command": "subset", "records": len(result),
+            "speakers": len(result.speakers()), "output": args.output}
 
 
-def _cmd_augment(args) -> int:
+def _cmd_augment(args) -> dict:
     manifest = dataset.load_manifest(args.manifest)
     plan = dataset.plan_augmentation(manifest, _RECIPE_BY_COMMAND[args.recipe])
     _log(args, f"{len(plan)} jobs planned")
     augmented, failures = dataset.execute_plan(plan, args.audio_root, corpus=manifest.corpus,
                                                sample_rate=manifest.sample_rate)
     dataset.save_manifest(augmented, args.output)
-    _emit({"command": "augment", "recipe": args.recipe, "jobs": len(plan),
-           "written": len(augmented), "failures": failures, "output": args.output})
-    return 2 if failures else 0
+    return {"command": "augment", "recipe": args.recipe, "jobs": len(plan),
+            "written": len(augmented), "failures": failures, "output": args.output}
 
 
-def _cmd_embed(args) -> int:
+def _cmd_embed(args) -> dict:
     manifest = dataset.load_manifest(args.manifest)
     entries = []
     for record in manifest:
@@ -150,72 +153,69 @@ def _cmd_embed(args) -> int:
                                                   record.speaker_id))
     embeddings = EmbeddingSet.from_entries(entries)
     save_embeddings(embeddings, args.output)
-    _emit({"command": "embed", "records": len(embeddings),
-           "dimension": embeddings.dimension, "output": args.output})
-    return 0
+    return {"command": "embed", "records": len(embeddings),
+            "dimension": embeddings.dimension, "output": args.output}
 
 
-def _cmd_select_best(args) -> int:
+def _cmd_select_best(args) -> dict:
     naturals = dataset.load_manifest(args.naturals)
     augmented = dataset.load_manifest(args.augmented)
     embeddings = load_embeddings(args.embeddings)
     result = dataset.select_best_augmented(naturals, augmented, embeddings, args.k)
     dataset.save_manifest(result, args.output)
-    _emit({"command": "select-best", "k": args.k, "naturals": len(naturals),
-           "kept": len(result) - len(naturals), "output": args.output})
-    return 0
+    return {"command": "select-best", "k": args.k, "naturals": len(naturals),
+            "kept": len(result) - len(naturals), "output": args.output}
 
 
-def _cmd_pairs(args) -> int:
+def _cmd_pairs(args) -> dict:
     eval_manifest = dataset.load_manifest(args.eval_manifest)
     pool = dataset.load_manifest(args.pool)
     pairs = dataset.generate_eer_pairs(eval_manifest, pool, args.seed)
     metrics.save_pairs(pairs, args.output)
     genuine = sum(1 for p in pairs if p.same_speaker)
-    _emit({"command": "pairs", "pairs": len(pairs), "genuine": genuine,
-           "impostor": len(pairs) - genuine, "output": args.output})
-    return 0
+    return {"command": "pairs", "pairs": len(pairs), "genuine": genuine,
+            "impostor": len(pairs) - genuine, "output": args.output}
 
 
-def _cmd_eval(args) -> int:
-    if args.measure == "eer":
-        pairs = metrics.load_pairs(args.pairs)
-        if any(p.score is None for p in pairs):
-            if not args.embeddings:
-                raise SpkraugError("pair list has unscored rows; pass --embeddings")
-            pairs = metrics.score_pairs(pairs, load_embeddings(args.embeddings))
-        eer, threshold = metrics.equal_error_rate(pairs)
-        genuine = sum(1 for p in pairs if p.same_speaker)
-        _emit({"command": "eval-eer", "eer": eer, "threshold": threshold,
-               "genuine": genuine, "impostor": len(pairs) - genuine})
-    elif args.measure == "cs":
-        synth = load_embeddings(args.synth)
-        natural = load_embeddings(args.natural)
-        loss = metrics.batch_cs_loss(synth, natural)
-        _emit({"command": "eval-cs", "cs_loss": loss, "mean_cs": 1.0 - loss,
-               "pairs": len(synth)})
-    else:
-        with open(args.ref, encoding="utf-8") as fh:
-            ref = metrics.tokenize_transcript(fh.read())
-        with open(args.hyp, encoding="utf-8") as fh:
-            hyp = metrics.tokenize_transcript(fh.read())
-        wer, subs, dels, ins = metrics.word_error_rate(ref, hyp)
-        _emit({"command": "eval-wer", "wer": wer, "substitutions": subs,
-               "deletions": dels, "insertions": ins, "reference_tokens": len(ref)})
-    return 0
+def _cmd_eval_eer(args) -> dict:
+    pairs = metrics.load_pairs(args.pairs)
+    if any(p.score is None for p in pairs):
+        if not args.embeddings:
+            raise SpkraugError("pair list has unscored rows; pass --embeddings")
+        pairs = metrics.score_pairs(pairs, load_embeddings(args.embeddings))
+    eer, threshold = metrics.equal_error_rate(pairs)
+    genuine = sum(1 for p in pairs if p.same_speaker)
+    return {"command": "eval-eer", "eer": eer, "threshold": threshold,
+            "genuine": genuine, "impostor": len(pairs) - genuine}
 
 
-def _cmd_loss(args) -> int:
+def _cmd_eval_cs(args) -> dict:
+    synth = load_embeddings(args.synth)
+    natural = load_embeddings(args.natural)
+    loss = metrics.batch_cs_loss(synth, natural)
+    return {"command": "eval-cs", "cs_loss": loss, "mean_cs": 1.0 - loss, "pairs": len(synth)}
+
+
+def _cmd_eval_wer(args) -> dict:
+    with open(args.ref, encoding="utf-8") as fh:
+        ref = metrics.tokenize_transcript(fh.read())
+    with open(args.hyp, encoding="utf-8") as fh:
+        hyp = metrics.tokenize_transcript(fh.read())
+    wer, subs, dels, ins = metrics.word_error_rate(ref, hyp)
+    return {"command": "eval-wer", "wer": wer, "substitutions": subs,
+            "deletions": dels, "insertions": ins, "reference_tokens": len(ref)}
+
+
+def _cmd_loss(args) -> dict:
     terms = metrics.LossTerms(args.l1, args.att, args.sv)
     weights = metrics.LossWeights(args.alpha, args.beta, args.gamma)
     value = metrics.combined_loss(terms, weights)
-    _emit({"command": "loss", "loss": value,
-           "terms": {"l1": args.l1, "attention": args.att, "sv": args.sv},
-           "weights": {"alpha": args.alpha, "beta": args.beta, "gamma": args.gamma}})
-    return 0
+    return {"command": "loss", "loss": value,
+            "terms": {"l1": args.l1, "attention": args.att, "sv": args.sv},
+            "weights": {"alpha": args.alpha, "beta": args.beta, "gamma": args.gamma}}
 
 
-def _cmd_tsne(args) -> int:
+def _cmd_tsne(args) -> dict:
     embeddings = load_embeddings(args.embeddings)
     config = TsneConfig(perplexity=args.perplexity, iterations=args.iterations,
                         seed=args.seed)
@@ -224,34 +224,19 @@ def _cmd_tsne(args) -> int:
     save_coordinates(embeddings, coords, args.output)
     if args.svg:
         render_scatter_svg(embeddings, coords, args.svg)
-    _emit({"command": "tsne", "points": len(embeddings), "output": args.output,
-           "svg": args.svg, "perplexity": args.perplexity,
-           "iterations": args.iterations})
-    return 0
+    return {"command": "tsne", "points": len(embeddings), "output": args.output,
+            "svg": args.svg, "perplexity": args.perplexity,
+            "iterations": args.iterations}
 
 
-def _cmd_vocode(args) -> int:
+def _cmd_vocode(args) -> dict:
     spec = read_spectrogram(args.spectrogram)
     clip, errors = griffin_lim(spec, iterations=args.iterations, seed=args.seed,
                                return_errors=True)
     write_wav(clip, args.output)
-    _emit({"command": "vocode", "iterations": args.iterations,
-           "final_error": errors[-1], "samples": len(clip),
-           "sample_rate": clip.sample_rate, "output": args.output})
-    return 0
-
-
-_HANDLERS = {
-    "subset": _cmd_subset,
-    "augment": _cmd_augment,
-    "embed": _cmd_embed,
-    "select-best": _cmd_select_best,
-    "pairs": _cmd_pairs,
-    "eval": _cmd_eval,
-    "loss": _cmd_loss,
-    "tsne": _cmd_tsne,
-    "vocode": _cmd_vocode,
-}
+    return {"command": "vocode", "iterations": args.iterations,
+            "final_error": errors[-1], "samples": len(clip),
+            "sample_rate": clip.sample_rate, "output": args.output}
 
 
 def main(argv=None) -> int:
@@ -261,10 +246,12 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
     try:
-        return _HANDLERS[args.command](args)
+        report = args.handler(args)
+        print(json.dumps(report, indent=2, sort_keys=True))
     except (SpkraugError, FileNotFoundError, OSError, np.linalg.LinAlgError) as exc:
         print(f"spkraug {args.command}: error: {exc}", file=sys.stderr)
         return 1
+    return 2 if report.get("failures") else 0
 
 
 def entrypoint() -> None:

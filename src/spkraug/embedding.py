@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .audio_io import AudioClip
+from .audio_io import AudioClip, _replacing
 from .errors import (
     ClipTooShortError,
     DimensionMismatchError,
@@ -240,14 +240,19 @@ def extract_standin_embedding(clip: AudioClip, utterance_id: str = "",
     return EmbeddingVector(utterance_id, speaker_id, feats / norm)
 
 
+def _tsv_rows(embeddings: EmbeddingSet, matrix: np.ndarray) -> list:
+    """One `id<TAB>speaker<TAB>values` line per row of matrix, which pairs
+    with the set's entries; values are written with repr, so they read back
+    bit for bit."""
+    rows = zip(embeddings.ids, embeddings.speaker_ids, matrix.tolist())
+    return [f"{uid}\t{speaker}\t" + "\t".join(map(repr, values)) for uid, speaker, values in rows]
+
+
 def save_embeddings(embeddings: EmbeddingSet, path) -> None:
     """Write the TSV format: `#dim=D` header then id, speaker, D floats per row."""
-    lines = [f"#dim={embeddings.dimension}"]
-    rows = zip(embeddings.ids, embeddings.speaker_ids, embeddings.matrix.tolist())
-    for uid, speaker, values in rows:
-        vals = "\t".join(map(repr, values))
-        lines.append(f"{uid}\t{speaker}\t{vals}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    lines = [f"#dim={embeddings.dimension}", *_tsv_rows(embeddings, embeddings.matrix)]
+    with _replacing(path) as tmp:
+        tmp.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def load_embeddings(path) -> EmbeddingSet:
@@ -259,8 +264,6 @@ def load_embeddings(path) -> EmbeddingSet:
     duplicate utterance_id is reported only when every line is sound.
     """
     path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(str(path))
     text = path.read_text(encoding="utf-8")
     lines = text.splitlines()
     if not lines or not lines[0].startswith("#dim="):
@@ -285,7 +288,7 @@ def load_embeddings(path) -> EmbeddingSet:
         if bad.any():
             row = int(np.argmax(bad))
             if not np.isfinite(parsed[row]).all():
-                raise ZeroNormError(f"{ids[row]}: embedding has non-finite values")
+                raise ZeroNormError(f"{path}:{linenos[row]}: embedding has non-finite values")
             raise EmbeddingFileError(f"{path}:{linenos[row]}: zero-norm embedding")
 
     for lineno, line in enumerate(lines[1:], start=2):

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .audio_io import _replacing
 from .embedding import EmbeddingSet, _cosine_rows
 from .errors import (
     EmptyReferenceError,
@@ -221,13 +222,12 @@ def save_pairs(pairs, path) -> None:
         if p.score is not None:
             row += f"\t{repr(float(p.score))}"
         lines.append(row)
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with _replacing(path) as tmp:
+        tmp.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def load_pairs(path) -> list:
     path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(str(path))
     pairs = []
     for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
         if not line.strip():

@@ -239,14 +239,9 @@ def analyse(clip: AudioClip, f0_min: float = DEFAULT_F0_MIN,
     gaps = np.diff(marks)
     # local analysis period per interior mark: mean of the two adjacent gaps
     periods = 0.5 * (gaps[:-1] + gaps[1:])
-    # voicing of the frame nearest each interior mark, as _track_lookup finds it
-    voiced = np.zeros(len(periods), dtype=bool)
-    if track.n_frames:
-        sr = clip.sample_rate
-        win = int(round(F0_WINDOW_SECONDS * sr))
-        hop = int(round(track.frame_shift * sr))
-        frame = np.rint((marks[1:-1] - win / 2) / hop).astype(np.int64)
-        voiced = track.voicing[np.clip(frame, 0, track.n_frames - 1)]
+    # voicing of the frame nearest each interior mark, by place_pitch_marks' rule
+    lookup = _track_lookup(track, clip.sample_rate)
+    voiced = np.array([lookup(m)[0] for m in marks[1:-1].tolist()], dtype=bool)
     return PsolaAnalysis(clip, marks, periods, voiced)
 
 

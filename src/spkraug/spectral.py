@@ -14,7 +14,7 @@ from typing import NamedTuple
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .audio_io import AudioClip, _check_rate
+from .audio_io import AudioClip, _check_rate, _replacing
 from .errors import InvalidParamsError
 
 # DC-TTS-style defaults at 16 kHz: 50 ms frames, 12.5 ms shift.
@@ -202,13 +202,12 @@ def write_spectrogram(spec: Spectrogram, path) -> None:
         "<6I", frames, bins, spec.fft_size, spec.frame_shift, spec.frame_length, spec.sample_rate
     )
     data = spec.magnitudes.astype("<f4").tobytes()
-    Path(path).write_bytes(header + data)
+    with _replacing(path) as tmp:
+        tmp.write_bytes(header + data)
 
 
 def read_spectrogram(path) -> Spectrogram:
     path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(str(path))
     raw = path.read_bytes()
     if len(raw) < 28 or raw[:4] != _SPG_MAGIC:
         raise InvalidParamsError(f"{path}: not an SPG1 file")

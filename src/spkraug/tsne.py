@@ -6,12 +6,12 @@ gradients buy nothing and cost determinism.
 """
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 from scipy.spatial.distance import pdist, squareform
 
-from .embedding import EmbeddingSet
+from .audio_io import _replacing
+from .embedding import EmbeddingSet, _tsv_rows
 from .errors import (
     DimensionMismatchError,
     InvalidParamsError,
@@ -20,42 +20,37 @@ from .errors import (
 )
 from .rng import rng_for
 
+# Optimizer constants: the standard defaults for the technique, not values
+# taken from any evaluation protocol.
+LEARNING_RATE = 200.0
+MOMENTUM = 0.5
+FINAL_MOMENTUM = 0.8
+EARLY_EXAGGERATION = 12.0
 EXAGGERATION_ITERS = 100
 MOMENTUM_SWITCH_ITER = 250
+OUTPUT_DIM = 2
 MAX_BISECTION_STEPS = 64
 ENTROPY_TOLERANCE = 1e-5
 INIT_SCALE = 1e-4
 
+SVG_WIDTH = 640
+SVG_HEIGHT = 480
+
 
 @dataclass(frozen=True)
 class TsneConfig:
-    """Optimizer settings; none of these come from any evaluation protocol,
-    they are the standard defaults for the technique."""
+    """The settings a run chooses; the optimizer itself uses the module
+    constants above."""
 
     perplexity: float = 30.0
     iterations: int = 1000
-    learning_rate: float = 200.0
-    momentum: float = 0.5
-    final_momentum: float = 0.8
-    early_exaggeration: float = 12.0
     seed: int = 0
-    output_dim: int = 2
 
     def __post_init__(self):
         if not self.perplexity > 1:
             raise InvalidParamsError(f"perplexity must exceed 1, got {self.perplexity}")
-        if self.iterations < 1 or self.output_dim < 1:
-            raise InvalidParamsError("iterations and output_dim must be positive")
-        if not self.learning_rate > 0:
-            raise InvalidParamsError(f"learning_rate must be positive, got {self.learning_rate}")
-        for name in ("momentum", "final_momentum"):
-            m = getattr(self, name)
-            if not (0.0 <= m < 1.0):
-                raise InvalidParamsError(f"{name} must lie in [0, 1), got {m}")
-        if not self.early_exaggeration >= 1.0:
-            raise InvalidParamsError(
-                f"early_exaggeration must be >= 1, got {self.early_exaggeration}"
-            )
+        if self.iterations < 1:
+            raise InvalidParamsError(f"iterations must be positive, got {self.iterations}")
 
 
 def _validate_distances(distances_sq: np.ndarray) -> np.ndarray:
@@ -160,10 +155,10 @@ def kl_divergence(P: np.ndarray, Y: np.ndarray) -> float:
 
 def run_tsne(embeddings: EmbeddingSet, config: TsneConfig = TsneConfig(),
              callback=None) -> np.ndarray:
-    """Project an embedding set to config.output_dim coordinates.
+    """Project an embedding set to 2-D coordinates.
 
-    Gradient descent with momentum (0.5 until iteration 250, then
-    final_momentum) and early exaggeration for the first 100 iterations,
+    Gradient descent with momentum (0.5 until iteration 250, then 0.8, at
+    learning rate 200) and early exaggeration x12 for the first 100 iterations,
     starting from a seeded Gaussian initialization of scale 1e-4. The output
     is recentered every step, and rows follow the input entry order.
 
@@ -182,15 +177,15 @@ def run_tsne(embeddings: EmbeddingSet, config: TsneConfig = TsneConfig(),
     P = conditional_probabilities(d2, config.perplexity)
 
     rng = rng_for(config.seed, "tsne.init")
-    Y = rng.normal(0.0, INIT_SCALE, size=(n, config.output_dim))
+    Y = rng.normal(0.0, INIT_SCALE, size=(n, OUTPUT_DIM))
     Y -= Y.mean(axis=0)
     update = np.zeros_like(Y)
 
-    P_exaggerated = P * config.early_exaggeration
+    P_exaggerated = P * EARLY_EXAGGERATION
     for it in range(config.iterations):
         grad = kl_gradient(P_exaggerated if it < EXAGGERATION_ITERS else P, Y)
-        momentum = config.momentum if it < MOMENTUM_SWITCH_ITER else config.final_momentum
-        update = momentum * update - config.learning_rate * grad
+        momentum = MOMENTUM if it < MOMENTUM_SWITCH_ITER else FINAL_MOMENTUM
+        update = momentum * update - LEARNING_RATE * grad
         Y = Y + update
         Y = Y - Y.mean(axis=0)
         if callback is not None:
@@ -205,19 +200,15 @@ def save_coordinates(embeddings: EmbeddingSet, coords: np.ndarray, path) -> None
         raise DimensionMismatchError(
             f"{coords.shape[0]} coordinate rows for {len(embeddings)} embeddings"
         )
-    lines = []
-    for uid, speaker, row in zip(embeddings.ids, embeddings.speaker_ids, coords.tolist()):
-        vals = "\t".join(map(repr, row))
-        lines.append(f"{uid}\t{speaker}\t{vals}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with _replacing(path) as tmp:
+        tmp.write_text("\n".join(_tsv_rows(embeddings, coords)) + "\n", encoding="utf-8")
 
 
 _PALETTE = ["#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd",
             "#8c564b", "#e377c2", "#7f7f7f", "#bcbd22", "#17becf"]
 
 
-def render_scatter_svg(embeddings: EmbeddingSet, coords: np.ndarray, path,
-                       width: int = 640, height: int = 480) -> None:
+def render_scatter_svg(embeddings: EmbeddingSet, coords: np.ndarray, path) -> None:
     """Speaker-colored scatter plot, written deterministically (no metadata)."""
     coords = np.asarray(coords, dtype=np.float64)
     if coords.shape != (len(embeddings), 2):
@@ -227,7 +218,7 @@ def render_scatter_svg(embeddings: EmbeddingSet, coords: np.ndarray, path,
     speakers = embeddings.speakers()
     color = {s: _PALETTE[i % len(_PALETTE)] for i, s in enumerate(speakers)}
 
-    margin = 40.0
+    width, height, margin = SVG_WIDTH, SVG_HEIGHT, 40.0
     lo = coords.min(axis=0)
     hi = coords.max(axis=0)
     span = np.where(hi - lo > 0, hi - lo, 1.0)
@@ -253,4 +244,5 @@ def render_scatter_svg(embeddings: EmbeddingSet, coords: np.ndarray, path,
         parts.append(f'<circle cx="12" cy="{ly - 4}" r="4" fill="{color[s]}"/>')
         parts.append(f'<text x="22" y="{ly}" font-family="sans-serif" font-size="12">{s}</text>')
     parts.append("</svg>")
-    Path(path).write_text("\n".join(parts) + "\n", encoding="utf-8")
+    with _replacing(path) as tmp:
+        tmp.write_text("\n".join(parts) + "\n", encoding="utf-8")

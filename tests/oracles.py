@@ -204,11 +204,9 @@ def load_embeddings_row_oracle(path):
     from pathlib import Path
 
     from spkraug.embedding import EmbeddingSet, EmbeddingVector
-    from spkraug.errors import EmbeddingFileError
+    from spkraug.errors import EmbeddingFileError, ZeroNormError
 
     path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(str(path))
     lines = path.read_text(encoding="utf-8").splitlines()
     if not lines or not lines[0].startswith("#dim="):
         raise EmbeddingFileError(f"{path}: missing #dim= header")
@@ -231,6 +229,8 @@ def load_embeddings_row_oracle(path):
             values = np.array([float(v) for v in parts[2:]])
         except ValueError:
             raise EmbeddingFileError(f"{path}:{lineno}: non-numeric value") from None
+        if not np.all(np.isfinite(values)):
+            raise ZeroNormError(f"{path}:{lineno}: embedding has non-finite values")
         vec = EmbeddingVector(parts[0], parts[1], values)
         if np.linalg.norm(vec.values) == 0.0:
             raise EmbeddingFileError(f"{path}:{lineno}: zero-norm embedding")

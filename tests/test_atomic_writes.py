@@ -1,0 +1,66 @@
+"""Every writer replaces its target in one step: a failure before the final
+rename leaves the old file byte for byte and no temporary file behind."""
+
+import os
+
+import numpy as np
+import pytest
+
+from spkraug.audio_io import AudioClip, write_wav
+from spkraug.dataset import Manifest, UtteranceRecord, save_manifest
+from spkraug.embedding import EmbeddingSet, EmbeddingVector, save_embeddings
+from spkraug.metrics import ScoredPair, save_pairs
+from spkraug.spectral import magnitude_spectrogram, write_spectrogram
+from spkraug.tsne import render_scatter_svg, save_coordinates
+from synth import sine
+
+
+def _embeddings(version):
+    return EmbeddingSet.from_entries(
+        [EmbeddingVector(f"u{i}", f"s{i % 2}", np.array([1.0 + i + version, 2.0]))
+         for i in range(4)])
+
+
+def _coords(version):
+    return np.arange(8.0).reshape(4, 2) ** (1 + version)  # not a rescaling: the SVG normalises
+
+
+WRITERS = {
+    "manifest": lambda v, path: save_manifest(
+        Manifest([UtteranceRecord(f"a{v}", "sp0", f"/audio/a{v}.wav")]), path),
+    "embeddings": lambda v, path: save_embeddings(_embeddings(v), path),
+    "pairs": lambda v, path: save_pairs([ScoredPair("a", "b", True, 0.5 + v)], path),
+    "coordinates": lambda v, path: save_coordinates(_embeddings(v), _coords(v), path),
+    "svg": lambda v, path: render_scatter_svg(_embeddings(v), _coords(v), path),
+    "spg": lambda v, path: write_spectrogram(
+        magnitude_spectrogram(sine(200.0 * (1 + v), 0.1), 400, 100, 512), path),
+    "wav": lambda v, path: write_wav(AudioClip(np.full(100, 0.1 * (1 + v)), 16000), path),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WRITERS))
+def test_failed_replace_keeps_the_old_target(name, tmp_path, monkeypatch):
+    write = WRITERS[name]
+    target = tmp_path / "out"
+    write(0, target)
+    old = target.read_bytes()
+
+    def refuse(src, dst):
+        raise OSError("replace refused")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    with pytest.raises(OSError, match="replace refused"):
+        write(1, target)
+    assert target.read_bytes() == old
+    assert os.listdir(tmp_path) == ["out"]
+
+
+@pytest.mark.parametrize("name", sorted(WRITERS))
+def test_rewrite_replaces_the_target(name, tmp_path):
+    write = WRITERS[name]
+    target = tmp_path / "out"
+    write(0, target)
+    old = target.read_bytes()
+    write(1, target)
+    assert target.read_bytes() != old
+    assert os.listdir(tmp_path) == ["out"]

@@ -257,6 +257,14 @@ def test_speed_unity_returns_copy():
     assert out.sample_rate == clip.sample_rate
 
 
+def test_speed_ratio_that_reduces_to_unity_returns_copy():
+    """Fraction(1 + 1e-9).limit_denominator reduces to 1/1: a plain copy."""
+    clip = sine(300.0, 0.2)
+    out = speed_change(clip, 1.0 + 1e-9)
+    assert out.samples is not clip.samples
+    assert np.array_equal(out.samples, clip.samples)
+
+
 @pytest.mark.parametrize("ratio", [0.95, 0.975, 1.025, 1.05, 0.5, 2.0, 1.3])
 def test_speed_length_contract(ratio):
     clip = sine(250.0, 1.0)

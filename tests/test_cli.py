@@ -405,6 +405,18 @@ def test_eval_cs_cli_dimension_mismatch(capsys, tmp_path):
     assert err == "spkraug eval: error: 2 vs 3\n"
 
 
+def test_eval_cs_cli_non_finite_row_names_path_and_line(capsys, tmp_path):
+    bad = tmp_path / "nan.tsv"
+    bad.write_text("#dim=2\nu1\ts1\t1.0\tnan\n", encoding="utf-8")
+    ok = tmp_path / "ok.tsv"
+    save_embeddings(EmbeddingSet.from_entries(
+        [EmbeddingVector("u1", "s1", np.array([1.0, 0.0]))]), ok)
+    rc, report, err = _run(capsys, ["eval", "cs", "--synth", str(bad), "--natural", str(ok)])
+    assert rc == 1
+    assert report is None
+    assert err == f"spkraug eval: error: {bad}:2: embedding has non-finite values\n"
+
+
 # -- tsne / vocode -----------------------------------------------------------
 
 def test_tsne_cli(capsys, cli_env, tmp_path):

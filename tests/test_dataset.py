@@ -151,6 +151,21 @@ def test_manifest_file_is_stable_bytes(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def test_manifest_file_golden_bytes(tmp_path):
+    m = Manifest([_natural("sp0_000", "sp0"),
+                  _augmented("sp0_000__r", "sp0_000", "sp0", kind=RESAMPLED, dur=0.95, f0=0.95)],
+                 corpus="gold", sample_rate=22050)
+    path = tmp_path / "m.jsonl"
+    save_manifest(m, path)
+    assert path.read_bytes() == (
+        b'{"corpus":"gold","sample_rate":22050}\n'
+        b'{"utterance_id":"sp0_000","speaker_id":"sp0","path":"/audio/sp0_000.wav",'
+        b'"kind":"natural","duration_ratio":1.0,"f0_ratio":1.0,"parent_id":null}\n'
+        b'{"utterance_id":"sp0_000__r","speaker_id":"sp0","path":"/audio/sp0_000__r.wav",'
+        b'"kind":"resampled","duration_ratio":0.95,"f0_ratio":0.95,"parent_id":"sp0_000"}\n'
+    )
+
+
 def test_load_manifest_missing_file(tmp_path):
     with pytest.raises(FileNotFoundError):
         load_manifest(tmp_path / "none.jsonl")
@@ -626,6 +641,26 @@ def test_select_best_k_zero_keeps_only_naturals():
     naturals, augmented, embeddings = _selection_fixture()
     best = select_best_augmented(naturals, augmented, embeddings, k=0)
     assert [r.utterance_id for r in best] == ["n0", "n1"]
+
+
+def _with_childless_natural():
+    """The selection fixture behind a first natural that has no children."""
+    naturals, augmented, embeddings = _selection_fixture()
+    lone = _natural("n2", "sp2")
+    entries = [EmbeddingVector("n2", "sp2", np.array([0.0, 5.0])), *embeddings]
+    return (Manifest([lone, *naturals]), augmented, EmbeddingSet.from_entries(entries))
+
+
+def test_select_best_k_zero_keeps_childless_naturals():
+    naturals, augmented, embeddings = _with_childless_natural()
+    best = select_best_augmented(naturals, augmented, embeddings, k=0)
+    assert [r.utterance_id for r in best] == ["n2", "n0", "n1"]
+
+
+def test_select_best_negative_k_raises_before_any_natural():
+    naturals, augmented, embeddings = _with_childless_natural()
+    with pytest.raises(KTooLargeError, match="k must be non-negative, got -1"):
+        select_best_augmented(naturals, augmented, embeddings, k=-1)
 
 
 def test_select_best_k_too_large():

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.spatial.distance import pdist, squareform
@@ -12,6 +14,13 @@ from spkraug.errors import (
 )
 from spkraug.rng import rng_for
 from spkraug.tsne import (
+    EARLY_EXAGGERATION,
+    EXAGGERATION_ITERS,
+    FINAL_MOMENTUM,
+    INIT_SCALE,
+    LEARNING_RATE,
+    MOMENTUM,
+    MOMENTUM_SWITCH_ITER,
     TsneConfig,
     conditional_probabilities,
     conditional_rows,
@@ -41,23 +50,17 @@ def _embedding_clusters(rng, n_clusters=2, per_cluster=10, dim=6, spread=0.05):
 # -- config ------------------------------------------------------------------
 
 def test_config_defaults():
+    assert [f.name for f in dataclasses.fields(TsneConfig)] == ["perplexity", "iterations", "seed"]
     cfg = TsneConfig()
     assert cfg.perplexity == 30.0
     assert cfg.iterations == 1000
-    assert cfg.learning_rate == 200.0
-    assert cfg.output_dim == 2
+    assert cfg.seed == 0
 
 
 @pytest.mark.parametrize("kwargs", [
     {"perplexity": 1.0},
     {"perplexity": 0.0},
     {"iterations": 0},
-    {"learning_rate": 0.0},
-    {"momentum": 1.0},
-    {"momentum": -0.1},
-    {"final_momentum": 1.5},
-    {"early_exaggeration": 0.5},
-    {"output_dim": 0},
 ])
 def test_config_validation(kwargs):
     with pytest.raises(InvalidParamsError):
@@ -188,13 +191,13 @@ def test_run_tsne_matches_the_oracle_descent_bitwise():
     emb = _embedding_clusters(rng, per_cluster=6)
     cfg = TsneConfig(perplexity=3.0, iterations=110)
     P = conditional_probabilities(_dist_sq(emb.matrix), cfg.perplexity)
-    Y = rng_for(cfg.seed, "tsne.init").normal(0.0, 1e-4, size=(len(emb), 2))
+    Y = rng_for(cfg.seed, "tsne.init").normal(0.0, INIT_SCALE, size=(len(emb), 2))
     Y -= Y.mean(axis=0)
     update = np.zeros_like(Y)
     for it in range(cfg.iterations):
-        P_eff = P * cfg.early_exaggeration if it < 100 else P
-        momentum = cfg.momentum if it < 250 else cfg.final_momentum
-        update = momentum * update - cfg.learning_rate * kl_gradient_oracle(P_eff, Y)
+        P_eff = P * EARLY_EXAGGERATION if it < EXAGGERATION_ITERS else P
+        momentum = MOMENTUM if it < MOMENTUM_SWITCH_ITER else FINAL_MOMENTUM
+        update = momentum * update - LEARNING_RATE * kl_gradient_oracle(P_eff, Y)
         Y = Y + update
         Y = Y - Y.mean(axis=0)
     assert run_tsne(emb, cfg).tobytes() == Y.tobytes()
@@ -244,8 +247,8 @@ def test_run_tsne_deterministic():
 def test_run_tsne_output_shape_and_centering():
     rng = np.random.default_rng(9)
     emb = _embedding_clusters(rng)
-    coords = run_tsne(emb, TsneConfig(perplexity=4.0, iterations=30, output_dim=3))
-    assert coords.shape == (len(emb), 3)
+    coords = run_tsne(emb, TsneConfig(perplexity=4.0, iterations=30))
+    assert coords.shape == (len(emb), 2)
     np.testing.assert_allclose(coords.mean(axis=0), 0.0, atol=1e-6)
 
 
