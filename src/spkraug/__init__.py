@@ -17,7 +17,6 @@ from .dataset import (
 )
 from .embedding import (
     EmbeddingSet,
-    EmbeddingVector,
     cosine_similarity,
     euclidean_distance,
     extract_standin_embedding,
@@ -60,7 +59,7 @@ __all__ = [
     "Spectrogram", "stft", "istft", "magnitude_spectrogram", "griffin_lim",
     "read_spectrogram", "write_spectrogram",
     "PitchTrack", "PitchMarks", "estimate_f0", "place_pitch_marks", "psola_modify",
-    "EmbeddingVector", "EmbeddingSet", "cosine_similarity", "euclidean_distance",
+    "EmbeddingSet", "cosine_similarity", "euclidean_distance",
     "select_k_nearest", "speaker_centroid", "extract_standin_embedding",
     "load_embeddings", "save_embeddings",
     "ScoredPair", "LossTerms", "LossWeights", "combined_loss", "batch_cs_loss",

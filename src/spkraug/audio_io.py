@@ -24,6 +24,7 @@ from .errors import (
     InvalidClipError,
     InvalidRateError,
     InvalidRatioError,
+    SpkraugError,
     UnsupportedFormatError,
 )
 
@@ -52,6 +53,15 @@ def _replacing(path):
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)  # still there only if the block or the rename failed
+
+
+def _read_text(path) -> str:
+    """A text input's contents; bytes that are not UTF-8 raise SpkraugError
+    naming the path."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise SpkraugError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
 
 
 def _check_rate(rate) -> int:

@@ -13,7 +13,7 @@ import sys
 import numpy as np
 
 from . import dataset, metrics
-from .audio_io import write_wav
+from .audio_io import _read_text, write_wav
 from .embedding import EmbeddingSet, extract_standin_embedding, load_embeddings, save_embeddings
 from .errors import SpkraugError
 from .spectral import griffin_lim, read_spectrogram
@@ -145,13 +145,15 @@ def _cmd_augment(args) -> dict:
 
 def _cmd_embed(args) -> dict:
     manifest = dataset.load_manifest(args.manifest)
-    entries = []
+    if not len(manifest):
+        raise SpkraugError(f"{args.manifest}: no records to embed")
+    rows = []
     for record in manifest:
         _log(args, f"embedding {record.utterance_id}")
         clip = dataset.read_utterance(record, manifest.sample_rate)
-        entries.append(extract_standin_embedding(clip, record.utterance_id,
-                                                  record.speaker_id))
-    embeddings = EmbeddingSet.from_entries(entries)
+        rows.append(extract_standin_embedding(clip))
+    embeddings = EmbeddingSet([r.utterance_id for r in manifest],
+                              [r.speaker_id for r in manifest], np.stack(rows))
     save_embeddings(embeddings, args.output)
     return {"command": "embed", "records": len(embeddings),
             "dimension": embeddings.dimension, "output": args.output}
@@ -197,10 +199,8 @@ def _cmd_eval_cs(args) -> dict:
 
 
 def _cmd_eval_wer(args) -> dict:
-    with open(args.ref, encoding="utf-8") as fh:
-        ref = metrics.tokenize_transcript(fh.read())
-    with open(args.hyp, encoding="utf-8") as fh:
-        hyp = metrics.tokenize_transcript(fh.read())
+    ref = metrics.tokenize_transcript(_read_text(args.ref))
+    hyp = metrics.tokenize_transcript(_read_text(args.hyp))
     wer, subs, dels, ins = metrics.word_error_rate(ref, hyp)
     return {"command": "eval-wer", "wer": wer, "substitutions": subs,
             "deletions": dels, "insertions": ins, "reference_tokens": len(ref)}

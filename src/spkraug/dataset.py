@@ -13,8 +13,8 @@ from itertools import groupby
 from pathlib import Path
 from typing import NamedTuple
 
-from .audio_io import (_replacing, read_wav, read_wav_header, speed_change,
-                       speed_change_length, write_wav)
+from .audio_io import (DEFAULT_SAMPLE_RATE, _read_text, _replacing, read_wav, read_wav_header,
+                       speed_change, speed_change_length, write_wav)
 from .embedding import EmbeddingSet, _first_seen, select_k_nearest
 from .errors import (
     InsufficientPoolError,
@@ -86,7 +86,7 @@ class UtteranceRecord:
 class Manifest:
     records: list = field(default_factory=list)
     corpus: str = "corpus"
-    sample_rate: int = 16000
+    sample_rate: int = DEFAULT_SAMPLE_RATE
 
     def __post_init__(self):
         seen = set()
@@ -142,24 +142,24 @@ def save_manifest(manifest: Manifest, path) -> None:
 
 
 def load_manifest(path) -> Manifest:
-    path = Path(path)
-    lines = [ln for ln in path.read_text(encoding="utf-8").splitlines() if ln.strip()]
+    lines = [(n, ln) for n, ln in enumerate(_read_text(path).splitlines(), start=1) if ln.strip()]
     if not lines:
         raise ManifestError(f"{path}: empty manifest file")
+    lineno, line = lines[0]
     try:
-        meta = json.loads(lines[0])
+        meta = json.loads(line)
         corpus, sample_rate = meta["corpus"], meta["sample_rate"]
         if isinstance(sample_rate, bool):
             raise TypeError
         sample_rate = int(sample_rate)
-    except json.JSONDecodeError as exc:
-        raise ManifestError(f"{path}:1: {exc}") from None
-    except (KeyError, TypeError, ValueError):
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise ManifestError(f"{path}:{lineno}: {exc}") from None
+    except (KeyError, TypeError, ValueError, OverflowError):
         raise ManifestError(
-            f"{path}:1: header must carry corpus and an integer sample_rate"
+            f"{path}:{lineno}: header must carry corpus and an integer sample_rate"
         ) from None
     records = []
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in lines[1:]:
         try:
             obj = json.loads(line)
             if not isinstance(obj, dict):
@@ -177,7 +177,7 @@ def load_manifest(path) -> Manifest:
             ))
         except KeyError as exc:
             raise ManifestError(f"{path}:{lineno}: missing field {exc}") from None
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError, RecursionError) as exc:
             raise ManifestError(f"{path}:{lineno}: {exc}") from None
     return Manifest(records, corpus=corpus, sample_rate=sample_rate)
 
@@ -355,7 +355,8 @@ def _run_parent(parent, jobs, audio_root, sample_rate, records, failures) -> Non
                                            parent.utterance_id))
 
 
-def execute_plan(plan, audio_root, corpus: str = "augmented", sample_rate: int = 16000):
+def execute_plan(plan, audio_root, corpus: str = "augmented",
+                 sample_rate: int = DEFAULT_SAMPLE_RATE):
     """Run every job, writing WAVs under audio_root/<speaker>/.
 
     Existing outputs whose headers show the expected rate and length are

@@ -6,13 +6,11 @@ deterministic stand-in extractor (mel log-energy statistics) so the whole
 pipeline can run self-contained.
 """
 
-from dataclasses import dataclass
 from functools import lru_cache
-from pathlib import Path
 
 import numpy as np
 
-from .audio_io import AudioClip, _replacing
+from .audio_io import AudioClip, _read_text, _replacing
 from .errors import (
     ClipTooShortError,
     DimensionMismatchError,
@@ -29,81 +27,41 @@ MIN_CLIP_SECONDS = 0.2
 _LOG_FLOOR = 1e-10
 
 
-@dataclass
-class EmbeddingVector:
-    utterance_id: str
-    speaker_id: str
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.ndim != 1 or len(self.values) == 0:
-            raise DimensionMismatchError("values must be a non-empty 1-D vector")
-        if not np.all(np.isfinite(self.values)):
-            raise ZeroNormError(f"{self.utterance_id}: embedding has non-finite values")
-
-    @property
-    def dimension(self) -> int:
-        return len(self.values)
-
-
 class EmbeddingSet:
-    """Embeddings of one dimension: `ids` and `speaker_ids` (lists, in entry
-    order) plus one read-only (n, dimension) float64 `matrix`. `get()` and
-    iteration yield EmbeddingVector views of its rows."""
+    """Embeddings of one dimension: `ids` and `speaker_ids` (lists, one per
+    row) plus one read-only (n, dimension) float64 `matrix`. A single
+    embedding is a 1-D array; `get()` returns a read-only row."""
 
-    def __init__(self, dimension: int, entries=()):
-        entries = list(entries)
-        ids = [e.utterance_id for e in entries]
-        for i, e in enumerate(entries):
-            if e.dimension != dimension:
-                _row_index(ids[:i])  # a duplicate before this entry is reported first
-                raise DimensionMismatchError(
-                    f"{e.utterance_id}: dimension {e.dimension}, set is {dimension}"
-                )
-        matrix = np.stack([e.values for e in entries]) if entries else np.empty((0, dimension))
-        self._adopt(ids, [e.speaker_id for e in entries], matrix)
-
-    @classmethod
-    def _from_matrix(cls, ids, speaker_ids, matrix: np.ndarray) -> "EmbeddingSet":
-        """A set over the rows of a float64 (n, dimension) matrix, built
-        without an EmbeddingVector per row."""
-        embeddings = cls.__new__(cls)
-        embeddings._adopt(ids, speaker_ids, matrix)
-        return embeddings
-
-    def _adopt(self, ids, speaker_ids, matrix: np.ndarray) -> None:
-        self._index = _row_index(ids)  # utterance_id -> row
-        self.ids = list(ids)
-        self.speaker_ids = list(speaker_ids)
+    def __init__(self, ids, speaker_ids, matrix):
+        ids, speaker_ids = list(ids), list(speaker_ids)
+        matrix = np.asarray(matrix, dtype=np.float64).view()  # the view's flags are the set's own
+        self._index = _row_index(ids)  # utterance_id -> row; a duplicate is reported first
+        if not (matrix.ndim == 2 and matrix.shape[1] >= 1
+                and len(ids) == len(speaker_ids) == len(matrix)):
+            raise DimensionMismatchError(
+                f"{len(ids)} ids and {len(speaker_ids)} speakers for a matrix of shape "
+                f"{matrix.shape}: need one of each per row and dimension >= 1"
+            )
+        finite = np.isfinite(matrix.min(axis=1)) & np.isfinite(matrix.max(axis=1))  # no n x d temporary
+        if not finite.all():
+            raise ZeroNormError(f"{ids[int(np.argmin(finite))]}: embedding has non-finite values")
+        matrix.setflags(write=False)
+        self.ids = ids
+        self.speaker_ids = speaker_ids
         self.dimension = matrix.shape[1]
         self.matrix = matrix
-        self.matrix.setflags(write=False)
-
-    @classmethod
-    def from_entries(cls, entries) -> "EmbeddingSet":
-        entries = list(entries)
-        if not entries:
-            raise EmbeddingFileError("cannot build an embedding set from zero entries")
-        return cls(entries[0].dimension, entries)
 
     def __len__(self) -> int:
         return len(self.ids)
 
-    def __iter__(self):
-        return map(self._row, range(len(self.ids)))
-
     def __contains__(self, utterance_id: str) -> bool:
         return utterance_id in self._index
 
-    def get(self, utterance_id: str) -> EmbeddingVector:
-        return self._row(self._index[utterance_id])
+    def get(self, utterance_id: str) -> np.ndarray:
+        return self.matrix[self._index[utterance_id]]
 
     def speakers(self) -> list:
         return _first_seen(self.speaker_ids)
-
-    def _row(self, i: int) -> EmbeddingVector:
-        return EmbeddingVector(self.ids[i], self.speaker_ids[i], self.matrix[i])
 
     def _rows(self, utterance_ids) -> np.ndarray:
         """Matrix rows of the given ids, in that order."""
@@ -112,8 +70,8 @@ class EmbeddingSet:
     def _subset(self, utterance_ids) -> "EmbeddingSet":
         """The given ids' rows as a new set, in that order."""
         rows = [self._index[uid] for uid in utterance_ids]
-        return EmbeddingSet._from_matrix([self.ids[i] for i in rows],
-                                         [self.speaker_ids[i] for i in rows], self.matrix[rows])
+        return EmbeddingSet([self.ids[i] for i in rows], [self.speaker_ids[i] for i in rows],
+                            self.matrix[rows])
 
 
 def _row_index(ids) -> dict:
@@ -150,17 +108,17 @@ def _cosine_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.clip(_row_dots(a, b) / (na * nb), -1.0, 1.0)
 
 
-def cosine_similarity(a: EmbeddingVector, b: EmbeddingVector) -> float:
-    return float(_cosine_rows(a.values[None], b.values[None])[0])
+def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
+    return float(_cosine_rows(np.reshape(a, (1, -1)), np.reshape(b, (1, -1)))[0])
 
 
-def euclidean_distance(a: EmbeddingVector, b: EmbeddingVector) -> float:
-    if a.dimension != b.dimension:
-        raise DimensionMismatchError(f"{a.dimension} vs {b.dimension}")
-    return float(np.linalg.norm(a.values - b.values))
+def euclidean_distance(a: np.ndarray, b: np.ndarray) -> float:
+    if len(a) != len(b):
+        raise DimensionMismatchError(f"{len(a)} vs {len(b)}")
+    return float(np.linalg.norm(np.subtract(a, b)))
 
 
-def select_k_nearest(natural: EmbeddingVector, candidates: EmbeddingSet, k: int) -> list:
+def select_k_nearest(natural: np.ndarray, candidates: EmbeddingSet, k: int) -> list:
     """ids of the k candidates closest to `natural` in Euclidean distance.
 
     Ties are broken by ascending utterance_id, so the result does not depend
@@ -170,19 +128,19 @@ def select_k_nearest(natural: EmbeddingVector, candidates: EmbeddingSet, k: int)
         raise KTooLargeError(f"k={k} but only {len(candidates)} candidates")
     if k < 0:
         raise KTooLargeError(f"k must be non-negative, got {k}")
-    if natural.dimension != candidates.dimension:
-        raise DimensionMismatchError(f"{natural.dimension} vs {candidates.dimension}")
-    diff = natural.values - candidates.matrix
+    if len(natural) != candidates.dimension:
+        raise DimensionMismatchError(f"{len(natural)} vs {candidates.dimension}")
+    diff = natural - candidates.matrix
     ranked = sorted(zip(np.sqrt(_row_dots(diff, diff)).tolist(), candidates.ids))
     return [uid for _, uid in ranked[:k]]
 
 
-def speaker_centroid(embeddings: EmbeddingSet, speaker_id: str) -> EmbeddingVector:
+def speaker_centroid(embeddings: EmbeddingSet, speaker_id: str) -> np.ndarray:
     """Arithmetic mean of one speaker's embeddings."""
     rows = embeddings.matrix[[s == speaker_id for s in embeddings.speaker_ids]]
     if len(rows) == 0:
         raise UnknownSpeakerError(f"no embeddings for speaker {speaker_id!r}")
-    return EmbeddingVector(f"centroid:{speaker_id}", speaker_id, rows.mean(axis=0))
+    return rows.mean(axis=0)
 
 
 def _hz_to_mel(f):
@@ -213,8 +171,7 @@ def mel_filterbank(n_bands: int, fft_size: int, sample_rate: int) -> np.ndarray:
     return _mel_filterbank_cached(int(n_bands), int(fft_size), int(sample_rate)).copy()
 
 
-def extract_standin_embedding(clip: AudioClip, utterance_id: str = "",
-                              speaker_id: str = "") -> EmbeddingVector:
+def extract_standin_embedding(clip: AudioClip) -> np.ndarray:
     """Deterministic non-neural embedding: mel log-energy statistics.
 
     The waveform is RMS-normalized (so overall gain cancels), analyzed into
@@ -237,7 +194,7 @@ def extract_standin_embedding(clip: AudioClip, utterance_id: str = "",
     norm = np.linalg.norm(feats)
     if norm == 0.0:
         raise ZeroNormError("degenerate clip produced an all-zero feature vector")
-    return EmbeddingVector(utterance_id, speaker_id, feats / norm)
+    return feats / norm
 
 
 def _tsv_rows(embeddings: EmbeddingSet, matrix: np.ndarray) -> list:
@@ -263,8 +220,7 @@ def load_embeddings(path) -> EmbeddingSet:
     all-zero row as EmbeddingFileError; the first defective line wins, and a
     duplicate utterance_id is reported only when every line is sound.
     """
-    path = Path(path)
-    text = path.read_text(encoding="utf-8")
+    text = _read_text(path)
     lines = text.splitlines()
     if not lines or not lines[0].startswith("#dim="):
         raise EmbeddingFileError(f"{path}: missing #dim= header")
@@ -309,6 +265,4 @@ def load_embeddings(path) -> EmbeddingSet:
         speaker_ids.append(parts[1])
         linenos.append(lineno)
     raise_row_errors()
-    if len(ids) < len(matrix):  # blank lines
-        matrix = matrix[:len(ids)].copy()
-    return EmbeddingSet._from_matrix(ids, speaker_ids, matrix)
+    return EmbeddingSet(ids, speaker_ids, matrix[:len(ids)])  # drops rows kept for blank lines

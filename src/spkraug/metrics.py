@@ -6,11 +6,10 @@ batch against natural references.
 """
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .audio_io import _replacing
+from .audio_io import _read_text, _replacing
 from .embedding import EmbeddingSet, _cosine_rows
 from .errors import (
     EmptyReferenceError,
@@ -76,14 +75,13 @@ def combined_loss(terms: LossTerms, weights: LossWeights) -> float:
                  + weights.gamma * terms.l_sv)
 
 
-def batch_cs_loss(synth, natural) -> float:
-    """1 - mean cosine similarity over aligned pairs; 0 when identical."""
+def batch_cs_loss(synth: EmbeddingSet, natural: EmbeddingSet) -> float:
+    """1 - mean cosine similarity over aligned rows; 0 when identical."""
     if len(synth) != len(natural) or len(synth) == 0:
         raise LengthMismatchError(
             f"need equal non-empty batches, got {len(synth)} vs {len(natural)}"
         )
-    sims = _cosine_rows(np.stack([s.values for s in synth]),
-                        np.stack([n.values for n in natural]))
+    sims = _cosine_rows(synth.matrix, natural.matrix)
     return float(1.0 - np.mean(sims))
 
 
@@ -227,9 +225,8 @@ def save_pairs(pairs, path) -> None:
 
 
 def load_pairs(path) -> list:
-    path = Path(path)
     pairs = []
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, line in enumerate(_read_text(path).splitlines(), start=1):
         if not line.strip():
             continue
         parts = line.split("\t")

@@ -14,7 +14,7 @@ from typing import NamedTuple
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .audio_io import AudioClip, _check_rate, _replacing
+from .audio_io import DEFAULT_SAMPLE_RATE, AudioClip, _check_rate, _replacing
 from .errors import InvalidParamsError
 
 # DC-TTS-style defaults at 16 kHz: 50 ms frames, 12.5 ms shift.
@@ -126,7 +126,7 @@ def stft(clip: AudioClip, frame_length: int = DEFAULT_FRAME_LENGTH,
 
 def istft(spec: np.ndarray, frame_length: int = DEFAULT_FRAME_LENGTH,
           frame_shift: int = DEFAULT_FRAME_SHIFT, fft_size: int = DEFAULT_FFT_SIZE,
-          sample_rate: int = 16000) -> AudioClip:
+          sample_rate: int = DEFAULT_SAMPLE_RATE) -> AudioClip:
     """Least-squares inverse STFT (weighted overlap-add).
 
     Returns the full overlap-add length frame_length + (n_frames-1)*shift;

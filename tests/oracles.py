@@ -194,7 +194,7 @@ def psola_grain_loop_oracle(analysis, duration_ratio, f0_ratio):
 
 
 def load_embeddings_row_oracle(path):
-    """The embedding TSV loader as one EmbeddingVector per line, checking
+    """The embedding TSV loader as one (id, speaker, values) row per line, checking
     each line in full before reading the next.
 
     The reference for `spkraug.embedding.load_embeddings`, which must return
@@ -203,7 +203,7 @@ def load_embeddings_row_oracle(path):
     """
     from pathlib import Path
 
-    from spkraug.embedding import EmbeddingSet, EmbeddingVector
+    from spkraug.embedding import EmbeddingSet
     from spkraug.errors import EmbeddingFileError, ZeroNormError
 
     path = Path(path)
@@ -216,7 +216,7 @@ def load_embeddings_row_oracle(path):
         raise EmbeddingFileError(f"{path}: unparseable header {lines[0]!r}") from None
     if dim < 1:
         raise EmbeddingFileError(f"{path}: dimension must be positive, got {dim}")
-    entries = []
+    rows = []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
@@ -231,11 +231,11 @@ def load_embeddings_row_oracle(path):
             raise EmbeddingFileError(f"{path}:{lineno}: non-numeric value") from None
         if not np.all(np.isfinite(values)):
             raise ZeroNormError(f"{path}:{lineno}: embedding has non-finite values")
-        vec = EmbeddingVector(parts[0], parts[1], values)
-        if np.linalg.norm(vec.values) == 0.0:
+        if np.linalg.norm(values) == 0.0:
             raise EmbeddingFileError(f"{path}:{lineno}: zero-norm embedding")
-        entries.append(vec)
-    return EmbeddingSet(dim, entries)
+        rows.append((parts[0], parts[1], values))
+    return EmbeddingSet([r[0] for r in rows], [r[1] for r in rows],
+                        np.array([r[2] for r in rows]).reshape(len(rows), dim))
 
 
 def wer_tuple_loop_oracle(reference, hypothesis):

@@ -38,7 +38,7 @@ from spkraug.dataset import (
     save_manifest,
     select_best_augmented,
 )
-from spkraug.embedding import EmbeddingSet, EmbeddingVector, extract_standin_embedding
+from spkraug.embedding import EmbeddingSet, extract_standin_embedding
 from spkraug.metrics import ScoredPair, equal_error_rate, score_pairs, word_error_rate
 from spkraug.psola import psola_modify
 from spkraug.spectral import griffin_lim, istft, magnitude_spectrogram, stft
@@ -75,9 +75,13 @@ def mini_corpus(tmp_path_factory):
 @pytest.fixture(scope="session")
 def natural_embeddings(mini_corpus):
     _, manifest = mini_corpus
-    entries = [extract_standin_embedding(read_wav(r.path), r.utterance_id, r.speaker_id)
-               for r in manifest]
-    return EmbeddingSet.from_entries(entries)
+    return _embed(manifest)
+
+
+def _embed(records):
+    """Stand-in embeddings of the records' WAVs, as a set."""
+    return EmbeddingSet([r.utterance_id for r in records], [r.speaker_id for r in records],
+                        np.stack([extract_standin_embedding(read_wav(r.path)) for r in records]))
 
 
 def _trials(genuine, impostor):
@@ -102,11 +106,10 @@ def test_acceptance_01_recipe_counts(mini_corpus, natural_embeddings, capsys, tm
             built, failures = execute_plan(plan, tmp_path / recipe, corpus="counts")
             assert failures == []
             if recipe in ("psola_dur", "psola_f0"):
-                entries = list(natural_embeddings)
-                entries += [extract_standin_embedding(read_wav(r.path),
-                                                      r.utterance_id, r.speaker_id)
-                            for r in built]
-                merged = EmbeddingSet.from_entries(entries)
+                children = _embed(built)
+                merged = EmbeddingSet(natural_embeddings.ids + children.ids,
+                                      natural_embeddings.speaker_ids + children.speaker_ids,
+                                      np.vstack([natural_embeddings.matrix, children.matrix]))
                 final = select_best_augmented(manifest, built, merged, k=4)
                 counts = Counter(r.speaker_id for r in final)
             else:
@@ -194,9 +197,8 @@ def test_acceptance_06_tsne_numerics(capsys):
 
         cloud = np.vstack([rng.normal(0.0, 1.0, (20, 16)),
                            rng.normal(8.0, 1.0, (20, 16))])
-        entries = [EmbeddingVector(f"u{i:02d}", "a" if i < 20 else "b", cloud[i])
-                   for i in range(40)]
-        coords = run_tsne(EmbeddingSet.from_entries(entries),
+        coords = run_tsne(EmbeddingSet([f"u{i:02d}" for i in range(40)],
+                                       ["a"] * 20 + ["b"] * 20, cloud),
                           TsneConfig(perplexity=10.0, seed=1))
         first, second = coords[:20], coords[20:]
         intra = np.mean([np.linalg.norm(c[i] - c[j])
@@ -302,8 +304,8 @@ def test_acceptance_09_pipeline_determinism(capsys, tmp_path):
 def test_acceptance_10_embedding_sanity(mini_corpus, natural_embeddings, capsys):
     _, manifest = mini_corpus
     with criterion(capsys, 10, "same-speaker similarity wins and pipeline eer < 0.25"):
-        vectors = np.stack([e.values for e in natural_embeddings])
-        speakers = np.array([e.speaker_id for e in natural_embeddings])
+        vectors = natural_embeddings.matrix
+        speakers = np.array(natural_embeddings.speaker_ids)
         sims = vectors @ vectors.T
         same = speakers[:, None] == speakers[None, :]
         off_diag = ~np.eye(len(vectors), dtype=bool)

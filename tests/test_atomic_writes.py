@@ -8,7 +8,7 @@ import pytest
 
 from spkraug.audio_io import AudioClip, write_wav
 from spkraug.dataset import Manifest, UtteranceRecord, save_manifest
-from spkraug.embedding import EmbeddingSet, EmbeddingVector, save_embeddings
+from spkraug.embedding import EmbeddingSet, save_embeddings
 from spkraug.metrics import ScoredPair, save_pairs
 from spkraug.spectral import magnitude_spectrogram, write_spectrogram
 from spkraug.tsne import render_scatter_svg, save_coordinates
@@ -16,9 +16,8 @@ from synth import sine
 
 
 def _embeddings(version):
-    return EmbeddingSet.from_entries(
-        [EmbeddingVector(f"u{i}", f"s{i % 2}", np.array([1.0 + i + version, 2.0]))
-         for i in range(4)])
+    return EmbeddingSet([f"u{i}" for i in range(4)], [f"s{i % 2}" for i in range(4)],
+                        [[1.0 + i + version, 2.0] for i in range(4)])
 
 
 def _coords(version):

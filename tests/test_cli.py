@@ -6,12 +6,7 @@ import pytest
 from spkraug.audio_io import read_wav, write_wav
 from spkraug.cli import main
 from spkraug.dataset import Manifest, load_manifest, save_manifest
-from spkraug.embedding import (
-    EmbeddingSet,
-    EmbeddingVector,
-    extract_standin_embedding,
-    save_embeddings,
-)
+from spkraug.embedding import EmbeddingSet, extract_standin_embedding, save_embeddings
 from spkraug.metrics import load_pairs
 from spkraug.spectral import magnitude_spectrogram, write_spectrogram
 from synth import build_corpus, sine
@@ -25,10 +20,11 @@ def cli_env(tmp_path_factory):
                             dur_range=(0.4, 0.7), corpus="cli")
     manifest_path = base / "corpus.jsonl"
     save_manifest(manifest, manifest_path)
-    entries = [extract_standin_embedding(read_wav(r.path), r.utterance_id, r.speaker_id)
-               for r in manifest]
+    embeddings = EmbeddingSet([r.utterance_id for r in manifest], [r.speaker_id for r in manifest],
+                              np.stack([extract_standin_embedding(read_wav(r.path))
+                                        for r in manifest]))
     emb_path = base / "emb.tsv"
-    save_embeddings(EmbeddingSet.from_entries(entries), emb_path)
+    save_embeddings(embeddings, emb_path)
     return {"base": base, "manifest": manifest,
             "manifest_path": str(manifest_path), "emb_path": str(emb_path)}
 
@@ -252,6 +248,39 @@ def test_malformed_manifest_is_one_line_error(capsys, tmp_path):
     assert err.startswith("spkraug embed: error:") and ":2:" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["subset", "--manifest", "{bad}", "--per-speaker", "1", "--output", "{out}"],
+    ["embed", "--manifest", "{bad}", "--output", "{out}"],
+    ["pairs", "--eval", "{manifest}", "--pool", "{bad}", "--output", "{out}"],
+    ["select-best", "--naturals", "{manifest}", "--augmented", "{manifest}",
+     "--embeddings", "{bad}", "--output", "{out}"],
+    ["eval", "cs", "--synth", "{emb}", "--natural", "{bad}"],
+    ["eval", "eer", "--pairs", "{bad}"],
+    ["eval", "wer", "--ref", "{bad}", "--hyp", "{bad}"],
+], ids=["subset", "embed", "pairs", "select-best", "eval-cs", "eval-eer", "eval-wer"])
+def test_non_utf8_input_is_one_line_error(capsys, cli_env, tmp_path, argv):
+    bad = tmp_path / "latin1.txt"
+    bad.write_bytes("caf\u00e9\n".encode("latin-1"))
+    paths = {"bad": bad, "out": tmp_path / "out", "manifest": cli_env["manifest_path"],
+             "emb": cli_env["emb_path"]}
+    rc, report, err = _run(capsys, [a.format(**paths) for a in argv])
+    assert rc == 1
+    assert report is None
+    assert err.count("\n") == 1
+    assert err.startswith(f"spkraug {argv[0]}: error: {bad}: not UTF-8 text")
+
+
+def test_embed_empty_manifest_is_one_line_error(capsys, tmp_path):
+    path = tmp_path / "empty.jsonl"
+    path.write_text('{"corpus":"c","sample_rate":16000}\n')
+    rc, report, err = _run(capsys, ["embed", "--manifest", str(path),
+                                    "--output", str(tmp_path / "emb.tsv")])
+    assert rc == 1
+    assert report is None
+    assert err == f"spkraug embed: error: {path}: no records to embed\n"
+    assert not (tmp_path / "emb.tsv").exists()
+
+
 def _embed_one(capsys, tmp_path, record_line):
     """Run embed over a one-record 16 kHz manifest; returns rc, report, stderr."""
     path = tmp_path / "one.jsonl"
@@ -396,8 +425,7 @@ def test_eval_cs_cli_dimension_mismatch(capsys, tmp_path):
     paths = {}
     for dim in (2, 3):
         paths[dim] = tmp_path / f"emb{dim}.tsv"
-        save_embeddings(EmbeddingSet.from_entries(
-            [EmbeddingVector("u", "s", np.arange(1.0, dim + 1.0))]), paths[dim])
+        save_embeddings(EmbeddingSet(["u"], ["s"], [np.arange(1.0, dim + 1.0)]), paths[dim])
     rc, report, err = _run(capsys, ["eval", "cs", "--synth", str(paths[2]),
                                     "--natural", str(paths[3])])
     assert rc == 1
@@ -409,8 +437,7 @@ def test_eval_cs_cli_non_finite_row_names_path_and_line(capsys, tmp_path):
     bad = tmp_path / "nan.tsv"
     bad.write_text("#dim=2\nu1\ts1\t1.0\tnan\n", encoding="utf-8")
     ok = tmp_path / "ok.tsv"
-    save_embeddings(EmbeddingSet.from_entries(
-        [EmbeddingVector("u1", "s1", np.array([1.0, 0.0]))]), ok)
+    save_embeddings(EmbeddingSet(["u1"], ["s1"], [[1.0, 0.0]]), ok)
     rc, report, err = _run(capsys, ["eval", "cs", "--synth", str(bad), "--natural", str(ok)])
     assert rc == 1
     assert report is None

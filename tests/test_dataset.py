@@ -28,7 +28,7 @@ from spkraug.dataset import (
     select_best_augmented,
     select_subset,
 )
-from spkraug.embedding import EmbeddingSet, EmbeddingVector
+from spkraug.embedding import EmbeddingSet
 from spkraug.errors import (
     InsufficientPoolError,
     InsufficientUtterancesError,
@@ -194,6 +194,12 @@ def test_load_manifest_missing_file(tmp_path):
     '{"corpus":"c","sample_rate":16000}\n{"utterance_id":"u","speaker_id":["s"],"path":"p"}\n',
     '{"corpus":"c","sample_rate":16000}\n'
     '{"utterance_id":"u","speaker_id":"s","path":"p","kind":"psola_dur","parent_id":1}\n',
+    '{"corpus":"c","sample_rate":1e999}\n',  # overflows to an infinite rate
+    pytest.param('{"corpus":"c","sample_rate":16000}\n{"utterance_id":"u","speaker_id":"s",'
+                 '"path":"p","f0_ratio":1' + "0" * 400 + '}\n', id="ratio-overflows-float"),
+    pytest.param("[" * 100000 + "]" * 100000 + "\n", id="header-nested-too-deeply"),
+    pytest.param('{"corpus":"c","sample_rate":16000}\n' + "[" * 100000 + "]" * 100000 + "\n",
+                 id="record-nested-too-deeply"),
 ])
 def test_load_manifest_rejects_malformed(tmp_path, content):
     path = tmp_path / "bad.jsonl"
@@ -204,9 +210,14 @@ def test_load_manifest_rejects_malformed(tmp_path, content):
 
 def test_load_manifest_reports_line_numbers(tmp_path):
     path = tmp_path / "bad.jsonl"
-    path.write_text('{"corpus":"c","sample_rate":16000}\n{"oops": true}\n')
-    with pytest.raises(ManifestError, match=":2"):
-        load_manifest(path)
+    for content, lineno in [
+        ('{"corpus":"c","sample_rate":16000}\n{"oops": true}\n', 2),
+        ('{"corpus":"c","sample_rate":16000}\n\n{"utterance_id":"u","speaker_id":"s","path":"p"}'
+         '\n{"oops": true}\n', 4),  # the blank line 2 still counts
+    ]:
+        path.write_text(content)
+        with pytest.raises(ManifestError, match=f"bad.jsonl:{lineno}:"):
+            load_manifest(path)
 
 
 def test_augmented_only_manifest_loads(tmp_path):
@@ -608,19 +619,13 @@ def _selection_fixture():
         for i in range(3):
             children.append(_augmented(f"{parent}__c{i}", parent, speaker))
     augmented = Manifest(children)
-    entries = [
-        EmbeddingVector("n0", "sp0", np.array([0.0, 0.0])),
-        EmbeddingVector("n1", "sp1", np.array([10.0, 0.0])),
-        # n0's children at distances 1, 2, 3
-        EmbeddingVector("n0__c0", "sp0", np.array([1.0, 0.0])),
-        EmbeddingVector("n0__c1", "sp0", np.array([2.0, 0.0])),
-        EmbeddingVector("n0__c2", "sp0", np.array([3.0, 0.0])),
-        # n1's children at distances 3, 2, 1
-        EmbeddingVector("n1__c0", "sp1", np.array([13.0, 0.0])),
-        EmbeddingVector("n1__c1", "sp1", np.array([12.0, 0.0])),
-        EmbeddingVector("n1__c2", "sp1", np.array([11.0, 0.0])),
-    ]
-    return naturals, augmented, EmbeddingSet.from_entries(entries)
+    embeddings = EmbeddingSet(
+        ["n0", "n1", "n0__c0", "n0__c1", "n0__c2", "n1__c0", "n1__c1", "n1__c2"],
+        ["sp0", "sp1", "sp0", "sp0", "sp0", "sp1", "sp1", "sp1"],
+        # n0's children at distances 1, 2, 3; n1's at distances 3, 2, 1
+        [[0.0, 0.0], [10.0, 0.0], [1.0, 0.0], [2.0, 0.0], [3.0, 0.0],
+         [13.0, 0.0], [12.0, 0.0], [11.0, 0.0]])
+    return naturals, augmented, embeddings
 
 
 def test_select_best_keeps_nearest_children():
@@ -647,8 +652,9 @@ def _with_childless_natural():
     """The selection fixture behind a first natural that has no children."""
     naturals, augmented, embeddings = _selection_fixture()
     lone = _natural("n2", "sp2")
-    entries = [EmbeddingVector("n2", "sp2", np.array([0.0, 5.0])), *embeddings]
-    return (Manifest([lone, *naturals]), augmented, EmbeddingSet.from_entries(entries))
+    embeddings = EmbeddingSet(["n2", *embeddings.ids], ["sp2", *embeddings.speaker_ids],
+                              np.vstack([[0.0, 5.0], embeddings.matrix]))
+    return Manifest([lone, *naturals]), augmented, embeddings
 
 
 def test_select_best_k_zero_keeps_childless_naturals():
@@ -671,7 +677,7 @@ def test_select_best_k_too_large():
 
 def test_select_best_missing_embedding():
     naturals, augmented, embeddings = _selection_fixture()
-    slim = EmbeddingSet.from_entries([e for e in embeddings if e.utterance_id != "n1__c2"])
+    slim = EmbeddingSet(embeddings.ids[:-1], embeddings.speaker_ids[:-1], embeddings.matrix[:-1])
     with pytest.raises(MissingEmbeddingError):
         select_best_augmented(naturals, augmented, slim, k=1)
 

@@ -8,7 +8,6 @@ from spkraug.audio_io import AudioClip
 from spkraug.embedding import (
     STANDIN_DIMENSION,
     EmbeddingSet,
-    EmbeddingVector,
     cosine_similarity,
     euclidean_distance,
     extract_standin_embedding,
@@ -29,104 +28,112 @@ from spkraug.errors import (
 from synth import SPEAKER_RECIPES, SR, speechlike
 
 
-def _vec(uid, *values, speaker="s"):
-    return EmbeddingVector(uid, speaker, np.array(values, dtype=float))
+def _set(rows, speaker="s"):
+    """A set of one speaker from (utterance_id, values) pairs."""
+    return EmbeddingSet([uid for uid, _ in rows], [speaker] * len(rows),
+                        [values for _, values in rows])
 
 
-# -- vector / set types ------------------------------------------------------
+# -- the set type ------------------------------------------------------------
 
 def test_vector_validation():
-    with pytest.raises(DimensionMismatchError):
-        EmbeddingVector("u", "s", np.zeros(0))
-    with pytest.raises(DimensionMismatchError):
-        EmbeddingVector("u", "s", np.zeros((2, 2)))
-    with pytest.raises(ZeroNormError):
-        EmbeddingVector("u", "s", np.array([1.0, np.nan]))
+    ids, speakers = ["u", "v"], ["s", "s"]
+    with pytest.raises(DimensionMismatchError):  # empty vectors
+        EmbeddingSet(ids, speakers, np.zeros((2, 0)))
+    with pytest.raises(DimensionMismatchError):  # rows that are not 1-D
+        EmbeddingSet(ids, speakers, np.zeros((2, 2, 2)))
+    with pytest.raises(DimensionMismatchError):  # one vector, not a matrix of rows
+        EmbeddingSet(["u"], ["s"], np.ones(2))
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ZeroNormError, match="^v: embedding has non-finite values$"):
+            EmbeddingSet(ids, speakers, [[1.0, 0.0], [bad, 1.0]])
 
 
 def test_set_rejects_mixed_dimensions_and_duplicates():
-    with pytest.raises(DimensionMismatchError):
-        EmbeddingSet(2, [_vec("a", 1.0, 0.0), _vec("b", 1.0, 0.0, 0.0)])
+    with pytest.raises(DimensionMismatchError):  # more rows than ids
+        EmbeddingSet(["a", "b"], ["s", "s"], np.ones((3, 2)))
+    with pytest.raises(DimensionMismatchError):  # fewer speakers than rows
+        EmbeddingSet(["a", "b"], ["s"], np.ones((2, 2)))
     with pytest.raises(EmbeddingFileError):
-        EmbeddingSet(2, [_vec("a", 1.0, 0.0), _vec("a", 0.0, 1.0)])
+        EmbeddingSet(["a", "a"], ["s", "s"], np.ones((2, 2)))
 
 
 def test_set_reports_the_first_defective_entry():
-    with pytest.raises(EmbeddingFileError, match="duplicate"):
-        EmbeddingSet(2, [_vec("a", 1.0, 0.0), _vec("a", 0.0, 1.0), _vec("b", 1.0)])
-    with pytest.raises(DimensionMismatchError):
-        EmbeddingSet(2, [_vec("a", 1.0, 0.0), _vec("b", 1.0), _vec("a", 0.0, 1.0)])
+    with pytest.raises(EmbeddingFileError, match="duplicate utterance_id 'a'"):
+        EmbeddingSet(["a", "a", "b"], ["s"] * 3, np.ones((2, 2)))
+    with pytest.raises(EmbeddingFileError, match="duplicate"):  # before non-finite rows
+        EmbeddingSet(["a", "a"], ["s", "s"], [[1.0, np.inf], [1.0, 0.0]])
 
 
 def test_set_lookup_and_speakers():
-    entries = [
-        EmbeddingVector("u1", "alice", np.array([1.0, 0.0])),
-        EmbeddingVector("u2", "bob", np.array([0.0, 1.0])),
-        EmbeddingVector("u3", "alice", np.array([1.0, 1.0])),
-    ]
-    emb = EmbeddingSet.from_entries(entries)
+    values = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    emb = EmbeddingSet(["u1", "u2", "u3"], ["alice", "bob", "alice"], values)
     assert emb.dimension == 2
     assert len(emb) == 3
     assert "u2" in emb
     assert "u9" not in emb
-    assert emb.get("u3").speaker_id == "alice"
     assert emb.speakers() == ["alice", "bob"]
     with pytest.raises(KeyError):
         emb.get("u9")
     assert emb.ids == ["u1", "u2", "u3"]
     assert emb.speaker_ids == ["alice", "bob", "alice"]
     assert emb.matrix.shape == (3, 2)
-    assert np.array_equal(emb.get("u3").values, emb.matrix[2])
-    assert [e.utterance_id for e in emb] == emb.ids
+    assert np.array_equal(emb.get("u3"), emb.matrix[2])
+    assert not emb.matrix.flags.writeable and not emb.get("u3").flags.writeable
+    assert values.flags.writeable  # the caller's array is left as it was
 
 
-def test_from_entries_requires_at_least_one():
-    with pytest.raises(EmbeddingFileError):
-        EmbeddingSet.from_entries([])
+def test_set_may_be_empty():
+    emb = EmbeddingSet([], [], np.empty((0, 3)))
+    assert len(emb) == 0 and emb.dimension == 3
 
 
 # -- similarity / distance ---------------------------------------------------
 
+def _v(*values):
+    return np.array(values, dtype=float)
+
+
 def test_cosine_similarity_examples():
-    a = _vec("a", 1.0, 0.0)
-    assert cosine_similarity(a, _vec("b", 1.0, 0.0)) == pytest.approx(1.0)
-    assert cosine_similarity(a, _vec("c", 0.0, 1.0)) == pytest.approx(0.0)
-    assert cosine_similarity(a, _vec("d", -2.0, 0.0)) == pytest.approx(-1.0)
-    assert cosine_similarity(a, _vec("e", 1.0, 1.0)) == pytest.approx(1 / np.sqrt(2))
+    a = _v(1.0, 0.0)
+    assert cosine_similarity(a, _v(1.0, 0.0)) == pytest.approx(1.0)
+    assert cosine_similarity(a, _v(0.0, 1.0)) == pytest.approx(0.0)
+    assert cosine_similarity(a, _v(-2.0, 0.0)) == pytest.approx(-1.0)
+    assert cosine_similarity(a, _v(1.0, 1.0)) == pytest.approx(1 / np.sqrt(2))
 
 
 def test_cosine_similarity_scale_invariant():
     rng = np.random.default_rng(0)
     x, y = rng.standard_normal(16), rng.standard_normal(16)
-    base = cosine_similarity(_vec("a", *x), _vec("b", *y))
-    scaled = cosine_similarity(_vec("a", *(7.5 * x)), _vec("b", *(0.001 * y)))
+    base = cosine_similarity(x, y)
+    scaled = cosine_similarity(7.5 * x, 0.001 * y)
     assert scaled == pytest.approx(base, abs=1e-12)
 
 
 def test_cosine_similarity_is_clipped():
     v = np.full(64, 0.125)
-    assert cosine_similarity(_vec("a", *v), _vec("b", *v)) <= 1.0
+    assert cosine_similarity(v, v) <= 1.0
 
 
 def test_cosine_similarity_errors():
     with pytest.raises(DimensionMismatchError):
-        cosine_similarity(_vec("a", 1.0, 0.0), _vec("b", 1.0, 0.0, 0.0))
+        cosine_similarity(_v(1.0, 0.0), _v(1.0, 0.0, 0.0))
     with pytest.raises(ZeroNormError):
-        cosine_similarity(_vec("a", 0.0, 0.0), _vec("b", 1.0, 0.0))
+        cosine_similarity(_v(0.0, 0.0), _v(1.0, 0.0))
 
 
 def test_euclidean_distance_examples():
-    assert euclidean_distance(_vec("a", 0.0, 0.0), _vec("b", 3.0, 4.0)) == pytest.approx(5.0)
-    assert euclidean_distance(_vec("a", 1.0, 1.0), _vec("b", 1.0, 1.0)) == 0.0
+    assert euclidean_distance(_v(0.0, 0.0), _v(3.0, 4.0)) == pytest.approx(5.0)
+    assert euclidean_distance(_v(1.0, 1.0), _v(1.0, 1.0)) == 0.0
     with pytest.raises(DimensionMismatchError):
-        euclidean_distance(_vec("a", 1.0), _vec("b", 1.0, 2.0))
+        euclidean_distance(_v(1.0), _v(1.0, 2.0))
 
 
 @given(st.lists(st.floats(-10, 10), min_size=3, max_size=3),
        st.lists(st.floats(-10, 10), min_size=3, max_size=3),
        st.lists(st.floats(-10, 10), min_size=3, max_size=3))
 def test_euclidean_triangle_inequality(xs, ys, zs):
-    a, b, c = _vec("a", *xs), _vec("b", *ys), _vec("c", *zs)
+    a, b, c = _v(*xs), _v(*ys), _v(*zs)
     assert euclidean_distance(a, c) <= (
         euclidean_distance(a, b) + euclidean_distance(b, c) + 1e-9
     )
@@ -135,19 +142,15 @@ def test_euclidean_triangle_inequality(xs, ys, zs):
 # -- nearest neighbours / centroid -------------------------------------------
 
 def test_select_k_nearest_example():
-    query = _vec("q", 0.0, 0.0)
-    cands = EmbeddingSet.from_entries([
-        _vec("far", 5.0, 0.0), _vec("near", 1.0, 0.0), _vec("mid", 3.0, 0.0),
-    ])
-    assert select_k_nearest(query, cands, 2) == ["near", "mid"]
+    cands = _set([("far", [5.0, 0.0]), ("near", [1.0, 0.0]), ("mid", [3.0, 0.0])])
+    assert select_k_nearest(_v(0.0, 0.0), cands, 2) == ["near", "mid"]
 
 
 def test_select_k_nearest_ties_break_by_id():
-    query = _vec("q", 0.0, 0.0)
     points = {"zeta": (1.0, 0.0), "alpha": (0.0, 1.0), "mike": (-1.0, 0.0)}
     for order in (["zeta", "alpha", "mike"], ["zeta", "mike", "alpha"]):  # mixed, reverse id
-        cands = EmbeddingSet.from_entries([_vec(uid, *points[uid]) for uid in order])
-        assert select_k_nearest(query, cands, 2) == ["alpha", "mike"]
+        cands = _set([(uid, points[uid]) for uid in order])
+        assert select_k_nearest(_v(0.0, 0.0), cands, 2) == ["alpha", "mike"]
 
 
 def test_select_k_nearest_matches_oracle():
@@ -155,55 +158,46 @@ def test_select_k_nearest_matches_oracle():
     for _ in range(25):
         n = int(rng.integers(2, 20))
         k = int(rng.integers(0, n + 1))
-        query = _vec("q", *rng.standard_normal(4))
-        entries = [_vec(f"c{i:02d}", *rng.standard_normal(4)) for i in range(n)]
-        got = select_k_nearest(query, EmbeddingSet.from_entries(entries), k)
-        want = knn_oracle(query.values, [(e.utterance_id, e.values) for e in entries], k)
-        assert got == want
+        query = rng.standard_normal(4)
+        rows = [(f"c{i:02d}", rng.standard_normal(4)) for i in range(n)]
+        assert select_k_nearest(query, _set(rows), k) == knn_oracle(query, rows, k)
 
 
 def test_select_k_nearest_order_independent():
     rng = np.random.default_rng(9)
-    entries = [_vec(f"c{i}", *rng.standard_normal(3)) for i in range(8)]
-    query = _vec("q", *rng.standard_normal(3))
-    a = select_k_nearest(query, EmbeddingSet.from_entries(entries), 4)
-    b = select_k_nearest(query, EmbeddingSet.from_entries(entries[::-1]), 4)
-    assert a == b
+    rows = [(f"c{i}", rng.standard_normal(3)) for i in range(8)]
+    query = rng.standard_normal(3)
+    assert select_k_nearest(query, _set(rows), 4) == select_k_nearest(query, _set(rows[::-1]), 4)
 
 
 def test_select_k_nearest_bounds():
-    cands = EmbeddingSet.from_entries([_vec("a", 1.0), _vec("b", 2.0)])
-    assert select_k_nearest(_vec("q", 0.0), cands, 0) == []
+    cands = _set([("a", [1.0]), ("b", [2.0])])
+    assert select_k_nearest(_v(0.0), cands, 0) == []
     with pytest.raises(KTooLargeError):
-        select_k_nearest(_vec("q", 0.0), cands, 3)
+        select_k_nearest(_v(0.0), cands, 3)
     with pytest.raises(KTooLargeError):
-        select_k_nearest(_vec("q", 0.0), cands, -1)
+        select_k_nearest(_v(0.0), cands, -1)
+    with pytest.raises(DimensionMismatchError):
+        select_k_nearest(_v(0.0, 0.0), cands, 1)
 
 
 def test_speaker_centroid_example():
-    emb = EmbeddingSet.from_entries([
-        EmbeddingVector("u1", "sp", np.array([1.0, 0.0])),
-        EmbeddingVector("u2", "sp", np.array([0.0, 1.0])),
-        EmbeddingVector("u3", "other", np.array([9.0, 9.0])),
-    ])
-    c = speaker_centroid(emb, "sp")
-    assert c.speaker_id == "sp"
-    assert c.utterance_id == "centroid:sp"
-    np.testing.assert_allclose(c.values, [0.5, 0.5])
+    emb = EmbeddingSet(["u1", "u2", "u3"], ["sp", "sp", "other"],
+                       [[1.0, 0.0], [0.0, 1.0], [9.0, 9.0]])
+    np.testing.assert_allclose(speaker_centroid(emb, "sp"), [0.5, 0.5])
 
 
 def test_speaker_centroid_matches_oracle():
     rng = np.random.default_rng(5)
-    entries = [EmbeddingVector(f"u{i}", "sp", rng.standard_normal(6)) for i in range(11)]
-    emb = EmbeddingSet.from_entries(entries)
-    want = centroid_oracle([e.values for e in entries])
-    np.testing.assert_allclose(speaker_centroid(emb, "sp").values, want, atol=1e-12)
+    values = rng.standard_normal((11, 6))
+    emb = EmbeddingSet([f"u{i}" for i in range(11)], ["sp"] * 11, values)
+    np.testing.assert_allclose(speaker_centroid(emb, "sp"), centroid_oracle(list(values)),
+                               atol=1e-12)
 
 
 def test_speaker_centroid_unknown_speaker():
-    emb = EmbeddingSet.from_entries([_vec("a", 1.0)])
     with pytest.raises(UnknownSpeakerError):
-        speaker_centroid(emb, "ghost")
+        speaker_centroid(_set([("a", [1.0])]), "ghost")
 
 
 # -- stand-in extractor ------------------------------------------------------
@@ -231,11 +225,9 @@ def _clip_for(recipe_index, seed=0, dur=1.0):
 
 
 def test_standin_dimension_and_norm():
-    emb = extract_standin_embedding(_clip_for(0), "u0", "spk0")
-    assert emb.utterance_id == "u0"
-    assert emb.speaker_id == "spk0"
-    assert emb.dimension == STANDIN_DIMENSION
-    assert np.linalg.norm(emb.values) == pytest.approx(1.0, abs=1e-12)
+    emb = extract_standin_embedding(_clip_for(0))
+    assert emb.shape == (STANDIN_DIMENSION,)
+    assert np.linalg.norm(emb) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_standin_gain_invariant():
@@ -251,7 +243,7 @@ def test_standin_deterministic():
     clip = _clip_for(2)
     a = extract_standin_embedding(clip)
     b = extract_standin_embedding(clip)
-    assert np.array_equal(a.values, b.values)
+    assert np.array_equal(a, b)
 
 
 def test_standin_minimum_duration():
@@ -286,18 +278,15 @@ def test_standin_separates_synthetic_speakers():
 
 def test_embeddings_file_roundtrip(tmp_path):
     rng = np.random.default_rng(3)
-    entries = [EmbeddingVector(f"u{i}", f"s{i % 2}", rng.standard_normal(5))
-               for i in range(4)]
-    emb = EmbeddingSet.from_entries(entries)
+    emb = EmbeddingSet([f"u{i}" for i in range(4)], [f"s{i % 2}" for i in range(4)],
+                       rng.standard_normal((4, 5)))
     path = tmp_path / "emb.tsv"
     save_embeddings(emb, path)
     back = load_embeddings(path)
     assert back.dimension == 5
-    assert [e.utterance_id for e in back] == [e.utterance_id for e in emb]
-    for e in emb:
-        got = back.get(e.utterance_id)
-        assert got.speaker_id == e.speaker_id
-        assert np.array_equal(got.values, e.values)  # repr() round-trips floats
+    assert back.ids == emb.ids
+    assert back.speaker_ids == emb.speaker_ids
+    assert np.array_equal(back.matrix, emb.matrix)  # repr() round-trips floats
 
 
 def test_load_embeddings_missing_file(tmp_path):
@@ -421,4 +410,4 @@ def test_load_embeddings_matrix_is_read_only(tmp_path):
     path.write_text("#dim=2\nu1\ts1\t1.0\t0.0\n\nu2\ts2\t0.0\t1.0\n\n")
     emb = load_embeddings(path)
     assert emb.matrix.shape == (2, 2) and not emb.matrix.flags.writeable
-    assert emb.get("u2").speaker_id == "s2"
+    assert emb.speaker_ids == ["s1", "s2"] and not emb.get("u2").flags.writeable

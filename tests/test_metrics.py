@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import eer_sweep_oracle, wer_table_oracle, wer_tuple_loop_oracle
-from spkraug.embedding import EmbeddingSet, EmbeddingVector, cosine_similarity
+from spkraug.embedding import EmbeddingSet, cosine_similarity
 from spkraug.errors import (
     DimensionMismatchError,
     EmptyReferenceError,
@@ -32,8 +32,9 @@ from spkraug.metrics import (
 )
 
 
-def _vec(uid, speaker, *values):
-    return EmbeddingVector(uid, speaker, np.array(values, dtype=float))
+def _set(*rows):
+    """A set from (utterance_id, speaker_id, values) rows."""
+    return EmbeddingSet([r[0] for r in rows], [r[1] for r in rows], [r[2] for r in rows])
 
 
 def _pairs(genuine, impostor):
@@ -79,36 +80,37 @@ def test_loss_weights_validation():
 # -- cosine-similarity loss --------------------------------------------------
 
 def test_batch_cs_loss_examples():
-    a = [_vec("a", "s", 1.0, 0.0)]
-    assert batch_cs_loss(a, [_vec("b", "s", 2.0, 0.0)]) == pytest.approx(0.0)
-    assert batch_cs_loss(a, [_vec("b", "s", 0.0, 1.0)]) == pytest.approx(1.0)
-    assert batch_cs_loss(a, [_vec("b", "s", -1.0, 0.0)]) == pytest.approx(2.0)
+    a = _set(("a", "s", [1.0, 0.0]))
+    assert batch_cs_loss(a, _set(("b", "s", [2.0, 0.0]))) == pytest.approx(0.0)
+    assert batch_cs_loss(a, _set(("b", "s", [0.0, 1.0]))) == pytest.approx(1.0)
+    assert batch_cs_loss(a, _set(("b", "s", [-1.0, 0.0]))) == pytest.approx(2.0)
 
 
 def test_batch_cs_loss_averages():
-    synth = [_vec("a", "s", 1.0, 0.0), _vec("b", "s", 1.0, 0.0)]
-    natural = [_vec("c", "s", 1.0, 0.0), _vec("d", "s", 0.0, 1.0)]
+    synth = _set(("a", "s", [1.0, 0.0]), ("b", "s", [1.0, 0.0]))
+    natural = _set(("c", "s", [1.0, 0.0]), ("d", "s", [0.0, 1.0]))
     assert batch_cs_loss(synth, natural) == pytest.approx(0.5)
 
 
 def test_batch_cs_loss_range():
     rng = np.random.default_rng(1)
-    synth = [_vec(f"s{i}", "x", *rng.standard_normal(8)) for i in range(20)]
-    natural = [_vec(f"n{i}", "x", *rng.standard_normal(8)) for i in range(20)]
+    synth = _set(*[(f"s{i}", "x", rng.standard_normal(8)) for i in range(20)])
+    natural = _set(*[(f"n{i}", "x", rng.standard_normal(8)) for i in range(20)])
     assert 0.0 <= batch_cs_loss(synth, natural) <= 2.0
 
 
 def test_batch_cs_loss_length_mismatch():
-    a = [_vec("a", "s", 1.0)]
+    a = _set(("a", "s", [1.0]))
     with pytest.raises(LengthMismatchError):
-        batch_cs_loss(a, a + a)
+        batch_cs_loss(a, _set(("a", "s", [1.0]), ("b", "s", [1.0])))
+    empty = EmbeddingSet([], [], np.empty((0, 1)))
     with pytest.raises(LengthMismatchError):
-        batch_cs_loss([], [])
+        batch_cs_loss(empty, empty)
 
 
 def test_batch_cs_loss_dimension_mismatch():
     with pytest.raises(DimensionMismatchError):
-        batch_cs_loss([_vec("a", "s", 1.0, 0.0)], [_vec("b", "s", 1.0, 0.0, 0.0)])
+        batch_cs_loss(_set(("a", "s", [1.0, 0.0])), _set(("b", "s", [1.0, 0.0, 0.0])))
 
 
 def _cosine_reference(a, b):
@@ -119,16 +121,15 @@ def _cosine_reference(a, b):
 @pytest.mark.parametrize("dim", [64, 160])
 def test_batched_cosine_scores_equal_per_pair_exactly(dim):
     rng = np.random.default_rng(dim)
-    emb = EmbeddingSet.from_entries([
-        EmbeddingVector(f"u{i}", f"s{i % 3}", rng.standard_normal(dim)) for i in range(200)
-    ])
+    ids = [f"u{i}" for i in range(200)]
+    emb = EmbeddingSet(ids, [f"s{i % 3}" for i in range(200)], rng.standard_normal((200, dim)))
     pairs = [ScoredPair(f"u{i}", f"u{j}", False) for i, j in rng.integers(200, size=(500, 2))]
-    want = [_cosine_reference(emb.get(p.enroll_id).values, emb.get(p.test_id).values)
-            for p in pairs]
+    want = [_cosine_reference(emb.get(p.enroll_id), emb.get(p.test_id)) for p in pairs]
     assert [cosine_similarity(emb.get(p.enroll_id), emb.get(p.test_id)) for p in pairs] == want
     assert [p.score for p in score_pairs(pairs, emb)] == want
-    synth, natural = list(emb)[:100], list(emb)[100:]
-    sims = [_cosine_reference(s.values, n.values) for s, n in zip(synth, natural)]
+    synth = EmbeddingSet(ids[:100], emb.speaker_ids[:100], emb.matrix[:100])
+    natural = EmbeddingSet(ids[100:], emb.speaker_ids[100:], emb.matrix[100:])
+    sims = [_cosine_reference(s, n) for s, n in zip(synth.matrix, natural.matrix)]
     assert batch_cs_loss(synth, natural) == float(1.0 - np.mean(sims))
 
 
@@ -206,31 +207,26 @@ def test_scored_pair_rejects_nonfinite_score():
 
 def _reference_pool(rng, speakers=3, per_speaker=6, dim=8, spread=0.1):
     centers = {f"s{k}": rng.standard_normal(dim) for k in range(speakers)}
-    entries = []
+    rows = []
     for sp, center in centers.items():
         for i in range(per_speaker):
-            entries.append(EmbeddingVector(f"{sp}_ref{i}", sp,
-                                           center + spread * rng.standard_normal(dim)))
-    return centers, EmbeddingSet.from_entries(entries)
+            rows.append((f"{sp}_ref{i}", sp, center + spread * rng.standard_normal(dim)))
+    return centers, _set(*rows)
 
 
 def test_eer_loss_separable_pool_is_zero():
     rng = np.random.default_rng(7)
     centers, pool = _reference_pool(rng, spread=0.01)
-    synth = EmbeddingSet.from_entries([
-        EmbeddingVector(f"{sp}_syn", sp, center + 0.01 * rng.standard_normal(8))
-        for sp, center in centers.items()
-    ])
+    synth = _set(*[(f"{sp}_syn", sp, center + 0.01 * rng.standard_normal(8))
+                   for sp, center in centers.items()])
     assert eer_loss(synth, pool, per_utterance_refs=2, seed=0) == pytest.approx(0.0)
 
 
 def test_eer_loss_deterministic_per_seed():
     rng = np.random.default_rng(8)
     centers, pool = _reference_pool(rng, spread=1.5)
-    synth = EmbeddingSet.from_entries([
-        EmbeddingVector(f"{sp}_syn{i}", sp, rng.standard_normal(8))
-        for sp in centers for i in range(4)
-    ])
+    synth = _set(*[(f"{sp}_syn{i}", sp, rng.standard_normal(8))
+                   for sp in centers for i in range(4)])
     a = eer_loss(synth, pool, per_utterance_refs=2, seed=5)
     b = eer_loss(synth, pool, per_utterance_refs=2, seed=5)
     assert a == b
@@ -240,12 +236,12 @@ def test_eer_loss_deterministic_per_seed():
 def test_eer_loss_insufficient_references():
     rng = np.random.default_rng(9)
     _, pool = _reference_pool(rng, speakers=2, per_speaker=2)
-    synth = EmbeddingSet.from_entries([EmbeddingVector("x", "s0", rng.standard_normal(8))])
+    synth = _set(("x", "s0", rng.standard_normal(8)))
     with pytest.raises(InsufficientReferencesError):
         eer_loss(synth, pool, per_utterance_refs=3)
     with pytest.raises(InsufficientReferencesError):
         eer_loss(synth, pool, per_utterance_refs=0)
-    lonely = EmbeddingSet.from_entries([EmbeddingVector("y", "ghost", rng.standard_normal(8))])
+    lonely = _set(("y", "ghost", rng.standard_normal(8)))
     with pytest.raises(InsufficientReferencesError):
         eer_loss(lonely, pool)
 
@@ -374,10 +370,7 @@ def test_load_pairs_rejects_malformed(tmp_path, content):
 
 
 def test_score_pairs_fills_only_missing():
-    emb = EmbeddingSet.from_entries([
-        _vec("a", "s", 1.0, 0.0),
-        _vec("b", "s", 0.0, 1.0),
-    ])
+    emb = _set(("a", "s", [1.0, 0.0]), ("b", "s", [0.0, 1.0]))
     pairs = [ScoredPair("a", "b", True), ScoredPair("a", "b", True, 0.9)]
     scored = score_pairs(pairs, emb)
     assert scored[0].score == pytest.approx(0.0)
@@ -385,6 +378,6 @@ def test_score_pairs_fills_only_missing():
 
 
 def test_score_pairs_missing_embedding():
-    emb = EmbeddingSet.from_entries([_vec("a", "s", 1.0, 0.0)])
+    emb = _set(("a", "s", [1.0, 0.0]))
     with pytest.raises(MissingEmbeddingError):
         score_pairs([ScoredPair("a", "ghost", True)], emb)

@@ -5,7 +5,7 @@ import pytest
 from scipy.spatial.distance import pdist, squareform
 
 from oracles import finite_difference_gradient, kl_gradient_oracle, kl_objective_oracle
-from spkraug.embedding import EmbeddingSet, EmbeddingVector
+from spkraug.embedding import EmbeddingSet
 from spkraug.errors import (
     DimensionMismatchError,
     InvalidParamsError,
@@ -37,14 +37,14 @@ def _dist_sq(points):
 
 
 def _embedding_clusters(rng, n_clusters=2, per_cluster=10, dim=6, spread=0.05):
-    entries = []
+    ids, speakers, rows = [], [], []
     for c in range(n_clusters):
         center = 5.0 * rng.standard_normal(dim)
         for i in range(per_cluster):
-            entries.append(EmbeddingVector(
-                f"c{c}_{i:02d}", f"spk{c}", center + spread * rng.standard_normal(dim)
-            ))
-    return EmbeddingSet.from_entries(entries)
+            ids.append(f"c{c}_{i:02d}")
+            speakers.append(f"spk{c}")
+            rows.append(center + spread * rng.standard_normal(dim))
+    return EmbeddingSet(ids, speakers, rows)
 
 
 # -- config ------------------------------------------------------------------
@@ -255,8 +255,7 @@ def test_run_tsne_output_shape_and_centering():
 def test_run_tsne_reduces_kl():
     rng = np.random.default_rng(10)
     emb = _embedding_clusters(rng, spread=0.5)
-    X = np.stack([e.values for e in emb])
-    P = conditional_probabilities(_dist_sq(X), 4.0)
+    P = conditional_probabilities(_dist_sq(emb.matrix), 4.0)
     cfg = TsneConfig(perplexity=4.0, iterations=300)
     init = rng_for(cfg.seed, "tsne.init").normal(0.0, 1e-4, size=(len(emb), 2))
     init -= init.mean(axis=0)
@@ -288,15 +287,14 @@ def test_run_tsne_callback_sees_every_iteration():
 
 def test_run_tsne_too_few_points():
     rng = np.random.default_rng(13)
-    entries = [EmbeddingVector(f"u{i}", "s", rng.standard_normal(4)) for i in range(3)]
+    emb = EmbeddingSet([f"u{i}" for i in range(3)], ["s"] * 3, rng.standard_normal((3, 4)))
     with pytest.raises(TooFewPointsError):
-        run_tsne(EmbeddingSet.from_entries(entries), TsneConfig(perplexity=2.0))
+        run_tsne(emb, TsneConfig(perplexity=2.0))
 
 
 def test_run_tsne_perplexity_guard():
     rng = np.random.default_rng(14)
-    entries = [EmbeddingVector(f"u{i}", "s", rng.standard_normal(4)) for i in range(10)]
-    emb = EmbeddingSet.from_entries(entries)
+    emb = EmbeddingSet([f"u{i}" for i in range(10)], ["s"] * 10, rng.standard_normal((10, 4)))
     with pytest.raises(PerplexityTooLargeError):
         run_tsne(emb, TsneConfig(perplexity=3.0))  # needs < (10-1)/3
     run_tsne(emb, TsneConfig(perplexity=2.9, iterations=2))
@@ -312,10 +310,10 @@ def test_save_coordinates_format(tmp_path):
     save_coordinates(emb, coords, path)
     lines = path.read_text().splitlines()
     assert len(lines) == len(emb)
-    for e, row, line in zip(emb, coords, lines):
+    for want_uid, want_speaker, row, line in zip(emb.ids, emb.speaker_ids, coords, lines):
         uid, speaker, x, y = line.split("\t")
-        assert uid == e.utterance_id
-        assert speaker == e.speaker_id
+        assert uid == want_uid
+        assert speaker == want_speaker
         assert float(x) == row[0]
         assert float(y) == row[1]
 
@@ -341,8 +339,8 @@ def test_render_svg_deterministic_with_point_per_utterance(tmp_path):
     assert svg.count("<circle") == len(emb) + 3
     for speaker in ("spk0", "spk1", "spk2"):
         assert speaker in svg
-    for e in emb:
-        assert f"<title>{e.utterance_id}</title>" in svg
+    for uid in emb.ids:
+        assert f"<title>{uid}</title>" in svg
 
 
 def test_render_svg_requires_2d(tmp_path):
