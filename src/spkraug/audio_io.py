@@ -17,7 +17,6 @@ from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
-from scipy.signal import upfirdn
 
 from .errors import (
     CorruptHeaderError,
@@ -184,6 +183,10 @@ def _polyphase_resample(x: np.ndarray, up: int, down: int, out_len: int) -> np.n
         return np.zeros(0, dtype=np.float64)
     if up == down:  # then out_len == len(x)
         return x[:out_len].copy()
+    # imported here: scipy.signal takes ~1 s to load, and only the
+    # speed-change and resample paths need it
+    from scipy.signal import upfirdn
+
     taps, center = _design_lowpass(up, down)
     lead = (-center) % down  # shift so the filter delay lands on the output grid
     taps = np.concatenate([np.zeros(lead), taps])

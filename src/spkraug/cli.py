@@ -40,7 +40,7 @@ class _Parser(argparse.ArgumentParser):
 def _command(sub, name: str, handler, help: str) -> _Parser:
     """Add subcommand `name`; main() prints the report dict handler(args)
     returns and exits 2 if it lists failures, else 0."""
-    p = sub.add_parser(name, help=help)
+    p = sub.add_parser(name, help=help, description=help)
     p.set_defaults(handler=handler)
     return p
 
@@ -88,7 +88,9 @@ def _build_parser() -> _Parser:
     e = _command(ev, "eer", _cmd_eval_eer, "equal error rate over a scored pair list")
     e.add_argument("--pairs", required=True)
     e.add_argument("--embeddings", help="used to score pairs lacking a score column")
-    e = _command(ev, "cs", _cmd_eval_cs, "cosine-similarity loss between aligned embedding files")
+    e = _command(ev, "cs", _cmd_eval_cs,
+                 "cosine-similarity loss: row i of --synth is scored against row i of "
+                 "--natural; ids are not compared")
     e.add_argument("--synth", required=True)
     e.add_argument("--natural", required=True)
     e = _command(ev, "wer", _cmd_eval_wer, "word error rate between transcripts")

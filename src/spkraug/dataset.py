@@ -13,13 +13,14 @@ from itertools import groupby
 from pathlib import Path
 from typing import NamedTuple
 
-from .audio_io import (DEFAULT_SAMPLE_RATE, _read_text, _replacing, read_wav, read_wav_header,
-                       speed_change, speed_change_length, write_wav)
+from .audio_io import (DEFAULT_SAMPLE_RATE, _check_rate, _read_text, _replacing, read_wav,
+                       read_wav_header, speed_change, speed_change_length, write_wav)
 from .embedding import EmbeddingSet, _first_seen, select_k_nearest
 from .errors import (
     InsufficientPoolError,
     InsufficientUtterancesError,
     InvalidParamsError,
+    InvalidRateError,
     KTooLargeError,
     ManifestError,
     MissingEmbeddingError,
@@ -148,13 +149,10 @@ def load_manifest(path) -> Manifest:
     lineno, line = lines[0]
     try:
         meta = json.loads(line)
-        corpus, sample_rate = meta["corpus"], meta["sample_rate"]
-        if isinstance(sample_rate, bool):
-            raise TypeError
-        sample_rate = int(sample_rate)
-    except (json.JSONDecodeError, RecursionError) as exc:
+        corpus, sample_rate = meta["corpus"], _check_rate(meta["sample_rate"])
+    except (json.JSONDecodeError, RecursionError, InvalidRateError) as exc:
         raise ManifestError(f"{path}:{lineno}: {exc}") from None
-    except (KeyError, TypeError, ValueError, OverflowError):
+    except (KeyError, TypeError):
         raise ManifestError(
             f"{path}:{lineno}: header must carry corpus and an integer sample_rate"
         ) from None

@@ -76,7 +76,12 @@ def combined_loss(terms: LossTerms, weights: LossWeights) -> float:
 
 
 def batch_cs_loss(synth: EmbeddingSet, natural: EmbeddingSet) -> float:
-    """1 - mean cosine similarity over aligned rows; 0 when identical."""
+    """1 - mean cosine similarity over aligned rows; 0 when identical.
+
+    Rows are paired by position: row i of synth is scored against row i of
+    natural, and ids are not compared, so a synthesised set may carry its
+    own ids (e.g. child ids against their natural parents' ids).
+    """
     if len(synth) != len(natural) or len(synth) == 0:
         raise LengthMismatchError(
             f"need equal non-empty batches, got {len(synth)} vs {len(natural)}"

@@ -52,6 +52,8 @@ class Spectrogram:
             raise InvalidParamsError(
                 f"magnitudes must be frames x {self.fft_size // 2 + 1}, got {self.magnitudes.shape}"
             )
+        if self.n_frames == 0:
+            raise InvalidParamsError("spectrogram has no frames")
         if not np.all(np.isfinite(self.magnitudes)) or np.any(self.magnitudes < 0):
             raise InvalidParamsError("magnitudes must be finite and non-negative")
 

@@ -8,7 +8,6 @@ gradients buy nothing and cost determinism.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import pdist, squareform
 
 from .audio_io import _replacing
 from .embedding import EmbeddingSet, _tsv_rows
@@ -122,8 +121,16 @@ def conditional_probabilities(distances_sq: np.ndarray, perplexity: float) -> np
     return (cond + cond.T) / (2.0 * cond.shape[0])
 
 
+def _squared_distances(X: np.ndarray) -> np.ndarray:
+    """Full (n, n) matrix of squared Euclidean distances between rows."""
+    # imported here so that only the t-SNE command loads scipy.spatial
+    from scipy.spatial.distance import pdist, squareform
+
+    return squareform(pdist(X, "sqeuclidean"))
+
+
 def _student_t_weights(Y: np.ndarray) -> np.ndarray:
-    W = squareform(pdist(Y, "sqeuclidean"))
+    W = _squared_distances(Y)
     W += 1.0
     np.reciprocal(W, out=W)
     np.fill_diagonal(W, 0.0)
@@ -173,7 +180,7 @@ def run_tsne(embeddings: EmbeddingSet, config: TsneConfig = TsneConfig(),
             f"perplexity {config.perplexity} too large for {n} points "
             f"(needs perplexity < {(n - 1) / 3:.2f})"
         )
-    d2 = squareform(pdist(embeddings.matrix, "sqeuclidean"))
+    d2 = _squared_distances(embeddings.matrix)
     P = conditional_probabilities(d2, config.perplexity)
 
     rng = rng_for(config.seed, "tsne.init")

@@ -1,4 +1,5 @@
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -421,6 +422,16 @@ def test_eval_cs_cli(capsys, cli_env):
     assert report["pairs"] == 12
 
 
+def test_eval_cs_cli_pairs_rows_by_position_not_id(capsys, tmp_path):
+    a, b = tmp_path / "a.tsv", tmp_path / "b.tsv"
+    save_embeddings(EmbeddingSet(["u1", "u2"], ["s", "s"], [[1.0, 0.0], [0.0, 1.0]]), a)
+    save_embeddings(EmbeddingSet(["u2", "u1"], ["s", "s"], [[0.0, 1.0], [1.0, 0.0]]), b)
+    rc, report, _ = _run(capsys, ["eval", "cs", "--synth", str(a), "--natural", str(b)])
+    assert rc == 0
+    assert report["mean_cs"] == 0.0
+    assert report["cs_loss"] == 1.0
+
+
 def test_eval_cs_cli_dimension_mismatch(capsys, tmp_path):
     paths = {}
     for dim in (2, 3):
@@ -479,3 +490,15 @@ def test_vocode_cli(capsys, tmp_path):
     assert len(clip) == report["samples"]
     assert report["final_error"] < 0.5
     assert np.max(np.abs(clip.samples)) <= 1.0
+
+
+def test_vocode_cli_rejects_zero_frame_spectrogram(capsys, tmp_path):
+    spec_path = tmp_path / "empty.spg"
+    spec_path.write_bytes(b"SPG1" + struct.pack("<6I", 0, 1025, 2048, 200, 800, 16000))
+    out = tmp_path / "voc.wav"
+    rc, report, err = _run(capsys, ["vocode", "--spectrogram", str(spec_path),
+                                    "--output", str(out)])
+    assert rc == 1
+    assert report is None
+    assert err == "spkraug vocode: error: spectrogram has no frames\n"
+    assert not out.exists()

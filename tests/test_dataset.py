@@ -195,6 +195,8 @@ def test_load_manifest_missing_file(tmp_path):
     '{"corpus":"c","sample_rate":16000}\n'
     '{"utterance_id":"u","speaker_id":"s","path":"p","kind":"psola_dur","parent_id":1}\n',
     '{"corpus":"c","sample_rate":1e999}\n',  # overflows to an infinite rate
+    '{"corpus":"c","sample_rate":5}\n',  # an integer below MIN_SAMPLE_RATE
+    '{"corpus":"c","sample_rate":16000.5}\n',  # not an integer, not truncated
     pytest.param('{"corpus":"c","sample_rate":16000}\n{"utterance_id":"u","speaker_id":"s",'
                  '"path":"p","f0_ratio":1' + "0" * 400 + '}\n', id="ratio-overflows-float"),
     pytest.param("[" * 100000 + "]" * 100000 + "\n", id="header-nested-too-deeply"),
@@ -211,6 +213,7 @@ def test_load_manifest_rejects_malformed(tmp_path, content):
 def test_load_manifest_reports_line_numbers(tmp_path):
     path = tmp_path / "bad.jsonl"
     for content, lineno in [
+        ('{"corpus":"c","sample_rate":5}\n', 1),
         ('{"corpus":"c","sample_rate":16000}\n{"oops": true}\n', 2),
         ('{"corpus":"c","sample_rate":16000}\n\n{"utterance_id":"u","speaker_id":"s","path":"p"}'
          '\n{"oops": true}\n', 4),  # the blank line 2 still counts

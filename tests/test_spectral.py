@@ -160,6 +160,8 @@ def test_spectrogram_rejects_wrong_shape():
         Spectrogram(np.ones((3, 256)), 100, 400, 512, SR)
     with pytest.raises(InvalidParamsError):
         Spectrogram(np.ones(257), 100, 400, 512, SR)
+    with pytest.raises(InvalidParamsError, match="no frames"):
+        Spectrogram(np.ones((0, 257)), 100, 400, 512, SR)
 
 
 def test_spectrogram_rejects_bad_rate():
