@@ -40,7 +40,7 @@ from .metrics import (
     tokenize_transcript,
     word_error_rate,
 )
-from .psola import PitchMarks, PitchTrack, estimate_f0, place_pitch_marks, psola_modify
+from .psola import estimate_f0, place_pitch_marks, psola_modify
 from .spectral import (
     Spectrogram,
     griffin_lim,
@@ -58,7 +58,7 @@ __all__ = [
     "AudioClip", "read_wav", "write_wav", "resample", "speed_change",
     "Spectrogram", "stft", "istft", "magnitude_spectrogram", "griffin_lim",
     "read_spectrogram", "write_spectrogram",
-    "PitchTrack", "PitchMarks", "estimate_f0", "place_pitch_marks", "psola_modify",
+    "estimate_f0", "place_pitch_marks", "psola_modify",
     "EmbeddingSet", "cosine_similarity", "euclidean_distance",
     "select_k_nearest", "speaker_centroid", "extract_standin_embedding",
     "load_embeddings", "save_embeddings",

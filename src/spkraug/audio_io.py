@@ -30,6 +30,9 @@ from .errors import (
 DEFAULT_SAMPLE_RATE = 16000
 MIN_SAMPLE_RATE = 8000
 MAX_SAMPLE_RATE = 192000
+# bounds of every duration, F0 and speed ratio: speed changes, PSOLA and manifests
+MIN_RATIO = 0.5
+MAX_RATIO = 2.0
 
 # Kaiser-windowed sinc resampler: 32 taps per polyphase branch, cutoff at
 # 0.95x the Nyquist of the lower rate. beta 8.6 gives ~80 dB stopband.
@@ -67,6 +70,14 @@ def _check_rate(rate) -> int:
     if not isinstance(rate, (int, np.integer)) or not (MIN_SAMPLE_RATE <= rate <= MAX_SAMPLE_RATE):
         raise InvalidRateError(f"sample rate must be an integer in [{MIN_SAMPLE_RATE}, {MAX_SAMPLE_RATE}], got {rate!r}")
     return int(rate)
+
+
+def _check_ratio(name: str, value) -> float:
+    """value as a float, when it is a real number (not a bool) in [MIN_RATIO, MAX_RATIO]."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating))
+            or not (MIN_RATIO <= value <= MAX_RATIO)):
+        raise InvalidRatioError(f"{name} must lie in [{MIN_RATIO}, {MAX_RATIO}], got {value!r}")
+    return float(value)
 
 
 @dataclass
@@ -221,9 +232,7 @@ def speed_change(clip: AudioClip, ratio: float) -> AudioClip:
 
 def _speed_geometry(n_samples: int, ratio: float) -> tuple[int, int, int]:
     """speed_change's (up, down, output length) for an n_samples clip."""
-    if not np.isfinite(ratio) or not (0.5 <= ratio <= 2.0):
-        raise InvalidRatioError(f"speed ratio must be in [0.5, 2.0], got {ratio!r}")
-    frac = Fraction(float(ratio)).limit_denominator(10000)
+    frac = Fraction(_check_ratio("speed ratio", ratio)).limit_denominator(10000)
     up, down = frac.denominator, frac.numerator
     return up, down, round(n_samples * up / down)
 

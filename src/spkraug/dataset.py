@@ -13,14 +13,15 @@ from itertools import groupby
 from pathlib import Path
 from typing import NamedTuple
 
-from .audio_io import (DEFAULT_SAMPLE_RATE, _check_rate, _read_text, _replacing, read_wav,
-                       read_wav_header, speed_change, speed_change_length, write_wav)
+from .audio_io import (DEFAULT_SAMPLE_RATE, _check_rate, _check_ratio, _read_text, _replacing,
+                       read_wav, read_wav_header, speed_change, speed_change_length, write_wav)
 from .embedding import EmbeddingSet, _first_seen, select_k_nearest
 from .errors import (
     InsufficientPoolError,
     InsufficientUtterancesError,
     InvalidParamsError,
     InvalidRateError,
+    InvalidRatioError,
     KTooLargeError,
     ManifestError,
     MissingEmbeddingError,
@@ -43,8 +44,9 @@ SPEED_RATIOS = (0.95, 0.975, 1.025, 1.05)
 PSOLA_DUR_RATIOS = (0.85, 0.90, 0.95, 1.05, 1.10, 1.15, 1.20)
 PSOLA_F0_RATIOS = (0.70, 0.80, 0.90, 1.05, 1.10, 1.20, 1.50)
 PSOLA_MIX_JOBS = ((1.3, 1.0), (0.8, 1.0), (1.0, 0.8), (1.0, 1.2))
-# recipe -> (output kind, one (duration_ratio, f0_ratio) pair per job); speed
-# changes store their ratio in both fields, since they move duration and F0 together
+# recipe -> (output kind, one (duration_ratio, f0_ratio) pair per job). A speed
+# change by r stores r in both fields: its output lasts about n / r samples (not
+# n * r, as a PSOLA duration_ratio would mean) and its F0 is multiplied by r
 RECIPE_JOBS = {
     "up_down": (RESAMPLED, tuple((s, s) for s in SPEED_RATIOS)),
     "psola_dur": (PSOLA_DUR, tuple((d, 1.0) for d in PSOLA_DUR_RATIOS)),
@@ -67,6 +69,13 @@ class UtteranceRecord:
     parent_id: str = None
 
     def __post_init__(self):
+        for key in ("utterance_id", "speaker_id", "path", "parent_id"):
+            value = getattr(self, key)
+            if not (isinstance(value, str) or (key == "parent_id" and value is None)):
+                raise ManifestError(f"{key} must be a string, got {value!r}")
+        for key in ("duration_ratio", "f0_ratio"):
+            # frozen: set the checked float through object.__setattr__
+            object.__setattr__(self, key, _check_ratio(key, getattr(self, key)))
         if self.kind not in KINDS:
             raise ManifestError(f"{self.utterance_id}: unknown kind {self.kind!r}")
         is_natural = self.kind == NATURAL
@@ -150,7 +159,9 @@ def load_manifest(path) -> Manifest:
     try:
         meta = json.loads(line)
         corpus, sample_rate = meta["corpus"], _check_rate(meta["sample_rate"])
-    except (json.JSONDecodeError, RecursionError, InvalidRateError) as exc:
+        if not isinstance(corpus, str):
+            raise ManifestError(f"corpus must be a string, got {corpus!r}")
+    except (json.JSONDecodeError, RecursionError, InvalidRateError, ManifestError) as exc:
         raise ManifestError(f"{path}:{lineno}: {exc}") from None
     except (KeyError, TypeError):
         raise ManifestError(
@@ -162,20 +173,16 @@ def load_manifest(path) -> Manifest:
             obj = json.loads(line)
             if not isinstance(obj, dict):
                 raise ManifestError("record must be a JSON object")
-            names = {key: obj[key] for key in ("utterance_id", "speaker_id", "path")}
-            names["parent_id"] = obj.get("parent_id")
-            for key, value in names.items():
-                if not (isinstance(value, str) or (key == "parent_id" and value is None)):
-                    raise ManifestError(f"{key} must be a string, got {value!r}")
             records.append(UtteranceRecord(
-                **names,
+                obj["utterance_id"], obj["speaker_id"], obj["path"],
                 kind=obj.get("kind", NATURAL),
-                duration_ratio=float(obj.get("duration_ratio", 1.0)),
-                f0_ratio=float(obj.get("f0_ratio", 1.0)),
+                duration_ratio=obj.get("duration_ratio", 1.0),
+                f0_ratio=obj.get("f0_ratio", 1.0),
+                parent_id=obj.get("parent_id"),
             ))
         except KeyError as exc:
             raise ManifestError(f"{path}:{lineno}: missing field {exc}") from None
-        except (TypeError, ValueError, OverflowError, RecursionError) as exc:
+        except (ValueError, RecursionError, ManifestError, InvalidRatioError) as exc:
             raise ManifestError(f"{path}:{lineno}: {exc}") from None
     return Manifest(records, corpus=corpus, sample_rate=sample_rate)
 

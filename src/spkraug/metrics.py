@@ -5,6 +5,7 @@ the SV term is either the batch cosine-similarity loss or the EER of the
 batch against natural references.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -245,6 +246,8 @@ def load_pairs(path) -> list:
                 score = float(parts[3])
             except ValueError:
                 raise PairFileError(f"{path}:{lineno}: bad score {parts[3]!r}") from None
+            if not math.isfinite(score):
+                raise PairFileError(f"{path}:{lineno}: score not finite: {parts[3]!r}")
         pairs.append(ScoredPair(parts[0], parts[1], parts[2] == "same", score))
     if not pairs:
         raise PairFileError(f"{path}: no pairs found")

@@ -16,19 +16,13 @@ bit.
 """
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .audio_io import AudioClip
-from .errors import (
-    EmptyClipError,
-    InvalidRangeError,
-    InvalidRatioError,
-    NoPitchMarksError,
-)
+from .audio_io import MAX_RATIO, MIN_RATIO, AudioClip, _check_ratio  # noqa: F401 - re-exported
+from .errors import EmptyClipError, InvalidRangeError, NoPitchMarksError
 
 F0_WINDOW_SECONDS = 0.025
 F0_HOP_SECONDS = 0.010
@@ -37,55 +31,16 @@ VOICING_THRESHOLD = 0.5
 DEFAULT_F0_MIN = 60.0
 DEFAULT_F0_MAX = 400.0
 
-MIN_RATIO = 0.5
-MAX_RATIO = 2.0
-
-
-@dataclass
-class PitchTrack:
-    """Per-frame F0 estimates; 0 Hz marks an unvoiced frame."""
-
-    frame_shift: float  # seconds between frame starts
-    f0_values: np.ndarray
-    voicing: np.ndarray
-
-    def __post_init__(self):
-        self.f0_values = np.asarray(self.f0_values, dtype=np.float64)
-        self.voicing = np.asarray(self.voicing, dtype=bool)
-        if self.f0_values.shape != self.voicing.shape or self.f0_values.ndim != 1:
-            raise InvalidRangeError("f0_values and voicing must be matching 1-D arrays")
-        if np.any((self.f0_values == 0) != ~self.voicing):
-            raise InvalidRangeError("f0 must be 0 exactly on unvoiced frames")
-
-    @property
-    def n_frames(self) -> int:
-        return len(self.f0_values)
-
-
-@dataclass
-class PitchMarks:
-    """Strictly increasing sample indices, one per period in voiced spans."""
-
-    positions: np.ndarray
-
-    def __post_init__(self):
-        self.positions = np.asarray(self.positions, dtype=np.int64)
-        if self.positions.ndim != 1:
-            raise InvalidRangeError("positions must be 1-D")
-        if len(self.positions) > 1 and np.any(np.diff(self.positions) <= 0):
-            raise InvalidRangeError("positions must be strictly increasing")
-
-    def __len__(self) -> int:
-        return len(self.positions)
-
 
 def estimate_f0(clip: AudioClip, f0_min: float = DEFAULT_F0_MIN,
-                f0_max: float = DEFAULT_F0_MAX) -> PitchTrack:
-    """Autocorrelation pitch tracker: 25 ms frames every 10 ms.
+                f0_max: float = DEFAULT_F0_MAX) -> np.ndarray:
+    """Autocorrelation pitch tracker: one F0 in Hz per 25 ms frame, every 10 ms.
 
     Each frame is mean-removed and its unbiased normalized autocorrelation
     searched over lags for [f0_min, f0_max]; the peak is refined by parabolic
-    interpolation, and the frame is voiced when the peak is >= 0.5.
+    interpolation, and the frame is voiced when the peak is >= 0.5. An
+    unvoiced frame holds 0 and a voiced one at least f0_min > 0, so f0 > 0 is
+    the voicing.
     """
     sr = clip.sample_rate
     if not (0 < f0_min < f0_max < sr / 4):
@@ -96,7 +51,7 @@ def estimate_f0(clip: AudioClip, f0_min: float = DEFAULT_F0_MIN,
     hop = int(round(F0_HOP_SECONDS * sr))
     x = clip.samples
     if len(x) < win:
-        return PitchTrack(F0_HOP_SECONDS, np.zeros(0), np.zeros(0, dtype=bool))
+        return np.zeros(0)
     frames = sliding_window_view(x, win)[::hop]
     frames = frames - frames.mean(axis=1, keepdims=True)
 
@@ -143,30 +98,25 @@ def estimate_f0(clip: AudioClip, f0_min: float = DEFAULT_F0_MIN,
     delta[curved] = np.clip(0.5 * (left[curved] - right[curved]) / denom[curved], -0.5, 0.5)
     f0[rows] = np.clip(sr / (lag + delta), f0_min, f0_max)
 
-    return PitchTrack(F0_HOP_SECONDS, f0, voiced)
+    return f0
 
 
-def _track_lookup(track: PitchTrack, sr: int):
-    """Map a sample position to the nearest frame's (voiced, f0)."""
-    win = int(round(F0_WINDOW_SECONDS * sr))
-    hop = int(round(track.frame_shift * sr))
-
-    def lookup(pos: float):
-        if track.n_frames == 0:
-            return False, 0.0
-        i = int(round((pos - win / 2) / hop))
-        i = min(max(i, 0), track.n_frames - 1)
-        return bool(track.voicing[i]), float(track.f0_values[i])
-
-    return lookup
+def _f0_at(f0: np.ndarray, pos: float, sr: int) -> float:
+    """F0 of the frame whose centre is nearest sample position pos (clamped
+    to the track; 0.0 for a track with no frames)."""
+    if len(f0) == 0:
+        return 0.0
+    i = int(round((pos - round(F0_WINDOW_SECONDS * sr) / 2) / round(F0_HOP_SECONDS * sr)))
+    return float(f0[min(max(i, 0), len(f0) - 1)])
 
 
-def place_pitch_marks(clip: AudioClip, track: PitchTrack) -> PitchMarks:
+def place_pitch_marks(clip: AudioClip, f0: np.ndarray) -> np.ndarray:
     """Walk the clip placing one mark per period, snapped to waveform maxima.
 
     Voiced spans advance by the local period and snap each mark to the
     highest sample within a quarter period either side; unvoiced spans fall
-    back to a uniform 10 ms grid.
+    back to a uniform 10 ms grid. Returns strictly increasing int64 sample
+    indices.
     """
     n = len(clip)
     if n == 0:
@@ -174,21 +124,20 @@ def place_pitch_marks(clip: AudioClip, track: PitchTrack) -> PitchMarks:
     x = clip.samples
     sr = clip.sample_rate
     step_unvoiced = int(round(UNVOICED_STEP_SECONDS * sr))
-    lookup = _track_lookup(track, sr)
 
     marks = []
-    voiced0, f00 = lookup(0)
-    if voiced0:
-        first_period = int(round(sr / f00))
+    f0_start = _f0_at(f0, 0, sr)
+    if f0_start > 0:
+        first_period = int(round(sr / f0_start))
         pos = int(np.argmax(x[:min(first_period, n)]))
     else:
         pos = 0
     marks.append(pos)
 
     while True:
-        voiced, f0 = lookup(marks[-1])
-        if voiced:
-            period = sr / f0
+        f0_here = _f0_at(f0, marks[-1], sr)
+        if f0_here > 0:
+            period = sr / f0_here
             target = marks[-1] + period
             half = period / 4.0
             lo = max(int(np.ceil(target - half)), marks[-1] + 1)
@@ -202,7 +151,7 @@ def place_pitch_marks(clip: AudioClip, track: PitchTrack) -> PitchMarks:
                 break
         marks.append(nxt)
 
-    return PitchMarks(np.asarray(marks, dtype=np.int64))
+    return np.asarray(marks, dtype=np.int64)
 
 
 def _grain_window(left: int, right: int) -> np.ndarray:
@@ -230,8 +179,8 @@ def analyse(clip: AudioClip, f0_min: float = DEFAULT_F0_MIN,
             f0_max: float = DEFAULT_F0_MAX) -> PsolaAnalysis:
     """Track F0 and place pitch marks once; any number of synthesise calls
     can then reuse the result."""
-    track = estimate_f0(clip, f0_min, f0_max)
-    marks = place_pitch_marks(clip, track).positions
+    f0 = estimate_f0(clip, f0_min, f0_max)
+    marks = place_pitch_marks(clip, f0)
     if len(marks) < 3:
         raise NoPitchMarksError(
             f"found only {len(marks)} pitch marks; input is shorter than two periods"
@@ -240,8 +189,8 @@ def analyse(clip: AudioClip, f0_min: float = DEFAULT_F0_MIN,
     # local analysis period per interior mark: mean of the two adjacent gaps
     periods = 0.5 * (gaps[:-1] + gaps[1:])
     # voicing of the frame nearest each interior mark, by place_pitch_marks' rule
-    lookup = _track_lookup(track, clip.sample_rate)
-    voiced = np.array([lookup(m)[0] for m in marks[1:-1].tolist()], dtype=bool)
+    voiced = np.array([_f0_at(f0, m, clip.sample_rate) > 0 for m in marks[1:-1].tolist()],
+                      dtype=bool)
     return PsolaAnalysis(clip, marks, periods, voiced)
 
 
@@ -285,9 +234,8 @@ def synthesise(analysis: PsolaAnalysis, duration_ratio: float,
     multiplies voiced F0. Output length is round(len * duration_ratio);
     overlap-add is renormalized so the result never exceeds the input peak.
     """
-    for name, ratio in (("duration_ratio", duration_ratio), ("f0_ratio", f0_ratio)):
-        if not (MIN_RATIO <= ratio <= MAX_RATIO) or not np.isfinite(ratio):
-            raise InvalidRatioError(f"{name} must lie in [{MIN_RATIO}, {MAX_RATIO}], got {ratio}")
+    _check_ratio("duration_ratio", duration_ratio)
+    _check_ratio("f0_ratio", f0_ratio)
 
     clip, marks, periods, voiced_mark = analysis
     x = clip.samples

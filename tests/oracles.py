@@ -138,8 +138,8 @@ def median_voiced_f0(clip, f0_min=60.0, f0_max=400.0):
     """
     from spkraug.psola import estimate_f0
 
-    track = estimate_f0(clip, f0_min, f0_max)
-    voiced = track.f0_values[track.voicing]
+    f0 = estimate_f0(clip, f0_min, f0_max)
+    voiced = f0[f0 > 0]
     if len(voiced) == 0:
         raise AssertionError("no voiced frames found")
     return float(np.median(voiced))
@@ -339,8 +339,9 @@ def griffin_lim_oracle(spec, iterations, seed=0):
 
 def f0_refinement_loop_oracle(clip, f0_min=60.0, f0_max=400.0):
     """The autocorrelation F0 tracker with its parabolic peak refinement run
-    one voiced frame at a time. Returns (f0_values, voicing); the reference
-    `spkraug.psola.estimate_f0` must equal bit for bit."""
+    one voiced frame at a time. Returns (f0_values, voicing); the F0 array of
+    `spkraug.psola.estimate_f0` must equal f0_values bit for bit, and its
+    f0 > 0 must equal voicing."""
     from numpy.lib.stride_tricks import sliding_window_view
 
     sr = clip.sample_rate

@@ -33,6 +33,7 @@ from spkraug.errors import (
     InsufficientPoolError,
     InsufficientUtterancesError,
     InvalidParamsError,
+    InvalidRatioError,
     KTooLargeError,
     ManifestError,
     MissingEmbeddingError,
@@ -76,6 +77,21 @@ def test_augmented_record_needs_parent():
 def test_unknown_kind_rejected():
     with pytest.raises(ManifestError):
         UtteranceRecord("u", "s", "p.wav", "stretched", 1.1, 1.0, "parent")
+
+
+@pytest.mark.parametrize("ratio", [float("nan"), float("inf"), -3, 0.49, 2.01, True, "1.05",
+                                   None])
+def test_record_rejects_bad_ratios(ratio):
+    with pytest.raises(InvalidRatioError):
+        UtteranceRecord("u", "s", "p.wav", PSOLA_DUR, ratio, 1.0, "parent")
+    with pytest.raises(InvalidRatioError):
+        UtteranceRecord("u", "s", "p.wav", PSOLA_F0, 1.0, ratio, "parent")
+
+
+def test_record_stores_ratios_as_floats():
+    r = UtteranceRecord("u", "s", "p.wav", PSOLA_MIX, 2, np.float64(0.8), "parent")
+    assert type(r.duration_ratio) is float and r.duration_ratio == 2.0
+    assert type(r.f0_ratio) is float and r.f0_ratio == 0.8
 
 
 def test_manifest_rejects_duplicate_ids():
@@ -171,6 +187,11 @@ def test_load_manifest_missing_file(tmp_path):
         load_manifest(tmp_path / "none.jsonl")
 
 
+_HEADER = '{"corpus":"c","sample_rate":16000}\n'
+# an augmented record, open for one more field and its closing brace
+_CHILD = '{"utterance_id":"u__x","speaker_id":"s","path":"p","kind":"psola_dur","parent_id":"u",'
+
+
 @pytest.mark.parametrize("content", [
     "",
     "not json\n",
@@ -199,6 +220,13 @@ def test_load_manifest_missing_file(tmp_path):
     '{"corpus":"c","sample_rate":16000.5}\n',  # not an integer, not truncated
     pytest.param('{"corpus":"c","sample_rate":16000}\n{"utterance_id":"u","speaker_id":"s",'
                  '"path":"p","f0_ratio":1' + "0" * 400 + '}\n', id="ratio-overflows-float"),
+    pytest.param(_HEADER + _CHILD + '"duration_ratio":"nan"}\n', id="ratio-string-nan"),
+    pytest.param(_HEADER + _CHILD + '"f0_ratio":NaN}\n', id="ratio-nan-literal"),
+    pytest.param(_HEADER + _CHILD + '"f0_ratio":"inf"}\n', id="ratio-string-inf"),
+    pytest.param(_HEADER + _CHILD + '"duration_ratio":-3}\n', id="ratio-negative"),
+    pytest.param(_HEADER + _CHILD + '"f0_ratio":true}\n', id="ratio-bool"),
+    pytest.param(_HEADER + _CHILD + '"f0_ratio":"1.05"}\n', id="ratio-string-number"),
+    pytest.param('{"corpus":5,"sample_rate":16000}\n', id="corpus-not-a-string"),
     pytest.param("[" * 100000 + "]" * 100000 + "\n", id="header-nested-too-deeply"),
     pytest.param('{"corpus":"c","sample_rate":16000}\n' + "[" * 100000 + "]" * 100000 + "\n",
                  id="record-nested-too-deeply"),
@@ -217,6 +245,9 @@ def test_load_manifest_reports_line_numbers(tmp_path):
         ('{"corpus":"c","sample_rate":16000}\n{"oops": true}\n', 2),
         ('{"corpus":"c","sample_rate":16000}\n\n{"utterance_id":"u","speaker_id":"s","path":"p"}'
          '\n{"oops": true}\n', 4),  # the blank line 2 still counts
+        ('{"corpus":5,"sample_rate":16000}\n', 1),
+        (_HEADER + _CHILD + '"duration_ratio":"nan"}\n', 2),
+        (_HEADER + '{"utterance_id":"u","speaker_id":"s","path":"p","kind":"weird"}\n', 2),
     ]:
         path.write_text(content)
         with pytest.raises(ManifestError, match=f"bad.jsonl:{lineno}:"):

@@ -361,11 +361,19 @@ def test_load_pairs_missing_file(tmp_path):
     "e1\tt1\tsame\t0.5\textra\n",        # too many fields
     "e1\tt1\tgenuine\n",                 # unknown label
     "e1\tt1\tsame\tnot_a_number\n",      # bad score
+    "e1\tt1\tsame\t-inf\n",              # non-finite score
 ])
 def test_load_pairs_rejects_malformed(tmp_path, content):
     path = tmp_path / "bad.tsv"
     path.write_text(content)
     with pytest.raises(PairFileError):
+        load_pairs(path)
+
+
+def test_load_pairs_names_the_line_of_a_non_finite_score(tmp_path):
+    path = tmp_path / "bad.tsv"
+    path.write_text("e1\tt1\tsame\t0.5\n\ne2\tt2\tdiff\tnan\n")
+    with pytest.raises(PairFileError, match=r"bad\.tsv:3: score not finite"):
         load_pairs(path)
 
 

@@ -14,10 +14,8 @@ from spkraug.errors import (
 from spkraug.psola import (
     MAX_RATIO,
     MIN_RATIO,
-    PitchMarks,
-    PitchTrack,
     PsolaAnalysis,
-    _track_lookup,
+    _f0_at,
     analyse,
     estimate_f0,
     place_pitch_marks,
@@ -38,43 +36,43 @@ def _rms(x):
 
 @pytest.mark.parametrize("f0", [110.0, 160.0, 200.0, 330.0])
 def test_estimate_f0_steady_sine(f0):
-    track = estimate_f0(sine(f0, 1.0))
-    voiced = track.f0_values[track.voicing]
-    assert track.voicing.mean() > 0.9
+    f0_track = estimate_f0(sine(f0, 1.0))
+    voiced = f0_track[f0_track > 0]
+    assert (f0_track > 0).mean() > 0.9
     assert abs(np.median(voiced) - f0) < 0.02 * f0
 
 
 def test_estimate_f0_respects_search_range():
-    track = estimate_f0(sine(200.0, 0.5), f0_min=80.0, f0_max=300.0)
-    voiced = track.f0_values[track.voicing]
+    f0 = estimate_f0(sine(200.0, 0.5), f0_min=80.0, f0_max=300.0)
+    voiced = f0[f0 > 0]
     assert np.all(voiced >= 80.0)
     assert np.all(voiced <= 300.0)
 
 
 def test_estimate_f0_sawtooth_not_halved():
     """Rich harmonics must not fool the tracker into an octave error."""
-    track = estimate_f0(sawtooth(160.0, 1.0))
-    voiced = track.f0_values[track.voicing]
+    f0 = estimate_f0(sawtooth(160.0, 1.0))
+    voiced = f0[f0 > 0]
     assert abs(np.median(voiced) - 160.0) < 0.02 * 160.0
 
 
 def test_estimate_f0_silence_is_unvoiced():
-    track = estimate_f0(AudioClip(np.zeros(SR // 2), SR))
-    assert not track.voicing.any()
-    assert np.all(track.f0_values == 0.0)
+    f0 = estimate_f0(AudioClip(np.zeros(SR // 2), SR))
+    assert not (f0 > 0).any()
+    assert np.all(f0 == 0.0)
 
 
 def test_estimate_f0_noise_is_mostly_unvoiced():
     rng = np.random.default_rng(2)
-    track = estimate_f0(AudioClip(0.3 * rng.standard_normal(SR), SR))
-    assert track.voicing.mean() < 0.2
+    f0 = estimate_f0(AudioClip(0.3 * rng.standard_normal(SR), SR))
+    assert (f0 > 0).mean() < 0.2
 
 
 def test_estimate_f0_glide_tracks_the_sweep():
-    track = estimate_f0(glide(120.0, 240.0, 1.0))
-    voiced_idx = np.flatnonzero(track.voicing)
-    first = track.f0_values[voiced_idx[:5]].mean()
-    last = track.f0_values[voiced_idx[-5:]].mean()
+    f0 = estimate_f0(glide(120.0, 240.0, 1.0))
+    voiced_idx = np.flatnonzero(f0 > 0)
+    first = f0[voiced_idx[:5]].mean()
+    last = f0[voiced_idx[-5:]].mean()
     assert first < 150.0
     assert last > 200.0
 
@@ -86,37 +84,19 @@ def test_estimate_f0_range_validation(f0_min, f0_max):
         estimate_f0(sine(200.0, 0.2), f0_min=f0_min, f0_max=f0_max)
 
 
-def test_pitch_track_invariant():
-    PitchTrack(0.01, np.array([100.0, 0.0]), np.array([True, False]))
-    with pytest.raises(InvalidRangeError):
-        PitchTrack(0.01, np.array([100.0, 0.0]), np.array([True, True]))
-    with pytest.raises(InvalidRangeError):
-        PitchTrack(0.01, np.array([100.0, 50.0]), np.array([True, False]))
-    with pytest.raises(InvalidRangeError):
-        PitchTrack(0.01, np.array([100.0]), np.array([True, False]))
-
-
 # -- pitch marks -------------------------------------------------------------
-
-def test_pitch_marks_strictly_increasing_type():
-    PitchMarks(np.array([3, 7, 12]))
-    with pytest.raises(InvalidRangeError):
-        PitchMarks(np.array([3, 3, 12]))
-    with pytest.raises(InvalidRangeError):
-        PitchMarks(np.array([[3, 7]]))
-
 
 def test_place_marks_empty_clip():
     clip = sine(200.0, 0.2)
-    track = estimate_f0(clip)
+    f0 = estimate_f0(clip)
     with pytest.raises(EmptyClipError):
-        place_pitch_marks(AudioClip(np.zeros(0), SR), track)
+        place_pitch_marks(AudioClip(np.zeros(0), SR), f0)
 
 
 def test_place_marks_spacing_matches_period():
     clip = sine(200.0, 1.0)
     marks = place_pitch_marks(clip, estimate_f0(clip))
-    gaps = np.diff(marks.positions)
+    gaps = np.diff(marks)
     period = SR / 200.0
     assert len(marks) > 150
     assert np.all(np.abs(gaps - period) <= 0.2 * period)
@@ -126,14 +106,14 @@ def test_place_marks_snap_to_peaks():
     clip = sine(200.0, 0.5)
     marks = place_pitch_marks(clip, estimate_f0(clip))
     # skip the edges where analysis frames are truncated
-    for pos in marks.positions[2:-2]:
+    for pos in marks[2:-2]:
         assert clip.samples[pos] > 0.45  # near the crest of a 0.5-amplitude sine
 
 
 def test_place_marks_unvoiced_grid():
     clip = AudioClip(np.zeros(SR), SR)
     marks = place_pitch_marks(clip, estimate_f0(clip))
-    gaps = np.diff(marks.positions)
+    gaps = np.diff(marks)
     assert np.all(gaps == int(round(0.010 * SR)))
 
 
@@ -144,7 +124,7 @@ def test_place_marks_glide_gaps_follow_the_period():
     marks = place_pitch_marks(clip, estimate_f0(clip))
     # the very last mark can land early when its search window is cut off by
     # the end of the clip, so it is excluded from the trend check
-    gaps = np.diff(marks.positions)[:-1]
+    gaps = np.diff(marks)[:-1]
     assert np.all(np.diff(gaps) >= -1)
     assert gaps[0] < SR / 170.0
     assert gaps[-1] > SR / 115.0
@@ -304,21 +284,27 @@ _FIXTURES = pytest.mark.parametrize("clip", [
 
 
 @_FIXTURES
+def test_place_marks_are_strictly_increasing_int64(clip):
+    marks = place_pitch_marks(clip, estimate_f0(clip))
+    assert marks.dtype == np.int64 and marks.ndim == 1
+    assert np.all(np.diff(marks) > 0)
+
+
+@_FIXTURES
 def test_analyse_voicing_matches_per_mark_lookup(clip):
-    track = estimate_f0(clip)
-    marks = place_pitch_marks(clip, track).positions
-    lookup = _track_lookup(track, clip.sample_rate)
-    expected = np.array([lookup(m)[0] for m in marks[1:-1]])
+    f0 = estimate_f0(clip)
+    marks = place_pitch_marks(clip, f0)
+    expected = np.array([_f0_at(f0, m, clip.sample_rate) > 0 for m in marks[1:-1]])
     assert np.array_equal(analyse(clip).voiced, expected)
 
 
 # -- F0 refinement against the frame-by-frame loop ------------------------------
 
 def _assert_track_matches_loop(clip):
-    track = estimate_f0(clip)
-    f0, voicing = f0_refinement_loop_oracle(clip)
-    assert track.f0_values.tobytes() == f0.tobytes()
-    assert track.voicing.tobytes() == voicing.tobytes()
+    f0 = estimate_f0(clip)
+    oracle_f0, oracle_voicing = f0_refinement_loop_oracle(clip)
+    assert f0.tobytes() == oracle_f0.tobytes()
+    assert np.array_equal(f0 > 0, oracle_voicing)
 
 
 @_FIXTURES
