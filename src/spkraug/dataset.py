@@ -167,19 +167,23 @@ def load_manifest(path) -> Manifest:
         raise ManifestError(
             f"{path}:{lineno}: header must carry corpus and an integer sample_rate"
         ) from None
-    records = []
+    records, seen = [], set()
     for lineno, line in lines[1:]:
         try:
             obj = json.loads(line)
             if not isinstance(obj, dict):
                 raise ManifestError("record must be a JSON object")
-            records.append(UtteranceRecord(
+            record = UtteranceRecord(
                 obj["utterance_id"], obj["speaker_id"], obj["path"],
                 kind=obj.get("kind", NATURAL),
                 duration_ratio=obj.get("duration_ratio", 1.0),
                 f0_ratio=obj.get("f0_ratio", 1.0),
                 parent_id=obj.get("parent_id"),
-            ))
+            )
+            if record.utterance_id in seen:
+                raise ManifestError(f"duplicate utterance_id {record.utterance_id!r}")
+            seen.add(record.utterance_id)
+            records.append(record)
         except KeyError as exc:
             raise ManifestError(f"{path}:{lineno}: missing field {exc}") from None
         except (ValueError, RecursionError, ManifestError, InvalidRatioError) as exc:

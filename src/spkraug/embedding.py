@@ -6,7 +6,9 @@ deterministic stand-in extractor (mel log-energy statistics) so the whole
 pipeline can run self-contained.
 """
 
+import math
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -15,16 +17,24 @@ from .errors import (
     ClipTooShortError,
     DimensionMismatchError,
     EmbeddingFileError,
+    InvalidClipError,
     KTooLargeError,
     UnknownSpeakerError,
     ZeroNormError,
 )
-from .spectral import magnitude_spectrogram
+from .spectral import (
+    DEFAULT_FFT_SIZE,
+    DEFAULT_FRAME_LENGTH,
+    DEFAULT_FRAME_SHIFT,
+    _frame_signal,
+    _window,
+)
 
 STANDIN_MEL_BANDS = 80
 STANDIN_DIMENSION = 2 * STANDIN_MEL_BANDS
 MIN_CLIP_SECONDS = 0.2
 _LOG_FLOOR = 1e-10
+_FRAME_BLOCK = 64  # frames per power-spectrum block: bounds each clip's transient memory
 
 
 class EmbeddingSet:
@@ -171,6 +181,64 @@ def mel_filterbank(n_bands: int, fft_size: int, sample_rate: int) -> np.ndarray:
     return _mel_filterbank_cached(int(n_bands), int(fft_size), int(sample_rate)).copy()
 
 
+class _MelProjection(NamedTuple):
+    """A mel filterbank stored per bin. Every bin lies in at most two adjacent
+    triangular filters: `band[k]` with weight `lower[k]` and `band[k] + 1`
+    with weight `upper[k]` (either weight may be 0). `starts` are the first
+    bins of the runs of equal `band`, and `bands` the runs' bands."""
+
+    starts: np.ndarray
+    bands: np.ndarray
+    lower: np.ndarray
+    upper: np.ndarray
+    n_bands: int
+
+
+@lru_cache(maxsize=8)
+def _mel_projection(n_bands: int, fft_size: int, sample_rate: int) -> _MelProjection:
+    fb = _mel_filterbank_cached(n_bands, fft_size, sample_rate)
+    nonzero = fb > 0
+    # a bin's band is its first non-zero filter; a bin in no filter takes its
+    # left neighbour's (0 at DC) with zero weights, so `band` never decreases
+    band = np.maximum.accumulate(np.where(nonzero.any(axis=0), np.argmax(nonzero, axis=0), 0))
+    padded = np.vstack([fb, np.zeros((1, fb.shape[1]))])  # row n_bands: above the top band
+    bins = np.arange(fb.shape[1])
+    starts = np.flatnonzero(np.diff(band, prepend=-1))
+    arrays = (starts, band[starts], padded[band, bins], padded[band + 1, bins])
+    for a in arrays:
+        a.setflags(write=False)  # cached: every caller gets these same arrays
+    return _MelProjection(*arrays, n_bands)
+
+
+def _mel_energies(power: np.ndarray, projection: _MelProjection) -> np.ndarray:
+    """frames x bins power summed into frames x bands mel energies.
+
+    Each band adds its lower-weight bins, then its upper-weight bins, in
+    NumPy's own loops: no BLAS call, so the bytes do not depend on the BLAS
+    thread count. A band holding no bin reads exactly 0.
+    """
+    p = projection
+    out = np.zeros((len(power), p.n_bands + 1))
+    weighted = power * p.lower
+    out[:, p.bands] = np.add.reduceat(weighted, p.starts, axis=1)
+    np.multiply(power, p.upper, out=weighted)  # one frames x bins temporary, not two
+    out[:, p.bands + 1] += np.add.reduceat(weighted, p.starts, axis=1)
+    return out[:, :-1]
+
+
+def _mel_energy_blocks(x: np.ndarray, sample_rate: int):
+    """Mel energies of the power spectrum of x, framed as magnitude_spectrogram
+    frames it, yielded _FRAME_BLOCK frames at a time."""
+    frames = _frame_signal(x, DEFAULT_FRAME_LENGTH, DEFAULT_FRAME_SHIFT)
+    win = _window(DEFAULT_FRAME_LENGTH)
+    projection = _mel_projection(STANDIN_MEL_BANDS, DEFAULT_FFT_SIZE, sample_rate)
+    for start in range(0, len(frames), _FRAME_BLOCK):
+        power = np.abs(np.fft.rfft(frames[start:start + _FRAME_BLOCK] * win,
+                                   n=DEFAULT_FFT_SIZE, axis=1))
+        power *= power
+        yield _mel_energies(power, projection)
+
+
 def extract_standin_embedding(clip: AudioClip) -> np.ndarray:
     """Deterministic non-neural embedding: mel log-energy statistics.
 
@@ -186,12 +254,12 @@ def extract_standin_embedding(clip: AudioClip) -> np.ndarray:
     rms = np.sqrt(np.mean(x * x))
     if rms > 0:
         x = x / rms
-    spec = magnitude_spectrogram(AudioClip(x, clip.sample_rate))
-    fb = _mel_filterbank_cached(STANDIN_MEL_BANDS, spec.fft_size, clip.sample_rate)
-    energies = spec.magnitudes ** 2 @ fb.T  # frames x bands
-    logs = np.log(energies + _LOG_FLOOR)
+    logs = np.concatenate([np.log(energies + _LOG_FLOOR)
+                           for energies in _mel_energy_blocks(x, clip.sample_rate)])
     feats = np.concatenate([logs.mean(axis=0), logs.std(axis=0)])
-    norm = np.linalg.norm(feats)
+    if not np.isfinite(feats).all():
+        raise InvalidClipError("clip contains NaN/Inf samples")
+    norm = math.hypot(*feats)
     if norm == 0.0:
         raise ZeroNormError("degenerate clip produced an all-zero feature vector")
     return feats / norm

@@ -382,3 +382,26 @@ def f0_refinement_loop_oracle(clip, f0_min=60.0, f0_max=400.0):
         delta = 0.0 if denom >= -1e-15 else np.clip(0.5 * (left - right) / denom, -0.5, 0.5)
         f0[i] = np.clip(sr / (lag + delta), f0_min, f0_max)
     return f0, voiced
+
+
+def dense_mel_energies_oracle(clip):
+    """Mel band energies of the RMS-normalised clip as one dense product,
+    `magnitude_spectrogram(...).magnitudes ** 2 @ fb.T` (frames x 80), the
+    form the stand-in embedding used before its fixed-order projection."""
+    from spkraug.audio_io import AudioClip
+    from spkraug.embedding import mel_filterbank
+    from spkraug.spectral import magnitude_spectrogram
+
+    x = clip.samples
+    rms = np.sqrt(np.mean(x * x))
+    if rms > 0:
+        x = x / rms
+    spec = magnitude_spectrogram(AudioClip(x, clip.sample_rate))
+    return spec.magnitudes ** 2 @ mel_filterbank(80, spec.fft_size, clip.sample_rate).T
+
+
+def standin_embedding_oracle(clip):
+    """The stand-in embedding computed from dense_mel_energies_oracle."""
+    logs = np.log(dense_mel_energies_oracle(clip) + 1e-10)
+    feats = np.concatenate([logs.mean(axis=0), logs.std(axis=0)])
+    return feats / np.linalg.norm(feats)

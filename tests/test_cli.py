@@ -1,5 +1,9 @@
 import json
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +15,8 @@ from spkraug.embedding import EmbeddingSet, extract_standin_embedding, save_embe
 from spkraug.metrics import load_pairs
 from spkraug.spectral import magnitude_spectrogram, write_spectrogram
 from synth import build_corpus, sine
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture(scope="module")
@@ -68,6 +74,16 @@ def test_missing_input_file_is_runtime_error(capsys, tmp_path):
     assert rc == 1
     assert report is None
     assert "error" in err
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_workers_below_one_is_usage_error(capsys, workers):
+    rc, report, err = _run(capsys, ["--workers", workers,
+                                    "loss", "--l1", "1", "--att", "1", "--sv", "1"])
+    assert rc == 1
+    assert report is None
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert errors == [f"spkraug: error: argument --workers: must be at least 1, got {workers}"]
 
 
 def test_help_exits_zero(capsys):
@@ -184,7 +200,7 @@ def test_augment_cli_partial_failure_exits_2(capsys, cli_env, tmp_path):
 
 
 def test_workers_flag_is_accepted(capsys, cli_env, tmp_path):
-    """--workers is accepted for compatibility and changes nothing."""
+    """augment accepts --workers and ignores it: it runs serially."""
     built = []
     for workers in ("1", "3"):
         out = tmp_path / f"aug{workers}.jsonl"
@@ -331,6 +347,62 @@ def test_embed_cli(capsys, cli_env, tmp_path):
     assert report["records"] == 12
     assert report["dimension"] == 160
     assert out.read_text().startswith("#dim=160\n")
+
+
+def test_embed_output_does_not_depend_on_workers(capsys, cli_env, tmp_path):
+    outputs = []
+    for workers in ("1", "3"):
+        out = tmp_path / f"emb{workers}.tsv"
+        rc, _, _ = _run(capsys, ["--workers", workers, "embed",
+                                 "--manifest", cli_env["manifest_path"], "--output", str(out)])
+        assert rc == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+
+
+def test_embed_error_names_the_first_failing_record(capsys, cli_env, tmp_path):
+    """Two records fail; the error names the first of them in manifest order,
+    with its path, even when both run on the pool."""
+    good = cli_env["manifest"].records
+    lines = ['{"corpus":"c","sample_rate":16000}']
+    for uid, path in [("ok0", good[0].path), ("bad1", tmp_path / "bad1.wav"),
+                      ("ok2", good[1].path), ("bad3", tmp_path / "bad3.wav")]:
+        if uid.startswith("bad"):
+            write_wav(sine(200.0, 0.1), path)
+        lines.append(json.dumps({"utterance_id": uid, "speaker_id": "s", "path": str(path)}))
+    manifest = tmp_path / "two_bad.jsonl"
+    manifest.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "emb.tsv"
+    rc, report, err = _run(capsys, ["--workers", "3", "embed", "--manifest", str(manifest),
+                                    "--output", str(out)])
+    assert rc == 1
+    assert report is None
+    assert err == (f"spkraug embed: error: bad1 ({tmp_path / 'bad1.wav'}): "
+                   "need at least 0.2 s, got 0.100 s\n")
+    assert not out.exists()
+
+
+# Runs `embed` with the given argv in a fresh interpreter.
+_EMBED = "import sys; from spkraug.cli import main; sys.exit(main(sys.argv[1:]))"
+
+
+def test_embed_output_does_not_depend_on_blas_threads(tmp_path):
+    """Clips of 4-8 s, long enough that a BLAS matrix product over their
+    spectrograms splits across two threads."""
+    manifest = build_corpus(tmp_path / "corpus", per_speaker=1, seed=5, dur_range=(4.0, 8.0))
+    manifest_path = tmp_path / "long.jsonl"
+    save_manifest(manifest, manifest_path)
+    procs = {}
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS=threads)
+        argv = ["--workers", "1", "embed", "--manifest", str(manifest_path),
+                "--output", str(tmp_path / f"emb{threads}.tsv")]
+        procs[threads] = subprocess.Popen([sys.executable, "-c", _EMBED, *argv], env=env,
+                                          stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    for proc in procs.values():
+        _, err = proc.communicate(timeout=300)
+        assert proc.returncode == 0, err
+    assert (tmp_path / "emb1.tsv").read_bytes() == (tmp_path / "emb2.tsv").read_bytes()
 
 
 def test_select_best_cli(capsys, cli_env, tmp_path):

@@ -188,6 +188,7 @@ def test_load_manifest_missing_file(tmp_path):
 
 
 _HEADER = '{"corpus":"c","sample_rate":16000}\n'
+_NATURAL_U = '{"utterance_id":"u","speaker_id":"s","path":"p"}\n'
 # an augmented record, open for one more field and its closing brace
 _CHILD = '{"utterance_id":"u__x","speaker_id":"s","path":"p","kind":"psola_dur","parent_id":"u",'
 
@@ -248,6 +249,8 @@ def test_load_manifest_reports_line_numbers(tmp_path):
         ('{"corpus":5,"sample_rate":16000}\n', 1),
         (_HEADER + _CHILD + '"duration_ratio":"nan"}\n', 2),
         (_HEADER + '{"utterance_id":"u","speaker_id":"s","path":"p","kind":"weird"}\n', 2),
+        (_HEADER + _NATURAL_U + '{"utterance_id":"v","speaker_id":"s","path":"q"}\n'
+         + _NATURAL_U, 4),  # the second occurrence
     ]:
         path.write_text(content)
         with pytest.raises(ManifestError, match=f"bad.jsonl:{lineno}:"):

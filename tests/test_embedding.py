@@ -3,11 +3,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import centroid_oracle, knn_oracle, load_embeddings_row_oracle
+from oracles import (
+    centroid_oracle,
+    dense_mel_energies_oracle,
+    knn_oracle,
+    load_embeddings_row_oracle,
+    standin_embedding_oracle,
+)
 from spkraug.audio_io import AudioClip
 from spkraug.embedding import (
     STANDIN_DIMENSION,
     EmbeddingSet,
+    _mel_energy_blocks,
+    _mel_projection,
     cosine_similarity,
     euclidean_distance,
     extract_standin_embedding,
@@ -21,6 +29,7 @@ from spkraug.errors import (
     ClipTooShortError,
     DimensionMismatchError,
     EmbeddingFileError,
+    InvalidClipError,
     KTooLargeError,
     UnknownSpeakerError,
     ZeroNormError,
@@ -251,6 +260,48 @@ def test_standin_minimum_duration():
         extract_standin_embedding(AudioClip(np.zeros(int(0.19 * SR)), SR))
     # 0.2 s of real signal is acceptable
     extract_standin_embedding(_clip_for(0, dur=0.2))
+
+
+RATES = (8000, 11025, 16000, 22050, 24000, 32000, 44100, 48000, 88200, 96000, 176400, 192000)
+
+
+@pytest.mark.parametrize("rate", RATES)
+def test_mel_projection_holds_the_filterbank(rate):
+    """Every bin lies in at most two adjacent filters, so the per-bin lower
+    and upper weights rebuild the dense filterbank exactly."""
+    p = _mel_projection(80, 2048, rate)
+    band = np.repeat(p.bands, np.diff(p.starts, append=len(p.lower)))
+    rebuilt = np.zeros((81, len(p.lower)))
+    rebuilt[band, np.arange(len(band))] = p.lower
+    rebuilt[band + 1, np.arange(len(band))] = p.upper
+    assert np.array_equal(rebuilt[:80], mel_filterbank(80, 2048, rate))
+    assert not rebuilt[80].any()
+
+
+@pytest.mark.parametrize("rate", RATES)
+def test_mel_energies_match_the_dense_product(rate):
+    """Band energies within 1e-12 relative of the dense product, embeddings
+    within 1e-12 absolute; the clip spans several frame blocks. A band that
+    holds no bin (the lowest one at 192 kHz) reads exactly 0 in both."""
+    rng = np.random.default_rng(rate)
+    clip = AudioClip(0.1 * rng.standard_normal(int(1.7 * rate)), rate)
+    x = clip.samples / np.sqrt(np.mean(clip.samples ** 2))
+    energies = np.concatenate(list(_mel_energy_blocks(x, rate)))
+    dense = dense_mel_energies_oracle(clip)
+    assert energies.shape == dense.shape
+    np.testing.assert_allclose(energies, dense, rtol=1e-12, atol=0)
+    empty = ~mel_filterbank(80, 2048, rate).any(axis=1)
+    assert empty.any() == (rate == 192000)
+    assert not energies[:, empty].any() and not dense[:, empty].any()
+    np.testing.assert_allclose(extract_standin_embedding(clip), standin_embedding_oracle(clip),
+                               rtol=0, atol=1e-12)
+
+
+def test_standin_rejects_non_finite_samples():
+    x = _clip_for(0).samples.copy()
+    x[100] = np.nan
+    with pytest.raises(InvalidClipError):
+        extract_standin_embedding(AudioClip(x, SR))
 
 
 def test_standin_separates_synthetic_speakers():
