@@ -2,7 +2,7 @@
 resampling/PSOLA augmentation, stand-in speaker embeddings, EER/CS/WER
 metrics, exact t-SNE, and corpus manifest plumbing."""
 
-from .audio_io import AudioClip, read_wav, resample, speed_change, write_wav
+from .audio_io import AudioClip, read_wav, speed_change, write_wav
 from .dataset import (
     AugmentationJob,
     Manifest,
@@ -23,7 +23,6 @@ from .embedding import (
     load_embeddings,
     save_embeddings,
     select_k_nearest,
-    speaker_centroid,
 )
 from .errors import SpkraugError
 from .metrics import (
@@ -55,12 +54,12 @@ from .tsne import TsneConfig, conditional_probabilities, kl_divergence, kl_gradi
 __version__ = "0.1.0"
 
 __all__ = [
-    "AudioClip", "read_wav", "write_wav", "resample", "speed_change",
+    "AudioClip", "read_wav", "write_wav", "speed_change",
     "Spectrogram", "stft", "istft", "magnitude_spectrogram", "griffin_lim",
     "read_spectrogram", "write_spectrogram",
     "estimate_f0", "place_pitch_marks", "psola_modify",
     "EmbeddingSet", "cosine_similarity", "euclidean_distance",
-    "select_k_nearest", "speaker_centroid", "extract_standin_embedding",
+    "select_k_nearest", "extract_standin_embedding",
     "load_embeddings", "save_embeddings",
     "ScoredPair", "LossTerms", "LossWeights", "combined_loss", "batch_cs_loss",
     "equal_error_rate", "eer_loss", "word_error_rate", "tokenize_transcript",

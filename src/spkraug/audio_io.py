@@ -18,14 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    CorruptHeaderError,
-    InvalidClipError,
-    InvalidRateError,
-    InvalidRatioError,
-    SpkraugError,
-    UnsupportedFormatError,
-)
+from .errors import SpkraugError
 
 DEFAULT_SAMPLE_RATE = 16000
 MIN_SAMPLE_RATE = 8000
@@ -68,7 +61,7 @@ def _read_text(path) -> str:
 
 def _check_rate(rate) -> int:
     if not isinstance(rate, (int, np.integer)) or not (MIN_SAMPLE_RATE <= rate <= MAX_SAMPLE_RATE):
-        raise InvalidRateError(f"sample rate must be an integer in [{MIN_SAMPLE_RATE}, {MAX_SAMPLE_RATE}], got {rate!r}")
+        raise SpkraugError(f"sample rate must be an integer in [{MIN_SAMPLE_RATE}, {MAX_SAMPLE_RATE}], got {rate!r}")
     return int(rate)
 
 
@@ -76,7 +69,7 @@ def _check_ratio(name: str, value) -> float:
     """value as a float, when it is a real number (not a bool) in [MIN_RATIO, MAX_RATIO]."""
     if (isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating))
             or not (MIN_RATIO <= value <= MAX_RATIO)):
-        raise InvalidRatioError(f"{name} must lie in [{MIN_RATIO}, {MAX_RATIO}], got {value!r}")
+        raise SpkraugError(f"{name} must lie in [{MIN_RATIO}, {MAX_RATIO}], got {value!r}")
     return float(value)
 
 
@@ -117,21 +110,22 @@ def _read_pcm(path, header_only: bool):
             else:
                 raw = handle.readframes(nframes)
                 available = len(raw)
-    except wave.Error as exc:
-        # the wave module refuses non-PCM encodings while parsing the header
-        if str(exc).startswith("unknown format"):
-            raise UnsupportedFormatError(f"{path}: {exc}") from exc
-        raise CorruptHeaderError(f"{path}: {exc}") from exc
+    except wave.Error as exc:  # a bad header, or a non-PCM encoding
+        raise SpkraugError(f"{path}: {exc}") from exc
     except EOFError as exc:
-        raise CorruptHeaderError(f"{path}: truncated header") from exc
+        raise SpkraugError(f"{path}: truncated header") from exc
+    except RuntimeError as exc:
+        # wave's chunk reader raises a bare RuntimeError when a chunk's size
+        # runs past the end of the RIFF chunk that holds it
+        raise SpkraugError(f"{path}: chunk size exceeds its RIFF container") from exc
     if comptype != "NONE":
-        raise UnsupportedFormatError(f"{path}: compressed WAV ({comptype}) not supported")
+        raise SpkraugError(f"{path}: compressed WAV ({comptype}) not supported")
     if channels != 1:
-        raise UnsupportedFormatError(f"{path}: expected mono, got {channels} channels")
+        raise SpkraugError(f"{path}: expected mono, got {channels} channels")
     if width != 2:
-        raise UnsupportedFormatError(f"{path}: expected 16-bit PCM, got {8 * width}-bit")
+        raise SpkraugError(f"{path}: expected 16-bit PCM, got {8 * width}-bit")
     if available != 2 * nframes:
-        raise CorruptHeaderError(
+        raise SpkraugError(
             f"{path}: truncated data, {available} bytes for {nframes} frames of 2 bytes"
         )
     return rate, nframes, raw
@@ -141,7 +135,10 @@ def read_wav(path) -> AudioClip:
     """Read a 16-bit mono PCM WAV file, scaling samples to [-1, 1]."""
     rate, _, raw = _read_pcm(path, header_only=False)
     pcm = np.frombuffer(raw, dtype="<i2")
-    return AudioClip(pcm.astype(np.float64) / 32768.0, rate)
+    try:
+        return AudioClip(pcm.astype(np.float64) / 32768.0, rate)
+    except SpkraugError as exc:
+        raise SpkraugError(f"{path}: {exc}") from None
 
 
 def read_wav_header(path) -> tuple[int, int]:
@@ -159,7 +156,7 @@ def write_wav(clip: AudioClip, path) -> None:
     """
     x = clip.samples
     if not np.all(np.isfinite(x)):
-        raise InvalidClipError("clip contains NaN/Inf samples")
+        raise SpkraugError("clip contains NaN/Inf samples")
     x = np.clip(x, -1.0, 1.0) * 32768.0
     pcm = np.trunc(x + np.copysign(0.5, x))
     pcm = np.clip(pcm, -32768, 32767).astype("<i2")
@@ -195,7 +192,7 @@ def _polyphase_resample(x: np.ndarray, up: int, down: int, out_len: int) -> np.n
     if up == down:  # then out_len == len(x)
         return x[:out_len].copy()
     # imported here: scipy.signal takes ~1 s to load, and only the
-    # speed-change and resample paths need it
+    # speed-change path needs it
     from scipy.signal import upfirdn
 
     taps, center = _design_lowpass(up, down)
@@ -209,15 +206,6 @@ def _polyphase_resample(x: np.ndarray, up: int, down: int, out_len: int) -> np.n
         x = np.pad(x, (0, max(pad, 0)))
     y = upfirdn(taps, x, up=up, down=down)
     return y[skip:skip + out_len]
-
-
-def resample(clip: AudioClip, target_rate: int) -> AudioClip:
-    """Band-limited conversion to target_rate; content pitch is unchanged."""
-    target_rate = _check_rate(target_rate)
-    g = math.gcd(clip.sample_rate, target_rate)
-    up, down = target_rate // g, clip.sample_rate // g
-    out_len = round(len(clip) * target_rate / clip.sample_rate)
-    return AudioClip(_polyphase_resample(clip.samples, up, down, out_len), target_rate)
 
 
 def speed_change(clip: AudioClip, ratio: float) -> AudioClip:

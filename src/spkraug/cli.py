@@ -278,7 +278,7 @@ def main(argv=None) -> int:
     try:
         report = args.handler(args)
         print(json.dumps(report, indent=2, sort_keys=True))
-    except (SpkraugError, FileNotFoundError, OSError, np.linalg.LinAlgError) as exc:
+    except (SpkraugError, OSError) as exc:
         print(f"spkraug {args.command}: error: {exc}", file=sys.stderr)
         return 1
     return 2 if report.get("failures") else 0

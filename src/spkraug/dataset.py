@@ -16,18 +16,7 @@ from typing import NamedTuple
 from .audio_io import (DEFAULT_SAMPLE_RATE, _check_rate, _check_ratio, _read_text, _replacing,
                        read_wav, read_wav_header, speed_change, speed_change_length, write_wav)
 from .embedding import EmbeddingSet, _first_seen, select_k_nearest
-from .errors import (
-    InsufficientPoolError,
-    InsufficientUtterancesError,
-    InvalidParamsError,
-    InvalidRateError,
-    InvalidRatioError,
-    KTooLargeError,
-    ManifestError,
-    MissingEmbeddingError,
-    NonNaturalInputError,
-    SpkraugError,
-)
+from .errors import SpkraugError
 from .metrics import ScoredPair
 from .psola import analyse, synthesis_length, synthesise
 from .rng import rng_for
@@ -72,20 +61,20 @@ class UtteranceRecord:
         for key in ("utterance_id", "speaker_id", "path", "parent_id"):
             value = getattr(self, key)
             if not (isinstance(value, str) or (key == "parent_id" and value is None)):
-                raise ManifestError(f"{key} must be a string, got {value!r}")
+                raise SpkraugError(f"{key} must be a string, got {value!r}")
         for key in ("duration_ratio", "f0_ratio"):
             # frozen: set the checked float through object.__setattr__
             object.__setattr__(self, key, _check_ratio(key, getattr(self, key)))
         if self.kind not in KINDS:
-            raise ManifestError(f"{self.utterance_id}: unknown kind {self.kind!r}")
+            raise SpkraugError(f"{self.utterance_id}: unknown kind {self.kind!r}")
         is_natural = self.kind == NATURAL
         if is_natural and (self.duration_ratio != 1.0 or self.f0_ratio != 1.0
                            or self.parent_id is not None):
-            raise ManifestError(
+            raise SpkraugError(
                 f"{self.utterance_id}: natural records must have unit ratios and no parent"
             )
         if not is_natural and self.parent_id is None:
-            raise ManifestError(f"{self.utterance_id}: augmented record needs a parent_id")
+            raise SpkraugError(f"{self.utterance_id}: augmented record needs a parent_id")
 
     @property
     def is_natural(self) -> bool:
@@ -102,7 +91,7 @@ class Manifest:
         seen = set()
         for r in self.records:
             if r.utterance_id in seen:
-                raise ManifestError(f"duplicate utterance_id {r.utterance_id!r}")
+                raise SpkraugError(f"duplicate utterance_id {r.utterance_id!r}")
             seen.add(r.utterance_id)
         self._by_id = {r.utterance_id: r for r in self.records}
 
@@ -134,9 +123,9 @@ class Manifest:
             if parent is None and parents is not None:
                 parent = parents._by_id.get(r.parent_id)
             if parent is None:
-                raise ManifestError(f"{r.utterance_id}: parent {r.parent_id!r} not found")
+                raise SpkraugError(f"{r.utterance_id}: parent {r.parent_id!r} not found")
             if not parent.is_natural:
-                raise ManifestError(f"{r.utterance_id}: parent {r.parent_id!r} is not natural")
+                raise SpkraugError(f"{r.utterance_id}: parent {r.parent_id!r} is not natural")
 
 
 def save_manifest(manifest: Manifest, path) -> None:
@@ -154,17 +143,17 @@ def save_manifest(manifest: Manifest, path) -> None:
 def load_manifest(path) -> Manifest:
     lines = [(n, ln) for n, ln in enumerate(_read_text(path).splitlines(), start=1) if ln.strip()]
     if not lines:
-        raise ManifestError(f"{path}: empty manifest file")
+        raise SpkraugError(f"{path}: empty manifest file")
     lineno, line = lines[0]
     try:
         meta = json.loads(line)
         corpus, sample_rate = meta["corpus"], _check_rate(meta["sample_rate"])
         if not isinstance(corpus, str):
-            raise ManifestError(f"corpus must be a string, got {corpus!r}")
-    except (json.JSONDecodeError, RecursionError, InvalidRateError, ManifestError) as exc:
-        raise ManifestError(f"{path}:{lineno}: {exc}") from None
+            raise SpkraugError(f"corpus must be a string, got {corpus!r}")
+    except (json.JSONDecodeError, RecursionError, SpkraugError) as exc:
+        raise SpkraugError(f"{path}:{lineno}: {exc}") from None
     except (KeyError, TypeError):
-        raise ManifestError(
+        raise SpkraugError(
             f"{path}:{lineno}: header must carry corpus and an integer sample_rate"
         ) from None
     records, seen = [], set()
@@ -172,7 +161,7 @@ def load_manifest(path) -> Manifest:
         try:
             obj = json.loads(line)
             if not isinstance(obj, dict):
-                raise ManifestError("record must be a JSON object")
+                raise SpkraugError("record must be a JSON object")
             record = UtteranceRecord(
                 obj["utterance_id"], obj["speaker_id"], obj["path"],
                 kind=obj.get("kind", NATURAL),
@@ -181,20 +170,20 @@ def load_manifest(path) -> Manifest:
                 parent_id=obj.get("parent_id"),
             )
             if record.utterance_id in seen:
-                raise ManifestError(f"duplicate utterance_id {record.utterance_id!r}")
+                raise SpkraugError(f"duplicate utterance_id {record.utterance_id!r}")
             seen.add(record.utterance_id)
             records.append(record)
         except KeyError as exc:
-            raise ManifestError(f"{path}:{lineno}: missing field {exc}") from None
-        except (ValueError, RecursionError, ManifestError, InvalidRatioError) as exc:
-            raise ManifestError(f"{path}:{lineno}: {exc}") from None
+            raise SpkraugError(f"{path}:{lineno}: missing field {exc}") from None
+        except (ValueError, RecursionError) as exc:  # SpkraugError is a ValueError
+            raise SpkraugError(f"{path}:{lineno}: {exc}") from None
     return Manifest(records, corpus=corpus, sample_rate=sample_rate)
 
 
 def _utterance_number(utterance_id: str) -> int:
     m = _TRAILING_DIGITS.search(utterance_id)
     if m is None:
-        raise ManifestError(
+        raise SpkraugError(
             f"{utterance_id!r}: parallel selection needs a trailing utterance number"
         )
     return int(m.group(1))
@@ -210,13 +199,13 @@ def select_subset(manifest: Manifest, per_speaker: int, seed: int,
     independently. Record order follows the input manifest.
     """
     if per_speaker < 1:
-        raise InsufficientUtterancesError(f"per_speaker must be >= 1, got {per_speaker}")
+        raise SpkraugError(f"per_speaker must be >= 1, got {per_speaker}")
     naturals = manifest.naturals()
     by_speaker = {}
     for r in naturals:
         by_speaker.setdefault(r.speaker_id, []).append(r)
     if not by_speaker:
-        raise InsufficientUtterancesError("manifest has no natural records")
+        raise SpkraugError("manifest has no natural records")
 
     rng = rng_for(seed, "dataset.select_subset")
     keep = set()
@@ -227,14 +216,14 @@ def select_subset(manifest: Manifest, per_speaker: int, seed: int,
             for r in recs:
                 n = _utterance_number(r.utterance_id)
                 if n in numbers:
-                    raise ManifestError(
+                    raise SpkraugError(
                         f"speaker {speaker!r}: utterance number {n} appears twice"
                     )
                 numbers[n] = r.utterance_id
             number_sets.append(numbers)
         shared = sorted(set.intersection(*[set(d) for d in number_sets]))
         if len(shared) < per_speaker:
-            raise InsufficientUtterancesError(
+            raise SpkraugError(
                 f"only {len(shared)} utterance numbers shared across speakers, "
                 f"need {per_speaker}"
             )
@@ -245,7 +234,7 @@ def select_subset(manifest: Manifest, per_speaker: int, seed: int,
         for speaker in sorted(by_speaker):
             ids = sorted(r.utterance_id for r in by_speaker[speaker])
             if len(ids) < per_speaker:
-                raise InsufficientUtterancesError(
+                raise SpkraugError(
                     f"speaker {speaker!r} has {len(ids)} naturals, need {per_speaker}"
                 )
             picks = rng.choice(len(ids), size=per_speaker, replace=False)
@@ -269,10 +258,10 @@ def plan_augmentation(manifest: Manifest, recipe: str) -> list:
     jobs (durations 1.3, 0.8 and F0 factors 0.8, 1.2).
     """
     if recipe not in RECIPE_JOBS:
-        raise InvalidParamsError(f"unknown recipe {recipe!r}, expected one of {RECIPES}")
+        raise SpkraugError(f"unknown recipe {recipe!r}, expected one of {RECIPES}")
     for r in manifest:
         if not r.is_natural:
-            raise NonNaturalInputError(f"{r.utterance_id}: cannot augment a {r.kind} record")
+            raise SpkraugError(f"{r.utterance_id}: cannot augment a {r.kind} record")
     kind, ratio_pairs = RECIPE_JOBS[recipe]
     return [AugmentationJob(r, kind, d, f) for r in manifest for d, f in ratio_pairs]
 
@@ -309,7 +298,7 @@ def read_utterance(record: UtteranceRecord, sample_rate: int):
     """Read a record's WAV, which must be at the manifest's sample_rate."""
     clip = read_wav(record.path)
     if clip.sample_rate != sample_rate:
-        raise ManifestError(f"{record.utterance_id}: WAV is {clip.sample_rate} Hz, "
+        raise SpkraugError(f"{record.utterance_id}: WAV is {clip.sample_rate} Hz, "
                             f"manifest says {sample_rate} Hz")
     return clip
 
@@ -387,14 +376,14 @@ def select_best_augmented(naturals: Manifest, augmented: Manifest,
 
     Distances are Euclidean in the embedding space; the result contains the
     naturals followed by every kept child, both in manifest order. k = 0
-    keeps just the naturals; a negative k raises KTooLargeError.
+    keeps just the naturals; a negative k is an error.
     """
     if k < 0:
-        raise KTooLargeError(f"k must be non-negative, got {k}")
+        raise SpkraugError(f"k must be non-negative, got {k}")
     augmented.require_parents(naturals)
     for r in list(naturals) + list(augmented):
         if r.utterance_id not in embeddings:
-            raise MissingEmbeddingError(f"no embedding for {r.utterance_id!r}")
+            raise SpkraugError(f"no embedding for {r.utterance_id!r}")
 
     children = {}
     for r in augmented:
@@ -404,7 +393,7 @@ def select_best_augmented(naturals: Manifest, augmented: Manifest,
     for natural in naturals:
         kids = children.get(natural.utterance_id, [])
         if len(kids) < k:
-            raise KTooLargeError(
+            raise SpkraugError(
                 f"{natural.utterance_id}: has {len(kids)} augmented children, need {k}"
             )
         if k:
@@ -431,14 +420,14 @@ def generate_eer_pairs(eval_manifest: Manifest, natural_pool: Manifest, seed: in
         ids.sort()
     speakers = sorted(pool_by_speaker)
     if len(speakers) < 2:
-        raise InsufficientPoolError(f"need naturals from >= 2 speakers, have {len(speakers)}")
+        raise SpkraugError(f"need naturals from >= 2 speakers, have {len(speakers)}")
 
     rng = rng_for(seed, "dataset.generate_eer_pairs")
     pairs = []
     for r in eval_manifest:
         own = pool_by_speaker.get(r.speaker_id)
         if not own:
-            raise InsufficientPoolError(f"no natural pool utterances for {r.speaker_id!r}")
+            raise SpkraugError(f"no natural pool utterances for {r.speaker_id!r}")
         same_id = own[int(rng.integers(len(own)))]
         others = [s for s in speakers if s != r.speaker_id]
         other_speaker = others[int(rng.integers(len(others)))]

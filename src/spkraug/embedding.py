@@ -13,15 +13,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .audio_io import AudioClip, _read_text, _replacing
-from .errors import (
-    ClipTooShortError,
-    DimensionMismatchError,
-    EmbeddingFileError,
-    InvalidClipError,
-    KTooLargeError,
-    UnknownSpeakerError,
-    ZeroNormError,
-)
+from .errors import SpkraugError
 from .spectral import (
     DEFAULT_FFT_SIZE,
     DEFAULT_FRAME_LENGTH,
@@ -48,13 +40,13 @@ class EmbeddingSet:
         self._index = _row_index(ids)  # utterance_id -> row; a duplicate is reported first
         if not (matrix.ndim == 2 and matrix.shape[1] >= 1
                 and len(ids) == len(speaker_ids) == len(matrix)):
-            raise DimensionMismatchError(
+            raise SpkraugError(
                 f"{len(ids)} ids and {len(speaker_ids)} speakers for a matrix of shape "
                 f"{matrix.shape}: need one of each per row and dimension >= 1"
             )
         finite = np.isfinite(matrix.min(axis=1)) & np.isfinite(matrix.max(axis=1))  # no n x d temporary
         if not finite.all():
-            raise ZeroNormError(f"{ids[int(np.argmin(finite))]}: embedding has non-finite values")
+            raise SpkraugError(f"{ids[int(np.argmin(finite))]}: embedding has non-finite values")
         matrix.setflags(write=False)
         self.ids = ids
         self.speaker_ids = speaker_ids
@@ -91,7 +83,7 @@ def _row_index(ids) -> dict:
         seen = set()
         for uid in ids:
             if uid in seen:
-                raise EmbeddingFileError(f"duplicate utterance_id {uid!r}")
+                raise SpkraugError(f"duplicate utterance_id {uid!r}")
             seen.add(uid)
     return index
 
@@ -110,11 +102,11 @@ def _cosine_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Cosine similarity of each row of `a` with the same row of `b`, equal bit
     for bit to np.dot(x, y) / (np.linalg.norm(x) * np.linalg.norm(y)), clipped."""
     if a.shape[1] != b.shape[1]:
-        raise DimensionMismatchError(f"{a.shape[1]} vs {b.shape[1]}")
+        raise SpkraugError(f"{a.shape[1]} vs {b.shape[1]}")
     na = np.sqrt(_row_dots(a, a))
     nb = np.sqrt(_row_dots(b, b))
     if np.any(na == 0.0) or np.any(nb == 0.0):
-        raise ZeroNormError("cosine similarity undefined for zero-norm vectors")
+        raise SpkraugError("cosine similarity undefined for zero-norm vectors")
     return np.clip(_row_dots(a, b) / (na * nb), -1.0, 1.0)
 
 
@@ -124,7 +116,7 @@ def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
 
 def euclidean_distance(a: np.ndarray, b: np.ndarray) -> float:
     if len(a) != len(b):
-        raise DimensionMismatchError(f"{len(a)} vs {len(b)}")
+        raise SpkraugError(f"{len(a)} vs {len(b)}")
     return float(np.linalg.norm(np.subtract(a, b)))
 
 
@@ -135,22 +127,14 @@ def select_k_nearest(natural: np.ndarray, candidates: EmbeddingSet, k: int) -> l
     on the order candidates were loaded in.
     """
     if k > len(candidates):
-        raise KTooLargeError(f"k={k} but only {len(candidates)} candidates")
+        raise SpkraugError(f"k={k} but only {len(candidates)} candidates")
     if k < 0:
-        raise KTooLargeError(f"k must be non-negative, got {k}")
+        raise SpkraugError(f"k must be non-negative, got {k}")
     if len(natural) != candidates.dimension:
-        raise DimensionMismatchError(f"{len(natural)} vs {candidates.dimension}")
+        raise SpkraugError(f"{len(natural)} vs {candidates.dimension}")
     diff = natural - candidates.matrix
     ranked = sorted(zip(np.sqrt(_row_dots(diff, diff)).tolist(), candidates.ids))
     return [uid for _, uid in ranked[:k]]
-
-
-def speaker_centroid(embeddings: EmbeddingSet, speaker_id: str) -> np.ndarray:
-    """Arithmetic mean of one speaker's embeddings."""
-    rows = embeddings.matrix[[s == speaker_id for s in embeddings.speaker_ids]]
-    if len(rows) == 0:
-        raise UnknownSpeakerError(f"no embeddings for speaker {speaker_id!r}")
-    return rows.mean(axis=0)
 
 
 def _hz_to_mel(f):
@@ -163,6 +147,8 @@ def _mel_to_hz(m):
 
 @lru_cache(maxsize=8)
 def _mel_filterbank_cached(n_bands: int, fft_size: int, sample_rate: int) -> np.ndarray:
+    """Triangular mel filters, n_bands x (fft_size//2 + 1), spanning 0..Nyquist.
+    Cached, so every caller gets the same read-only array."""
     n_bins = fft_size // 2 + 1
     edges_hz = _mel_to_hz(np.linspace(0.0, _hz_to_mel(sample_rate / 2.0), n_bands + 2))
     bin_hz = np.arange(n_bins) * sample_rate / fft_size
@@ -174,11 +160,6 @@ def _mel_filterbank_cached(n_bands: int, fft_size: int, sample_rate: int) -> np.
         fb[b] = np.clip(np.minimum(rising, falling), 0.0, None)
     fb.setflags(write=False)
     return fb
-
-
-def mel_filterbank(n_bands: int, fft_size: int, sample_rate: int) -> np.ndarray:
-    """Triangular mel filters, n_bands x (fft_size//2 + 1), spanning 0..Nyquist."""
-    return _mel_filterbank_cached(int(n_bands), int(fft_size), int(sample_rate)).copy()
 
 
 class _MelProjection(NamedTuple):
@@ -247,7 +228,7 @@ def extract_standin_embedding(clip: AudioClip) -> np.ndarray:
     standard deviation over time. The 160-dim result is L2-normalized.
     """
     if clip.duration_seconds < MIN_CLIP_SECONDS:
-        raise ClipTooShortError(
+        raise SpkraugError(
             f"need at least {MIN_CLIP_SECONDS} s, got {clip.duration_seconds:.3f} s"
         )
     x = clip.samples
@@ -258,10 +239,10 @@ def extract_standin_embedding(clip: AudioClip) -> np.ndarray:
                            for energies in _mel_energy_blocks(x, clip.sample_rate)])
     feats = np.concatenate([logs.mean(axis=0), logs.std(axis=0)])
     if not np.isfinite(feats).all():
-        raise InvalidClipError("clip contains NaN/Inf samples")
+        raise SpkraugError("clip contains NaN/Inf samples")
     norm = math.hypot(*feats)
     if norm == 0.0:
-        raise ZeroNormError("degenerate clip produced an all-zero feature vector")
+        raise SpkraugError("degenerate clip produced an all-zero feature vector")
     return feats / norm
 
 
@@ -283,21 +264,21 @@ def save_embeddings(embeddings: EmbeddingSet, path) -> None:
 def load_embeddings(path) -> EmbeddingSet:
     """Read the TSV format into one matrix, row by row.
 
-    A defective line raises on its own: a wrong field count or a non-numeric
-    value as EmbeddingFileError, non-finite values as ZeroNormError, an
-    all-zero row as EmbeddingFileError; the first defective line wins, and a
-    duplicate utterance_id is reported only when every line is sound.
+    A defective line raises on its own: a wrong field count, a non-numeric
+    value, non-finite values or an all-zero row; the first defective line
+    wins, and a duplicate utterance_id is reported only when every line is
+    sound.
     """
     text = _read_text(path)
     lines = text.splitlines()
     if not lines or not lines[0].startswith("#dim="):
-        raise EmbeddingFileError(f"{path}: missing #dim= header")
+        raise SpkraugError(f"{path}: missing #dim= header")
     try:
         dim = int(lines[0][5:])
     except ValueError:
-        raise EmbeddingFileError(f"{path}: unparseable header {lines[0]!r}") from None
+        raise SpkraugError(f"{path}: unparseable header {lines[0]!r}") from None
     if dim < 1:
-        raise EmbeddingFileError(f"{path}: dimension must be positive, got {dim}")
+        raise SpkraugError(f"{path}: dimension must be positive, got {dim}")
     # a row of the right width holds at least dim + 1 characters, which bounds
     # the allocation by the file size whatever the header claims
     matrix = np.empty((min(len(lines) - 1, len(text) // (dim + 1)), dim))
@@ -312,8 +293,8 @@ def load_embeddings(path) -> EmbeddingSet:
         if bad.any():
             row = int(np.argmax(bad))
             if not np.isfinite(parsed[row]).all():
-                raise ZeroNormError(f"{path}:{linenos[row]}: embedding has non-finite values")
-            raise EmbeddingFileError(f"{path}:{linenos[row]}: zero-norm embedding")
+                raise SpkraugError(f"{path}:{linenos[row]}: embedding has non-finite values")
+            raise SpkraugError(f"{path}:{linenos[row]}: zero-norm embedding")
 
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
@@ -321,16 +302,19 @@ def load_embeddings(path) -> EmbeddingSet:
         parts = line.split("\t")
         if len(parts) != 2 + dim:
             raise_row_errors()
-            raise EmbeddingFileError(
+            raise SpkraugError(
                 f"{path}:{lineno}: expected {2 + dim} fields, found {len(parts)}"
             )
         try:
             matrix[len(ids)] = list(map(float, parts[2:]))
         except ValueError:
             raise_row_errors()
-            raise EmbeddingFileError(f"{path}:{lineno}: non-numeric value") from None
+            raise SpkraugError(f"{path}:{lineno}: non-numeric value") from None
         ids.append(parts[0])
         speaker_ids.append(parts[1])
         linenos.append(lineno)
     raise_row_errors()
-    return EmbeddingSet(ids, speaker_ids, matrix[:len(ids)])  # drops rows kept for blank lines
+    try:
+        return EmbeddingSet(ids, speaker_ids, matrix[:len(ids)])  # drops rows kept for blank lines
+    except SpkraugError as exc:  # a duplicate utterance_id
+        raise SpkraugError(f"{path}: {exc}") from None

@@ -1,129 +1,12 @@
-"""Exception types raised across the toolkit.
+"""The toolkit's one exception type.
 
-File-level problems use the builtins (``FileNotFoundError``, ``OSError``);
-everything else derives from :class:`SpkraugError`, which is a ``ValueError``
-so generic argument-validation handling keeps working.
+Every problem the toolkit detects raises :class:`SpkraugError`, a
+``ValueError``, with a message that says what is wrong: a defect in an input
+file names its ``path`` or ``path:line``. Only a file that cannot be opened or
+written at all raises the builtin ``OSError``. The CLI reports either as one
+error line and exits 1.
 """
 
 
 class SpkraugError(ValueError):
-    """Base class for all toolkit errors."""
-
-
-# audio_io
-class UnsupportedFormatError(SpkraugError):
-    """WAV file is not 16-bit mono PCM."""
-
-
-class CorruptHeaderError(SpkraugError):
-    """File is not a parseable RIFF/WAVE container."""
-
-
-class InvalidClipError(SpkraugError):
-    """AudioClip contains NaN/Inf samples."""
-
-
-class InvalidRateError(SpkraugError):
-    """Sample rate outside the supported 8000..192000 Hz range."""
-
-
-class InvalidRatioError(SpkraugError):
-    """Modification ratio outside its allowed range."""
-
-
-# spectral / generic parameter validation
-class InvalidParamsError(SpkraugError):
-    """Inconsistent or out-of-range analysis parameters."""
-
-
-# psola
-class InvalidRangeError(SpkraugError):
-    """Bad F0 search range."""
-
-
-class EmptyClipError(SpkraugError):
-    """Operation requires a non-empty clip."""
-
-
-class NoPitchMarksError(SpkraugError):
-    """Input too short/degenerate to carry two pitch periods."""
-
-
-# embedding
-class DimensionMismatchError(SpkraugError):
-    """Vectors of different dimensionality."""
-
-
-class EmbeddingFileError(SpkraugError):
-    """Malformed embedding TSV (bad header, ragged rows, duplicates)."""
-
-
-class ZeroNormError(SpkraugError):
-    """Zero-norm vector where a direction is required."""
-
-
-class KTooLargeError(SpkraugError):
-    """k exceeds the number of available candidates."""
-
-
-class UnknownSpeakerError(SpkraugError):
-    """No embeddings stored for the requested speaker."""
-
-
-class ClipTooShortError(SpkraugError):
-    """Clip shorter than the feature extractor's minimum duration."""
-
-
-# metrics
-class NonFiniteError(SpkraugError):
-    """Loss terms or weights contain NaN/Inf."""
-
-
-class LengthMismatchError(SpkraugError):
-    """Paired batches of different lengths."""
-
-
-class MissingClassError(SpkraugError):
-    """EER needs at least one genuine and one impostor pair."""
-
-
-class InsufficientReferencesError(SpkraugError):
-    """Reference pool cannot supply the requested draws for a speaker."""
-
-
-class EmptyReferenceError(SpkraugError):
-    """WER reference token list is empty."""
-
-
-class PairFileError(SpkraugError):
-    """Malformed verification-pair TSV."""
-
-
-# tsne
-class PerplexityTooLargeError(SpkraugError):
-    """Perplexity incompatible with the number of points."""
-
-
-class TooFewPointsError(SpkraugError):
-    """t-SNE needs at least 4 points."""
-
-
-# dataset
-class ManifestError(SpkraugError):
-    """Manifest invariant violated (duplicate ids, dangling parent, ...)."""
-
-
-class InsufficientUtterancesError(SpkraugError):
-    """A speaker has fewer utterances than the subset asks for."""
-
-
-class NonNaturalInputError(SpkraugError):
-    """Augmentation planning requires natural records only."""
-
-
-class MissingEmbeddingError(SpkraugError):
-    """A manifest record has no embedding in the provided set."""
-
-
-class InsufficientPoolError(SpkraugError):
-    """Natural pool cannot form the requested verification pairs."""
+    """An invalid input, argument or file."""

@@ -12,15 +12,7 @@ import numpy as np
 
 from .audio_io import _read_text, _replacing
 from .embedding import EmbeddingSet, _cosine_rows
-from .errors import (
-    EmptyReferenceError,
-    InsufficientReferencesError,
-    LengthMismatchError,
-    MissingClassError,
-    MissingEmbeddingError,
-    NonFiniteError,
-    PairFileError,
-)
+from .errors import SpkraugError
 from .rng import rng_for
 
 DEFAULT_LOSS_WEIGHTS = (1.0, 1.0, 0.1)  # not from any publication; see README
@@ -40,7 +32,7 @@ class ScoredPair:
         if self.score is not None:
             self.score = float(self.score)
             if not np.isfinite(self.score):
-                raise NonFiniteError(f"pair {self.enroll_id}/{self.test_id}: score not finite")
+                raise SpkraugError(f"pair {self.enroll_id}/{self.test_id}: score not finite")
 
 
 @dataclass(frozen=True)
@@ -52,9 +44,9 @@ class LossTerms:
     def __post_init__(self):
         vals = (self.l_l1, self.l_attention, self.l_sv)
         if not all(np.isfinite(v) for v in vals):
-            raise NonFiniteError(f"loss terms must be finite, got {vals}")
+            raise SpkraugError(f"loss terms must be finite, got {vals}")
         if self.l_l1 < 0 or self.l_attention < 0:
-            raise NonFiniteError("l_l1 and l_attention must be non-negative")
+            raise SpkraugError("l_l1 and l_attention must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -66,7 +58,7 @@ class LossWeights:
     def __post_init__(self):
         vals = (self.alpha, self.beta, self.gamma)
         if not all(np.isfinite(v) for v in vals):
-            raise NonFiniteError(f"loss weights must be finite, got {vals}")
+            raise SpkraugError(f"loss weights must be finite, got {vals}")
 
 
 def combined_loss(terms: LossTerms, weights: LossWeights) -> float:
@@ -84,7 +76,7 @@ def batch_cs_loss(synth: EmbeddingSet, natural: EmbeddingSet) -> float:
     own ids (e.g. child ids against their natural parents' ids).
     """
     if len(synth) != len(natural) or len(synth) == 0:
-        raise LengthMismatchError(
+        raise SpkraugError(
             f"need equal non-empty batches, got {len(synth)} vs {len(natural)}"
         )
     sims = _cosine_rows(synth.matrix, natural.matrix)
@@ -100,7 +92,7 @@ def equal_error_rate(pairs) -> tuple:
     two operating points where FAR - FRR changes sign.
     """
     if any(p.score is None for p in pairs):
-        raise NonFiniteError("all pairs must be scored before computing EER")
+        raise SpkraugError("all pairs must be scored before computing EER")
     scores = np.array([p.score for p in pairs], dtype=np.float64)
     same = np.array([p.same_speaker for p in pairs], dtype=bool)
     return _eer(scores[same], scores[~same])
@@ -109,7 +101,7 @@ def equal_error_rate(pairs) -> tuple:
 def _eer(genuine: np.ndarray, impostor: np.ndarray) -> tuple:
     """equal_error_rate's sweep over score arrays, one sort per class."""
     if len(genuine) == 0 or len(impostor) == 0:
-        raise MissingClassError(
+        raise SpkraugError(
             f"need both classes, got {len(genuine)} genuine / {len(impostor)} impostor"
         )
     scores = np.unique(np.concatenate([genuine, impostor]))
@@ -136,7 +128,7 @@ def eer_loss(batch_synth: EmbeddingSet, reference_pool: EmbeddingSet,
     drawn without replacement by a generator derived from `seed`.
     """
     if per_utterance_refs < 1:
-        raise InsufficientReferencesError(
+        raise SpkraugError(
             f"per_utterance_refs must be >= 1, got {per_utterance_refs}"
         )
     references = np.array(reference_pool.speaker_ids)
@@ -149,7 +141,7 @@ def eer_loss(batch_synth: EmbeddingSet, reference_pool: EmbeddingSet,
     for speaker in batch_synth.speaker_ids:
         same, diff = pools[speaker]
         if len(same) < per_utterance_refs or len(diff) < per_utterance_refs:
-            raise InsufficientReferencesError(
+            raise SpkraugError(
                 f"speaker {speaker!r}: have {len(same)} same / {len(diff)} other "
                 f"references, need {per_utterance_refs} of each"
             )
@@ -177,7 +169,7 @@ def word_error_rate(reference, hypothesis) -> tuple:
     ref = list(reference)
     hyp = list(hypothesis)
     if not ref:
-        raise EmptyReferenceError("reference transcript has no tokens")
+        raise SpkraugError("reference transcript has no tokens")
 
     vocab = {}
     ref_ids = np.array([vocab.setdefault(t, len(vocab)) for t in ref], dtype=np.int64)
@@ -237,20 +229,20 @@ def load_pairs(path) -> list:
             continue
         parts = line.split("\t")
         if len(parts) not in (3, 4):
-            raise PairFileError(f"{path}:{lineno}: expected 3 or 4 fields, found {len(parts)}")
+            raise SpkraugError(f"{path}:{lineno}: expected 3 or 4 fields, found {len(parts)}")
         if parts[2] not in ("same", "diff"):
-            raise PairFileError(f"{path}:{lineno}: label must be same|diff, got {parts[2]!r}")
+            raise SpkraugError(f"{path}:{lineno}: label must be same|diff, got {parts[2]!r}")
         score = None
         if len(parts) == 4:
             try:
                 score = float(parts[3])
             except ValueError:
-                raise PairFileError(f"{path}:{lineno}: bad score {parts[3]!r}") from None
+                raise SpkraugError(f"{path}:{lineno}: bad score {parts[3]!r}") from None
             if not math.isfinite(score):
-                raise PairFileError(f"{path}:{lineno}: score not finite: {parts[3]!r}")
+                raise SpkraugError(f"{path}:{lineno}: score not finite: {parts[3]!r}")
         pairs.append(ScoredPair(parts[0], parts[1], parts[2] == "same", score))
     if not pairs:
-        raise PairFileError(f"{path}: no pairs found")
+        raise SpkraugError(f"{path}: no pairs found")
     return pairs
 
 
@@ -260,7 +252,7 @@ def score_pairs(pairs, embeddings: EmbeddingSet) -> list:
     for p in todo:
         for uid in (p.enroll_id, p.test_id):
             if uid not in embeddings:
-                raise MissingEmbeddingError(f"no embedding for utterance {uid!r}")
+                raise SpkraugError(f"no embedding for utterance {uid!r}")
     scores = iter(_cosine_rows(embeddings._rows(p.enroll_id for p in todo),
                                embeddings._rows(p.test_id for p in todo)))
     return [p if p.score is not None

@@ -21,8 +21,8 @@ from typing import NamedTuple
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .audio_io import MAX_RATIO, MIN_RATIO, AudioClip, _check_ratio  # noqa: F401 - re-exported
-from .errors import EmptyClipError, InvalidRangeError, NoPitchMarksError
+from .audio_io import AudioClip, _check_ratio
+from .errors import SpkraugError
 
 F0_WINDOW_SECONDS = 0.025
 F0_HOP_SECONDS = 0.010
@@ -44,7 +44,7 @@ def estimate_f0(clip: AudioClip, f0_min: float = DEFAULT_F0_MIN,
     """
     sr = clip.sample_rate
     if not (0 < f0_min < f0_max < sr / 4):
-        raise InvalidRangeError(
+        raise SpkraugError(
             f"need 0 < f0_min < f0_max < sample_rate/4, got [{f0_min}, {f0_max}] at {sr} Hz"
         )
     win = int(round(F0_WINDOW_SECONDS * sr))
@@ -64,7 +64,7 @@ def estimate_f0(clip: AudioClip, f0_min: float = DEFAULT_F0_MIN,
     lag_min = max(2, int(np.ceil(sr / f0_max)))
     lag_max = min(win - 2, int(np.floor(sr / f0_min)))
     if lag_min >= lag_max:
-        raise InvalidRangeError(f"search range [{f0_min}, {f0_max}] leaves no usable lags")
+        raise SpkraugError(f"search range [{f0_min}, {f0_max}] leaves no usable lags")
 
     energy = acf[:, 0]
     searchable = energy > 1e-12
@@ -120,7 +120,7 @@ def place_pitch_marks(clip: AudioClip, f0: np.ndarray) -> np.ndarray:
     """
     n = len(clip)
     if n == 0:
-        raise EmptyClipError("cannot place pitch marks on an empty clip")
+        raise SpkraugError("cannot place pitch marks on an empty clip")
     x = clip.samples
     sr = clip.sample_rate
     step_unvoiced = int(round(UNVOICED_STEP_SECONDS * sr))
@@ -182,7 +182,7 @@ def analyse(clip: AudioClip, f0_min: float = DEFAULT_F0_MIN,
     f0 = estimate_f0(clip, f0_min, f0_max)
     marks = place_pitch_marks(clip, f0)
     if len(marks) < 3:
-        raise NoPitchMarksError(
+        raise SpkraugError(
             f"found only {len(marks)} pitch marks; input is shorter than two periods"
         )
     gaps = np.diff(marks)

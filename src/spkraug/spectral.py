@@ -15,7 +15,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .audio_io import DEFAULT_SAMPLE_RATE, AudioClip, _check_rate, _replacing
-from .errors import InvalidParamsError
+from .errors import SpkraugError
 
 # DC-TTS-style defaults at 16 kHz: 50 ms frames, 12.5 ms shift.
 DEFAULT_FRAME_LENGTH = 800
@@ -28,7 +28,7 @@ _SPG_MAGIC = b"SPG1"
 
 def _check_params(frame_length: int, frame_shift: int, fft_size: int) -> None:
     if not (0 < frame_shift <= frame_length <= fft_size):
-        raise InvalidParamsError(
+        raise SpkraugError(
             f"need 0 < frame_shift <= frame_length <= fft_size, got "
             f"shift={frame_shift} length={frame_length} fft={fft_size}"
         )
@@ -49,13 +49,13 @@ class Spectrogram:
         _check_params(self.frame_length, self.frame_shift, self.fft_size)
         self.sample_rate = _check_rate(self.sample_rate)
         if self.magnitudes.ndim != 2 or self.magnitudes.shape[1] != self.fft_size // 2 + 1:
-            raise InvalidParamsError(
+            raise SpkraugError(
                 f"magnitudes must be frames x {self.fft_size // 2 + 1}, got {self.magnitudes.shape}"
             )
         if self.n_frames == 0:
-            raise InvalidParamsError("spectrogram has no frames")
+            raise SpkraugError("spectrogram has no frames")
         if not np.all(np.isfinite(self.magnitudes)) or np.any(self.magnitudes < 0):
-            raise InvalidParamsError("magnitudes must be finite and non-negative")
+            raise SpkraugError("magnitudes must be finite and non-negative")
 
     @property
     def n_frames(self) -> int:
@@ -122,7 +122,7 @@ def stft(clip: AudioClip, frame_length: int = DEFAULT_FRAME_LENGTH,
     """
     _check_params(frame_length, frame_shift, fft_size)
     if len(clip) == 0:
-        raise InvalidParamsError("cannot analyze an empty clip")
+        raise SpkraugError("cannot analyze an empty clip")
     return _stft_array(clip.samples, _window(frame_length), frame_shift, fft_size)
 
 
@@ -137,9 +137,9 @@ def istft(spec: np.ndarray, frame_length: int = DEFAULT_FRAME_LENGTH,
     _check_params(frame_length, frame_shift, fft_size)
     spec = np.asarray(spec, dtype=np.complex128)
     if spec.ndim != 2 or spec.shape[1] != fft_size // 2 + 1:
-        raise InvalidParamsError(f"spectrum must be frames x {fft_size // 2 + 1}, got {spec.shape}")
+        raise SpkraugError(f"spectrum must be frames x {fft_size // 2 + 1}, got {spec.shape}")
     if spec.shape[0] == 0:
-        raise InvalidParamsError("spectrum has no frames")
+        raise SpkraugError("spectrum has no frames")
     ola = _overlap_add(frame_length, frame_shift, spec.shape[0])
     return AudioClip(_istft_array(spec, fft_size, ola), sample_rate)
 
@@ -165,7 +165,7 @@ def griffin_lim(spec: Spectrogram, iterations: int = DEFAULT_ITERATIONS, seed: i
     consistency error ||M - |STFT(x_k)||_F / ||M||_F, which is non-increasing.
     """
     if iterations < 1:
-        raise InvalidParamsError(f"iterations must be >= 1, got {iterations}")
+        raise SpkraugError(f"iterations must be >= 1, got {iterations}")
     m = spec.magnitudes
     m_norm = float(np.linalg.norm(m))
     if m_norm == 0.0:
@@ -212,10 +212,13 @@ def read_spectrogram(path) -> Spectrogram:
     path = Path(path)
     raw = path.read_bytes()
     if len(raw) < 28 or raw[:4] != _SPG_MAGIC:
-        raise InvalidParamsError(f"{path}: not an SPG1 file")
+        raise SpkraugError(f"{path}: not an SPG1 file")
     frames, bins, fft_size, frame_shift, frame_length, sample_rate = struct.unpack("<6I", raw[4:28])
     expected = 28 + frames * bins * 4
     if len(raw) != expected:
-        raise InvalidParamsError(f"{path}: expected {expected} bytes, found {len(raw)}")
+        raise SpkraugError(f"{path}: expected {expected} bytes, found {len(raw)}")
     mags = np.frombuffer(raw[28:], dtype="<f4").astype(np.float64).reshape(frames, bins)
-    return Spectrogram(mags, frame_shift, frame_length, fft_size, sample_rate)
+    try:
+        return Spectrogram(mags, frame_shift, frame_length, fft_size, sample_rate)
+    except SpkraugError as exc:
+        raise SpkraugError(f"{path}: {exc}") from None

@@ -11,12 +11,7 @@ import numpy as np
 
 from .audio_io import _replacing
 from .embedding import EmbeddingSet, _tsv_rows
-from .errors import (
-    DimensionMismatchError,
-    InvalidParamsError,
-    PerplexityTooLargeError,
-    TooFewPointsError,
-)
+from .errors import SpkraugError
 from .rng import rng_for
 
 # Optimizer constants: the standard defaults for the technique, not values
@@ -47,19 +42,19 @@ class TsneConfig:
 
     def __post_init__(self):
         if not self.perplexity > 1:
-            raise InvalidParamsError(f"perplexity must exceed 1, got {self.perplexity}")
+            raise SpkraugError(f"perplexity must exceed 1, got {self.perplexity}")
         if self.iterations < 1:
-            raise InvalidParamsError(f"iterations must be positive, got {self.iterations}")
+            raise SpkraugError(f"iterations must be positive, got {self.iterations}")
 
 
 def _validate_distances(distances_sq: np.ndarray) -> np.ndarray:
     d2 = np.asarray(distances_sq, dtype=np.float64)
     if d2.ndim != 2 or d2.shape[0] != d2.shape[1]:
-        raise InvalidParamsError(f"distance matrix must be square, got {d2.shape}")
+        raise SpkraugError(f"distance matrix must be square, got {d2.shape}")
     if not np.allclose(d2, d2.T, atol=1e-12):
-        raise InvalidParamsError("distance matrix must be symmetric")
+        raise SpkraugError("distance matrix must be symmetric")
     if np.any(d2 < 0) or np.any(np.diag(d2) != 0):
-        raise InvalidParamsError("distances must be non-negative with a zero diagonal")
+        raise SpkraugError("distances must be non-negative with a zero diagonal")
     return d2
 
 
@@ -74,7 +69,7 @@ def conditional_rows(distances_sq: np.ndarray, perplexity: float) -> np.ndarray:
     d2 = _validate_distances(distances_sq)
     n = d2.shape[0]
     if perplexity > n - 1:
-        raise PerplexityTooLargeError(
+        raise SpkraugError(
             f"perplexity {perplexity} impossible with {n} points (max {n - 1})"
         )
     target = np.log2(perplexity)
@@ -143,7 +138,7 @@ def kl_gradient(P: np.ndarray, Y: np.ndarray) -> np.ndarray:
     Y = np.asarray(Y, dtype=np.float64)
     n = Y.shape[0]
     if P.shape != (n, n) or Y.ndim != 2:
-        raise DimensionMismatchError(f"P {P.shape} does not match Y {Y.shape}")
+        raise SpkraugError(f"P {P.shape} does not match Y {Y.shape}")
     W = _student_t_weights(Y)
     M = np.divide(W, W.sum())  # Q, then M = (P - Q) * W in the same buffer
     np.subtract(P, M, out=M)
@@ -174,9 +169,9 @@ def run_tsne(embeddings: EmbeddingSet, config: TsneConfig = TsneConfig(),
     """
     n = len(embeddings)
     if n < 4:
-        raise TooFewPointsError(f"need at least 4 points, got {n}")
+        raise SpkraugError(f"need at least 4 points, got {n}")
     if not config.perplexity < (n - 1) / 3:
-        raise PerplexityTooLargeError(
+        raise SpkraugError(
             f"perplexity {config.perplexity} too large for {n} points "
             f"(needs perplexity < {(n - 1) / 3:.2f})"
         )
@@ -204,7 +199,7 @@ def save_coordinates(embeddings: EmbeddingSet, coords: np.ndarray, path) -> None
     """TSV rows utterance_id, speaker_id, then one column per coordinate."""
     coords = np.asarray(coords, dtype=np.float64)
     if coords.shape[0] != len(embeddings):
-        raise DimensionMismatchError(
+        raise SpkraugError(
             f"{coords.shape[0]} coordinate rows for {len(embeddings)} embeddings"
         )
     with _replacing(path) as tmp:
@@ -219,7 +214,7 @@ def render_scatter_svg(embeddings: EmbeddingSet, coords: np.ndarray, path) -> No
     """Speaker-colored scatter plot, written deterministically (no metadata)."""
     coords = np.asarray(coords, dtype=np.float64)
     if coords.shape != (len(embeddings), 2):
-        raise DimensionMismatchError(
+        raise SpkraugError(
             f"scatter needs n x 2 coordinates, got {coords.shape} for {len(embeddings)} points"
         )
     speakers = embeddings.speakers()

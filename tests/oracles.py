@@ -78,15 +78,6 @@ def knn_oracle(query, candidates, k):
     return [uid for uid, _ in ranked[:k]]
 
 
-def centroid_oracle(vectors):
-    """Mean by explicit accumulate-then-divide, one component at a time."""
-    total = [0.0] * len(vectors[0])
-    for v in vectors:
-        for d, value in enumerate(v):
-            total[d] += float(value)
-    return [value / len(vectors) for value in total]
-
-
 def fft_peak_hz(samples, sample_rate, n_fft=4096):
     """Frequency of the strongest spectral bin (Hann window, no refinement)."""
     x = np.asarray(samples, dtype=np.float64)[:n_fft]
@@ -204,38 +195,41 @@ def load_embeddings_row_oracle(path):
     from pathlib import Path
 
     from spkraug.embedding import EmbeddingSet
-    from spkraug.errors import EmbeddingFileError, ZeroNormError
+    from spkraug.errors import SpkraugError
 
     path = Path(path)
     lines = path.read_text(encoding="utf-8").splitlines()
     if not lines or not lines[0].startswith("#dim="):
-        raise EmbeddingFileError(f"{path}: missing #dim= header")
+        raise SpkraugError(f"{path}: missing #dim= header")
     try:
         dim = int(lines[0][5:])
     except ValueError:
-        raise EmbeddingFileError(f"{path}: unparseable header {lines[0]!r}") from None
+        raise SpkraugError(f"{path}: unparseable header {lines[0]!r}") from None
     if dim < 1:
-        raise EmbeddingFileError(f"{path}: dimension must be positive, got {dim}")
+        raise SpkraugError(f"{path}: dimension must be positive, got {dim}")
     rows = []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
         parts = line.split("\t")
         if len(parts) != 2 + dim:
-            raise EmbeddingFileError(
+            raise SpkraugError(
                 f"{path}:{lineno}: expected {2 + dim} fields, found {len(parts)}"
             )
         try:
             values = np.array([float(v) for v in parts[2:]])
         except ValueError:
-            raise EmbeddingFileError(f"{path}:{lineno}: non-numeric value") from None
+            raise SpkraugError(f"{path}:{lineno}: non-numeric value") from None
         if not np.all(np.isfinite(values)):
-            raise ZeroNormError(f"{path}:{lineno}: embedding has non-finite values")
+            raise SpkraugError(f"{path}:{lineno}: embedding has non-finite values")
         if np.linalg.norm(values) == 0.0:
-            raise EmbeddingFileError(f"{path}:{lineno}: zero-norm embedding")
+            raise SpkraugError(f"{path}:{lineno}: zero-norm embedding")
         rows.append((parts[0], parts[1], values))
-    return EmbeddingSet([r[0] for r in rows], [r[1] for r in rows],
-                        np.array([r[2] for r in rows]).reshape(len(rows), dim))
+    try:
+        return EmbeddingSet([r[0] for r in rows], [r[1] for r in rows],
+                            np.array([r[2] for r in rows]).reshape(len(rows), dim))
+    except SpkraugError as exc:  # a duplicate utterance_id
+        raise SpkraugError(f"{path}: {exc}") from None
 
 
 def wer_tuple_loop_oracle(reference, hypothesis):
@@ -245,12 +239,12 @@ def wer_tuple_loop_oracle(reference, hypothesis):
     The reference for `spkraug.metrics.word_error_rate`, which must return
     the same tuple with the same types.
     """
-    from spkraug.errors import EmptyReferenceError
+    from spkraug.errors import SpkraugError
 
     ref = list(reference)
     hyp = list(hypothesis)
     if not ref:
-        raise EmptyReferenceError("reference transcript has no tokens")
+        raise SpkraugError("reference transcript has no tokens")
 
     # each cell carries (distance, subs, dels, ins)
     prev = [(j, 0, 0, j) for j in range(len(hyp) + 1)]
@@ -389,7 +383,7 @@ def dense_mel_energies_oracle(clip):
     `magnitude_spectrogram(...).magnitudes ** 2 @ fb.T` (frames x 80), the
     form the stand-in embedding used before its fixed-order projection."""
     from spkraug.audio_io import AudioClip
-    from spkraug.embedding import mel_filterbank
+    from spkraug.embedding import _mel_filterbank_cached
     from spkraug.spectral import magnitude_spectrogram
 
     x = clip.samples
@@ -397,7 +391,7 @@ def dense_mel_energies_oracle(clip):
     if rms > 0:
         x = x / rms
     spec = magnitude_spectrogram(AudioClip(x, clip.sample_rate))
-    return spec.magnitudes ** 2 @ mel_filterbank(80, spec.fft_size, clip.sample_rate).T
+    return spec.magnitudes ** 2 @ _mel_filterbank_cached(80, spec.fft_size, clip.sample_rate).T
 
 
 def standin_embedding_oracle(clip):

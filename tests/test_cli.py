@@ -339,6 +339,19 @@ def test_embed_rejects_truncated_wav(capsys, tmp_path, parity):
     _assert_one_line_error(rc, report, err, "truncated data")
 
 
+def test_embed_rejects_wav_with_oversized_chunk(capsys, tmp_path):
+    """A chunk size that runs past the RIFF chunk once escaped the wave
+    module as a bare RuntimeError, and the CLI as a traceback."""
+    wav = tmp_path / "u.wav"
+    write_wav(sine(200.0, 0.3), wav)
+    data = bytearray(wav.read_bytes())
+    data[16:20] = struct.pack("<I", 0x00A90010)  # the fmt chunk's size
+    wav.write_bytes(bytes(data))
+    rc, report, err = _embed_one(
+        capsys, tmp_path, json.dumps({"utterance_id": "u", "speaker_id": "s", "path": str(wav)}))
+    _assert_one_line_error(rc, report, err, f"{wav}: chunk size exceeds its RIFF container")
+
+
 def test_embed_cli(capsys, cli_env, tmp_path):
     out = tmp_path / "emb.tsv"
     rc, report, _ = _run(capsys, ["embed", "--manifest", cli_env["manifest_path"],
@@ -572,5 +585,5 @@ def test_vocode_cli_rejects_zero_frame_spectrogram(capsys, tmp_path):
                                     "--output", str(out)])
     assert rc == 1
     assert report is None
-    assert err == "spkraug vocode: error: spectrogram has no frames\n"
+    assert err == f"spkraug vocode: error: {spec_path}: spectrogram has no frames\n"
     assert not out.exists()

@@ -29,16 +29,7 @@ from spkraug.dataset import (
     select_subset,
 )
 from spkraug.embedding import EmbeddingSet
-from spkraug.errors import (
-    InsufficientPoolError,
-    InsufficientUtterancesError,
-    InvalidParamsError,
-    InvalidRatioError,
-    KTooLargeError,
-    ManifestError,
-    MissingEmbeddingError,
-    NonNaturalInputError,
-)
+from spkraug.errors import SpkraugError
 
 
 def _natural(uid, speaker="sp0", path=None):
@@ -60,31 +51,32 @@ def test_natural_record_defaults():
 
 
 def test_natural_record_rejects_modification_fields():
-    with pytest.raises(ManifestError):
+    message = "u: natural records must have unit ratios and no parent"
+    with pytest.raises(SpkraugError, match=message):
         UtteranceRecord("u", "s", "p.wav", NATURAL, 1.1, 1.0)
-    with pytest.raises(ManifestError):
+    with pytest.raises(SpkraugError, match=message):
         UtteranceRecord("u", "s", "p.wav", NATURAL, 1.0, 0.9)
-    with pytest.raises(ManifestError):
+    with pytest.raises(SpkraugError, match=message):
         UtteranceRecord("u", "s", "p.wav", NATURAL, 1.0, 1.0, "parent")
 
 
 def test_augmented_record_needs_parent():
-    with pytest.raises(ManifestError):
+    with pytest.raises(SpkraugError, match="u: augmented record needs a parent_id"):
         UtteranceRecord("u", "s", "p.wav", PSOLA_DUR, 1.1, 1.0, None)
     _augmented("u", "parent")  # fine with one
 
 
 def test_unknown_kind_rejected():
-    with pytest.raises(ManifestError):
+    with pytest.raises(SpkraugError, match="u: unknown kind 'stretched'"):
         UtteranceRecord("u", "s", "p.wav", "stretched", 1.1, 1.0, "parent")
 
 
 @pytest.mark.parametrize("ratio", [float("nan"), float("inf"), -3, 0.49, 2.01, True, "1.05",
                                    None])
 def test_record_rejects_bad_ratios(ratio):
-    with pytest.raises(InvalidRatioError):
+    with pytest.raises(SpkraugError, match=r"^duration_ratio must lie in \[0.5, 2.0\], got "):
         UtteranceRecord("u", "s", "p.wav", PSOLA_DUR, ratio, 1.0, "parent")
-    with pytest.raises(InvalidRatioError):
+    with pytest.raises(SpkraugError, match=r"^f0_ratio must lie in \[0.5, 2.0\], got "):
         UtteranceRecord("u", "s", "p.wav", PSOLA_F0, 1.0, ratio, "parent")
 
 
@@ -95,7 +87,7 @@ def test_record_stores_ratios_as_floats():
 
 
 def test_manifest_rejects_duplicate_ids():
-    with pytest.raises(ManifestError):
+    with pytest.raises(SpkraugError, match="duplicate utterance_id 'a'"):
         Manifest([_natural("a"), _natural("a")])
 
 
@@ -117,7 +109,7 @@ def test_require_parents_within_manifest():
     m = Manifest([_natural("a"), _augmented("a__x", "a")])
     m.require_parents()
     dangling = Manifest([_augmented("b__x", "b")])
-    with pytest.raises(ManifestError):
+    with pytest.raises(SpkraugError, match="b__x: parent 'b' not found"):
         dangling.require_parents()
 
 
@@ -125,7 +117,7 @@ def test_require_parents_with_supplement():
     naturals = Manifest([_natural("a")])
     children = Manifest([_augmented("a__x", "a")])
     children.require_parents(naturals)
-    with pytest.raises(ManifestError):
+    with pytest.raises(SpkraugError, match="a__x: parent 'a' not found"):
         children.require_parents(Manifest([_natural("other")]))
 
 
@@ -135,7 +127,7 @@ def test_require_parents_rejects_augmented_parent():
         _augmented("a__x", "a"),
         _augmented("a__x__y", "a__x"),
     ])
-    with pytest.raises(ManifestError):
+    with pytest.raises(SpkraugError, match="a__x__y: parent 'a__x' is not natural"):
         m.require_parents()
 
 
@@ -235,7 +227,7 @@ _CHILD = '{"utterance_id":"u__x","speaker_id":"s","path":"p","kind":"psola_dur",
 def test_load_manifest_rejects_malformed(tmp_path, content):
     path = tmp_path / "bad.jsonl"
     path.write_text(content)
-    with pytest.raises(ManifestError):
+    with pytest.raises(SpkraugError, match=r"bad.jsonl(:\d)?: "):
         load_manifest(path)
 
 
@@ -253,7 +245,7 @@ def test_load_manifest_reports_line_numbers(tmp_path):
          + _NATURAL_U, 4),  # the second occurrence
     ]:
         path.write_text(content)
-        with pytest.raises(ManifestError, match=f"bad.jsonl:{lineno}:"):
+        with pytest.raises(SpkraugError, match=f"bad.jsonl:{lineno}:"):
             load_manifest(path)
 
 
@@ -265,7 +257,7 @@ def test_augmented_only_manifest_loads(tmp_path):
     save_manifest(m, path)
     back = load_manifest(path)
     assert len(back) == 1
-    with pytest.raises(ManifestError):
+    with pytest.raises(SpkraugError, match="a__x: parent 'a' not found"):
         back.require_parents()
 
 
@@ -345,31 +337,33 @@ def test_subset_independent_mode_counts():
 def test_subset_insufficient_shared_numbers():
     records = [_natural("sp0_000", "sp0"), _natural("sp0_001", "sp0"),
                _natural("sp1_002", "sp1"), _natural("sp1_003", "sp1")]
-    with pytest.raises(InsufficientUtterancesError):
+    with pytest.raises(SpkraugError,
+                       match="only 0 utterance numbers shared across speakers, need 1"):
         select_subset(Manifest(records), per_speaker=1, seed=0)
 
 
 def test_subset_insufficient_independent():
     records = [_natural("sp0_000", "sp0"), _natural("sp1_000", "sp1")]
-    with pytest.raises(InsufficientUtterancesError):
+    with pytest.raises(SpkraugError, match="speaker 'sp0' has 1 naturals, need 2"):
         select_subset(Manifest(records), per_speaker=2, seed=0, parallel=False)
 
 
 def test_subset_rejects_ids_without_numbers():
     records = [_natural("alpha", "sp0"), _natural("beta", "sp1")]
-    with pytest.raises(ManifestError):
+    with pytest.raises(SpkraugError,
+                       match="'alpha': parallel selection needs a trailing utterance number"):
         select_subset(Manifest(records), per_speaker=1, seed=0)
 
 
 def test_subset_rejects_duplicate_numbers():
     records = [_natural("sp0_a01", "sp0"), _natural("sp0_b01", "sp0"),
                _natural("sp1_001", "sp1")]
-    with pytest.raises(ManifestError):
+    with pytest.raises(SpkraugError, match="speaker 'sp0': utterance number 1 appears twice"):
         select_subset(Manifest(records), per_speaker=1, seed=0)
 
 
 def test_subset_rejects_bad_per_speaker():
-    with pytest.raises(InsufficientUtterancesError):
+    with pytest.raises(SpkraugError, match="per_speaker must be >= 1, got 0"):
         select_subset(_numbered_manifest(), per_speaker=0, seed=0)
 
 
@@ -414,14 +408,14 @@ def test_plan_psola_mix_single_axis_jobs():
 
 
 def test_plan_rejects_unknown_recipe():
-    with pytest.raises(InvalidParamsError):
+    with pytest.raises(SpkraugError, match="unknown recipe 'chorus', expected one of "):
         plan_augmentation(_numbered_manifest(), "chorus")
     assert set(RECIPES) == {"up_down", "psola_dur", "psola_f0", "psola_mix"}
 
 
 def test_plan_rejects_augmented_input():
     m = Manifest([_natural("a"), _augmented("a__x", "a")])
-    with pytest.raises(NonNaturalInputError):
+    with pytest.raises(SpkraugError, match="a__x: cannot augment a psola_f0 record"):
         plan_augmentation(m, "psola_f0")
 
 
@@ -528,8 +522,8 @@ def test_execute_plan_rejects_parent_at_other_rate(small_corpus, tmp_path):
     built, failures = execute_plan(plan, tmp_path / "aug", sample_rate=16000)
     assert len(failures) == 4  # every job of the 22050 Hz parent
     assert all(f["parent_id"] == "sp9_000" for f in failures)
-    assert all("ManifestError" in f["error"] and "22050" in f["error"]
-               and "16000" in f["error"] for f in failures)
+    assert all(f["error"].endswith(
+        ": SpkraugError: sp9_000: WAV is 22050 Hz, manifest says 16000 Hz") for f in failures)
     assert len(built) == 8
     assert all(r.parent_id != "sp9_000" for r in built)
 
@@ -635,7 +629,8 @@ def test_execute_plan_analysis_error_fails_only_psola_jobs(tmp_path, counts):
     built, failures = execute_plan(plan, tmp_path / "aug")
     assert [r.kind for r in built] == [RESAMPLED]
     assert [f["kind"] for f in failures] == [PSOLA_F0, PSOLA_DUR]
-    assert all("NoPitchMarksError" in f["error"] for f in failures)
+    assert all(f["error"].endswith(": SpkraugError: found only 1 pitch marks; "
+                                   "input is shorter than two periods") for f in failures)
     assert counts == {"reads": 1, "analyses": 1}
 
 
@@ -702,27 +697,27 @@ def test_select_best_k_zero_keeps_childless_naturals():
 
 def test_select_best_negative_k_raises_before_any_natural():
     naturals, augmented, embeddings = _with_childless_natural()
-    with pytest.raises(KTooLargeError, match="k must be non-negative, got -1"):
+    with pytest.raises(SpkraugError, match="k must be non-negative, got -1"):
         select_best_augmented(naturals, augmented, embeddings, k=-1)
 
 
 def test_select_best_k_too_large():
     naturals, augmented, embeddings = _selection_fixture()
-    with pytest.raises(KTooLargeError):
+    with pytest.raises(SpkraugError, match="n0: has 3 augmented children, need 4"):
         select_best_augmented(naturals, augmented, embeddings, k=4)
 
 
 def test_select_best_missing_embedding():
     naturals, augmented, embeddings = _selection_fixture()
     slim = EmbeddingSet(embeddings.ids[:-1], embeddings.speaker_ids[:-1], embeddings.matrix[:-1])
-    with pytest.raises(MissingEmbeddingError):
+    with pytest.raises(SpkraugError, match="no embedding for 'n1__c2'"):
         select_best_augmented(naturals, augmented, slim, k=1)
 
 
 def test_select_best_checks_parent_links():
     naturals, _, embeddings = _selection_fixture()
     orphan = Manifest([_augmented("ghost__c0", "ghost", "sp0")])
-    with pytest.raises(ManifestError):
+    with pytest.raises(SpkraugError, match="ghost__c0: parent 'ghost' not found"):
         select_best_augmented(naturals, orphan, embeddings, k=1)
 
 
@@ -769,7 +764,7 @@ def test_generate_pairs_draws_only_from_naturals():
 def test_generate_pairs_single_speaker_pool():
     eval_m, _ = _pair_fixture()
     lonely = Manifest([_natural(f"sp0_{i:03d}", "sp0") for i in range(4)])
-    with pytest.raises(InsufficientPoolError):
+    with pytest.raises(SpkraugError, match="need naturals from >= 2 speakers, have 1"):
         generate_eer_pairs(eval_m, lonely, seed=0)
 
 
@@ -777,5 +772,5 @@ def test_generate_pairs_speaker_missing_from_pool():
     eval_m, _ = _pair_fixture()
     partial = Manifest([_natural(f"sp{j}_{i:03d}", f"sp{j}")
                         for j in range(2) for i in range(4)])
-    with pytest.raises(InsufficientPoolError):
+    with pytest.raises(SpkraugError, match="no natural pool utterances for 'sp2'"):
         generate_eer_pairs(eval_m, partial, seed=0)  # sp2 has no pool entries

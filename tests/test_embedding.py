@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
-    centroid_oracle,
     dense_mel_energies_oracle,
     knn_oracle,
     load_embeddings_row_oracle,
@@ -15,25 +14,16 @@ from spkraug.embedding import (
     STANDIN_DIMENSION,
     EmbeddingSet,
     _mel_energy_blocks,
+    _mel_filterbank_cached,
     _mel_projection,
     cosine_similarity,
     euclidean_distance,
     extract_standin_embedding,
     load_embeddings,
-    mel_filterbank,
     save_embeddings,
     select_k_nearest,
-    speaker_centroid,
 )
-from spkraug.errors import (
-    ClipTooShortError,
-    DimensionMismatchError,
-    EmbeddingFileError,
-    InvalidClipError,
-    KTooLargeError,
-    UnknownSpeakerError,
-    ZeroNormError,
-)
+from spkraug.errors import SpkraugError
 from synth import SPEAKER_RECIPES, SR, speechlike
 
 
@@ -47,30 +37,35 @@ def _set(rows, speaker="s"):
 
 def test_vector_validation():
     ids, speakers = ["u", "v"], ["s", "s"]
-    with pytest.raises(DimensionMismatchError):  # empty vectors
+    # empty vectors
+    with pytest.raises(SpkraugError, match=r"2 ids and 2 speakers for a matrix of shape \(2, 0\)"):
         EmbeddingSet(ids, speakers, np.zeros((2, 0)))
-    with pytest.raises(DimensionMismatchError):  # rows that are not 1-D
+    # rows that are not 1-D
+    with pytest.raises(SpkraugError, match=r"2 ids and 2 speakers for a matrix of shape \(2, 2, 2"):
         EmbeddingSet(ids, speakers, np.zeros((2, 2, 2)))
-    with pytest.raises(DimensionMismatchError):  # one vector, not a matrix of rows
+    # one vector, not a matrix of rows
+    with pytest.raises(SpkraugError, match=r"1 ids and 1 speakers for a matrix of shape \(2,\)"):
         EmbeddingSet(["u"], ["s"], np.ones(2))
     for bad in (np.nan, np.inf, -np.inf):
-        with pytest.raises(ZeroNormError, match="^v: embedding has non-finite values$"):
+        with pytest.raises(SpkraugError, match="^v: embedding has non-finite values$"):
             EmbeddingSet(ids, speakers, [[1.0, 0.0], [bad, 1.0]])
 
 
 def test_set_rejects_mixed_dimensions_and_duplicates():
-    with pytest.raises(DimensionMismatchError):  # more rows than ids
+    # more rows than ids
+    with pytest.raises(SpkraugError, match=r"2 ids and 2 speakers for a matrix of shape \(3, 2\)"):
         EmbeddingSet(["a", "b"], ["s", "s"], np.ones((3, 2)))
-    with pytest.raises(DimensionMismatchError):  # fewer speakers than rows
+    # fewer speakers than rows
+    with pytest.raises(SpkraugError, match=r"2 ids and 1 speakers for a matrix of shape \(2, 2\)"):
         EmbeddingSet(["a", "b"], ["s"], np.ones((2, 2)))
-    with pytest.raises(EmbeddingFileError):
+    with pytest.raises(SpkraugError, match="duplicate utterance_id 'a'"):
         EmbeddingSet(["a", "a"], ["s", "s"], np.ones((2, 2)))
 
 
 def test_set_reports_the_first_defective_entry():
-    with pytest.raises(EmbeddingFileError, match="duplicate utterance_id 'a'"):
+    with pytest.raises(SpkraugError, match="duplicate utterance_id 'a'"):
         EmbeddingSet(["a", "a", "b"], ["s"] * 3, np.ones((2, 2)))
-    with pytest.raises(EmbeddingFileError, match="duplicate"):  # before non-finite rows
+    with pytest.raises(SpkraugError, match="duplicate utterance_id 'a'"):  # before non-finite rows
         EmbeddingSet(["a", "a"], ["s", "s"], [[1.0, np.inf], [1.0, 0.0]])
 
 
@@ -125,16 +120,16 @@ def test_cosine_similarity_is_clipped():
 
 
 def test_cosine_similarity_errors():
-    with pytest.raises(DimensionMismatchError):
+    with pytest.raises(SpkraugError, match="2 vs 3"):
         cosine_similarity(_v(1.0, 0.0), _v(1.0, 0.0, 0.0))
-    with pytest.raises(ZeroNormError):
+    with pytest.raises(SpkraugError, match="cosine similarity undefined for zero-norm vectors"):
         cosine_similarity(_v(0.0, 0.0), _v(1.0, 0.0))
 
 
 def test_euclidean_distance_examples():
     assert euclidean_distance(_v(0.0, 0.0), _v(3.0, 4.0)) == pytest.approx(5.0)
     assert euclidean_distance(_v(1.0, 1.0), _v(1.0, 1.0)) == 0.0
-    with pytest.raises(DimensionMismatchError):
+    with pytest.raises(SpkraugError, match="1 vs 2"):
         euclidean_distance(_v(1.0), _v(1.0, 2.0))
 
 
@@ -148,7 +143,7 @@ def test_euclidean_triangle_inequality(xs, ys, zs):
     )
 
 
-# -- nearest neighbours / centroid -------------------------------------------
+# -- nearest neighbours ------------------------------------------------------
 
 def test_select_k_nearest_example():
     cands = _set([("far", [5.0, 0.0]), ("near", [1.0, 0.0]), ("mid", [3.0, 0.0])])
@@ -182,37 +177,18 @@ def test_select_k_nearest_order_independent():
 def test_select_k_nearest_bounds():
     cands = _set([("a", [1.0]), ("b", [2.0])])
     assert select_k_nearest(_v(0.0), cands, 0) == []
-    with pytest.raises(KTooLargeError):
+    with pytest.raises(SpkraugError, match="k=3 but only 2 candidates"):
         select_k_nearest(_v(0.0), cands, 3)
-    with pytest.raises(KTooLargeError):
+    with pytest.raises(SpkraugError, match="k must be non-negative, got -1"):
         select_k_nearest(_v(0.0), cands, -1)
-    with pytest.raises(DimensionMismatchError):
+    with pytest.raises(SpkraugError, match="2 vs 1"):
         select_k_nearest(_v(0.0, 0.0), cands, 1)
-
-
-def test_speaker_centroid_example():
-    emb = EmbeddingSet(["u1", "u2", "u3"], ["sp", "sp", "other"],
-                       [[1.0, 0.0], [0.0, 1.0], [9.0, 9.0]])
-    np.testing.assert_allclose(speaker_centroid(emb, "sp"), [0.5, 0.5])
-
-
-def test_speaker_centroid_matches_oracle():
-    rng = np.random.default_rng(5)
-    values = rng.standard_normal((11, 6))
-    emb = EmbeddingSet([f"u{i}" for i in range(11)], ["sp"] * 11, values)
-    np.testing.assert_allclose(speaker_centroid(emb, "sp"), centroid_oracle(list(values)),
-                               atol=1e-12)
-
-
-def test_speaker_centroid_unknown_speaker():
-    with pytest.raises(UnknownSpeakerError):
-        speaker_centroid(_set([("a", [1.0])]), "ghost")
 
 
 # -- stand-in extractor ------------------------------------------------------
 
 def test_filterbank_shape_and_coverage():
-    fb = mel_filterbank(80, 2048, SR)
+    fb = _mel_filterbank_cached(80, 2048, SR)
     assert fb.shape == (80, 1025)
     assert np.all(fb >= 0)
     assert np.all(fb.sum(axis=1) > 0)
@@ -221,11 +197,12 @@ def test_filterbank_shape_and_coverage():
     assert np.all(np.diff(centers) >= 0)
 
 
-def test_filterbank_returns_writable_copy():
-    fb = mel_filterbank(80, 2048, SR)
-    fb[0, 0] = 123.0
-    again = mel_filterbank(80, 2048, SR)
-    assert again[0, 0] != 123.0
+def test_filterbank_is_read_only():
+    """Every caller gets the same cached array, so none may write to it."""
+    fb = _mel_filterbank_cached(80, 2048, SR)
+    assert _mel_filterbank_cached(80, 2048, SR) is fb
+    with pytest.raises(ValueError, match="read-only"):
+        fb[0, 0] = 123.0
 
 
 def _clip_for(recipe_index, seed=0, dur=1.0):
@@ -256,7 +233,7 @@ def test_standin_deterministic():
 
 
 def test_standin_minimum_duration():
-    with pytest.raises(ClipTooShortError):
+    with pytest.raises(SpkraugError, match="need at least 0.2 s, got 0.190 s"):
         extract_standin_embedding(AudioClip(np.zeros(int(0.19 * SR)), SR))
     # 0.2 s of real signal is acceptable
     extract_standin_embedding(_clip_for(0, dur=0.2))
@@ -274,7 +251,7 @@ def test_mel_projection_holds_the_filterbank(rate):
     rebuilt = np.zeros((81, len(p.lower)))
     rebuilt[band, np.arange(len(band))] = p.lower
     rebuilt[band + 1, np.arange(len(band))] = p.upper
-    assert np.array_equal(rebuilt[:80], mel_filterbank(80, 2048, rate))
+    assert np.array_equal(rebuilt[:80], _mel_filterbank_cached(80, 2048, rate))
     assert not rebuilt[80].any()
 
 
@@ -290,7 +267,7 @@ def test_mel_energies_match_the_dense_product(rate):
     dense = dense_mel_energies_oracle(clip)
     assert energies.shape == dense.shape
     np.testing.assert_allclose(energies, dense, rtol=1e-12, atol=0)
-    empty = ~mel_filterbank(80, 2048, rate).any(axis=1)
+    empty = ~_mel_filterbank_cached(80, 2048, rate).any(axis=1)
     assert empty.any() == (rate == 192000)
     assert not energies[:, empty].any() and not dense[:, empty].any()
     np.testing.assert_allclose(extract_standin_embedding(clip), standin_embedding_oracle(clip),
@@ -300,7 +277,7 @@ def test_mel_energies_match_the_dense_product(rate):
 def test_standin_rejects_non_finite_samples():
     x = _clip_for(0).samples.copy()
     x[100] = np.nan
-    with pytest.raises(InvalidClipError):
+    with pytest.raises(SpkraugError, match="clip contains NaN/Inf samples"):
         extract_standin_embedding(AudioClip(x, SR))
 
 
@@ -359,7 +336,7 @@ def test_load_embeddings_missing_file(tmp_path):
 def test_load_embeddings_rejects_malformed(tmp_path, content):
     path = tmp_path / "bad.tsv"
     path.write_text(content)
-    with pytest.raises(EmbeddingFileError):
+    with pytest.raises(SpkraugError, match=r"bad.tsv(:2)?: "):
         load_embeddings(path)
 
 
@@ -452,7 +429,7 @@ def test_load_embeddings_first_defect_wins(tmp_path, content):
 def test_load_embeddings_huge_header_dimension_is_refused(tmp_path):
     path = tmp_path / "emb.tsv"
     path.write_text("#dim=1000000000000\nu1\ts1\t1.0\n")
-    with pytest.raises(EmbeddingFileError, match="expected 1000000000002 fields, found 3"):
+    with pytest.raises(SpkraugError, match="expected 1000000000002 fields, found 3"):
         load_embeddings(path)
 
 

@@ -5,16 +5,7 @@ from hypothesis import strategies as st
 
 from oracles import eer_sweep_oracle, wer_table_oracle, wer_tuple_loop_oracle
 from spkraug.embedding import EmbeddingSet, cosine_similarity
-from spkraug.errors import (
-    DimensionMismatchError,
-    EmptyReferenceError,
-    InsufficientReferencesError,
-    LengthMismatchError,
-    MissingClassError,
-    MissingEmbeddingError,
-    NonFiniteError,
-    PairFileError,
-)
+from spkraug.errors import SpkraugError
 from spkraug.metrics import (
     DEFAULT_LOSS_WEIGHTS,
     LossTerms,
@@ -63,17 +54,17 @@ def test_combined_loss_is_linear_in_each_weight():
 
 
 def test_loss_terms_validation():
-    with pytest.raises(NonFiniteError):
+    with pytest.raises(SpkraugError, match=r"loss terms must be finite, got \(nan, 0.0, 0.0\)"):
         LossTerms(float("nan"), 0.0, 0.0)
-    with pytest.raises(NonFiniteError):
+    with pytest.raises(SpkraugError, match="l_l1 and l_attention must be non-negative"):
         LossTerms(-0.1, 0.0, 0.0)
-    with pytest.raises(NonFiniteError):
+    with pytest.raises(SpkraugError, match="l_l1 and l_attention must be non-negative"):
         LossTerms(0.0, -1.0, 0.0)
     LossTerms(0.0, 0.0, -1.0)  # the verification term may go negative
 
 
 def test_loss_weights_validation():
-    with pytest.raises(NonFiniteError):
+    with pytest.raises(SpkraugError, match=r"loss weights must be finite, got \(1.0, inf, 0.1\)"):
         LossWeights(1.0, float("inf"), 0.1)
 
 
@@ -101,15 +92,15 @@ def test_batch_cs_loss_range():
 
 def test_batch_cs_loss_length_mismatch():
     a = _set(("a", "s", [1.0]))
-    with pytest.raises(LengthMismatchError):
+    with pytest.raises(SpkraugError, match="need equal non-empty batches, got 1 vs 2"):
         batch_cs_loss(a, _set(("a", "s", [1.0]), ("b", "s", [1.0])))
     empty = EmbeddingSet([], [], np.empty((0, 1)))
-    with pytest.raises(LengthMismatchError):
+    with pytest.raises(SpkraugError, match="need equal non-empty batches, got 0 vs 0"):
         batch_cs_loss(empty, empty)
 
 
 def test_batch_cs_loss_dimension_mismatch():
-    with pytest.raises(DimensionMismatchError):
+    with pytest.raises(SpkraugError, match="2 vs 3"):
         batch_cs_loss(_set(("a", "s", [1.0, 0.0])), _set(("b", "s", [1.0, 0.0, 0.0])))
 
 
@@ -186,19 +177,19 @@ def test_eer_rank_invariance():
 
 
 def test_eer_requires_both_classes():
-    with pytest.raises(MissingClassError):
+    with pytest.raises(SpkraugError, match="need both classes, got 1 genuine / 0 impostor"):
         equal_error_rate([ScoredPair("a", "b", True, 0.5)])
-    with pytest.raises(MissingClassError):
+    with pytest.raises(SpkraugError, match="need both classes, got 0 genuine / 1 impostor"):
         equal_error_rate([ScoredPair("a", "b", False, 0.5)])
 
 
 def test_eer_requires_scores():
-    with pytest.raises(NonFiniteError):
+    with pytest.raises(SpkraugError, match="all pairs must be scored before computing EER"):
         equal_error_rate([ScoredPair("a", "b", True, 0.5), ScoredPair("c", "d", False)])
 
 
 def test_scored_pair_rejects_nonfinite_score():
-    with pytest.raises(NonFiniteError):
+    with pytest.raises(SpkraugError, match="pair a/b: score not finite"):
         ScoredPair("a", "b", True, float("nan"))
     ScoredPair("a", "b", True)  # unscored is fine
 
@@ -237,12 +228,14 @@ def test_eer_loss_insufficient_references():
     rng = np.random.default_rng(9)
     _, pool = _reference_pool(rng, speakers=2, per_speaker=2)
     synth = _set(("x", "s0", rng.standard_normal(8)))
-    with pytest.raises(InsufficientReferencesError):
+    with pytest.raises(SpkraugError,
+                       match="speaker 's0': have 2 same / 2 other references, need 3 of each"):
         eer_loss(synth, pool, per_utterance_refs=3)
-    with pytest.raises(InsufficientReferencesError):
+    with pytest.raises(SpkraugError, match="per_utterance_refs must be >= 1, got 0"):
         eer_loss(synth, pool, per_utterance_refs=0)
     lonely = _set(("y", "ghost", rng.standard_normal(8)))
-    with pytest.raises(InsufficientReferencesError):
+    with pytest.raises(SpkraugError,
+                       match="speaker 'ghost': have 0 same / 4 other references, need 1 of each"):
         eer_loss(lonely, pool)
 
 
@@ -284,7 +277,7 @@ def test_wer_can_exceed_one():
 
 
 def test_wer_empty_reference_rejected():
-    with pytest.raises(EmptyReferenceError):
+    with pytest.raises(SpkraugError, match="reference transcript has no tokens"):
         word_error_rate([], ["a"])
 
 
@@ -366,14 +359,14 @@ def test_load_pairs_missing_file(tmp_path):
 def test_load_pairs_rejects_malformed(tmp_path, content):
     path = tmp_path / "bad.tsv"
     path.write_text(content)
-    with pytest.raises(PairFileError):
+    with pytest.raises(SpkraugError, match=r"bad.tsv(:1)?: "):
         load_pairs(path)
 
 
 def test_load_pairs_names_the_line_of_a_non_finite_score(tmp_path):
     path = tmp_path / "bad.tsv"
     path.write_text("e1\tt1\tsame\t0.5\n\ne2\tt2\tdiff\tnan\n")
-    with pytest.raises(PairFileError, match=r"bad\.tsv:3: score not finite"):
+    with pytest.raises(SpkraugError, match=r"bad\.tsv:3: score not finite"):
         load_pairs(path)
 
 
@@ -387,5 +380,5 @@ def test_score_pairs_fills_only_missing():
 
 def test_score_pairs_missing_embedding():
     emb = _set(("a", "s", [1.0, 0.0]))
-    with pytest.raises(MissingEmbeddingError):
+    with pytest.raises(SpkraugError, match="no embedding for utterance 'ghost'"):
         score_pairs([ScoredPair("a", "ghost", True)], emb)

@@ -5,7 +5,7 @@ import pytest
 
 from oracles import griffin_lim_oracle
 from spkraug.audio_io import AudioClip
-from spkraug.errors import InvalidParamsError, InvalidRateError
+from spkraug.errors import SpkraugError
 from spkraug.spectral import (
     DEFAULT_FFT_SIZE,
     DEFAULT_FRAME_LENGTH,
@@ -45,13 +45,13 @@ def test_stft_frame_count_covers_every_sample(n):
 
 
 def test_stft_empty_clip_rejected():
-    with pytest.raises(InvalidParamsError):
+    with pytest.raises(SpkraugError, match="cannot analyze an empty clip"):
         stft(AudioClip(np.zeros(0), SR))
 
 
 @pytest.mark.parametrize("length,shift,fft", [(0, 1, 4), (4, 0, 4), (4, 5, 8), (8, 2, 4)])
 def test_param_validation(length, shift, fft):
-    with pytest.raises(InvalidParamsError):
+    with pytest.raises(SpkraugError, match="need 0 < frame_shift <= frame_length <= fft_size"):
         stft(sine(440.0, 0.1), length, shift, fft)
 
 
@@ -119,9 +119,9 @@ def test_istft_zero_spectrum_gives_silence():
 
 
 def test_istft_rejects_wrong_bin_count():
-    with pytest.raises(InvalidParamsError):
+    with pytest.raises(SpkraugError, match=r"spectrum must be frames x 257, got \(5, 256\)"):
         istft(np.zeros((5, 256), dtype=complex), 400, 100, 512)
-    with pytest.raises(InvalidParamsError):
+    with pytest.raises(SpkraugError, match="spectrum has no frames"):
         istft(np.zeros((0, 257), dtype=complex), 400, 100, 512)
 
 
@@ -147,25 +147,25 @@ def test_spectrogram_rejects_negative_or_nonfinite():
     Spectrogram(good, 100, 400, 512, SR)
     bad = good.copy()
     bad[1, 5] = -0.1
-    with pytest.raises(InvalidParamsError):
+    with pytest.raises(SpkraugError, match="magnitudes must be finite and non-negative"):
         Spectrogram(bad, 100, 400, 512, SR)
     bad = good.copy()
     bad[0, 0] = np.nan
-    with pytest.raises(InvalidParamsError):
+    with pytest.raises(SpkraugError, match="magnitudes must be finite and non-negative"):
         Spectrogram(bad, 100, 400, 512, SR)
 
 
 def test_spectrogram_rejects_wrong_shape():
-    with pytest.raises(InvalidParamsError):
+    with pytest.raises(SpkraugError, match=r"magnitudes must be frames x 257, got \(3, 256\)"):
         Spectrogram(np.ones((3, 256)), 100, 400, 512, SR)
-    with pytest.raises(InvalidParamsError):
+    with pytest.raises(SpkraugError, match=r"magnitudes must be frames x 257, got \(257,\)"):
         Spectrogram(np.ones(257), 100, 400, 512, SR)
-    with pytest.raises(InvalidParamsError, match="no frames"):
+    with pytest.raises(SpkraugError, match="no frames"):
         Spectrogram(np.ones((0, 257)), 100, 400, 512, SR)
 
 
 def test_spectrogram_rejects_bad_rate():
-    with pytest.raises(InvalidRateError):
+    with pytest.raises(SpkraugError, match=r"sample rate must be an integer in \[8000, 192000\]"):
         Spectrogram(np.ones((3, 257)), 100, 400, 512, 4000)
 
 
@@ -232,7 +232,7 @@ def test_griffin_lim_matches_per_iteration_oracle_bitwise(n, length, shift, fft)
 
 def test_griffin_lim_rejects_zero_iterations():
     spec = magnitude_spectrogram(sine(440.0, 0.2), 400, 100, 512)
-    with pytest.raises(InvalidParamsError):
+    with pytest.raises(SpkraugError, match="iterations must be >= 1, got 0"):
         griffin_lim(spec, iterations=0)
 
 
@@ -268,7 +268,7 @@ def test_read_spectrogram_missing_file(tmp_path):
 def test_read_spectrogram_bad_magic(tmp_path):
     path = tmp_path / "bad.spg"
     path.write_bytes(b"NOPE" + b"\x00" * 40)
-    with pytest.raises(InvalidParamsError):
+    with pytest.raises(SpkraugError, match="bad.spg: not an SPG1 file"):
         read_spectrogram(path)
 
 
@@ -278,5 +278,5 @@ def test_read_spectrogram_truncated_payload(tmp_path):
     write_spectrogram(spec, path)
     raw = path.read_bytes()
     path.write_bytes(raw[:-8])
-    with pytest.raises(InvalidParamsError):
+    with pytest.raises(SpkraugError, match="short.spg: expected 29840 bytes, found 29832"):
         read_spectrogram(path)

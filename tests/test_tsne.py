@@ -6,12 +6,7 @@ from scipy.spatial.distance import pdist, squareform
 
 from oracles import finite_difference_gradient, kl_gradient_oracle, kl_objective_oracle
 from spkraug.embedding import EmbeddingSet
-from spkraug.errors import (
-    DimensionMismatchError,
-    InvalidParamsError,
-    PerplexityTooLargeError,
-    TooFewPointsError,
-)
+from spkraug.errors import SpkraugError
 from spkraug.rng import rng_for
 from spkraug.tsne import (
     EARLY_EXAGGERATION,
@@ -63,7 +58,8 @@ def test_config_defaults():
     {"iterations": 0},
 ])
 def test_config_validation(kwargs):
-    with pytest.raises(InvalidParamsError):
+    with pytest.raises(SpkraugError,
+                       match="^(perplexity must exceed 1|iterations must be positive), got "):
         TsneConfig(**kwargs)
 
 
@@ -112,7 +108,7 @@ def test_conditional_rows_nearer_point_gets_more_mass():
 def test_conditional_rows_perplexity_cap():
     d2 = _dist_sq(np.random.default_rng(2).standard_normal((5, 2)))
     conditional_rows(d2, 4.0)  # n-1 exactly is allowed
-    with pytest.raises(PerplexityTooLargeError):
+    with pytest.raises(SpkraugError, match=r"perplexity 4.1 impossible with 5 points \(max 4\)"):
         conditional_rows(d2, 4.1)
 
 
@@ -123,7 +119,8 @@ def test_conditional_rows_perplexity_cap():
     np.array([[1.0, 1.0], [1.0, 0.0]]),    # nonzero diagonal
 ])
 def test_distance_matrix_validation(bad):
-    with pytest.raises(InvalidParamsError):
+    with pytest.raises(SpkraugError, match="^distance(s must be non-negative with a zero "
+                                           "diagonal| matrix must be (square|symmetric))"):
         conditional_rows(bad, 1.5)
 
 
@@ -204,7 +201,7 @@ def test_run_tsne_matches_the_oracle_descent_bitwise():
 
 
 def test_gradient_shape_mismatch():
-    with pytest.raises(DimensionMismatchError):
+    with pytest.raises(SpkraugError, match=r"P \(3, 3\) does not match Y \(4, 2\)"):
         kl_gradient(np.zeros((3, 3)), np.zeros((4, 2)))
 
 
@@ -288,14 +285,15 @@ def test_run_tsne_callback_sees_every_iteration():
 def test_run_tsne_too_few_points():
     rng = np.random.default_rng(13)
     emb = EmbeddingSet([f"u{i}" for i in range(3)], ["s"] * 3, rng.standard_normal((3, 4)))
-    with pytest.raises(TooFewPointsError):
+    with pytest.raises(SpkraugError, match="need at least 4 points, got 3"):
         run_tsne(emb, TsneConfig(perplexity=2.0))
 
 
 def test_run_tsne_perplexity_guard():
     rng = np.random.default_rng(14)
     emb = EmbeddingSet([f"u{i}" for i in range(10)], ["s"] * 10, rng.standard_normal((10, 4)))
-    with pytest.raises(PerplexityTooLargeError):
+    with pytest.raises(SpkraugError,
+                       match=r"perplexity 3.0 too large for 10 points \(needs perplexity < 3.00\)"):
         run_tsne(emb, TsneConfig(perplexity=3.0))  # needs < (10-1)/3
     run_tsne(emb, TsneConfig(perplexity=2.9, iterations=2))
 
@@ -321,7 +319,7 @@ def test_save_coordinates_format(tmp_path):
 def test_save_coordinates_length_mismatch(tmp_path):
     rng = np.random.default_rng(16)
     emb = _embedding_clusters(rng, per_cluster=3)
-    with pytest.raises(DimensionMismatchError):
+    with pytest.raises(SpkraugError, match="2 coordinate rows for 6 embeddings"):
         save_coordinates(emb, np.zeros((2, 2)), tmp_path / "bad.tsv")
 
 
@@ -346,5 +344,6 @@ def test_render_svg_deterministic_with_point_per_utterance(tmp_path):
 def test_render_svg_requires_2d(tmp_path):
     rng = np.random.default_rng(18)
     emb = _embedding_clusters(rng, per_cluster=3)
-    with pytest.raises(DimensionMismatchError):
+    with pytest.raises(SpkraugError,
+                       match=r"scatter needs n x 2 coordinates, got \(6, 3\) for 6 points"):
         render_scatter_svg(emb, np.zeros((len(emb), 3)), tmp_path / "bad.svg")
