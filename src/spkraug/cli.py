@@ -121,12 +121,12 @@ def _build_parser() -> _Parser:
     p.add_argument("--output", required=True)
     p.add_argument("--svg", help="also render a speaker-colored scatter plot")
     p.add_argument("--perplexity", type=float, default=30.0)
-    p.add_argument("--iterations", type=int, default=1000)
+    p.add_argument("--iterations", type=_positive_int, default=1000)
 
     p = _command(sub, "vocode", _cmd_vocode, "Griffin-Lim a stored magnitude spectrogram")
     p.add_argument("--spectrogram", required=True)
     p.add_argument("--output", required=True)
-    p.add_argument("--iterations", type=int, default=60)
+    p.add_argument("--iterations", type=_positive_int, default=60)
 
     return parser
 
@@ -265,7 +265,7 @@ def _cmd_vocode(args) -> dict:
                                return_errors=True)
     write_wav(clip, args.output)
     return {"command": "vocode", "iterations": args.iterations,
-            "final_error": errors[-1], "samples": len(clip),
+            "final_error": errors[-1], "errors": errors, "samples": len(clip),
             "sample_rate": clip.sample_rate, "output": args.output}
 
 

@@ -4,8 +4,14 @@ Analysis uses periodic Hann windows with reflect padding at the tail so every
 sample is covered; synthesis is weighted overlap-add normalized by the summed
 squared window, i.e. the least-squares signal estimate. That inverse is what
 makes the Griffin-Lim consistency error non-increasing.
+
+Griffin-Lim sets each iteration's phase by the unit-phase projection
+Z * (M / |Z|) rather than through angle() and exp(), and takes its norms as
+NumPy's fixed-order pairwise sums rather than a BLAS call, so its output
+does not depend on the BLAS thread count.
 """
 
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -158,16 +164,20 @@ def griffin_lim(spec: Spectrogram, iterations: int = DEFAULT_ITERATIONS, seed: i
 
     Starts from seeded uniform random phase (kept real at DC/Nyquist so the
     half spectrum stays Hermitian-consistent), then alternates
-    signal <- istft(M * e^{i phi}), phi <- phase(stft(signal)). The final
-    signal is peak-normalized to 0.99.
+    signal <- istft(S), Z <- stft(signal), S <- Z * (M / |Z|): the unit-phase
+    projection of Griffin & Lim (1984), with S = M where |Z| = 0, so no
+    iteration takes an angle or a complex exponential. The final signal is
+    peak-normalized to 0.99.
 
     With return_errors=True also returns the per-iteration relative
     consistency error ||M - |STFT(x_k)||_F / ||M||_F, which is non-increasing.
+    Both norms are NumPy's pairwise sums of squares, not a BLAS call, so the
+    errors, like the samples, do not depend on the BLAS thread count.
     """
     if iterations < 1:
         raise SpkraugError(f"iterations must be >= 1, got {iterations}")
     m = spec.magnitudes
-    m_norm = float(np.linalg.norm(m))
+    m_norm = math.sqrt(float(np.sum(m * m)))
     if m_norm == 0.0:
         out_len = spec.frame_length + (spec.n_frames - 1) * spec.frame_shift
         silent = AudioClip(np.zeros(out_len), spec.sample_rate)
@@ -186,9 +196,14 @@ def griffin_lim(spec: Spectrogram, iterations: int = DEFAULT_ITERATIONS, seed: i
     x = None
     for _ in range(iterations):
         x = _istft_array(s, spec.fft_size, ola)
-        analyzed = _stft_array(x, ola.win, spec.frame_shift, spec.fft_size)
-        errors.append(float(np.linalg.norm(m - np.abs(analyzed)) / m_norm))
-        s = m * np.exp(1j * np.angle(analyzed))
+        s = _stft_array(x, ola.win, spec.frame_shift, spec.fft_size)
+        a = np.abs(s)
+        d = m - a
+        errors.append(math.sqrt(float(np.sum(np.square(d, out=d)))) / m_norm)
+        zero = a == 0.0  # Z * (M / |Z|) -> M there, as with angle(0) = 0
+        a[zero] = 1.0
+        s[zero] = 1.0
+        s *= np.divide(m, a, out=a)
 
     peak = np.abs(x).max()
     if peak > 0:

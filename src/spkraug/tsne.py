@@ -58,13 +58,29 @@ def _validate_distances(distances_sq: np.ndarray) -> np.ndarray:
     return d2
 
 
+def _row_entropies(p: np.ndarray) -> np.ndarray:
+    """-sum(p * log2(p)) of each row over its non-zero entries. A row with a
+    zero is summed on its own, since dropping entries changes the pairwise
+    summation's order."""
+    positive = p > 0
+    whole = positive.all(axis=1)
+    entropy = np.empty(len(p))
+    q = p[whole]
+    entropy[whole] = -np.sum(q * np.log2(q), axis=1)
+    for i in np.flatnonzero(~whole):
+        q = p[i][positive[i]]
+        entropy[i] = -np.sum(q * np.log2(q))
+    return entropy
+
+
 def conditional_rows(distances_sq: np.ndarray, perplexity: float) -> np.ndarray:
     """Row-stochastic Gaussian affinities with per-row bandwidth search.
 
     Each row's precision beta_i is bisected (at most 64 steps) until the
     row entropy matches log2(perplexity) within 1e-5; degenerate rows where
     the entropy cannot move (e.g. all-equal distances) keep their uniform
-    limit. Rows sum to exactly 1.
+    limit. Rows sum to exactly 1. All rows still searching take each step
+    together; a row stops changing once it converges.
     """
     d2 = _validate_distances(distances_sq)
     n = d2.shape[0]
@@ -81,28 +97,28 @@ def conditional_rows(distances_sq: np.ndarray, perplexity: float) -> np.ndarray:
     if mean_d2 > 0:
         d2 = d2 / mean_d2
 
+    rows = d2[off].reshape(n, n - 1)  # row i without its diagonal entry
+    found = np.empty_like(rows)
+    active = np.arange(n)
+    beta, beta_lo, beta_hi = np.ones(n), np.zeros(n), np.full(n, np.inf)
+    for _ in range(MAX_BISECTION_STEPS):
+        logits = -beta[:, None] * rows[active]
+        logits -= logits.max(axis=1, keepdims=True)
+        p = np.exp(logits)
+        p /= p.sum(axis=1, keepdims=True)
+        found[active] = p
+        diff = _row_entropies(p) - target
+        searching = np.abs(diff) > ENTROPY_TOLERANCE
+        if not searching.any():
+            break
+        active, diff = active[searching], diff[searching]
+        beta, beta_lo, beta_hi = beta[searching], beta_lo[searching], beta_hi[searching]
+        flat = diff > 0  # too flat: sharpen
+        sharper = np.where(beta_hi == np.inf, beta * 2.0, 0.5 * (beta + beta_hi))
+        beta, beta_lo, beta_hi = (np.where(flat, sharper, 0.5 * (beta + beta_lo)),
+                                  np.where(flat, beta, beta_lo), np.where(flat, beta_hi, beta))
     P = np.zeros((n, n))
-    for i in range(n):
-        row = np.delete(d2[i], i)
-        beta, beta_lo, beta_hi = 1.0, 0.0, np.inf
-        p = None
-        for _ in range(MAX_BISECTION_STEPS):
-            logits = -beta * row
-            logits -= logits.max()
-            p = np.exp(logits)
-            p /= p.sum()
-            nonzero = p > 0
-            entropy = -np.sum(p[nonzero] * np.log2(p[nonzero]))
-            diff = entropy - target
-            if abs(diff) <= ENTROPY_TOLERANCE:
-                break
-            if diff > 0:  # too flat: sharpen
-                beta_lo = beta
-                beta = beta * 2.0 if beta_hi == np.inf else 0.5 * (beta + beta_hi)
-            else:
-                beta_hi = beta
-                beta = 0.5 * (beta + beta_lo)
-        P[i, np.arange(n) != i] = p
+    P[off] = found.ravel()
     return P
 
 

@@ -286,9 +286,11 @@ def kl_gradient_oracle(P, Y):
 
 
 def griffin_lim_oracle(spec, iterations, seed=0):
-    """Griffin-Lim that rebuilds the window, the overlap-add index and the
-    window-square normaliser in every iteration. Returns (samples, errors);
-    the reference `spkraug.spectral.griffin_lim` must equal bit for bit."""
+    """Classic Griffin-Lim, phase step M * exp(i * angle(Z)) and BLAS norms,
+    rebuilding the window, the overlap-add index and the window-square
+    normaliser in every iteration. Returns (samples, errors);
+    `spkraug.spectral.griffin_lim` must agree within the unit-phase
+    projection's stated tolerance."""
     from spkraug.spectral import _frame_signal, _window
 
     fl, fs, fft = spec.frame_length, spec.frame_shift, spec.fft_size
@@ -325,6 +327,56 @@ def griffin_lim_oracle(spec, iterations, seed=0):
         analyzed = stft(x)
         errors.append(float(np.linalg.norm(m - np.abs(analyzed)) / m_norm))
         s = m * np.exp(1j * np.angle(analyzed))
+    peak = np.abs(x).max()
+    if peak > 0:
+        x = x * (0.99 / peak)
+    return x, errors
+
+
+def griffin_lim_unit_phase_oracle(spec, iterations, seed=0):
+    """Griffin-Lim with the unit-phase projection Z * (M / |Z|) (M where
+    |Z| = 0) and pairwise sum-of-squares norms, rebuilding the window, the
+    overlap-add index and the window-square normaliser in every iteration.
+    Returns (samples, errors); `spkraug.spectral.griffin_lim` must equal bit
+    for bit."""
+    from spkraug.spectral import _frame_signal, _window
+
+    fl, fs, fft = spec.frame_length, spec.frame_shift, spec.fft_size
+
+    def stft(x):
+        return np.fft.rfft(_frame_signal(x, fl, fs) * _window(fl), n=fft, axis=1)
+
+    def istft(s):
+        frames = np.fft.irfft(s, n=fft, axis=1)[:, :fl]
+        win = _window(fl)
+        frames = frames * win
+        n_frames = frames.shape[0]
+        out_len = fl + (n_frames - 1) * fs
+        idx = _frame_signal(np.arange(out_len), fl, fs).ravel()
+        num = np.bincount(idx, weights=frames.ravel(), minlength=out_len)
+        den = np.bincount(idx, weights=np.tile(win * win, n_frames), minlength=out_len)
+        nonzero = den > 1e-12
+        num[nonzero] /= den[nonzero]
+        num[~nonzero] = 0.0
+        return num
+
+    m = spec.magnitudes
+    m_norm = math.sqrt(float(np.sum(m ** 2)))
+    rng = np.random.default_rng(seed)
+    phase = rng.uniform(-np.pi, np.pi, m.shape)
+    phase[:, 0] = 0.0
+    if fft % 2 == 0:
+        phase[:, -1] = 0.0
+    s = m * np.exp(1j * phase)
+    errors = []
+    x = None
+    for _ in range(iterations):
+        x = istft(s)
+        analyzed = stft(x)
+        a = np.abs(analyzed)
+        errors.append(math.sqrt(float(np.sum((m - a) ** 2))) / m_norm)
+        zero = a == 0
+        s = np.where(zero, m, analyzed * (m / np.where(zero, 1.0, a)))
     peak = np.abs(x).max()
     if peak > 0:
         x = x * (0.99 / peak)
@@ -399,3 +451,41 @@ def standin_embedding_oracle(clip):
     logs = np.log(dense_mel_energies_oracle(clip) + 1e-10)
     feats = np.concatenate([logs.mean(axis=0), logs.std(axis=0)])
     return feats / np.linalg.norm(feats)
+
+
+def conditional_rows_loop_oracle(distances_sq, perplexity):
+    """The t-SNE bandwidth search one row at a time: up to 64 bisection
+    steps on beta until the row entropy is within 1e-5 of log2(perplexity).
+    `spkraug.tsne.conditional_rows` must equal it bit for bit. Expects a
+    valid distance matrix and perplexity."""
+    d2 = np.asarray(distances_sq, dtype=np.float64)
+    n = d2.shape[0]
+    target = np.log2(perplexity)
+    off = ~np.eye(n, dtype=bool)
+    mean_d2 = d2[off].mean()
+    if mean_d2 > 0:
+        d2 = d2 / mean_d2
+
+    P = np.zeros((n, n))
+    for i in range(n):
+        row = np.delete(d2[i], i)
+        beta, beta_lo, beta_hi = 1.0, 0.0, np.inf
+        p = None
+        for _ in range(64):
+            logits = -beta * row
+            logits -= logits.max()
+            p = np.exp(logits)
+            p /= p.sum()
+            nonzero = p > 0
+            entropy = -np.sum(p[nonzero] * np.log2(p[nonzero]))
+            diff = entropy - target
+            if abs(diff) <= 1e-5:
+                break
+            if diff > 0:  # too flat: sharpen
+                beta_lo = beta
+                beta = beta * 2.0 if beta_hi == np.inf else 0.5 * (beta + beta_hi)
+            else:
+                beta_hi = beta
+                beta = 0.5 * (beta + beta_lo)
+        P[i, np.arange(n) != i] = p
+    return P

@@ -8,13 +8,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spkraug.audio_io import read_wav, write_wav
+from spkraug.audio_io import AudioClip, read_wav, write_wav
 from spkraug.cli import main
 from spkraug.dataset import Manifest, load_manifest, save_manifest
 from spkraug.embedding import EmbeddingSet, extract_standin_embedding, save_embeddings
 from spkraug.metrics import load_pairs
-from spkraug.spectral import magnitude_spectrogram, write_spectrogram
-from synth import build_corpus, sine
+from spkraug.spectral import (
+    griffin_lim,
+    magnitude_spectrogram,
+    read_spectrogram,
+    write_spectrogram,
+)
+from synth import SR, build_corpus, sine
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -395,8 +400,22 @@ def test_embed_error_names_the_first_failing_record(capsys, cli_env, tmp_path):
     assert not out.exists()
 
 
-# Runs `embed` with the given argv in a fresh interpreter.
-_EMBED = "import sys; from spkraug.cli import main; sys.exit(main(sys.argv[1:]))"
+def _run_at_blas_threads(argv_for) -> dict:
+    """Runs main(argv_for(threads)) in two fresh interpreters, with
+    OPENBLAS_NUM_THREADS "1" and "2" set only in their environment. Returns
+    each one's stdout by thread count."""
+    code = "import sys; from spkraug.cli import main; sys.exit(main(sys.argv[1:]))"
+    procs = {}
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS=threads)
+        procs[threads] = subprocess.Popen([sys.executable, "-c", code, *argv_for(threads)],
+                                          env=env, stdout=subprocess.PIPE,
+                                          stderr=subprocess.PIPE)
+    outs = {}
+    for threads, proc in procs.items():
+        outs[threads], err = proc.communicate(timeout=300)
+        assert proc.returncode == 0, err
+    return outs
 
 
 def test_embed_output_does_not_depend_on_blas_threads(tmp_path):
@@ -405,17 +424,27 @@ def test_embed_output_does_not_depend_on_blas_threads(tmp_path):
     manifest = build_corpus(tmp_path / "corpus", per_speaker=1, seed=5, dur_range=(4.0, 8.0))
     manifest_path = tmp_path / "long.jsonl"
     save_manifest(manifest, manifest_path)
-    procs = {}
-    for threads in ("1", "2"):
-        env = dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS=threads)
-        argv = ["--workers", "1", "embed", "--manifest", str(manifest_path),
-                "--output", str(tmp_path / f"emb{threads}.tsv")]
-        procs[threads] = subprocess.Popen([sys.executable, "-c", _EMBED, *argv], env=env,
-                                          stdout=subprocess.PIPE, stderr=subprocess.PIPE)
-    for proc in procs.values():
-        _, err = proc.communicate(timeout=300)
-        assert proc.returncode == 0, err
+    _run_at_blas_threads(lambda threads: ["--workers", "1", "embed",
+                                          "--manifest", str(manifest_path),
+                                          "--output", str(tmp_path / f"emb{threads}.tsv")])
     assert (tmp_path / "emb1.tsv").read_bytes() == (tmp_path / "emb2.tsv").read_bytes()
+
+
+def test_vocode_output_does_not_depend_on_blas_threads(tmp_path):
+    """A 3 s spectrogram at the default geometry (237 x 1025), large enough
+    that a BLAS dot product over it splits across two threads."""
+    rng = np.random.default_rng(3)
+    x = sine(180.0, 3.0).samples + 0.3 * sine(1230.0, 3.0).samples \
+        + 0.05 * rng.standard_normal(3 * SR)
+    spec_path = tmp_path / "clip.spg"
+    write_spectrogram(magnitude_spectrogram(AudioClip(x, SR)), spec_path)
+    outs = _run_at_blas_threads(lambda threads: ["vocode", "--spectrogram", str(spec_path),
+                                                 "--output", str(tmp_path / f"v{threads}.wav"),
+                                                 "--iterations", "10"])
+    assert (tmp_path / "v1.wav").read_bytes() == (tmp_path / "v2.wav").read_bytes()
+    reports = {threads: json.loads(out) for threads, out in outs.items()}
+    assert repr(reports["1"]["final_error"]) == repr(reports["2"]["final_error"])
+    assert [repr(e) for e in reports["1"]["errors"]] == [repr(e) for e in reports["2"]["errors"]]
 
 
 def test_select_best_cli(capsys, cli_env, tmp_path):
@@ -575,6 +604,39 @@ def test_vocode_cli(capsys, tmp_path):
     assert len(clip) == report["samples"]
     assert report["final_error"] < 0.5
     assert np.max(np.abs(clip.samples)) <= 1.0
+
+
+def test_vocode_report_carries_the_error_curve(capsys, tmp_path):
+    spec_path = tmp_path / "clip.spg"
+    write_spectrogram(magnitude_spectrogram(sine(330.0, 0.3), 400, 100, 512), spec_path)
+    rc, report, _ = _run(capsys, ["--seed", "7", "vocode", "--spectrogram", str(spec_path),
+                                  "--output", str(tmp_path / "voc.wav"), "--iterations", "9"])
+    assert rc == 0
+    _, want = griffin_lim(read_spectrogram(spec_path), iterations=9, seed=7,
+                          return_errors=True)
+    assert report["errors"] == want
+    assert report["final_error"] == report["errors"][-1]
+    assert all(b <= a for a, b in zip(want, want[1:]))
+
+
+@pytest.mark.parametrize("command,inputs", [
+    ("vocode", ["--spectrogram", "missing.spg"]),
+    ("tsne", ["--embeddings", "missing.tsv"]),
+])
+@pytest.mark.parametrize("iterations", ["0", "-2"])
+def test_iterations_below_one_is_usage_error(capsys, tmp_path, command, inputs, iterations):
+    """Refused while parsing, before the input file is opened."""
+    out = tmp_path / "out"
+    rc, report, err = _run(capsys, [command, *inputs, "--output", str(out),
+                                    "--iterations", iterations])
+    assert rc == 1
+    assert report is None
+    assert err.startswith(f"usage: spkraug {command} ")
+    assert sum(line.startswith("usage:") for line in err.splitlines()) == 1
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert errors == [f"spkraug {command}: error: argument --iterations: "
+                      f"must be at least 1, got {iterations}"]
+    assert not out.exists()
 
 
 def test_vocode_cli_rejects_zero_frame_spectrogram(capsys, tmp_path):

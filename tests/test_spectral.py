@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from oracles import griffin_lim_oracle
-from spkraug.audio_io import AudioClip
+from oracles import griffin_lim_oracle, griffin_lim_unit_phase_oracle
+from spkraug import spectral
+from spkraug.audio_io import AudioClip, read_wav, write_wav
 from spkraug.errors import SpkraugError
 from spkraug.spectral import (
     DEFAULT_FFT_SIZE,
@@ -217,17 +218,81 @@ def test_griffin_lim_deterministic():
     assert not np.array_equal(a.samples, c.samples)
 
 
-@pytest.mark.parametrize("n,length,shift,fft", [
+_ORACLE_GEOMETRIES = pytest.mark.parametrize("n,length,shift,fft", [
     (4000, 400, 100, 512), (1000, 256, 256, 256), (300, 400, 100, 512), (2345, 200, 60, 255),
 ])
-def test_griffin_lim_matches_per_iteration_oracle_bitwise(n, length, shift, fft):
+
+
+def _noise_spectrogram(n, length, shift, fft):
     rng = np.random.default_rng(n)
     x = rng.standard_normal(n) * np.sin(np.arange(n) / 40.0)
-    spec = magnitude_spectrogram(AudioClip(x, SR), length, shift, fft)
+    return magnitude_spectrogram(AudioClip(x, SR), length, shift, fft)
+
+
+@_ORACLE_GEOMETRIES
+def test_griffin_lim_matches_per_iteration_oracle_bitwise(n, length, shift, fft):
+    spec = _noise_spectrogram(n, length, shift, fft)
     clip, errors = griffin_lim(spec, iterations=12, seed=5, return_errors=True)
-    want_samples, want_errors = griffin_lim_oracle(spec, iterations=12, seed=5)
+    want_samples, want_errors = griffin_lim_unit_phase_oracle(spec, iterations=12, seed=5)
     assert clip.samples.tobytes() == want_samples.tobytes()
     assert errors == want_errors
+
+
+def test_griffin_lim_silent_frames_match_oracle_bitwise():
+    """A run of silent frames longer than a frame leaves |Z| = 0 exactly,
+    where the next spectrum must be M (here 0), as angle(0) = 0 gave."""
+    spec = magnitude_spectrogram(sine(300.0, 0.5), 400, 100, 512)
+    spec.magnitudes[10:25] = 0.0
+    clip, errors = griffin_lim(spec, iterations=8, seed=3, return_errors=True)
+    want_samples, want_errors = griffin_lim_unit_phase_oracle(spec, iterations=8, seed=3)
+    assert np.all(clip.samples[1500:2400] == 0.0)
+    assert clip.samples.tobytes() == want_samples.tobytes()
+    assert errors == want_errors
+    classic_samples, _ = griffin_lim_oracle(spec, iterations=8, seed=3)
+    assert np.all(classic_samples[1500:2400] == 0.0)
+
+
+def test_griffin_lim_projects_a_zero_bin_to_its_magnitude(monkeypatch):
+    """Where |Z| = 0 the next spectrum is M, as M * exp(i * angle(0)) was.
+    A real signal almost never gives an exact zero where M > 0, so one is
+    planted in the analysis."""
+    spec = magnitude_spectrogram(sine(300.0, 0.2), 400, 100, 512)
+    stft_array, istft_array = spectral._stft_array, spectral._istft_array
+
+    def stft_with_a_hole(*args):
+        z = stft_array(*args)
+        z[3, 5] = 0.0
+        return z
+
+    fed = []
+
+    def record(s, *args):
+        fed.append(s.copy())
+        return istft_array(s, *args)
+
+    monkeypatch.setattr(spectral, "_stft_array", stft_with_a_hole)
+    monkeypatch.setattr(spectral, "_istft_array", record)
+    griffin_lim(spec, iterations=2)
+    assert spec.magnitudes[3, 5] > 0
+    assert fed[1][3, 5] == spec.magnitudes[3, 5]
+
+
+@_ORACLE_GEOMETRIES
+def test_griffin_lim_within_tolerance_of_classic_projection(tmp_path, n, length, shift, fft):
+    """Z * (M / |Z|) differs from M * exp(i * angle(Z)) in the last bits, and
+    the pairwise norm from BLAS's: samples stay within 1e-12, errors within
+    1e-12 relative and 16-bit PCM within 1 LSB of the classic oracle."""
+    spec = _noise_spectrogram(n, length, shift, fft)
+    clip, errors = griffin_lim(spec, iterations=12, seed=5, return_errors=True)
+    want_samples, want_errors = griffin_lim_oracle(spec, iterations=12, seed=5)
+    assert np.max(np.abs(clip.samples - want_samples)) <= 1e-12
+    assert np.allclose(errors, want_errors, rtol=1e-12, atol=0.0)
+    write_wav(clip, tmp_path / "new.wav")
+    write_wav(AudioClip(want_samples, SR), tmp_path / "classic.wav")
+    lsb = 1.0 / 32768.0
+    pcm_gap = np.abs(read_wav(tmp_path / "new.wav").samples
+                     - read_wav(tmp_path / "classic.wav").samples)
+    assert np.max(pcm_gap) <= lsb
 
 
 def test_griffin_lim_rejects_zero_iterations():

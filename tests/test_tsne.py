@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 from scipy.spatial.distance import pdist, squareform
 
-from oracles import finite_difference_gradient, kl_gradient_oracle, kl_objective_oracle
+from oracles import (
+    conditional_rows_loop_oracle,
+    finite_difference_gradient,
+    kl_gradient_oracle,
+    kl_objective_oracle,
+)
 from spkraug.embedding import EmbeddingSet
 from spkraug.errors import SpkraugError
 from spkraug.rng import rng_for
@@ -17,6 +22,7 @@ from spkraug.tsne import (
     MOMENTUM,
     MOMENTUM_SWITCH_ITER,
     TsneConfig,
+    _row_entropies,
     conditional_probabilities,
     conditional_rows,
     kl_divergence,
@@ -103,6 +109,42 @@ def test_conditional_rows_nearer_point_gets_more_mass():
     points = np.array([[0.0], [1.0], [4.0], [9.0]])
     rows = conditional_rows(_dist_sq(points), 2.0)
     assert rows[0, 1] > rows[0, 2] > rows[0, 3]
+
+
+@pytest.mark.parametrize("n,perplexity", [(3, 2.0), (5, 4.0), (17, 3.0), (60, 30.0),
+                                          (130, 5.0), (300, 30.0)])
+def test_conditional_rows_match_row_loop_oracle_bitwise(n, perplexity):
+    """Outlying points push far neighbours' affinities to exactly 0, so rows
+    with and without zeros both occur."""
+    rng = np.random.default_rng(n)
+    points = rng.standard_normal((n, 8))
+    points[: n // 3] *= 40.0
+    d2 = _dist_sq(points)
+    assert conditional_rows(d2, perplexity).tobytes() == \
+        conditional_rows_loop_oracle(d2, perplexity).tobytes()
+
+
+@pytest.mark.parametrize("points", [
+    np.eye(6),                                       # all distances equal
+    np.zeros((4, 3)),                                # all distances zero
+    np.repeat([[0.0, 0.0], [1.0, 2.0]], 4, axis=0),  # two groups of duplicates
+])
+def test_conditional_rows_degenerate_rows_match_oracle_bitwise(points):
+    d2 = _dist_sq(points)
+    assert conditional_rows(d2, 2.0).tobytes() == conditional_rows_loop_oracle(d2, 2.0).tobytes()
+
+
+def test_row_entropies_sum_each_row_over_its_non_zero_entries():
+    """Bitwise what -np.sum(q * np.log2(q)) gives on each row's non-zero
+    entries alone, with zeros scattered through rows longer than NumPy's
+    8-wide pairwise-sum blocks."""
+    rng = np.random.default_rng(4)
+    p = rng.random((50, 40))
+    p[rng.random(p.shape) < 0.3] = 0.0
+    p[0] = 1.0 / 40  # a row with no zero
+    p /= p.sum(axis=1, keepdims=True)
+    want = [-np.sum(q * np.log2(q)) for q in (row[row > 0] for row in p)]
+    assert _row_entropies(p).tolist() == want
 
 
 def test_conditional_rows_perplexity_cap():
