@@ -8,7 +8,6 @@ Every file the package writes goes through `_replacing`, so a reader never
 sees a half-written output.
 """
 
-import math
 import os
 import wave
 from contextlib import contextmanager
@@ -17,6 +16,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import SpkraugError
 
@@ -185,27 +185,38 @@ def _design_lowpass(up: int, down: int) -> tuple[np.ndarray, int]:
 
 
 def _polyphase_resample(x: np.ndarray, up: int, down: int, out_len: int) -> np.ndarray:
-    """Rational-rate conversion via upfirdn; output sample m sits at input
-    position m*down/up."""
+    """Rational-rate conversion by a polyphase FIR filter (Crochiere & Rabiner,
+    1983); output sample m sits at input position m*down/up.
+
+    Zero-stuffing x by `up`, filtering and keeping every `down`-th sample
+    gives sample m = sum_j taps[p + j*up] * x[m*down//up - j], p = m*down % up,
+    and the result starts at m = skip, past the filter delay. The samples
+    that share a phase p are every `up`-th one, and their input windows are
+    every `down`-th one, so each phase is one strided product.
+    Samples agree with upfirdn's within 1e-12 (tests/oracles.py).
+    """
     if out_len <= 0:
         return np.zeros(0, dtype=np.float64)
     if up == down:  # then out_len == len(x)
         return x[:out_len].copy()
-    # imported here: scipy.signal takes ~1 s to load, and only the
-    # speed-change path needs it
-    from scipy.signal import upfirdn
-
     taps, center = _design_lowpass(up, down)
     lead = (-center) % down  # shift so the filter delay lands on the output grid
     taps = np.concatenate([np.zeros(lead), taps])
     skip = (center + lead) // down
-    need = out_len + skip
-    produced = ((len(x) - 1) * up + len(taps) - 1) // down + 1 if len(x) else 0
-    if produced < need:
-        pad = math.ceil((need * down - (max(len(x), 1) - 1) * up - len(taps)) / up) + 1
-        x = np.pad(x, (0, max(pad, 0)))
-    y = upfirdn(taps, x, up=up, down=down)
-    return y[skip:skip + out_len]
+    # bank[p] holds taps[p + j*up] for j = per_phase-1 .. 0, the order a window reads x
+    bank = np.ascontiguousarray(np.pad(taps, (0, -len(taps) % up)).reshape(-1, up).T[:, ::-1])
+    per_phase = bank.shape[1]
+    # window i covers x[i - per_phase + 1 .. i], zero outside x
+    last = (skip + out_len - 1) * down // up
+    padded = np.zeros(per_phase - 1 + max(len(x), last + 1))
+    padded[per_phase - 1:per_phase - 1 + len(x)] = x
+    windows = sliding_window_view(padded, per_phase)
+    y = np.empty(out_len)
+    for r in range(min(up, out_len)):
+        pos = (skip + r) * down
+        rows = windows[pos // up::down][:len(range(r, out_len, up))]
+        y[r::up] = np.einsum("ki,i->k", rows, bank[pos % up])  # no BLAS call
+    return y
 
 
 def speed_change(clip: AudioClip, ratio: float) -> AudioClip:

@@ -38,13 +38,26 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _positive_int(text: str) -> int:
+def _int_at_least(low: int):
+    """argparse type: an int no smaller than `low`, refused while parsing."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    return parse
+
+
+def _perplexity(text: str) -> float:
     try:
-        value = int(text)
+        value = float(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not value > 1:
+        raise argparse.ArgumentTypeError(f"must exceed 1, got {text}")
     return value
 
 
@@ -59,14 +72,14 @@ def _command(sub, name: str, handler, help: str) -> _Parser:
 def _build_parser() -> _Parser:
     parser = _Parser(prog="spkraug", description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=42, help="base seed for every random draw")
-    parser.add_argument("--workers", type=_positive_int,
+    parser.add_argument("--workers", type=_int_at_least(1),
                         help="embed threads (default: the CPU count); augment runs serially")
     parser.add_argument("--verbose", action="store_true", help="progress messages on stderr")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = _command(sub, "subset", _cmd_subset, "seeded per-speaker subset of natural utterances")
     p.add_argument("--manifest", required=True)
-    p.add_argument("--per-speaker", type=int, required=True)
+    p.add_argument("--per-speaker", type=_int_at_least(1), required=True)
     p.add_argument("--independent", action="store_true",
                    help="draw per speaker instead of sharing utterance numbers")
     p.add_argument("--output", required=True)
@@ -86,7 +99,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--naturals", required=True)
     p.add_argument("--augmented", required=True)
     p.add_argument("--embeddings", required=True)
-    p.add_argument("--k", type=int, default=4)
+    p.add_argument("--k", type=_int_at_least(0), default=4)
     p.add_argument("--output", required=True)
 
     p = _command(sub, "pairs", _cmd_pairs, "genuine/impostor trial list for EER")
@@ -120,13 +133,13 @@ def _build_parser() -> _Parser:
     p.add_argument("--embeddings", required=True)
     p.add_argument("--output", required=True)
     p.add_argument("--svg", help="also render a speaker-colored scatter plot")
-    p.add_argument("--perplexity", type=float, default=30.0)
-    p.add_argument("--iterations", type=_positive_int, default=1000)
+    p.add_argument("--perplexity", type=_perplexity, default=30.0)
+    p.add_argument("--iterations", type=_int_at_least(1), default=1000)
 
     p = _command(sub, "vocode", _cmd_vocode, "Griffin-Lim a stored magnitude spectrogram")
     p.add_argument("--spectrogram", required=True)
     p.add_argument("--output", required=True)
-    p.add_argument("--iterations", type=_positive_int, default=60)
+    p.add_argument("--iterations", type=_int_at_least(1), default=60)
 
     return parser
 

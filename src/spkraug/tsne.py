@@ -133,11 +133,21 @@ def conditional_probabilities(distances_sq: np.ndarray, perplexity: float) -> np
 
 
 def _squared_distances(X: np.ndarray) -> np.ndarray:
-    """Full (n, n) matrix of squared Euclidean distances between rows."""
-    # imported here so that only the t-SNE command loads scipy.spatial
-    from scipy.spatial.distance import pdist, squareform
+    """Full (n, n) matrix of squared Euclidean distances between rows.
 
-    return squareform(pdist(X, "sqeuclidean"))
+    Each entry adds its squared coordinate differences one column at a time,
+    in column order, as pdist's "sqeuclidean" metric does: the two agree bit
+    for bit (tests/test_tsne.py).
+    """
+    first, *rest = X.T
+    D = np.subtract.outer(first, first)
+    D *= D
+    diff = np.empty_like(D)
+    for column in rest:
+        np.subtract.outer(column, column, out=diff)
+        diff *= diff
+        D += diff
+    return D
 
 
 def _student_t_weights(Y: np.ndarray) -> np.ndarray:

@@ -489,3 +489,29 @@ def conditional_rows_loop_oracle(distances_sq, perplexity):
                 beta = 0.5 * (beta + beta_lo)
         P[i, np.arange(n) != i] = p
     return P
+
+
+def upfirdn_resample_oracle(x, up, down, out_len):
+    """The polyphase resampler as SciPy's upfirdn computes it, with the
+    package's own filter taps and lead/skip alignment.
+    `spkraug.audio_io._polyphase_resample` must agree within 1e-12 per
+    sample: its phases sum in another order."""
+    from scipy.signal import upfirdn
+
+    from spkraug.audio_io import _design_lowpass
+
+    if out_len <= 0:
+        return np.zeros(0, dtype=np.float64)
+    if up == down:  # then out_len == len(x)
+        return x[:out_len].copy()
+    taps, center = _design_lowpass(up, down)
+    lead = (-center) % down  # shift so the filter delay lands on the output grid
+    taps = np.concatenate([np.zeros(lead), taps])
+    skip = (center + lead) // down
+    need = out_len + skip
+    produced = ((len(x) - 1) * up + len(taps) - 1) // down + 1 if len(x) else 0
+    if produced < need:
+        pad = math.ceil((need * down - (max(len(x), 1) - 1) * up - len(taps)) / up) + 1
+        x = np.pad(x, (0, max(pad, 0)))
+    y = upfirdn(taps, x, up=up, down=down)
+    return y[skip:skip + out_len]

@@ -3,13 +3,14 @@ import wave
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from oracles import fft_bin_width, fft_peak_hz
+from oracles import fft_bin_width, fft_peak_hz, upfirdn_resample_oracle
 from spkraug.audio_io import (
     AudioClip,
     _polyphase_resample,
+    _speed_geometry,
     read_wav,
     read_wav_header,
     speed_change,
@@ -230,6 +231,31 @@ def test_resample_up_down_chain_is_near_identity():
     assert len(back) == len(x)
     interior = slice(512, len(x) - 512)
     assert np.max(np.abs(back[interior] - x[interior])) < 1e-3
+
+
+@given(ratio=st.one_of(st.sampled_from([0.5, 2.0]), st.floats(0.5, 2.0)),
+       n=st.one_of(st.integers(0, 40), st.integers(41, 3000)),
+       seed=st.integers(0, 2**32 - 1))
+@example(ratio=0.5, n=0, seed=0)
+@example(ratio=2.0, n=1, seed=0)
+@example(ratio=0.5, n=1, seed=0)
+@example(ratio=2.0, n=17, seed=0)
+def test_resample_matches_upfirdn_oracle(tmp_path_factory_session, ratio, n, seed):
+    """speed_change's resampler against SciPy's upfirdn: the same length,
+    samples within 1e-12, and 16-bit PCM within 1 LSB. Lengths up to 40 are
+    shorter than the filter's 32 taps per phase plus its delay."""
+    up, down, out_len = _speed_geometry(n, ratio)
+    x = np.random.default_rng(seed).uniform(-1.0, 1.0, n)
+    got = _polyphase_resample(x, up, down, out_len)
+    want = upfirdn_resample_oracle(x, up, down, out_len)
+    assert len(got) == len(want) == out_len
+    assert np.max(np.abs(got - want), initial=0.0) <= 1e-12
+    pcm = []
+    for name, samples in [("got", got), ("want", want)]:
+        path = tmp_path_factory_session / f"resample_{name}.wav"
+        write_wav(AudioClip(samples, SR), path)
+        pcm.append(read_wav(path).samples * 32768.0)
+    assert np.max(np.abs(pcm[0] - pcm[1]), initial=0.0) <= 1.0
 
 
 # -- speed_change ------------------------------------------------------------

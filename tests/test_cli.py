@@ -447,6 +447,21 @@ def test_vocode_output_does_not_depend_on_blas_threads(tmp_path):
     assert [repr(e) for e in reports["1"]["errors"]] == [repr(e) for e in reports["2"]["errors"]]
 
 
+def test_augment_resample_does_not_depend_on_blas_threads(tmp_path):
+    manifest = build_corpus(tmp_path / "corpus", per_speaker=1, seed=6, dur_range=(2.0, 4.0))
+    manifest_path = tmp_path / "corpus.jsonl"
+    save_manifest(manifest, manifest_path)
+    _run_at_blas_threads(lambda threads: ["augment", "resample",
+                                          "--manifest", str(manifest_path),
+                                          "--audio-root", str(tmp_path / f"aug{threads}"),
+                                          "--output", str(tmp_path / f"aug{threads}.jsonl")])
+    wavs = {threads: {path.name: path.read_bytes()
+                      for path in (tmp_path / f"aug{threads}").rglob("*.wav")}
+            for threads in ("1", "2")}
+    assert len(wavs["1"]) == 4 * len(manifest)
+    assert wavs["1"] == wavs["2"]
+
+
 def test_select_best_cli(capsys, cli_env, tmp_path):
     base = cli_env["manifest"]
     parents = Manifest(base.records[:2], corpus=base.corpus, sample_rate=base.sample_rate)
@@ -636,6 +651,31 @@ def test_iterations_below_one_is_usage_error(capsys, tmp_path, command, inputs, 
     errors = [line for line in err.splitlines() if "error:" in line]
     assert errors == [f"spkraug {command}: error: argument --iterations: "
                       f"must be at least 1, got {iterations}"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv,flag,value,message", [
+    (["subset", "--manifest", "missing.jsonl"], "--per-speaker", "0",
+     "must be at least 1, got 0"),
+    (["subset", "--manifest", "missing.jsonl"], "--per-speaker", "-2",
+     "must be at least 1, got -2"),
+    (["select-best", "--naturals", "missing.jsonl", "--augmented", "missing.jsonl",
+      "--embeddings", "missing.tsv"], "--k", "-1", "must be at least 0, got -1"),
+    (["tsne", "--embeddings", "missing.tsv"], "--perplexity", "0", "must exceed 1, got 0"),
+    (["tsne", "--embeddings", "missing.tsv"], "--perplexity", "1", "must exceed 1, got 1"),
+    (["tsne", "--embeddings", "missing.tsv"], "--perplexity", "nan", "must exceed 1, got nan"),
+    (["tsne", "--embeddings", "missing.tsv"], "--perplexity", "x",
+     "invalid float value: 'x'"),
+])
+def test_bad_count_is_usage_error_before_a_missing_input(capsys, tmp_path, argv, flag, value,
+                                                         message):
+    """The usage error wins over the missing input named before it."""
+    out = tmp_path / "out"
+    rc, report, err = _run(capsys, [*argv, flag, value, "--output", str(out)])
+    assert rc == 1
+    assert report is None
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert errors == [f"spkraug {argv[0]}: error: argument {flag}: {message}"]
     assert not out.exists()
 
 

@@ -1,9 +1,8 @@
-"""Where SciPy gets loaded.
+"""SciPy is a test dependency only.
 
-Every CLI command runs in its own process, and importing scipy.signal or
-scipy.spatial costs about a second of start-up. Only the two commands that
-call into SciPy may pay it: `augment resample` (upfirdn) and `tsne` (pdist).
-Each probe below is a fresh interpreter, because the test process itself
+Every CLI command runs in its own process, and importing scipy.signal costs
+about 1.6 s and 76 MiB of start-up, so no command may load any part of
+SciPy. The probe is a fresh interpreter, because the test process itself
 has SciPy loaded already.
 """
 
@@ -23,13 +22,13 @@ from synth import build_corpus, sine
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 # Imports spkraug.cli, then runs each argv in turn; prints, as JSON, the
-# exit code and which SciPy modules are loaded after the import and after
-# every command.
+# exit code and the SciPy modules loaded after the import and after every
+# command.
 _PROBE = """
 import contextlib, io, json, sys
 
 def loaded():
-    return {name: name in sys.modules for name in ("scipy", "scipy.signal", "scipy.spatial")}
+    return sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
 
 import spkraug, spkraug.cli
 steps = [["import spkraug, spkraug.cli", 0, loaded()]]
@@ -41,23 +40,20 @@ print(json.dumps(steps))
 """
 
 
-def _start_probe(commands):
+def _probe(commands) -> list:
+    """The SciPy modules loaded after the import, then after each command."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    return subprocess.Popen([sys.executable, "-c", _PROBE, json.dumps(commands)], env=env,
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
-
-
-def _finish_probe(proc) -> list:
-    """The loaded-module flags after the import, then after each command."""
-    out, err = proc.communicate(timeout=300)
+    proc = subprocess.run([sys.executable, "-c", _PROBE, json.dumps(commands)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    err = proc.stderr
     assert proc.returncode == 0, err
-    steps = json.loads(out)
+    steps = json.loads(proc.stdout)
     for command, rc, _ in steps:
         assert rc == 0, f"{command}: exit {rc}\n{err}"
     return [modules for _, _, modules in steps]
 
 
-def test_scipy_loads_only_for_resample_and_tsne(tmp_path):
+def test_no_command_loads_scipy(tmp_path):
     def p(name):
         return str(tmp_path / name)
 
@@ -76,11 +72,13 @@ def test_scipy_loads_only_for_resample_and_tsne(tmp_path):
     save_embeddings(EmbeddingSet([f"u{i}" for i in range(8)], ["a"] * 4 + ["b"] * 4, points),
                     p("points.tsv"))
 
-    without = _start_probe([
+    commands = [
         ["subset", "--manifest", p("corpus.jsonl"), "--per-speaker", "1",
          "--output", p("sub.jsonl")],
         ["augment", "psola-dur", "--manifest", p("sub.jsonl"),
          "--audio-root", p("aug2"), "--output", p("aug2.jsonl")],
+        ["augment", "resample", "--manifest", p("corpus.jsonl"),
+         "--audio-root", p("fast"), "--output", p("fast.jsonl")],
         ["embed", "--manifest", p("merged.jsonl"), "--output", p("emb.tsv")],
         ["select-best", "--naturals", p("corpus.jsonl"), "--augmented", p("aug.jsonl"),
          "--embeddings", p("emb.tsv"), "--k", "2", "--output", p("best.jsonl")],
@@ -90,25 +88,9 @@ def test_scipy_loads_only_for_resample_and_tsne(tmp_path):
         ["eval", "cs", "--synth", p("emb.tsv"), "--natural", p("emb.tsv")],
         ["eval", "wer", "--ref", p("ref.txt"), "--hyp", p("hyp.txt")],
         ["loss", "--l1", "1", "--att", "1", "--sv", "1"],
-        ["vocode", "--spectrogram", p("clip.spg"), "--output", p("clip.wav"),
-         "--iterations", "2"],
-    ])
-    resample = _start_probe([
-        ["augment", "resample", "--manifest", p("corpus.jsonl"),
-         "--audio-root", p("fast"), "--output", p("fast.jsonl")],
-    ])
-    tsne = _start_probe([
         ["tsne", "--embeddings", p("points.tsv"), "--output", p("coords.tsv"),
          "--perplexity", "2", "--iterations", "3"],
-    ])
-
-    none = {"scipy": False, "scipy.signal": False, "scipy.spatial": False}
-    assert _finish_probe(without) == [none] * 11
-
-    after_import, after_resample = _finish_probe(resample)
-    assert after_import == none
-    assert after_resample["scipy.signal"]
-
-    after_import, after_tsne = _finish_probe(tsne)
-    assert after_import == none
-    assert after_tsne["scipy.spatial"] and not after_tsne["scipy.signal"]
+        ["vocode", "--spectrogram", p("clip.spg"), "--output", p("clip.wav"),
+         "--iterations", "2"],
+    ]
+    assert _probe(commands) == [[]] * (1 + len(commands))

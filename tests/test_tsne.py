@@ -23,6 +23,7 @@ from spkraug.tsne import (
     MOMENTUM_SWITCH_ITER,
     TsneConfig,
     _row_entropies,
+    _squared_distances,
     conditional_probabilities,
     conditional_rows,
     kl_divergence,
@@ -35,6 +36,17 @@ from spkraug.tsne import (
 
 def _dist_sq(points):
     return squareform(pdist(np.asarray(points, dtype=float), "sqeuclidean"))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 64])
+def test_squared_distances_equal_pdist_bitwise(dim):
+    """300 rows at per-column scales from 1e-3 to 1e3; rows 3 and 7 repeat row 1."""
+    rng = np.random.default_rng(dim)
+    X = rng.standard_normal((300, dim)) * rng.uniform(1e-3, 1e3, size=dim)
+    X[[3, 7]] = X[1]
+    got = _squared_distances(X)
+    assert got.tobytes() == _dist_sq(X).tobytes()
+    assert got[1, 3] == got[3, 7] == got[7, 1] == 0.0
 
 
 def _embedding_clusters(rng, n_clusters=2, per_cluster=10, dim=6, spread=0.05):
