@@ -5,7 +5,9 @@ is float64 in [-1, 1]; quantization happens only at the file boundary. The
 default pipeline rate is 16 kHz.
 
 Every file the package writes goes through `_replacing`, so a reader never
-sees a half-written output.
+sees a half-written output. Every text file is read by `_text_lines` and
+written by `_write_lines`, which own the rules for UTF-8, blank lines, line
+numbers and the final newline.
 """
 
 import os
@@ -32,6 +34,8 @@ MAX_RATIO = 2.0
 _TAPS_PER_PHASE = 32
 _KAISER_BETA = 8.6
 _CUTOFF_SCALE = 0.95
+# largest `up` a speed change resamples with: its filter has 32 * up + 1 taps
+_MAX_SPEED_DENOMINATOR = 1000
 
 
 @contextmanager
@@ -50,13 +54,22 @@ def _replacing(path):
         tmp.unlink(missing_ok=True)  # still there only if the block or the rename failed
 
 
-def _read_text(path) -> str:
-    """A text input's contents; bytes that are not UTF-8 raise SpkraugError
-    naming the path."""
+def _text_lines(path) -> list:
+    """(line number, line) for each non-blank line of a UTF-8 text input,
+    numbered as str.splitlines numbers the whole text; bytes that are not
+    UTF-8 raise SpkraugError naming the path."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise SpkraugError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+    return [(n, line) for n, line in enumerate(text.splitlines(), start=1) if line.strip()]
+
+
+def _write_lines(path, lines) -> None:
+    """Write lines as UTF-8 text through _replacing, each ending in a newline;
+    no lines gives a file holding one newline."""
+    with _replacing(path) as tmp:
+        tmp.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def _check_rate(rate) -> int:
@@ -230,8 +243,12 @@ def speed_change(clip: AudioClip, ratio: float) -> AudioClip:
 
 
 def _speed_geometry(n_samples: int, ratio: float) -> tuple[int, int, int]:
-    """speed_change's (up, down, output length) for an n_samples clip."""
-    frac = Fraction(_check_ratio("speed ratio", ratio)).limit_denominator(10000)
+    """speed_change's (up, down, output length) for an n_samples clip.
+
+    The speed realised, down / up, is the fraction nearest ratio with up <=
+    _MAX_SPEED_DENOMINATOR; it lies within 1e-3 of ratio, relative to ratio.
+    """
+    frac = Fraction(_check_ratio("speed ratio", ratio)).limit_denominator(_MAX_SPEED_DENOMINATOR)
     up, down = frac.denominator, frac.numerator
     return up, down, round(n_samples * up / down)
 

@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 from . import dataset, metrics
-from .audio_io import _read_text, write_wav
+from .audio_io import _text_lines, write_wav
 from .embedding import EmbeddingSet, extract_standin_embedding, load_embeddings, save_embeddings
 from .errors import SpkraugError
 from .spectral import griffin_lim, read_spectrogram
@@ -242,8 +242,10 @@ def _cmd_eval_cs(args) -> dict:
 
 
 def _cmd_eval_wer(args) -> dict:
-    ref = metrics.tokenize_transcript(_read_text(args.ref))
-    hyp = metrics.tokenize_transcript(_read_text(args.hyp))
+    # every break str.splitlines splits at is whitespace to str.split, so joining
+    # the lines with "\n" gives the tokens of the whole text
+    ref, hyp = (metrics.tokenize_transcript("\n".join(line for _, line in _text_lines(path)))
+                for path in (args.ref, args.hyp))
     wer, subs, dels, ins = metrics.word_error_rate(ref, hyp)
     return {"command": "eval-wer", "wer": wer, "substitutions": subs,
             "deletions": dels, "insertions": ins, "reference_tokens": len(ref)}

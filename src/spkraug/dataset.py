@@ -13,9 +13,9 @@ from itertools import groupby
 from pathlib import Path
 from typing import NamedTuple
 
-from .audio_io import (DEFAULT_SAMPLE_RATE, _check_rate, _check_ratio, _read_text, _replacing,
+from .audio_io import (DEFAULT_SAMPLE_RATE, _check_rate, _check_ratio, _text_lines, _write_lines,
                        read_wav, read_wav_header, speed_change, speed_change_length, write_wav)
-from .embedding import EmbeddingSet, _first_seen, select_k_nearest
+from .embedding import EmbeddingSet, _first_seen, _row_index, select_k_nearest
 from .errors import SpkraugError
 from .metrics import ScoredPair
 from .psola import analyse, synthesis_length, synthesise
@@ -62,6 +62,9 @@ class UtteranceRecord:
             value = getattr(self, key)
             if not (isinstance(value, str) or (key == "parent_id" and value is None)):
                 raise SpkraugError(f"{key} must be a string, got {value!r}")
+            # an id is a TSV field: no tab, and no break that str.splitlines splits a line at
+            if key != "path" and value and ("\t" in value or "".join(value.splitlines()) != value):
+                raise SpkraugError(f"{key} must hold no tab or line break, got {value!r}")
         for key in ("duration_ratio", "f0_ratio"):
             # frozen: set the checked float through object.__setattr__
             object.__setattr__(self, key, _check_ratio(key, getattr(self, key)))
@@ -88,12 +91,8 @@ class Manifest:
     sample_rate: int = DEFAULT_SAMPLE_RATE
 
     def __post_init__(self):
-        seen = set()
-        for r in self.records:
-            if r.utterance_id in seen:
-                raise SpkraugError(f"duplicate utterance_id {r.utterance_id!r}")
-            seen.add(r.utterance_id)
-        self._by_id = {r.utterance_id: r for r in self.records}
+        rows = _row_index([r.utterance_id for r in self.records])  # raises on a duplicate
+        self._by_id = {uid: self.records[row] for uid, row in rows.items()}
 
     def __len__(self) -> int:
         return len(self.records)
@@ -136,12 +135,11 @@ def save_manifest(manifest: Manifest, path) -> None:
     # order; dataclasses.asdict gives the same dict ~90x slower (deep copies)
     lines.extend(json.dumps(vars(r), ensure_ascii=False, separators=(",", ":"))
                  for r in manifest)
-    with _replacing(path) as tmp:
-        tmp.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_lines(path, lines)
 
 
 def load_manifest(path) -> Manifest:
-    lines = [(n, ln) for n, ln in enumerate(_read_text(path).splitlines(), start=1) if ln.strip()]
+    lines = _text_lines(path)
     if not lines:
         raise SpkraugError(f"{path}: empty manifest file")
     lineno, line = lines[0]

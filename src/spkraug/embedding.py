@@ -7,12 +7,13 @@ pipeline can run self-contained.
 """
 
 import math
+from array import array
 from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
-from .audio_io import AudioClip, _read_text, _replacing
+from .audio_io import AudioClip, _text_lines, _write_lines
 from .errors import SpkraugError
 from .spectral import (
     DEFAULT_FFT_SIZE,
@@ -256,9 +257,7 @@ def _tsv_rows(embeddings: EmbeddingSet, matrix: np.ndarray) -> list:
 
 def save_embeddings(embeddings: EmbeddingSet, path) -> None:
     """Write the TSV format: `#dim=D` header then id, speaker, D floats per row."""
-    lines = [f"#dim={embeddings.dimension}", *_tsv_rows(embeddings, embeddings.matrix)]
-    with _replacing(path) as tmp:
-        tmp.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_lines(path, [f"#dim={embeddings.dimension}", *_tsv_rows(embeddings, embeddings.matrix)])
 
 
 def load_embeddings(path) -> EmbeddingSet:
@@ -269,24 +268,22 @@ def load_embeddings(path) -> EmbeddingSet:
     wins, and a duplicate utterance_id is reported only when every line is
     sound.
     """
-    text = _read_text(path)
-    lines = text.splitlines()
-    if not lines or not lines[0].startswith("#dim="):
+    lines = _text_lines(path)
+    if not lines or lines[0][0] != 1 or not lines[0][1].startswith("#dim="):  # line 1, not blank
         raise SpkraugError(f"{path}: missing #dim= header")
+    header = lines[0][1]
     try:
-        dim = int(lines[0][5:])
+        dim = int(header[5:])
     except ValueError:
-        raise SpkraugError(f"{path}: unparseable header {lines[0]!r}") from None
+        raise SpkraugError(f"{path}: unparseable header {header!r}") from None
     if dim < 1:
         raise SpkraugError(f"{path}: dimension must be positive, got {dim}")
-    # a row of the right width holds at least dim + 1 characters, which bounds
-    # the allocation by the file size whatever the header claims
-    matrix = np.empty((min(len(lines) - 1, len(text) // (dim + 1)), dim))
+    values = array("d")  # grows with the rows read, whatever the header claims
     ids, speaker_ids, linenos = [], [], []
 
     def raise_row_errors():
         """Raise for the first parsed row with non-finite values or zero norm."""
-        parsed = matrix[:len(ids)]
+        parsed = np.frombuffer(values).reshape(-1, dim)
         bad = ~np.isfinite(parsed).all(axis=1)
         # np.linalg.norm(v) is sqrt(np.dot(v, v)), and _row_dots sums as np.dot does
         bad |= _row_dots(parsed, parsed) == 0.0
@@ -296,9 +293,7 @@ def load_embeddings(path) -> EmbeddingSet:
                 raise SpkraugError(f"{path}:{linenos[row]}: embedding has non-finite values")
             raise SpkraugError(f"{path}:{linenos[row]}: zero-norm embedding")
 
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
+    for lineno, line in lines[1:]:
         parts = line.split("\t")
         if len(parts) != 2 + dim:
             raise_row_errors()
@@ -306,7 +301,7 @@ def load_embeddings(path) -> EmbeddingSet:
                 f"{path}:{lineno}: expected {2 + dim} fields, found {len(parts)}"
             )
         try:
-            matrix[len(ids)] = list(map(float, parts[2:]))
+            values.fromlist(list(map(float, parts[2:])))
         except ValueError:
             raise_row_errors()
             raise SpkraugError(f"{path}:{lineno}: non-numeric value") from None
@@ -315,6 +310,6 @@ def load_embeddings(path) -> EmbeddingSet:
         linenos.append(lineno)
     raise_row_errors()
     try:
-        return EmbeddingSet(ids, speaker_ids, matrix[:len(ids)])  # drops rows kept for blank lines
+        return EmbeddingSet(ids, speaker_ids, np.frombuffer(values).reshape(-1, dim))
     except SpkraugError as exc:  # a duplicate utterance_id
         raise SpkraugError(f"{path}: {exc}") from None

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .audio_io import _read_text, _replacing
+from .audio_io import _text_lines, _write_lines
 from .embedding import EmbeddingSet, _cosine_rows
 from .errors import SpkraugError
 from .rng import rng_for
@@ -218,15 +218,12 @@ def save_pairs(pairs, path) -> None:
         if p.score is not None:
             row += f"\t{repr(float(p.score))}"
         lines.append(row)
-    with _replacing(path) as tmp:
-        tmp.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_lines(path, lines)
 
 
 def load_pairs(path) -> list:
     pairs = []
-    for lineno, line in enumerate(_read_text(path).splitlines(), start=1):
-        if not line.strip():
-            continue
+    for lineno, line in _text_lines(path):
         parts = line.split("\t")
         if len(parts) not in (3, 4):
             raise SpkraugError(f"{path}:{lineno}: expected 3 or 4 fields, found {len(parts)}")

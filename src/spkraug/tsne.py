@@ -6,10 +6,11 @@ gradients buy nothing and cost determinism.
 """
 
 from dataclasses import dataclass
+from html import escape  # xml.sax.saxutils.escape would import urllib.request, ssl and socket
 
 import numpy as np
 
-from .audio_io import _replacing
+from .audio_io import _write_lines
 from .embedding import EmbeddingSet, _tsv_rows
 from .errors import SpkraugError
 from .rng import rng_for
@@ -228,8 +229,7 @@ def save_coordinates(embeddings: EmbeddingSet, coords: np.ndarray, path) -> None
         raise SpkraugError(
             f"{coords.shape[0]} coordinate rows for {len(embeddings)} embeddings"
         )
-    with _replacing(path) as tmp:
-        tmp.write_text("\n".join(_tsv_rows(embeddings, coords)) + "\n", encoding="utf-8")
+    _write_lines(path, _tsv_rows(embeddings, coords))
 
 
 _PALETTE = ["#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd",
@@ -265,12 +265,12 @@ def render_scatter_svg(embeddings: EmbeddingSet, coords: np.ndarray, path) -> No
         x, y = place(row)
         parts.append(
             f'<circle cx="{x:.3f}" cy="{y:.3f}" r="3" fill="{color[speaker]}" '
-            f'fill-opacity="0.8"><title>{uid}</title></circle>'
+            f'fill-opacity="0.8"><title>{escape(uid, quote=False)}</title></circle>'
         )
     for i, s in enumerate(speakers):
         ly = 16 + 16 * i
         parts.append(f'<circle cx="12" cy="{ly - 4}" r="4" fill="{color[s]}"/>')
-        parts.append(f'<text x="22" y="{ly}" font-family="sans-serif" font-size="12">{s}</text>')
+        parts.append(f'<text x="22" y="{ly}" font-family="sans-serif" font-size="12">'
+                     f'{escape(s, quote=False)}</text>')
     parts.append("</svg>")
-    with _replacing(path) as tmp:
-        tmp.write_text("\n".join(parts) + "\n", encoding="utf-8")
+    _write_lines(path, parts)

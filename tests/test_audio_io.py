@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from oracles import fft_bin_width, fft_peak_hz, upfirdn_resample_oracle
 from spkraug.audio_io import (
     AudioClip,
+    _design_lowpass,
     _polyphase_resample,
     _speed_geometry,
     read_wav,
@@ -256,6 +257,16 @@ def test_resample_matches_upfirdn_oracle(tmp_path_factory_session, ratio, n, see
         write_wav(AudioClip(samples, SR), path)
         pcm.append(read_wav(path).samples * 32768.0)
     assert np.max(np.abs(pcm[0] - pcm[1]), initial=0.0) <= 1.0
+
+
+@given(ratio=st.one_of(st.sampled_from([0.5, 0.7071, 0.9999, 2.0]), st.floats(0.5, 2.0)))
+def test_speed_geometry_is_bounded(ratio):
+    """Any ratio resamples with up <= 1000, so through at most 32 * 1000 + 1
+    taps, at a speed down / up within 1e-3 of the ratio, relative to it."""
+    up, down, _ = _speed_geometry(16000, ratio)
+    assert up <= 1000
+    assert len(_design_lowpass(up, down)[0]) <= 32 * 1000 + 1
+    assert abs(down / up - ratio) < 1e-3 * ratio
 
 
 # -- speed_change ------------------------------------------------------------

@@ -325,6 +325,23 @@ def test_embed_rejects_non_string_path(capsys, tmp_path):
     _assert_one_line_error(rc, report, err, ":2:", "path")
 
 
+@pytest.mark.parametrize("fields", [
+    {"utterance_id": "u\t1"},
+    {"speaker_id": "s\n1"},
+    {"utterance_id": "u\u2028"},
+    {"kind": "psola_dur", "duration_ratio": 1.1, "parent_id": "p\x1c"},
+], ids=["tab", "newline", "line-separator", "parent-file-separator"])
+def test_embed_rejects_id_a_tsv_cannot_hold(capsys, tmp_path, fields):
+    """embed would write a TSV row that load_embeddings splits or refuses."""
+    wav = tmp_path / "u.wav"
+    write_wav(sine(200.0, 0.3), wav)
+    key = next(k for k in fields if k.endswith("_id"))
+    record = {"utterance_id": "u", "speaker_id": "s", "path": str(wav), **fields}
+    rc, report, err = _embed_one(capsys, tmp_path, json.dumps(record))
+    _assert_one_line_error(rc, report, err, ":2:", f"{key} must hold no tab or line break")
+    assert not (tmp_path / "emb.tsv").exists()
+
+
 def test_embed_rejects_wav_at_another_rate(capsys, tmp_path):
     wav = tmp_path / "u.wav"
     write_wav(sine(200.0, 0.3, sr=22050), wav)

@@ -1,9 +1,12 @@
 """Every file reader fails the same way on a bad file: a SpkraugError whose
 message names the file, or an OSError when the file cannot be read at all."""
 
+import io
+import json
 import re
 import struct
 import wave
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
@@ -11,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spkraug.audio_io import AudioClip, read_wav, read_wav_header, write_wav
+from spkraug.cli import main
 from spkraug.dataset import load_manifest
 from spkraug.embedding import load_embeddings
 from spkraug.errors import SpkraugError
@@ -132,3 +136,64 @@ def test_mutated_file_fails_cleanly(tmp_path_factory_session, reader_name, data)
         assert str(path) in str(exc)
     except OSError:
         pass
+
+
+# -- the text-reading contract -------------------------------------------------
+
+def _error_of(load):
+    def read(path):
+        with pytest.raises(SpkraugError) as info:
+            load(path)
+        return str(info.value)
+    return read
+
+
+def _eval_wer_against_itself(path):
+    """eval wer with the file as reference and hypothesis: the report, or the
+    message of its one error line."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        main(["eval", "wer", "--ref", str(path), "--hyp", str(path)])
+    if out.getvalue():
+        return json.loads(out.getvalue())
+    prefix, line = "spkraug eval: error: ", err.getvalue()
+    assert line.startswith(prefix) and line.count("\n") == 1 and line.endswith("\n")
+    return line[len(prefix):-1]
+
+
+# every break str.splitlines splits at besides "\n"
+_BREAKS = ["\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+# reader -> (read(path), three lines, what read reports when they are lines 1, 3
+# and 4 of a file whose line 2 is blank; F stands for the file's path)
+_TEXT_READERS = {
+    "load_manifest": (_error_of(load_manifest), [
+        '{"corpus":"cé","sample_rate":16000}',
+        '{"utterance_id":"u1","speaker_id":"s","path":"a.wav"}',
+        '{"utterance_id":"u2","speaker_id":"s"}'], "F:4: missing field 'path'"),
+    "load_embeddings": (_error_of(load_embeddings), ["#dim=1", "ué1\ts\t1.0", "u2\ts\tx"],
+                        "F:4: non-numeric value"),
+    "load_pairs": (_error_of(load_pairs), ["ué1\tu2\tsame", "u1\tu3\tdiff", "u1\tu2\tmaybe"],
+                   "F:4: label must be same|diff, got 'maybe'"),
+    "eval_wer": (_eval_wer_against_itself, ["The café, sat", "on the MAT.", "it ran"],
+                 {"command": "eval-wer", "wer": 0.0, "substitutions": 0, "deletions": 0,
+                  "insertions": 0, "reference_tokens": 8}),
+}
+
+
+@pytest.mark.parametrize("brk", ["\n", *_BREAKS, "bad UTF-8"])
+@pytest.mark.parametrize("reader_name", sorted(_TEXT_READERS))
+def test_text_readers_share_one_contract(tmp_path, reader_name, brk):
+    """Every text reader skips blank lines, numbers lines as str.splitlines
+    numbers the whole text, and names the file-wide offset of a byte that is
+    not UTF-8."""
+    read, lines, want = _TEXT_READERS[reader_name]
+    path = tmp_path / "input.txt"
+    if brk == "bad UTF-8":
+        head = f"{lines[0]}\n\n{lines[1]}\n".encode()  # holds a two-byte character
+        path.write_bytes(head + b"\xff" + f"{lines[2]}\n".encode())
+        want = f"F: not UTF-8 text (invalid start byte at byte {len(head)})"
+    else:
+        path.write_bytes(f"{lines[0]}{brk}{brk}{lines[1]}{brk}{lines[2]}{brk}".encode())
+    got = read(path)
+    assert (got.replace(str(path), "F") if isinstance(got, str) else got) == want

@@ -1,4 +1,5 @@
 import dataclasses
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -393,6 +394,19 @@ def test_render_svg_deterministic_with_point_per_utterance(tmp_path):
         assert speaker in svg
     for uid in emb.ids:
         assert f"<title>{uid}</title>" in svg
+
+
+def test_render_svg_escapes_ids(tmp_path):
+    """Ids may hold XML's special characters; the SVG still parses and gives
+    them back as the points' titles and the legend's labels."""
+    ids = ["a&b", "c<d", "e>f"]
+    emb = EmbeddingSet(ids, ["s&1", "s<2", "s<2"], np.eye(3))
+    path = tmp_path / "ids.svg"
+    render_scatter_svg(emb, np.arange(6.0).reshape(3, 2), path)
+    root = ElementTree.parse(path).getroot()
+    svg = "{http://www.w3.org/2000/svg}"
+    assert [title.text for title in root.iter(f"{svg}title")] == ids
+    assert [label.text for label in root.iter(f"{svg}text")] == ["s&1", "s<2"]
 
 
 def test_render_svg_requires_2d(tmp_path):
