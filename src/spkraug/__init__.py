@@ -26,8 +26,6 @@ from .embedding import (
 )
 from .errors import SpkraugError
 from .metrics import (
-    LossTerms,
-    LossWeights,
     ScoredPair,
     batch_cs_loss,
     combined_loss,
@@ -49,7 +47,7 @@ from .spectral import (
     stft,
     write_spectrogram,
 )
-from .tsne import TsneConfig, conditional_probabilities, kl_divergence, kl_gradient, run_tsne
+from .tsne import conditional_probabilities, kl_divergence, kl_gradient, run_tsne
 
 __version__ = "0.1.0"
 
@@ -61,10 +59,10 @@ __all__ = [
     "EmbeddingSet", "cosine_similarity", "euclidean_distance",
     "select_k_nearest", "extract_standin_embedding",
     "load_embeddings", "save_embeddings",
-    "ScoredPair", "LossTerms", "LossWeights", "combined_loss", "batch_cs_loss",
+    "ScoredPair", "combined_loss", "batch_cs_loss",
     "equal_error_rate", "eer_loss", "word_error_rate", "tokenize_transcript",
     "load_pairs", "save_pairs", "score_pairs",
-    "TsneConfig", "conditional_probabilities", "kl_gradient", "kl_divergence", "run_tsne",
+    "conditional_probabilities", "kl_gradient", "kl_divergence", "run_tsne",
     "UtteranceRecord", "Manifest", "AugmentationJob", "load_manifest", "save_manifest",
     "select_subset", "plan_augmentation", "execute_plan", "select_best_augmented",
     "generate_eer_pairs",

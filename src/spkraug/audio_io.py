@@ -11,6 +11,7 @@ numbers and the final newline.
 """
 
 import os
+import re
 import wave
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -36,6 +37,9 @@ _KAISER_BETA = 8.6
 _CUTOFF_SCALE = 0.95
 # largest `up` a speed change resamples with: its filter has 32 * up + 1 taps
 _MAX_SPEED_DENOMINATOR = 1000
+# what an id may not hold: a tab, any break str.splitlines splits at, or a
+# character XML 1.0 forbids (C0 controls, surrogates, U+FFFE and U+FFFF)
+_BAD_ID_CHAR = re.compile("[\x00-\x1f\x85\u2028\u2029\ud800-\udfff\ufffe\uffff]")
 
 
 @contextmanager
@@ -70,6 +74,14 @@ def _write_lines(path, lines) -> None:
     no lines gives a file holding one newline."""
     with _replacing(path) as tmp:
         tmp.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def _check_id(field: str, value: str) -> str:
+    """value, when a TSV row and an SVG can hold it as an id."""
+    if _BAD_ID_CHAR.search(value):
+        raise SpkraugError(f"{field} must hold no tab or line break, nor a character XML 1.0 "
+                           f"forbids, got {value!r}")
+    return value
 
 
 def _check_rate(rate) -> int:

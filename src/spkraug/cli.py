@@ -1,7 +1,7 @@
 """Command-line entry point.
 
-Reports are machine-readable JSON on stdout; progress chatter goes to
-stderr so pipelines can consume the reports directly. Exit codes: 0 on
+Reports are machine-readable JSON on stdout and errors go to stderr, so
+pipelines can consume the reports directly. Exit codes: 0 on
 success, 1 on any validation problem, 2 when some augmentation jobs failed
 but the rest were written.
 """
@@ -18,7 +18,7 @@ from .audio_io import _text_lines, write_wav
 from .embedding import EmbeddingSet, extract_standin_embedding, load_embeddings, save_embeddings
 from .errors import SpkraugError
 from .spectral import griffin_lim, read_spectrogram
-from .tsne import TsneConfig, render_scatter_svg, run_tsne, save_coordinates
+from .tsne import render_scatter_svg, run_tsne, save_coordinates
 
 _RECIPE_BY_COMMAND = {
     "resample": "up_down",
@@ -74,7 +74,6 @@ def _build_parser() -> _Parser:
     parser.add_argument("--seed", type=int, default=42, help="base seed for every random draw")
     parser.add_argument("--workers", type=_int_at_least(1),
                         help="embed threads (default: the CPU count); augment runs serially")
-    parser.add_argument("--verbose", action="store_true", help="progress messages on stderr")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = _command(sub, "subset", _cmd_subset, "seeded per-speaker subset of natural utterances")
@@ -144,11 +143,6 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _log(args, message: str) -> None:
-    if args.verbose:
-        print(message, file=sys.stderr)
-
-
 def _cmd_subset(args) -> dict:
     manifest = dataset.load_manifest(args.manifest)
     result = dataset.select_subset(manifest, args.per_speaker, args.seed,
@@ -161,7 +155,6 @@ def _cmd_subset(args) -> dict:
 def _cmd_augment(args) -> dict:
     manifest = dataset.load_manifest(args.manifest)
     plan = dataset.plan_augmentation(manifest, _RECIPE_BY_COMMAND[args.recipe])
-    _log(args, f"{len(plan)} jobs planned")
     augmented, failures = dataset.execute_plan(plan, args.audio_root, corpus=manifest.corpus,
                                                sample_rate=manifest.sample_rate)
     dataset.save_manifest(augmented, args.output)
@@ -193,7 +186,6 @@ def _cmd_embed(args) -> dict:
     if not len(manifest):
         raise SpkraugError(f"{args.manifest}: no records to embed")
     workers = args.workers or os.cpu_count() or 1
-    _log(args, f"embedding {len(manifest)} records on {workers} threads")
     rows = _embed_records(manifest.records, manifest.sample_rate, workers)
     embeddings = EmbeddingSet([r.utterance_id for r in manifest],
                               [r.speaker_id for r in manifest], np.stack(rows))
@@ -252,9 +244,7 @@ def _cmd_eval_wer(args) -> dict:
 
 
 def _cmd_loss(args) -> dict:
-    terms = metrics.LossTerms(args.l1, args.att, args.sv)
-    weights = metrics.LossWeights(args.alpha, args.beta, args.gamma)
-    value = metrics.combined_loss(terms, weights)
+    value = metrics.combined_loss(args.l1, args.att, args.sv, args.alpha, args.beta, args.gamma)
     return {"command": "loss", "loss": value,
             "terms": {"l1": args.l1, "attention": args.att, "sv": args.sv},
             "weights": {"alpha": args.alpha, "beta": args.beta, "gamma": args.gamma}}
@@ -262,10 +252,7 @@ def _cmd_loss(args) -> dict:
 
 def _cmd_tsne(args) -> dict:
     embeddings = load_embeddings(args.embeddings)
-    config = TsneConfig(perplexity=args.perplexity, iterations=args.iterations,
-                        seed=args.seed)
-    _log(args, f"projecting {len(embeddings)} embeddings")
-    coords = run_tsne(embeddings, config)
+    coords = run_tsne(embeddings, args.perplexity, args.iterations, args.seed)
     save_coordinates(embeddings, coords, args.output)
     if args.svg:
         render_scatter_svg(embeddings, coords, args.svg)

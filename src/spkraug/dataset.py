@@ -13,8 +13,9 @@ from itertools import groupby
 from pathlib import Path
 from typing import NamedTuple
 
-from .audio_io import (DEFAULT_SAMPLE_RATE, _check_rate, _check_ratio, _text_lines, _write_lines,
-                       read_wav, read_wav_header, speed_change, speed_change_length, write_wav)
+from .audio_io import (DEFAULT_SAMPLE_RATE, _check_id, _check_rate, _check_ratio, _text_lines,
+                       _write_lines, read_wav, read_wav_header, speed_change, speed_change_length,
+                       write_wav)
 from .embedding import EmbeddingSet, _first_seen, _row_index, select_k_nearest
 from .errors import SpkraugError
 from .metrics import ScoredPair
@@ -62,9 +63,8 @@ class UtteranceRecord:
             value = getattr(self, key)
             if not (isinstance(value, str) or (key == "parent_id" and value is None)):
                 raise SpkraugError(f"{key} must be a string, got {value!r}")
-            # an id is a TSV field: no tab, and no break that str.splitlines splits a line at
-            if key != "path" and value and ("\t" in value or "".join(value.splitlines()) != value):
-                raise SpkraugError(f"{key} must hold no tab or line break, got {value!r}")
+            if key != "path" and value is not None:
+                _check_id(key, value)
         for key in ("duration_ratio", "f0_ratio"):
             # frozen: set the checked float through object.__setattr__
             object.__setattr__(self, key, _check_ratio(key, getattr(self, key)))
@@ -135,7 +135,12 @@ def save_manifest(manifest: Manifest, path) -> None:
     # order; dataclasses.asdict gives the same dict ~90x slower (deep copies)
     lines.extend(json.dumps(vars(r), ensure_ascii=False, separators=(",", ":"))
                  for r in manifest)
-    _write_lines(path, lines)
+    text = "\n".join(lines)
+    # json.dumps escapes every line break below 0x20 but leaves these raw, and
+    # _text_lines splits at them; str.translate is ~30x slower on non-ASCII text
+    for c in "\x85\u2028\u2029":
+        text = text.replace(c, f"\\u{ord(c):04x}")
+    _write_lines(path, [text])
 
 
 def load_manifest(path) -> Manifest:

@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .audio_io import AudioClip, _text_lines, _write_lines
+from .audio_io import AudioClip, _check_id, _text_lines, _write_lines
 from .errors import SpkraugError
 from .spectral import (
     DEFAULT_FFT_SIZE,
@@ -33,12 +33,14 @@ _FRAME_BLOCK = 64  # frames per power-spectrum block: bounds each clip's transie
 class EmbeddingSet:
     """Embeddings of one dimension: `ids` and `speaker_ids` (lists, one per
     row) plus one read-only (n, dimension) float64 `matrix`. A single
-    embedding is a 1-D array; `get()` returns a read-only row."""
+    embedding is a 1-D array; `get()` returns a read-only row. An id holds
+    no tab, line break or character XML 1.0 forbids."""
 
     def __init__(self, ids, speaker_ids, matrix):
-        ids, speaker_ids = list(ids), list(speaker_ids)
+        ids = [_check_id("utterance_id", uid) for uid in ids]
+        speaker_ids = [_check_id("speaker_id", speaker) for speaker in speaker_ids]
         matrix = np.asarray(matrix, dtype=np.float64).view()  # the view's flags are the set's own
-        self._index = _row_index(ids)  # utterance_id -> row; a duplicate is reported first
+        self._index = _row_index(ids)  # utterance_id -> row; a duplicate before a bad row
         if not (matrix.ndim == 2 and matrix.shape[1] >= 1
                 and len(ids) == len(speaker_ids) == len(matrix)):
             raise SpkraugError(

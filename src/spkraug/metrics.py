@@ -35,37 +35,18 @@ class ScoredPair:
                 raise SpkraugError(f"pair {self.enroll_id}/{self.test_id}: score not finite")
 
 
-@dataclass(frozen=True)
-class LossTerms:
-    l_l1: float
-    l_attention: float
-    l_sv: float
-
-    def __post_init__(self):
-        vals = (self.l_l1, self.l_attention, self.l_sv)
-        if not all(np.isfinite(v) for v in vals):
-            raise SpkraugError(f"loss terms must be finite, got {vals}")
-        if self.l_l1 < 0 or self.l_attention < 0:
-            raise SpkraugError("l_l1 and l_attention must be non-negative")
-
-
-@dataclass(frozen=True)
-class LossWeights:
-    alpha: float = DEFAULT_LOSS_WEIGHTS[0]
-    beta: float = DEFAULT_LOSS_WEIGHTS[1]
-    gamma: float = DEFAULT_LOSS_WEIGHTS[2]
-
-    def __post_init__(self):
-        vals = (self.alpha, self.beta, self.gamma)
-        if not all(np.isfinite(v) for v in vals):
-            raise SpkraugError(f"loss weights must be finite, got {vals}")
-
-
-def combined_loss(terms: LossTerms, weights: LossWeights) -> float:
-    """Weighted sum of the three training-loss terms."""
-    return float(weights.alpha * terms.l_l1
-                 + weights.beta * terms.l_attention
-                 + weights.gamma * terms.l_sv)
+def combined_loss(l_l1: float, l_attention: float, l_sv: float,
+                  alpha: float = DEFAULT_LOSS_WEIGHTS[0], beta: float = DEFAULT_LOSS_WEIGHTS[1],
+                  gamma: float = DEFAULT_LOSS_WEIGHTS[2]) -> float:
+    """alpha*l_l1 + beta*l_attention + gamma*l_sv. Every value must be
+    finite, and l_l1 and l_attention non-negative; l_sv may be negative."""
+    if not all(np.isfinite(v) for v in (l_l1, l_attention, l_sv)):
+        raise SpkraugError(f"loss terms must be finite, got {(l_l1, l_attention, l_sv)}")
+    if l_l1 < 0 or l_attention < 0:
+        raise SpkraugError("l_l1 and l_attention must be non-negative")
+    if not all(np.isfinite(v) for v in (alpha, beta, gamma)):
+        raise SpkraugError(f"loss weights must be finite, got {(alpha, beta, gamma)}")
+    return float(alpha * l_l1 + beta * l_attention + gamma * l_sv)
 
 
 def batch_cs_loss(synth: EmbeddingSet, natural: EmbeddingSet) -> float:

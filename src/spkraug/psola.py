@@ -188,9 +188,11 @@ def analyse(clip: AudioClip, f0_min: float = DEFAULT_F0_MIN,
     gaps = np.diff(marks)
     # local analysis period per interior mark: mean of the two adjacent gaps
     periods = 0.5 * (gaps[:-1] + gaps[1:])
-    # voicing of the frame nearest each interior mark, by place_pitch_marks' rule
-    voiced = np.array([_f0_at(f0, m, clip.sample_rate) > 0 for m in marks[1:-1].tolist()],
-                      dtype=bool)
+    # voicing of the frame nearest each interior mark, by _f0_at's rule (np.rint
+    # rounds half to even, as round does)
+    win, hop = (round(s * clip.sample_rate) for s in (F0_WINDOW_SECONDS, F0_HOP_SECONDS))
+    nearest = np.clip(np.rint((marks[1:-1] - win / 2) / hop), 0, len(f0) - 1).astype(np.int64)
+    voiced = f0[nearest] > 0 if len(f0) else np.zeros(len(nearest), dtype=bool)
     return PsolaAnalysis(clip, marks, periods, voiced)
 
 

@@ -5,7 +5,6 @@ few hundred to a few thousand utterances on a plot, where tree-approximated
 gradients buy nothing and cost determinism.
 """
 
-from dataclasses import dataclass
 from html import escape  # xml.sax.saxutils.escape would import urllib.request, ssl and socket
 
 import numpy as np
@@ -30,22 +29,6 @@ INIT_SCALE = 1e-4
 
 SVG_WIDTH = 640
 SVG_HEIGHT = 480
-
-
-@dataclass(frozen=True)
-class TsneConfig:
-    """The settings a run chooses; the optimizer itself uses the module
-    constants above."""
-
-    perplexity: float = 30.0
-    iterations: int = 1000
-    seed: int = 0
-
-    def __post_init__(self):
-        if not self.perplexity > 1:
-            raise SpkraugError(f"perplexity must exceed 1, got {self.perplexity}")
-        if self.iterations < 1:
-            raise SpkraugError(f"iterations must be positive, got {self.iterations}")
 
 
 def _validate_distances(distances_sq: np.ndarray) -> np.ndarray:
@@ -170,7 +153,10 @@ def kl_gradient(P: np.ndarray, Y: np.ndarray) -> np.ndarray:
     M = np.divide(W, W.sum())  # Q, then M = (P - Q) * W in the same buffer
     np.subtract(P, M, out=M)
     M *= W
-    return 4.0 * (M.sum(axis=1)[:, None] * Y - M @ Y)
+    # M @ Y in fixed 64-row blocks: OpenBLAS splits a larger product across
+    # threads, and then its bytes depend on the thread count
+    MY = np.concatenate([M[s:s + 64] @ Y for s in range(0, n, 64)])
+    return 4.0 * (M.sum(axis=1)[:, None] * Y - MY)
 
 
 def kl_divergence(P: np.ndarray, Y: np.ndarray) -> float:
@@ -182,36 +168,36 @@ def kl_divergence(P: np.ndarray, Y: np.ndarray) -> float:
     return float(np.sum(P[mask] * np.log(P[mask] / np.maximum(Q[mask], 1e-300))))
 
 
-def run_tsne(embeddings: EmbeddingSet, config: TsneConfig = TsneConfig(),
-             callback=None) -> np.ndarray:
+def run_tsne(embeddings: EmbeddingSet, perplexity: float = 30.0, iterations: int = 1000,
+             seed: int = 0, callback=None) -> np.ndarray:
     """Project an embedding set to 2-D coordinates.
 
     Gradient descent with momentum (0.5 until iteration 250, then 0.8, at
     learning rate 200) and early exaggeration x12 for the first 100 iterations,
-    starting from a seeded Gaussian initialization of scale 1e-4. The output
-    is recentered every step, and rows follow the input entry order.
+    starting from a Gaussian initialization of scale 1e-4 drawn from `seed`.
+    The output is recentered every step, and rows follow the input entry order.
 
     callback, when given, is invoked as callback(iteration, coords_copy)
     after every update.
     """
+    if not perplexity > 1:
+        raise SpkraugError(f"perplexity must exceed 1, got {perplexity}")
+    if iterations < 1:
+        raise SpkraugError(f"iterations must be positive, got {iterations}")
     n = len(embeddings)
     if n < 4:
         raise SpkraugError(f"need at least 4 points, got {n}")
-    if not config.perplexity < (n - 1) / 3:
-        raise SpkraugError(
-            f"perplexity {config.perplexity} too large for {n} points "
-            f"(needs perplexity < {(n - 1) / 3:.2f})"
-        )
-    d2 = _squared_distances(embeddings.matrix)
-    P = conditional_probabilities(d2, config.perplexity)
+    if not perplexity < (n - 1) / 3:
+        raise SpkraugError(f"perplexity {perplexity} too large for {n} points "
+                           f"(needs perplexity < {(n - 1) / 3:.2f})")
+    P = conditional_probabilities(_squared_distances(embeddings.matrix), perplexity)
 
-    rng = rng_for(config.seed, "tsne.init")
-    Y = rng.normal(0.0, INIT_SCALE, size=(n, OUTPUT_DIM))
+    Y = rng_for(seed, "tsne.init").normal(0.0, INIT_SCALE, size=(n, OUTPUT_DIM))
     Y -= Y.mean(axis=0)
     update = np.zeros_like(Y)
 
     P_exaggerated = P * EARLY_EXAGGERATION
-    for it in range(config.iterations):
+    for it in range(iterations):
         grad = kl_gradient(P_exaggerated if it < EXAGGERATION_ITERS else P, Y)
         momentum = MOMENTUM if it < MOMENTUM_SWITCH_ITER else FINAL_MOMENTUM
         update = momentum * update - LEARNING_RATE * grad

@@ -43,7 +43,6 @@ from spkraug.metrics import ScoredPair, equal_error_rate, score_pairs, word_erro
 from spkraug.psola import psola_modify
 from spkraug.spectral import griffin_lim, istft, magnitude_spectrogram, stft
 from spkraug.tsne import (
-    TsneConfig,
     conditional_probabilities,
     conditional_rows,
     kl_gradient,
@@ -199,7 +198,7 @@ def test_acceptance_06_tsne_numerics(capsys):
                            rng.normal(8.0, 1.0, (20, 16))])
         coords = run_tsne(EmbeddingSet([f"u{i:02d}" for i in range(40)],
                                        ["a"] * 20 + ["b"] * 20, cloud),
-                          TsneConfig(perplexity=10.0, seed=1))
+                          perplexity=10.0, seed=1)
         first, second = coords[:20], coords[20:]
         intra = np.mean([np.linalg.norm(c[i] - c[j])
                          for c in (first, second)

@@ -624,6 +624,35 @@ def test_tsne_cli_perplexity_too_large(capsys, cli_env, tmp_path):
     assert "perplexity" in err.lower()
 
 
+def test_tsne_cli_rejects_an_id_xml_forbids(capsys, tmp_path):
+    emb = tmp_path / "emb.tsv"
+    rows = [f"u{i}\ts\t{i + 1.0!r}\t1.0" for i in range(11)]
+    emb.write_text("#dim=2\n" + "\n".join(rows + ["a\x01\ts\t0.5\t2.0"]) + "\n")
+    svg = tmp_path / "plot.svg"
+    rc, report, err = _run(capsys, ["tsne", "--embeddings", str(emb), "--output",
+                                    str(tmp_path / "c.tsv"), "--svg", str(svg),
+                                    "--perplexity", "2", "--iterations", "5"])
+    assert rc == 1
+    assert report is None
+    assert err == (f"spkraug tsne: error: {emb}: utterance_id must hold no tab or line break, "
+                   "nor a character XML 1.0 forbids, got 'a\\x01'\n")
+    assert not svg.exists()
+
+
+def test_tsne_output_does_not_depend_on_blas_threads(tmp_path):
+    """1000 points, enough that OpenBLAS would split an unblocked M @ Y in
+    the gradient across two threads."""
+    rng = np.random.default_rng(4)
+    emb = EmbeddingSet([f"u{i:04d}" for i in range(1000)], [f"s{i % 7}" for i in range(1000)],
+                       rng.standard_normal((1000, 16)))
+    emb_path = tmp_path / "emb.tsv"
+    save_embeddings(emb, emb_path)
+    _run_at_blas_threads(lambda threads: ["tsne", "--embeddings", str(emb_path),
+                                          "--output", str(tmp_path / f"c{threads}.tsv"),
+                                          "--iterations", "100"])
+    assert (tmp_path / "c1.tsv").read_bytes() == (tmp_path / "c2.tsv").read_bytes()
+
+
 def test_vocode_cli(capsys, tmp_path):
     spec = magnitude_spectrogram(sine(440.0, 0.4), 400, 100, 512)
     spec_path = tmp_path / "clip.spg"

@@ -151,6 +151,19 @@ def test_manifest_roundtrip(tmp_path):
     assert [r for r in back] == [r for r in m]
 
 
+@pytest.mark.parametrize("brk", ["\x85", "\u2028", "\u2029"], ids=["nel", "ls", "ps"])
+def test_manifest_roundtrips_breaks_json_leaves_raw(tmp_path, brk):
+    """json.dumps(ensure_ascii=False) writes these raw, and every text reader
+    splits a line at them."""
+    m = Manifest([_natural("a", path=f"/audio/a{brk}b.wav")], corpus=f"c{brk}d")
+    path = tmp_path / "m.jsonl"
+    save_manifest(m, path)
+    assert brk not in path.read_text(encoding="utf-8")
+    back = load_manifest(path)
+    assert back.corpus == m.corpus
+    assert [r for r in back] == [r for r in m]
+
+
 def test_manifest_file_is_stable_bytes(tmp_path):
     m = Manifest([_natural("a"), _natural("b")], corpus="c")
     p1, p2 = tmp_path / "1.jsonl", tmp_path / "2.jsonl"

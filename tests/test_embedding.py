@@ -62,6 +62,18 @@ def test_set_rejects_mixed_dimensions_and_duplicates():
         EmbeddingSet(["a", "a"], ["s", "s"], np.ones((2, 2)))
 
 
+@pytest.mark.parametrize("ids, speakers, field", [
+    (["a\tb", "c"], ["s", "s"], "utterance_id"),
+    (["a", "c"], ["s", "s\u2028"], "speaker_id"),
+    (["a\x01", "c"], ["s", "s"], "utterance_id"),
+])
+def test_set_rejects_ids_a_tsv_or_svg_cannot_hold(ids, speakers, field):
+    """A tab id made a TSV that load_embeddings refuses; a C0 control made an
+    SVG that XML parsers refuse."""
+    with pytest.raises(SpkraugError, match=f"^{field} must hold no tab or line break"):
+        EmbeddingSet(ids, speakers, np.ones((2, 2)))
+
+
 def test_set_reports_the_first_defective_entry():
     with pytest.raises(SpkraugError, match="duplicate utterance_id 'a'"):
         EmbeddingSet(["a", "a", "b"], ["s"] * 3, np.ones((2, 2)))

@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,8 +10,6 @@ from spkraug.embedding import EmbeddingSet, cosine_similarity
 from spkraug.errors import SpkraugError
 from spkraug.metrics import (
     DEFAULT_LOSS_WEIGHTS,
-    LossTerms,
-    LossWeights,
     ScoredPair,
     batch_cs_loss,
     combined_loss,
@@ -37,35 +37,36 @@ def _pairs(genuine, impostor):
 # -- combined loss -----------------------------------------------------------
 
 def test_combined_loss_example():
-    value = combined_loss(LossTerms(2.0, 3.0, 4.0), LossWeights(1.0, 1.0, 0.1))
+    value = combined_loss(2.0, 3.0, 4.0, 1.0, 1.0, 0.1)
     assert value == pytest.approx(2.0 + 3.0 + 0.4)
 
 
 def test_combined_loss_defaults():
-    assert LossWeights() == LossWeights(*DEFAULT_LOSS_WEIGHTS)
-    assert combined_loss(LossTerms(1.0, 1.0, 1.0), LossWeights()) == pytest.approx(2.1)
+    params = inspect.signature(combined_loss).parameters
+    assert tuple(params[w].default for w in ("alpha", "beta", "gamma")) == DEFAULT_LOSS_WEIGHTS
+    assert combined_loss(1.0, 1.0, 1.0) == pytest.approx(2.1)
 
 
 def test_combined_loss_is_linear_in_each_weight():
-    terms = LossTerms(0.5, 1.5, 2.5)
-    base = combined_loss(terms, LossWeights(1.0, 1.0, 1.0))
-    bumped = combined_loss(terms, LossWeights(2.0, 1.0, 1.0))
+    terms = (0.5, 1.5, 2.5)
+    base = combined_loss(*terms, 1.0, 1.0, 1.0)
+    bumped = combined_loss(*terms, 2.0, 1.0, 1.0)
     assert bumped - base == pytest.approx(0.5)
 
 
 def test_loss_terms_validation():
     with pytest.raises(SpkraugError, match=r"loss terms must be finite, got \(nan, 0.0, 0.0\)"):
-        LossTerms(float("nan"), 0.0, 0.0)
+        combined_loss(float("nan"), 0.0, 0.0)
     with pytest.raises(SpkraugError, match="l_l1 and l_attention must be non-negative"):
-        LossTerms(-0.1, 0.0, 0.0)
+        combined_loss(-0.1, 0.0, 0.0)
     with pytest.raises(SpkraugError, match="l_l1 and l_attention must be non-negative"):
-        LossTerms(0.0, -1.0, 0.0)
-    LossTerms(0.0, 0.0, -1.0)  # the verification term may go negative
+        combined_loss(0.0, -1.0, 0.0)
+    combined_loss(0.0, 0.0, -1.0)  # the verification term may go negative
 
 
 def test_loss_weights_validation():
     with pytest.raises(SpkraugError, match=r"loss weights must be finite, got \(1.0, inf, 0.1\)"):
-        LossWeights(1.0, float("inf"), 0.1)
+        combined_loss(0.0, 0.0, 0.0, 1.0, float("inf"), 0.1)
 
 
 # -- cosine-similarity loss --------------------------------------------------

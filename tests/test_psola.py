@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from oracles import f0_refinement_loop_oracle, median_voiced_f0, psola_grain_loop_oracle
 from spkraug.audio_io import MAX_RATIO, MIN_RATIO, AudioClip
+from spkraug import psola
 from spkraug.errors import SpkraugError
 from spkraug.psola import (
     PsolaAnalysis,
@@ -15,7 +16,7 @@ from spkraug.psola import (
     psola_modify,
     synthesise,
 )
-from synth import SR, glide, harmonic_glide, sawtooth, sine
+from synth import SPEAKER_RECIPES, SR, glide, harmonic_glide, sawtooth, sine, speechlike
 
 DUR_RATIOS = (0.85, 0.90, 0.95, 1.05, 1.10, 1.15, 1.20, 1.3, 0.8)
 F0_RATIOS = (0.70, 0.80, 0.90, 1.05, 1.10, 1.20, 1.50)
@@ -274,7 +275,9 @@ _FIXTURES = pytest.mark.parametrize("clip", [
     harmonic_glide(120.0, 220.0, 0.6), _glide_with_burst(110.0, 260.0, 0.5, 0.4, 0.08, 3),
     AudioClip(0.2 * np.random.default_rng(8).standard_normal(SR // 2), SR),
     AudioClip(0.2 * np.random.default_rng(9).standard_normal(399), SR),  # no F0 frames
-], ids=["sine", "sawtooth", "glide", "harmonic_glide", "burst", "noise", "frameless"])
+    *(speechlike(f0, formants, 1.2, seed=3) for _, f0, formants in SPEAKER_RECIPES),
+], ids=["sine", "sawtooth", "glide", "harmonic_glide", "burst", "noise", "frameless",
+        *(speaker for speaker, _, _ in SPEAKER_RECIPES)])
 
 
 @_FIXTURES
@@ -290,6 +293,19 @@ def test_analyse_voicing_matches_per_mark_lookup(clip):
     marks = place_pitch_marks(clip, f0)
     expected = np.array([_f0_at(f0, m, clip.sample_rate) > 0 for m in marks[1:-1]])
     assert np.array_equal(analyse(clip).voiced, expected)
+
+
+def test_analyse_voicing_rounds_half_way_marks_as_round_does(monkeypatch):
+    """At 16 kHz frame k is centred on 200 + 160 k, so a mark at 280 + 160 k
+    lies half-way between two frames: round() takes the even one."""
+    clip = AudioClip(np.zeros(SR // 2), SR)
+    f0_track = np.tile([0.0, 150.0], 25)  # frames alternate unvoiced, voiced
+    marks = np.array([0, *range(120, 7000, 80), 7999], dtype=np.int64)  # half-way at odd steps
+    monkeypatch.setattr(psola, "estimate_f0", lambda *_: f0_track)
+    monkeypatch.setattr(psola, "place_pitch_marks", lambda *_: marks)
+    expected = [_f0_at(f0_track, m, SR) > 0 for m in marks[1:-1]]
+    assert any(m in range(280, 8000, 160) for m in marks)
+    assert analyse(clip).voiced.tolist() == expected
 
 
 # -- F0 refinement against the frame-by-frame loop ------------------------------

@@ -1,4 +1,4 @@
-import dataclasses
+import inspect
 from xml.etree import ElementTree
 
 import numpy as np
@@ -22,7 +22,6 @@ from spkraug.tsne import (
     LEARNING_RATE,
     MOMENTUM,
     MOMENTUM_SWITCH_ITER,
-    TsneConfig,
     _row_entropies,
     _squared_distances,
     conditional_probabilities,
@@ -64,11 +63,9 @@ def _embedding_clusters(rng, n_clusters=2, per_cluster=10, dim=6, spread=0.05):
 # -- config ------------------------------------------------------------------
 
 def test_config_defaults():
-    assert [f.name for f in dataclasses.fields(TsneConfig)] == ["perplexity", "iterations", "seed"]
-    cfg = TsneConfig()
-    assert cfg.perplexity == 30.0
-    assert cfg.iterations == 1000
-    assert cfg.seed == 0
+    params = inspect.signature(run_tsne).parameters
+    assert [(p, params[p].default) for p in ("perplexity", "iterations", "seed")] == [
+        ("perplexity", 30.0), ("iterations", 1000), ("seed", 0)]
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -77,9 +74,11 @@ def test_config_defaults():
     {"iterations": 0},
 ])
 def test_config_validation(kwargs):
+    rng = np.random.default_rng(13)
+    emb = EmbeddingSet([f"u{i}" for i in range(3)], ["s"] * 3, rng.standard_normal((3, 4)))
     with pytest.raises(SpkraugError,
                        match="^(perplexity must exceed 1|iterations must be positive), got "):
-        TsneConfig(**kwargs)
+        run_tsne(emb, **kwargs)  # checked before the point count
 
 
 # -- affinities --------------------------------------------------------------
@@ -241,18 +240,17 @@ def test_run_tsne_matches_the_oracle_descent_bitwise():
     exaggerated P rebuilt in every early iteration."""
     rng = np.random.default_rng(14)
     emb = _embedding_clusters(rng, per_cluster=6)
-    cfg = TsneConfig(perplexity=3.0, iterations=110)
-    P = conditional_probabilities(_dist_sq(emb.matrix), cfg.perplexity)
-    Y = rng_for(cfg.seed, "tsne.init").normal(0.0, INIT_SCALE, size=(len(emb), 2))
+    P = conditional_probabilities(_dist_sq(emb.matrix), 3.0)
+    Y = rng_for(0, "tsne.init").normal(0.0, INIT_SCALE, size=(len(emb), 2))
     Y -= Y.mean(axis=0)
     update = np.zeros_like(Y)
-    for it in range(cfg.iterations):
+    for it in range(110):
         P_eff = P * EARLY_EXAGGERATION if it < EXAGGERATION_ITERS else P
         momentum = MOMENTUM if it < MOMENTUM_SWITCH_ITER else FINAL_MOMENTUM
         update = momentum * update - LEARNING_RATE * kl_gradient_oracle(P_eff, Y)
         Y = Y + update
         Y = Y - Y.mean(axis=0)
-    assert run_tsne(emb, cfg).tobytes() == Y.tobytes()
+    assert run_tsne(emb, perplexity=3.0, iterations=110).tobytes() == Y.tobytes()
 
 
 def test_gradient_shape_mismatch():
@@ -288,18 +286,17 @@ def test_manual_gradient_descent_decreases_kl():
 def test_run_tsne_deterministic():
     rng = np.random.default_rng(8)
     emb = _embedding_clusters(rng)
-    cfg = TsneConfig(perplexity=4.0, iterations=50)
-    a = run_tsne(emb, cfg)
-    b = run_tsne(emb, cfg)
+    a = run_tsne(emb, perplexity=4.0, iterations=50)
+    b = run_tsne(emb, perplexity=4.0, iterations=50)
     assert np.array_equal(a, b)
-    c = run_tsne(emb, TsneConfig(perplexity=4.0, iterations=50, seed=9))
+    c = run_tsne(emb, perplexity=4.0, iterations=50, seed=9)
     assert not np.array_equal(a, c)
 
 
 def test_run_tsne_output_shape_and_centering():
     rng = np.random.default_rng(9)
     emb = _embedding_clusters(rng)
-    coords = run_tsne(emb, TsneConfig(perplexity=4.0, iterations=30))
+    coords = run_tsne(emb, perplexity=4.0, iterations=30)
     assert coords.shape == (len(emb), 2)
     np.testing.assert_allclose(coords.mean(axis=0), 0.0, atol=1e-6)
 
@@ -308,17 +305,16 @@ def test_run_tsne_reduces_kl():
     rng = np.random.default_rng(10)
     emb = _embedding_clusters(rng, spread=0.5)
     P = conditional_probabilities(_dist_sq(emb.matrix), 4.0)
-    cfg = TsneConfig(perplexity=4.0, iterations=300)
-    init = rng_for(cfg.seed, "tsne.init").normal(0.0, 1e-4, size=(len(emb), 2))
+    init = rng_for(0, "tsne.init").normal(0.0, 1e-4, size=(len(emb), 2))
     init -= init.mean(axis=0)
-    final = run_tsne(emb, cfg)
+    final = run_tsne(emb, perplexity=4.0, iterations=300)
     assert kl_divergence(P, final) < kl_divergence(P, init)
 
 
 def test_run_tsne_separates_two_clusters():
     rng = np.random.default_rng(11)
     emb = _embedding_clusters(rng, n_clusters=2, per_cluster=10, spread=0.05)
-    coords = run_tsne(emb, TsneConfig(perplexity=4.0))
+    coords = run_tsne(emb, perplexity=4.0)
     a = coords[:10]
     b = coords[10:]
     within = max(np.linalg.norm(a - a.mean(axis=0), axis=1).mean(),
@@ -331,7 +327,7 @@ def test_run_tsne_callback_sees_every_iteration():
     rng = np.random.default_rng(12)
     emb = _embedding_clusters(rng)
     seen = []
-    run_tsne(emb, TsneConfig(perplexity=4.0, iterations=25),
+    run_tsne(emb, perplexity=4.0, iterations=25,
              callback=lambda it, y: seen.append((it, y.shape)))
     assert [it for it, _ in seen] == list(range(25))
     assert all(shape == (len(emb), 2) for _, shape in seen)
@@ -341,7 +337,7 @@ def test_run_tsne_too_few_points():
     rng = np.random.default_rng(13)
     emb = EmbeddingSet([f"u{i}" for i in range(3)], ["s"] * 3, rng.standard_normal((3, 4)))
     with pytest.raises(SpkraugError, match="need at least 4 points, got 3"):
-        run_tsne(emb, TsneConfig(perplexity=2.0))
+        run_tsne(emb, perplexity=2.0)
 
 
 def test_run_tsne_perplexity_guard():
@@ -349,8 +345,8 @@ def test_run_tsne_perplexity_guard():
     emb = EmbeddingSet([f"u{i}" for i in range(10)], ["s"] * 10, rng.standard_normal((10, 4)))
     with pytest.raises(SpkraugError,
                        match=r"perplexity 3.0 too large for 10 points \(needs perplexity < 3.00\)"):
-        run_tsne(emb, TsneConfig(perplexity=3.0))  # needs < (10-1)/3
-    run_tsne(emb, TsneConfig(perplexity=2.9, iterations=2))
+        run_tsne(emb, perplexity=3.0)  # needs < (10-1)/3
+    run_tsne(emb, perplexity=2.9, iterations=2)
 
 
 # -- outputs -----------------------------------------------------------------
