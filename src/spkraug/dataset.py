@@ -7,6 +7,7 @@ natural parent.
 """
 
 import json
+import os
 import re
 from dataclasses import dataclass, field
 from itertools import groupby
@@ -46,6 +47,14 @@ RECIPE_JOBS = {
 RECIPES = tuple(RECIPE_JOBS)
 
 _TRAILING_DIGITS = re.compile(r"(\d+)$")
+_SURROGATE = re.compile("[\ud800-\udfff]")
+
+
+def _check_text(field: str, value: str) -> None:
+    """value, when a file name and UTF-8 text can hold it: no NUL and no
+    lone surrogate (the ASCII test spares almost every value the regex)."""
+    if "\x00" in value or (not value.isascii() and _SURROGATE.search(value)):
+        raise SpkraugError(f"{field} must hold no NUL or lone surrogate, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -63,7 +72,9 @@ class UtteranceRecord:
             value = getattr(self, key)
             if not (isinstance(value, str) or (key == "parent_id" and value is None)):
                 raise SpkraugError(f"{key} must be a string, got {value!r}")
-            if key != "path" and value is not None:
+            if key == "path":
+                _check_text(key, value)
+            elif value is not None:
                 _check_id(key, value)
         for key in ("duration_ratio", "f0_ratio"):
             # frozen: set the checked float through object.__setattr__
@@ -153,6 +164,7 @@ def load_manifest(path) -> Manifest:
         corpus, sample_rate = meta["corpus"], _check_rate(meta["sample_rate"])
         if not isinstance(corpus, str):
             raise SpkraugError(f"corpus must be a string, got {corpus!r}")
+        _check_text("corpus", corpus)
     except (json.JSONDecodeError, RecursionError, SpkraugError) as exc:
         raise SpkraugError(f"{path}:{lineno}: {exc}") from None
     except (KeyError, TypeError):
@@ -322,6 +334,13 @@ def _is_complete(out_path: Path, sample_rate: int, n_samples: int) -> bool:
         return False
 
 
+def _check_path_part(field: str, value: str) -> None:
+    """value, when it names one entry inside a directory: not '.' or '..',
+    and with no path separator."""
+    if value in (".", "..") or any(sep and sep in value for sep in ("/", os.sep, os.altsep)):
+        raise SpkraugError(f"{field} {value!r} would place an output outside the audio root")
+
+
 def _run_parent(parent, jobs, audio_root, sample_rate, records, failures) -> None:
     """Write the missing or incomplete outputs of consecutive jobs that share
     a parent, appending one record or failure dict per job.
@@ -330,6 +349,8 @@ def _run_parent(parent, jobs, audio_root, sample_rate, records, failures) -> Non
     job would write (the parent's length comes from the parent's header).
     The parent WAV is read at most once and analysed at most once, and only
     when an output is written; an error there fails every job that needed it.
+    So does a speaker_id or parent utterance_id that would lead out of
+    audio_root.
     """
     parent_length = _once(lambda: read_wav_header(parent.path)[1])
     clip = _once(lambda: read_utterance(parent, sample_rate))
@@ -338,6 +359,8 @@ def _run_parent(parent, jobs, audio_root, sample_rate, records, failures) -> Non
         out_id = job_output_name(job)
         out_path = Path(audio_root) / parent.speaker_id / f"{out_id}.wav"
         try:
+            _check_path_part("speaker_id", parent.speaker_id)
+            _check_path_part("utterance_id", parent.utterance_id)
             if not (out_path.exists() and _is_complete(
                     out_path, sample_rate, _output_length(job, parent_length()))):
                 if job.kind == RESAMPLED:

@@ -28,25 +28,20 @@ F0_WINDOW_SECONDS = 0.025
 F0_HOP_SECONDS = 0.010
 UNVOICED_STEP_SECONDS = 0.010
 VOICING_THRESHOLD = 0.5
-DEFAULT_F0_MIN = 60.0
-DEFAULT_F0_MAX = 400.0
+F0_MIN = 60.0
+F0_MAX = 400.0
 
 
-def estimate_f0(clip: AudioClip, f0_min: float = DEFAULT_F0_MIN,
-                f0_max: float = DEFAULT_F0_MAX) -> np.ndarray:
+def estimate_f0(clip: AudioClip) -> np.ndarray:
     """Autocorrelation pitch tracker: one F0 in Hz per 25 ms frame, every 10 ms.
 
     Each frame is mean-removed and its unbiased normalized autocorrelation
-    searched over lags for [f0_min, f0_max]; the peak is refined by parabolic
+    searched over lags for [F0_MIN, F0_MAX]; the peak is refined by parabolic
     interpolation, and the frame is voiced when the peak is >= 0.5. An
-    unvoiced frame holds 0 and a voiced one at least f0_min > 0, so f0 > 0 is
-    the voicing.
+    unvoiced frame holds 0 and a voiced one at least F0_MIN > 0, so f0 > 0 is
+    the voicing. At every supported sample rate the lag range is non-empty.
     """
     sr = clip.sample_rate
-    if not (0 < f0_min < f0_max < sr / 4):
-        raise SpkraugError(
-            f"need 0 < f0_min < f0_max < sample_rate/4, got [{f0_min}, {f0_max}] at {sr} Hz"
-        )
     win = int(round(F0_WINDOW_SECONDS * sr))
     hop = int(round(F0_HOP_SECONDS * sr))
     x = clip.samples
@@ -61,10 +56,8 @@ def estimate_f0(clip: AudioClip, f0_min: float = DEFAULT_F0_MIN,
     acf = np.fft.irfft(spectra * np.conj(spectra), n=nfft, axis=1)[:, :win]
     acf /= (win - np.arange(win))[None, :]  # unbiased: no taper bias at the peak
 
-    lag_min = max(2, int(np.ceil(sr / f0_max)))
-    lag_max = min(win - 2, int(np.floor(sr / f0_min)))
-    if lag_min >= lag_max:
-        raise SpkraugError(f"search range [{f0_min}, {f0_max}] leaves no usable lags")
+    lag_min = max(2, int(np.ceil(sr / F0_MAX)))
+    lag_max = min(win - 2, int(np.floor(sr / F0_MIN)))
 
     energy = acf[:, 0]
     searchable = energy > 1e-12
@@ -96,7 +89,7 @@ def estimate_f0(clip: AudioClip, f0_min: float = DEFAULT_F0_MIN,
     curved = ~(denom >= -1e-15)
     delta = np.zeros(len(rows))
     delta[curved] = np.clip(0.5 * (left[curved] - right[curved]) / denom[curved], -0.5, 0.5)
-    f0[rows] = np.clip(sr / (lag + delta), f0_min, f0_max)
+    f0[rows] = np.clip(sr / (lag + delta), F0_MIN, F0_MAX)
 
     return f0
 
@@ -175,11 +168,10 @@ class PsolaAnalysis(NamedTuple):
     voiced: np.ndarray
 
 
-def analyse(clip: AudioClip, f0_min: float = DEFAULT_F0_MIN,
-            f0_max: float = DEFAULT_F0_MAX) -> PsolaAnalysis:
+def analyse(clip: AudioClip) -> PsolaAnalysis:
     """Track F0 and place pitch marks once; any number of synthesise calls
     can then reuse the result."""
-    f0 = estimate_f0(clip, f0_min, f0_max)
+    f0 = estimate_f0(clip)
     marks = place_pitch_marks(clip, f0)
     if len(marks) < 3:
         raise SpkraugError(
@@ -273,8 +265,7 @@ def synthesise(analysis: PsolaAnalysis, duration_ratio: float,
     return AudioClip(out, clip.sample_rate)
 
 
-def psola_modify(clip: AudioClip, duration_ratio: float, f0_ratio: float,
-                 f0_min: float = DEFAULT_F0_MIN, f0_max: float = DEFAULT_F0_MAX) -> AudioClip:
+def psola_modify(clip: AudioClip, duration_ratio: float, f0_ratio: float) -> AudioClip:
     """TD-PSOLA duration and pitch modification of one clip: analyse, then
     synthesise (see both)."""
-    return synthesise(analyse(clip, f0_min, f0_max), duration_ratio, f0_ratio)
+    return synthesise(analyse(clip), duration_ratio, f0_ratio)

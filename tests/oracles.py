@@ -121,7 +121,7 @@ def finite_difference_gradient(P, Y, h=1e-5):
     return grad
 
 
-def median_voiced_f0(clip, f0_min=60.0, f0_max=400.0):
+def median_voiced_f0(clip):
     """Median F0 of the voiced frames, via the package's own tracker.
 
     Used to compare an output against its input under a known ratio, so the
@@ -129,7 +129,7 @@ def median_voiced_f0(clip, f0_min=60.0, f0_max=400.0):
     """
     from spkraug.psola import estimate_f0
 
-    f0 = estimate_f0(clip, f0_min, f0_max)
+    f0 = estimate_f0(clip)
     voiced = f0[f0 > 0]
     if len(voiced) == 0:
         raise AssertionError("no voiced frames found")

@@ -10,7 +10,7 @@ import pytest
 
 from spkraug.audio_io import AudioClip, read_wav, write_wav
 from spkraug.cli import main
-from spkraug.dataset import Manifest, load_manifest, save_manifest
+from spkraug.dataset import Manifest, UtteranceRecord, load_manifest, save_manifest
 from spkraug.embedding import EmbeddingSet, extract_standin_embedding, save_embeddings
 from spkraug.metrics import load_pairs
 from spkraug.spectral import (
@@ -204,6 +204,30 @@ def test_augment_cli_partial_failure_exits_2(capsys, cli_env, tmp_path):
     assert len(load_manifest(out)) == 8  # the partial manifest is still usable
 
 
+def test_augment_writes_only_under_the_audio_root(capsys, cli_env, tmp_path):
+    """Ids are path parts of the outputs; one that leads out of the root
+    fails its parent's jobs and the other parents are still written."""
+    good = cli_env["manifest"].records[0]
+    root = tmp_path / "root" / "audio"
+    parents = [good,
+               UtteranceRecord("e1_000", "../outside", good.path),
+               UtteranceRecord("e2_000", str(tmp_path / "abs"), good.path),
+               UtteranceRecord("../../e3_000", "sp", good.path)]
+    manifest = tmp_path / "m.jsonl"
+    save_manifest(Manifest(parents, corpus="c", sample_rate=SR), manifest)
+    rc, report, _ = _run(capsys, ["augment", "resample", "--manifest", str(manifest),
+                                  "--audio-root", str(root),
+                                  "--output", str(tmp_path / "aug.jsonl")])
+    assert rc == 2
+    assert report["written"] == 4
+    assert sorted({f["parent_id"] for f in report["failures"]}) == \
+        ["../../e3_000", "e1_000", "e2_000"]
+    assert len(report["failures"]) == 12
+    assert all("outside the audio root" in f["error"] for f in report["failures"])
+    written = list(tmp_path.rglob("*.wav"))
+    assert len(written) == 4 and all(root in p.parents for p in written)
+
+
 def test_workers_flag_is_accepted(capsys, cli_env, tmp_path):
     """augment accepts --workers and ignores it: it runs serially."""
     built = []
@@ -340,6 +364,39 @@ def test_embed_rejects_id_a_tsv_cannot_hold(capsys, tmp_path, fields):
     rc, report, err = _embed_one(capsys, tmp_path, json.dumps(record))
     _assert_one_line_error(rc, report, err, ":2:", f"{key} must hold no tab or line break")
     assert not (tmp_path / "emb.tsv").exists()
+
+
+@pytest.mark.parametrize("header,record,lineno", [
+    ('{"corpus":"c","sample_rate":16000}',
+     '{"utterance_id":"u1","speaker_id":"s","path":"a\\ud800.wav"}', 2),
+    ('{"corpus":"c\\ud800","sample_rate":16000}',
+     '{"utterance_id":"u1","speaker_id":"s","path":"a.wav"}', 1),
+], ids=["surrogate-path", "surrogate-corpus"])
+def test_subset_refuses_a_surrogate_no_file_can_hold(capsys, tmp_path, header, record, lineno):
+    """save_manifest cannot encode a lone surrogate as UTF-8."""
+    manifest = tmp_path / "m.jsonl"
+    manifest.write_text(f"{header}\n{record}\n")
+    out = tmp_path / "out.jsonl"
+    rc, report, err = _run(capsys, ["subset", "--manifest", str(manifest),
+                                    "--per-speaker", "1", "--output", str(out)])
+    assert rc == 1 and report is None
+    assert err.count("\n") == 1
+    assert err.startswith(f"spkraug subset: error: {manifest}:{lineno}: ")
+    assert "lone surrogate" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("workers", [["--workers", "1"], []], ids=["serial", "default"])
+def test_embed_refuses_a_nul_in_a_path(capsys, tmp_path, workers):
+    """open() raises ValueError, not OSError, on a path holding NUL."""
+    manifest = tmp_path / "m.jsonl"
+    manifest.write_text('{"corpus":"c","sample_rate":16000}\n'
+                        '{"utterance_id":"u1","speaker_id":"s","path":"a\\u0000b.wav"}\n')
+    out = tmp_path / "emb.tsv"
+    rc, report, err = _run(capsys, [*workers, "embed", "--manifest", str(manifest),
+                                    "--output", str(out)])
+    _assert_one_line_error(rc, report, err, f"{manifest}:2: ", "NUL")
+    assert not out.exists()
 
 
 def test_embed_rejects_wav_at_another_rate(capsys, tmp_path):

@@ -1,20 +1,12 @@
-"""The package's exported names."""
+"""Every public function and class in the package has a caller or a reason."""
 
 import ast
 from pathlib import Path
 
-import spkraug
+SRC = Path(__file__).resolve().parents[1] / "src" / "spkraug"
 
-
-def test_every_exported_name_resolves():
-    """A name left in __all__ after its object is gone would only surface on
-    `from spkraug import *` or in user code."""
-    missing = [name for name in spkraug.__all__ if not hasattr(spkraug, name)]
-    assert missing == []
-
-
-# Exported callables that nothing inside the package calls, each kept for a
-# stated reason. Any other export without a caller is dead code.
+# Public module-level callables that nothing inside the package refers to,
+# each kept for a stated reason. Any other one without a caller is dead code.
 CALLER_LESS_KEEP = {
     "cosine_similarity": "a perfbench TARGETS layer; deleted with ROADMAP items 1 and 5",
     "euclidean_distance": "a perfbench TARGETS layer; deleted with ROADMAP items 1 and 5",
@@ -24,25 +16,34 @@ CALLER_LESS_KEEP = {
     "write_spectrogram": "the only writer of the .spg files vocode reads",
     "kl_divergence": "the benchmark fingerprint's tsne_final_kl",
     "eer_loss": "ROADMAP item 5 gives it a caller",
+    "entrypoint": "the `spkraug` console script in pyproject.toml",
 }
 
 
-def _names_referenced_in_the_package() -> set:
-    refs = set()
-    for path in Path(spkraug.__file__).parent.glob("*.py"):
-        if path.name == "__init__.py":
-            continue
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+def caller_less_names(src: Path) -> set:
+    """Public module-level def and class names in src/*.py that no Name or
+    Attribute node in those files refers to."""
+    defined, refs = set(), set()
+    for path in src.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        defined.update(node.name for node in tree.body
+                       if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                       and not node.name.startswith("_"))
+        for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 refs.add(node.id)
             elif isinstance(node, ast.Attribute):
                 refs.add(node.attr)
-    return refs
+    return defined - refs
 
 
 def test_every_exported_callable_has_a_caller_or_a_reason():
-    """The keep-list is exact: an export that gains a caller leaves it."""
-    refs = _names_referenced_in_the_package()
-    caller_less = {name for name in spkraug.__all__
-                   if callable(getattr(spkraug, name)) and name not in refs}
-    assert caller_less == set(CALLER_LESS_KEEP)
+    """The keep-list is exact: a callable that gains a caller leaves it."""
+    assert caller_less_names(SRC) == set(CALLER_LESS_KEEP)
+
+
+def test_a_new_function_without_a_caller_fails_the_guard(tmp_path):
+    (tmp_path / "a.py").write_text("def used():\n    pass\n\n\nused()\n", encoding="utf-8")
+    (tmp_path / "b.py").write_text("def orphan():\n    pass\n\n\nclass _Private:\n    pass\n",
+                                   encoding="utf-8")
+    assert caller_less_names(tmp_path) == {"orphan"}
