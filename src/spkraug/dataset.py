@@ -19,7 +19,7 @@ from .audio_io import (DEFAULT_SAMPLE_RATE, _check_id, _check_rate, _check_ratio
                        write_wav)
 from .embedding import EmbeddingSet, _first_seen, _row_index, select_k_nearest
 from .errors import SpkraugError
-from .metrics import ScoredPair
+from .metrics import ScoredPair, _draw_trials
 from .psola import analyse, synthesis_length, synthesise
 from .rng import rng_for
 
@@ -432,33 +432,9 @@ def select_best_augmented(naturals: Manifest, augmented: Manifest,
 
 
 def generate_eer_pairs(eval_manifest: Manifest, natural_pool: Manifest, seed: int) -> list:
-    """Two trials per evaluated utterance: one genuine, one impostor.
-
-    The genuine partner is a seeded uniform draw from the same speaker's
-    naturals; the impostor partner comes from a uniformly drawn different
-    speaker. Scores are left unset.
-    """
-    pool_by_speaker = {}
-    for r in natural_pool:
-        if r.is_natural:
-            pool_by_speaker.setdefault(r.speaker_id, []).append(r.utterance_id)
-    for ids in pool_by_speaker.values():
-        ids.sort()
-    speakers = sorted(pool_by_speaker)
-    if len(speakers) < 2:
-        raise SpkraugError(f"need naturals from >= 2 speakers, have {len(speakers)}")
-
-    rng = rng_for(seed, "dataset.generate_eer_pairs")
-    pairs = []
-    for r in eval_manifest:
-        own = pool_by_speaker.get(r.speaker_id)
-        if not own:
-            raise SpkraugError(f"no natural pool utterances for {r.speaker_id!r}")
-        same_id = own[int(rng.integers(len(own)))]
-        others = [s for s in speakers if s != r.speaker_id]
-        other_speaker = others[int(rng.integers(len(others)))]
-        other_ids = pool_by_speaker[other_speaker]
-        diff_id = other_ids[int(rng.integers(len(other_ids)))]
-        pairs.append(ScoredPair(r.utterance_id, same_id, True))
-        pairs.append(ScoredPair(r.utterance_id, diff_id, False))
-    return pairs
+    """Two unscored trials per evaluated utterance, one genuine and one
+    impostor, drawn from the pool's naturals (see metrics._draw_trials)."""
+    trials = _draw_trials(((r.utterance_id, r.speaker_id) for r in eval_manifest),
+                          ((r.utterance_id, r.speaker_id) for r in natural_pool if r.is_natural),
+                          seed)
+    return [ScoredPair(*t) for t in trials]

@@ -38,15 +38,18 @@ class ScoredPair:
 def combined_loss(l_l1: float, l_attention: float, l_sv: float,
                   alpha: float = DEFAULT_LOSS_WEIGHTS[0], beta: float = DEFAULT_LOSS_WEIGHTS[1],
                   gamma: float = DEFAULT_LOSS_WEIGHTS[2]) -> float:
-    """alpha*l_l1 + beta*l_attention + gamma*l_sv. Every value must be
-    finite, and l_l1 and l_attention non-negative; l_sv may be negative."""
+    """alpha*l_l1 + beta*l_attention + gamma*l_sv. Every value, and the sum,
+    must be finite, and l_l1 and l_attention non-negative; l_sv may be negative."""
     if not all(np.isfinite(v) for v in (l_l1, l_attention, l_sv)):
         raise SpkraugError(f"loss terms must be finite, got {(l_l1, l_attention, l_sv)}")
     if l_l1 < 0 or l_attention < 0:
         raise SpkraugError("l_l1 and l_attention must be non-negative")
     if not all(np.isfinite(v) for v in (alpha, beta, gamma)):
         raise SpkraugError(f"loss weights must be finite, got {(alpha, beta, gamma)}")
-    return float(alpha * l_l1 + beta * l_attention + gamma * l_sv)
+    loss = float(alpha * l_l1 + beta * l_attention + gamma * l_sv)
+    if not math.isfinite(loss):
+        raise SpkraugError(f"weighted loss is not finite: {loss}")
+    return loss
 
 
 def batch_cs_loss(synth: EmbeddingSet, natural: EmbeddingSet) -> float:
@@ -85,8 +88,16 @@ def _eer(genuine: np.ndarray, impostor: np.ndarray) -> tuple:
         raise SpkraugError(
             f"need both classes, got {len(genuine)} genuine / {len(impostor)} impostor"
         )
-    scores = np.unique(np.concatenate([genuine, impostor]))
-    thresholds = np.append(scores, scores[-1] + 1.0)
+    # np.unique's own sort-and-mask, without the numpy.ma import its first call pays
+    scores = np.sort(np.concatenate([genuine, impostor]))
+    scores = scores[np.concatenate(([True], scores[1:] != scores[:-1]))]
+    top = float(scores[-1])
+    sentinel = top + 1.0
+    if sentinel == top:  # top >= 2**53: the next float up is the nearest threshold above it
+        sentinel = math.nextafter(top, math.inf)
+        if math.isinf(sentinel):
+            raise SpkraugError(f"no finite threshold lies above the top score {top!r}")
+    thresholds = np.append(scores, sentinel)
     # counts are exact, so count / n equals np.mean of the comparison bit for bit
     frr = np.searchsorted(np.sort(genuine), thresholds) / len(genuine)
     far = (len(impostor) - np.searchsorted(np.sort(impostor), thresholds)) / len(impostor)
@@ -95,44 +106,61 @@ def _eer(genuine: np.ndarray, impostor: np.ndarray) -> tuple:
     if diff[i] == 0.0:
         return float(frr[i]), float(thresholds[i])
     # crossing lies between the previous threshold and this one
-    lam = diff[i - 1] / (diff[i - 1] - diff[i])
+    lam = float(diff[i - 1] / (diff[i - 1] - diff[i]))
     eer = frr[i - 1] + lam * (frr[i] - frr[i - 1])
-    return float(eer), float(thresholds[i - 1] + lam * (thresholds[i] - thresholds[i - 1]))
+    low, high = float(thresholds[i - 1]), float(thresholds[i])
+    threshold = low + lam * (high - low)
+    if math.isinf(threshold):  # high - low overflowed; weigh the two ends instead
+        threshold = (1.0 - lam) * low + lam * high
+    return float(eer), threshold
 
 
-def eer_loss(batch_synth: EmbeddingSet, reference_pool: EmbeddingSet,
-             per_utterance_refs: int = 1, seed: int = 0) -> float:
-    """EER of synthesized embeddings against sampled natural references.
+def eer_loss(batch_synth: EmbeddingSet, reference_pool: EmbeddingSet, seed: int = 0) -> float:
+    """EER of synthesized embeddings against natural references.
 
-    Each synthesized utterance is paired with `per_utterance_refs` natural
-    utterances of its own speaker and the same number from other speakers,
-    drawn without replacement by a generator derived from `seed`.
+    The trials are those `pairs` draws (dataset.generate_eer_pairs): one
+    genuine and one impostor reference per synthesized row. For sets that
+    hold the same ids and speakers as the `pairs` manifests, and the same
+    seed, the result equals what `pairs` + `eval eer` report, bit for bit.
     """
-    if per_utterance_refs < 1:
-        raise SpkraugError(
-            f"per_utterance_refs must be >= 1, got {per_utterance_refs}"
-        )
-    references = np.array(reference_pool.speaker_ids)
-    pools = {speaker: (np.flatnonzero(references == speaker),
-                       np.flatnonzero(references != speaker))
-             for speaker in set(batch_synth.speaker_ids)}
+    trials = _draw_trials(zip(batch_synth.ids, batch_synth.speaker_ids),
+                          zip(reference_pool.ids, reference_pool.speaker_ids), seed)
+    scores = _cosine_rows(batch_synth._rows(t[0] for t in trials),
+                          reference_pool._rows(t[1] for t in trials))
+    same = np.array([t[2] for t in trials], dtype=bool)
+    return _eer(scores[same], scores[~same])[0]
 
-    rng = rng_for(seed, "metrics.eer_loss")
-    ref_rows = []
-    for speaker in batch_synth.speaker_ids:
-        same, diff = pools[speaker]
-        if len(same) < per_utterance_refs or len(diff) < per_utterance_refs:
-            raise SpkraugError(
-                f"speaker {speaker!r}: have {len(same)} same / {len(diff)} other "
-                f"references, need {per_utterance_refs} of each"
-            )
-        for pool in (same, diff):
-            ref_rows.extend(pool[rng.choice(len(pool), size=per_utterance_refs, replace=False)])
-    synth = np.repeat(batch_synth.matrix, 2 * per_utterance_refs, axis=0)
-    scores = _cosine_rows(synth, reference_pool.matrix[ref_rows])
-    genuine = np.tile(np.repeat([True, False], per_utterance_refs), len(batch_synth))
-    eer, _ = _eer(scores[genuine], scores[~genuine])
-    return eer
+
+def _draw_trials(items, pool, seed: int) -> list:
+    """Two (enroll_id, test_id, same_speaker) trials per item: one genuine, one impostor.
+
+    `items` and `pool` are (utterance_id, speaker_id) pairs. The genuine
+    partner is a seeded uniform draw from the item's speaker in `pool`; the
+    impostor partner comes from a uniformly drawn different speaker.
+    """
+    pool_by_speaker = {}
+    for uid, speaker in pool:
+        pool_by_speaker.setdefault(speaker, []).append(uid)
+    for ids in pool_by_speaker.values():
+        ids.sort()
+    speakers = sorted(pool_by_speaker)
+    if len(speakers) < 2:
+        raise SpkraugError(f"need naturals from >= 2 speakers, have {len(speakers)}")
+    others = {s: [o for o in speakers if o != s] for s in speakers}
+
+    # eer_loss shares the pairs stream on purpose: both draw the same trials
+    rng = rng_for(seed, "dataset.generate_eer_pairs")
+    trials = []
+    for uid, speaker in items:
+        own = pool_by_speaker.get(speaker)
+        if not own:
+            raise SpkraugError(f"no natural pool utterances for {speaker!r}")
+        same_id = own[int(rng.integers(len(own)))]
+        other = others[speaker]
+        other_ids = pool_by_speaker[other[int(rng.integers(len(other)))]]
+        diff_id = other_ids[int(rng.integers(len(other_ids)))]
+        trials += [(uid, same_id, True), (uid, diff_id, False)]
+    return trials
 
 
 def word_error_rate(reference, hypothesis) -> tuple:

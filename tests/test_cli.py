@@ -41,10 +41,16 @@ def cli_env(tmp_path_factory):
             "manifest_path": str(manifest_path), "emb_path": str(emb_path)}
 
 
+def _strict_json(constant):
+    raise ValueError(f"report is not strict JSON: {constant}")
+
+
 def _run(capsys, argv):
+    """Exit code, the JSON report (which must hold no NaN or Infinity) and stderr."""
     rc = main(argv)
     captured = capsys.readouterr()
-    report = json.loads(captured.out) if captured.out.strip() else None
+    report = (json.loads(captured.out, parse_constant=_strict_json)
+              if captured.out.strip() else None)
     return rc, report, captured.err
 
 
@@ -111,6 +117,13 @@ def test_loss_default_weights(capsys):
     rc, report, _ = _run(capsys, ["loss", "--l1", "1", "--att", "1", "--sv", "1"])
     assert rc == 0
     assert report["loss"] == pytest.approx(2.1)
+
+
+def test_loss_overflow_is_an_error(capsys):
+    rc, report, err = _run(capsys, ["loss", "--l1", "1e308", "--att", "1e308", "--sv", "0"])
+    assert rc == 1
+    assert report is None
+    assert err.splitlines() == ["spkraug loss: error: weighted loss is not finite: inf"]
 
 
 def test_wer_identical_transcripts(capsys, tmp_path):
@@ -614,6 +627,28 @@ def test_eer_cli_stdout_is_reproducible(capsys, cli_env, tmp_path):
     assert main(argv) == 0
     second = capsys.readouterr().out
     assert first == second
+
+
+def test_eer_cli_tie_above_two_to_the_53(capsys, tmp_path, recwarn):
+    pairs_path = tmp_path / "pairs.tsv"
+    pairs_path.write_text("a\tb\tsame\t1e16\nb\ta\tdiff\t1e16\n")
+    rc, report, err = _run(capsys, ["eval", "eer", "--pairs", str(pairs_path)])
+    assert rc == 0, err
+    assert report["eer"] == 0.5
+    assert 1e16 <= report["threshold"] <= 1e16 + 2.0
+    assert err == ""
+    assert len(recwarn) == 0
+
+
+def test_eer_cli_tie_at_the_largest_float_is_an_error(capsys, tmp_path):
+    pairs_path = tmp_path / "pairs.tsv"
+    pairs_path.write_text("a\tb\tsame\t1.7976931348623157e308\n"
+                          "b\ta\tdiff\t1.7976931348623157e308\n")
+    rc, report, err = _run(capsys, ["eval", "eer", "--pairs", str(pairs_path)])
+    assert rc == 1
+    assert report is None
+    assert err.splitlines() == [
+        "spkraug eval: error: no finite threshold lies above the top score 1.7976931348623157e+308"]
 
 
 def test_eval_cs_cli(capsys, cli_env):

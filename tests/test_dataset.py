@@ -759,6 +759,25 @@ def test_generate_pairs_shape_and_labels():
         assert same.score is None and diff.score is None
 
 
+def test_generate_pairs_trial_stream_is_pinned():
+    """The exact trials for seed 0: pairs.tsv bytes depend on this stream."""
+    pool = Manifest([_natural(f"sp0_{i}", "sp0") for i in (2, 1, 0)]
+                    + [_natural(f"sp1_{i}", "sp1") for i in range(2)]
+                    + [_augmented("sp1_0__x", "sp1_0", "sp1")]
+                    + [_natural(f"sp2_{i}", "sp2") for i in range(5)])
+    eval_m = Manifest([_natural("sp2_3", "sp2"), _augmented("sp0_1__y", "sp0_1", "sp0"),
+                       _natural("sp1_1", "sp1"), _natural("sp0_0", "sp0"),
+                       _augmented("sp2_4__z", "sp2_4", "sp2")])
+    pairs = generate_eer_pairs(eval_m, pool, seed=0)
+    assert [(p.enroll_id, p.test_id, p.same_speaker) for p in pairs] == [
+        ("sp2_3", "sp2_0", True), ("sp2_3", "sp0_0", False),
+        ("sp0_1__y", "sp0_1", True), ("sp0_1__y", "sp2_1", False),
+        ("sp1_1", "sp1_0", True), ("sp1_1", "sp2_4", False),
+        ("sp0_0", "sp0_2", True), ("sp0_0", "sp1_0", False),
+        ("sp2_4__z", "sp2_0", True), ("sp2_4__z", "sp0_0", False),
+    ]
+
+
 def test_generate_pairs_deterministic():
     eval_m, pool = _pair_fixture()
     a = generate_eer_pairs(eval_m, pool, seed=3)

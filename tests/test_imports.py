@@ -1,9 +1,10 @@
-"""SciPy is a test dependency only.
+"""SciPy is a test dependency only, and numpy.ma is not needed at all.
 
 Every CLI command runs in its own process, and importing scipy.signal costs
 about 1.6 s and 76 MiB of start-up, so no command may load any part of
-SciPy. The probe is a fresh interpreter, because the test process itself
-has SciPy loaded already.
+SciPy. Nor may one load numpy.ma, which np.unique imports on its first call
+(about 8 ms under -X importtime). The probe is a fresh interpreter, because
+the test process itself has both loaded already.
 """
 
 import json
@@ -22,13 +23,14 @@ from synth import build_corpus, sine
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 # Imports spkraug.cli, then runs each argv in turn; prints, as JSON, the
-# exit code and the SciPy modules loaded after the import and after every
-# command.
+# exit code and the SciPy and numpy.ma modules loaded after the import and
+# after every command.
 _PROBE = """
 import contextlib, io, json, sys
 
 def loaded():
-    return sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+    return sorted(name for name in sys.modules
+                  if name.split(".")[0] == "scipy" or name.split(".")[:2] == ["numpy", "ma"])
 
 import spkraug, spkraug.cli
 steps = [["import spkraug, spkraug.cli", 0, loaded()]]
@@ -41,7 +43,7 @@ print(json.dumps(steps))
 
 
 def _probe(commands) -> list:
-    """The SciPy modules loaded after the import, then after each command."""
+    """The SciPy and numpy.ma modules loaded after the import, then after each command."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run([sys.executable, "-c", _PROBE, json.dumps(commands)], env=env,
                           capture_output=True, text=True, timeout=300)
@@ -53,7 +55,7 @@ def _probe(commands) -> list:
     return [modules for _, _, modules in steps]
 
 
-def test_no_command_loads_scipy(tmp_path):
+def test_no_command_loads_scipy_or_numpy_ma(tmp_path):
     def p(name):
         return str(tmp_path / name)
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import eer_sweep_oracle, wer_table_oracle, wer_tuple_loop_oracle
+from spkraug.dataset import Manifest, UtteranceRecord, generate_eer_pairs
 from spkraug.embedding import EmbeddingSet, cosine_similarity
 from spkraug.errors import SpkraugError
 from spkraug.metrics import (
@@ -184,6 +185,13 @@ def test_eer_requires_both_classes():
         equal_error_rate([ScoredPair("a", "b", False, 0.5)])
 
 
+def test_eer_threshold_between_scores_of_opposite_extremes():
+    """The two thresholds lie more than the largest float apart."""
+    eer, threshold = equal_error_rate(_pairs([-1e308], [-1e308, 1e308]))
+    assert eer == pytest.approx(2 / 3)
+    assert threshold == pytest.approx(1e308 / 3)
+
+
 def test_eer_requires_scores():
     with pytest.raises(SpkraugError, match="all pairs must be scored before computing EER"):
         equal_error_rate([ScoredPair("a", "b", True, 0.5), ScoredPair("c", "d", False)])
@@ -211,7 +219,7 @@ def test_eer_loss_separable_pool_is_zero():
     centers, pool = _reference_pool(rng, spread=0.01)
     synth = _set(*[(f"{sp}_syn", sp, center + 0.01 * rng.standard_normal(8))
                    for sp, center in centers.items()])
-    assert eer_loss(synth, pool, per_utterance_refs=2, seed=0) == pytest.approx(0.0)
+    assert eer_loss(synth, pool, seed=0) == pytest.approx(0.0)
 
 
 def test_eer_loss_deterministic_per_seed():
@@ -219,8 +227,8 @@ def test_eer_loss_deterministic_per_seed():
     centers, pool = _reference_pool(rng, spread=1.5)
     synth = _set(*[(f"{sp}_syn{i}", sp, rng.standard_normal(8))
                    for sp in centers for i in range(4)])
-    a = eer_loss(synth, pool, per_utterance_refs=2, seed=5)
-    b = eer_loss(synth, pool, per_utterance_refs=2, seed=5)
+    a = eer_loss(synth, pool, seed=5)
+    b = eer_loss(synth, pool, seed=5)
     assert a == b
     assert 0.0 <= a <= 1.0
 
@@ -228,16 +236,32 @@ def test_eer_loss_deterministic_per_seed():
 def test_eer_loss_insufficient_references():
     rng = np.random.default_rng(9)
     _, pool = _reference_pool(rng, speakers=2, per_speaker=2)
-    synth = _set(("x", "s0", rng.standard_normal(8)))
-    with pytest.raises(SpkraugError,
-                       match="speaker 's0': have 2 same / 2 other references, need 3 of each"):
-        eer_loss(synth, pool, per_utterance_refs=3)
-    with pytest.raises(SpkraugError, match="per_utterance_refs must be >= 1, got 0"):
-        eer_loss(synth, pool, per_utterance_refs=0)
     lonely = _set(("y", "ghost", rng.standard_normal(8)))
-    with pytest.raises(SpkraugError,
-                       match="speaker 'ghost': have 0 same / 4 other references, need 1 of each"):
+    with pytest.raises(SpkraugError, match="no natural pool utterances for 'ghost'"):
         eer_loss(lonely, pool)
+    _, one_speaker = _reference_pool(rng, speakers=1, per_speaker=3)
+    synth = _set(("x", "s0", rng.standard_normal(8)))
+    with pytest.raises(SpkraugError, match="need naturals from >= 2 speakers, have 1"):
+        eer_loss(synth, one_speaker)
+
+
+def test_eer_loss_equals_pairs_then_eval_eer():
+    """The loss draws the trials `pairs` draws, and scores them as `eval eer` does."""
+    rng = np.random.default_rng(10)
+    centers, natural = _reference_pool(rng, speakers=4, per_speaker=5, spread=1.0)
+    synth = _set(*[(f"{sp}_syn{i}", sp, center + rng.standard_normal(8))
+                   for sp, center in centers.items() for i in range(3)])
+    both = EmbeddingSet(synth.ids + natural.ids, synth.speaker_ids + natural.speaker_ids,
+                        np.vstack([synth.matrix, natural.matrix]))
+
+    def manifest(embeddings):
+        return Manifest([UtteranceRecord(uid, sp, f"{uid}.wav")
+                         for uid, sp in zip(embeddings.ids, embeddings.speaker_ids)])
+
+    for seed in range(5):
+        pairs = generate_eer_pairs(manifest(synth), manifest(natural), seed)
+        eer, _ = equal_error_rate(score_pairs(pairs, both))
+        assert eer_loss(synth, natural, seed) == eer
 
 
 # -- word error rate ---------------------------------------------------------
