@@ -126,7 +126,6 @@ def _read_pcm(path, header_only: bool):
         with open(path, "rb") as file, wave.open(file, "rb") as handle:
             channels = handle.getnchannels()
             width = handle.getsampwidth()
-            comptype = handle.getcomptype()
             rate = handle.getframerate()
             nframes = handle.getnframes()
             if header_only:
@@ -143,8 +142,6 @@ def _read_pcm(path, header_only: bool):
         # wave's chunk reader raises a bare RuntimeError when a chunk's size
         # runs past the end of the RIFF chunk that holds it
         raise SpkraugError(f"{path}: chunk size exceeds its RIFF container") from exc
-    if comptype != "NONE":
-        raise SpkraugError(f"{path}: compressed WAV ({comptype}) not supported")
     if channels != 1:
         raise SpkraugError(f"{path}: expected mono, got {channels} channels")
     if width != 2:

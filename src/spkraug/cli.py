@@ -20,13 +20,6 @@ from .errors import SpkraugError
 from .spectral import griffin_lim, read_spectrogram
 from .tsne import render_scatter_svg, run_tsne, save_coordinates
 
-_RECIPE_BY_COMMAND = {
-    "resample": "up_down",
-    "psola-dur": "psola_dur",
-    "psola-f0": "psola_f0",
-    "psola-mix": "psola_mix",
-}
-
 
 class _Parser(argparse.ArgumentParser):
     """argparse exits with status 2 on usage errors; we reserve 2 for partial
@@ -84,7 +77,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--output", required=True)
 
     p = _command(sub, "augment", _cmd_augment, "generate augmented WAVs from a natural manifest")
-    p.add_argument("recipe", choices=sorted(_RECIPE_BY_COMMAND))
+    p.add_argument("recipe", choices=sorted(dataset.RECIPE_JOBS))
     p.add_argument("--manifest", required=True)
     p.add_argument("--audio-root", required=True)
     p.add_argument("--output", required=True)
@@ -154,7 +147,7 @@ def _cmd_subset(args) -> dict:
 
 def _cmd_augment(args) -> dict:
     manifest = dataset.load_manifest(args.manifest)
-    plan = dataset.plan_augmentation(manifest, _RECIPE_BY_COMMAND[args.recipe])
+    plan = dataset.plan_augmentation(manifest, args.recipe)
     augmented, failures = dataset.execute_plan(plan, args.audio_root, corpus=manifest.corpus,
                                                sample_rate=manifest.sample_rate)
     dataset.save_manifest(augmented, args.output)

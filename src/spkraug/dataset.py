@@ -28,23 +28,23 @@ RESAMPLED = "resampled"
 PSOLA_DUR = "psola_dur"
 PSOLA_F0 = "psola_f0"
 PSOLA_MIX = "psola_mix"
-KINDS = (NATURAL, RESAMPLED, PSOLA_DUR, PSOLA_F0, PSOLA_MIX)
 
 # ratio sets applied per natural utterance, one job per value
 SPEED_RATIOS = (0.95, 0.975, 1.025, 1.05)
 PSOLA_DUR_RATIOS = (0.85, 0.90, 0.95, 1.05, 1.10, 1.15, 1.20)
 PSOLA_F0_RATIOS = (0.70, 0.80, 0.90, 1.05, 1.10, 1.20, 1.50)
 PSOLA_MIX_JOBS = ((1.3, 1.0), (0.8, 1.0), (1.0, 0.8), (1.0, 1.2))
-# recipe -> (output kind, one (duration_ratio, f0_ratio) pair per job). A speed
-# change by r stores r in both fields: its output lasts about n / r samples (not
-# n * r, as a PSOLA duration_ratio would mean) and its F0 is multiplied by r
+# `augment` recipe -> (output kind, one (duration_ratio, f0_ratio) pair per job).
+# A speed change by r stores r in both fields: its output lasts about n / r
+# samples (not n * r, as a PSOLA duration_ratio would mean) and its F0 is
+# multiplied by r
 RECIPE_JOBS = {
-    "up_down": (RESAMPLED, tuple((s, s) for s in SPEED_RATIOS)),
-    "psola_dur": (PSOLA_DUR, tuple((d, 1.0) for d in PSOLA_DUR_RATIOS)),
-    "psola_f0": (PSOLA_F0, tuple((1.0, f) for f in PSOLA_F0_RATIOS)),
-    "psola_mix": (PSOLA_MIX, PSOLA_MIX_JOBS),
+    "resample": (RESAMPLED, tuple((s, s) for s in SPEED_RATIOS)),
+    "psola-dur": (PSOLA_DUR, tuple((d, 1.0) for d in PSOLA_DUR_RATIOS)),
+    "psola-f0": (PSOLA_F0, tuple((1.0, f) for f in PSOLA_F0_RATIOS)),
+    "psola-mix": (PSOLA_MIX, PSOLA_MIX_JOBS),
 }
-RECIPES = tuple(RECIPE_JOBS)
+KINDS = (NATURAL, *(kind for kind, _ in RECIPE_JOBS.values()))
 
 _TRAILING_DIGITS = re.compile(r"(\d+)$")
 _SURROGATE = re.compile("[\ud800-\udfff]")
@@ -268,12 +268,10 @@ class AugmentationJob(NamedTuple):
 
 def plan_augmentation(manifest: Manifest, recipe: str) -> list:
     """Expand a manifest of naturals into per-utterance augmentation jobs,
-    one per RECIPE_JOBS ratio pair of the recipe: up_down 4 speed changes,
-    psola_dur 7 durations, psola_f0 7 F0 factors, psola_mix 4 single-axis
-    jobs (durations 1.3, 0.8 and F0 factors 0.8, 1.2).
-    """
+    one per (duration_ratio, f0_ratio) pair that RECIPE_JOBS lists for the
+    recipe."""
     if recipe not in RECIPE_JOBS:
-        raise SpkraugError(f"unknown recipe {recipe!r}, expected one of {RECIPES}")
+        raise SpkraugError(f"unknown recipe {recipe!r}, expected one of {tuple(RECIPE_JOBS)}")
     for r in manifest:
         if not r.is_natural:
             raise SpkraugError(f"{r.utterance_id}: cannot augment a {r.kind} record")

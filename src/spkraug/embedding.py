@@ -33,8 +33,9 @@ _FRAME_BLOCK = 64  # frames per power-spectrum block: bounds each clip's transie
 class EmbeddingSet:
     """Embeddings of one dimension: `ids` and `speaker_ids` (lists, one per
     row) plus one read-only (n, dimension) float64 `matrix`. A single
-    embedding is a 1-D array; `get()` returns a read-only row. An id holds
-    no tab, line break or character XML 1.0 forbids."""
+    embedding is a 1-D array; `get()` returns a read-only row. Every row is
+    finite and 4 times its squared norm is too (see _row_defect). An id
+    holds no tab, line break or character XML 1.0 forbids."""
 
     def __init__(self, ids, speaker_ids, matrix):
         ids = [_check_id("utterance_id", uid) for uid in ids]
@@ -47,9 +48,9 @@ class EmbeddingSet:
                 f"{len(ids)} ids and {len(speaker_ids)} speakers for a matrix of shape "
                 f"{matrix.shape}: need one of each per row and dimension >= 1"
             )
-        finite = np.isfinite(matrix.min(axis=1)) & np.isfinite(matrix.max(axis=1))  # no n x d temporary
-        if not finite.all():
-            raise SpkraugError(f"{ids[int(np.argmin(finite))]}: embedding has non-finite values")
+        defect = _row_defect(matrix, zero_ok=True)
+        if defect:
+            raise SpkraugError(f"{ids[defect[0]]}: {defect[1]}")
         matrix.setflags(write=False)
         self.ids = ids
         self.speaker_ids = speaker_ids
@@ -101,11 +102,29 @@ def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
 
 
+def _row_defect(matrix: np.ndarray, zero_ok: bool):
+    """(row, message) for the first row with non-finite values, a squared norm
+    whose 4 times overflows, or (unless zero_ok) norm 0; else None. 4|v|^2
+    bounds every squared distance between two rows (2|a|^2 + 2|b|^2), so
+    distances and cosine products of sound rows stay finite."""
+    with np.errstate(over="ignore", invalid="ignore"):  # one n-vector pass, no n x d temporary
+        squares = _row_dots(matrix, matrix)
+        bad = ~np.isfinite(4.0 * squares)
+    if not zero_ok:
+        bad |= squares == 0.0  # np.linalg.norm(v) is sqrt(np.dot(v, v))
+    if not bad.any():
+        return None
+    row = int(np.argmax(bad))
+    if not np.isfinite(matrix[row]).all():
+        return row, "embedding has non-finite values"
+    return row, "zero-norm embedding" if squares[row] == 0.0 else "embedding norm too large"
+
+
 def _cosine_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Cosine similarity of each row of `a` with the same row of `b`, equal bit
     for bit to np.dot(x, y) / (np.linalg.norm(x) * np.linalg.norm(y)), clipped."""
     if a.shape[1] != b.shape[1]:
-        raise SpkraugError(f"{a.shape[1]} vs {b.shape[1]}")
+        raise SpkraugError(f"embedding dimensions differ: {a.shape[1]} vs {b.shape[1]}")
     na = np.sqrt(_row_dots(a, a))
     nb = np.sqrt(_row_dots(b, b))
     if np.any(na == 0.0) or np.any(nb == 0.0):
@@ -266,9 +285,9 @@ def load_embeddings(path) -> EmbeddingSet:
     """Read the TSV format into one matrix, row by row.
 
     A defective line raises on its own: a wrong field count, a non-numeric
-    value, non-finite values or an all-zero row; the first defective line
-    wins, and a duplicate utterance_id is reported only when every line is
-    sound.
+    value, non-finite values, a norm too large (see _row_defect) or an
+    all-zero row; the first defective line wins, and a duplicate
+    utterance_id is reported only when every line is sound.
     """
     lines = _text_lines(path)
     if not lines or lines[0][0] != 1 or not lines[0][1].startswith("#dim="):  # line 1, not blank
@@ -284,16 +303,10 @@ def load_embeddings(path) -> EmbeddingSet:
     ids, speaker_ids, linenos = [], [], []
 
     def raise_row_errors():
-        """Raise for the first parsed row with non-finite values or zero norm."""
-        parsed = np.frombuffer(values).reshape(-1, dim)
-        bad = ~np.isfinite(parsed).all(axis=1)
-        # np.linalg.norm(v) is sqrt(np.dot(v, v)), and _row_dots sums as np.dot does
-        bad |= _row_dots(parsed, parsed) == 0.0
-        if bad.any():
-            row = int(np.argmax(bad))
-            if not np.isfinite(parsed[row]).all():
-                raise SpkraugError(f"{path}:{linenos[row]}: embedding has non-finite values")
-            raise SpkraugError(f"{path}:{linenos[row]}: zero-norm embedding")
+        """Raise for the first parsed row that _row_defect refuses."""
+        defect = _row_defect(np.frombuffer(values).reshape(-1, dim), zero_ok=False)
+        if defect:
+            raise SpkraugError(f"{path}:{linenos[defect[0]]}: {defect[1]}")
 
     for lineno, line in lines[1:]:
         parts = line.split("\t")

@@ -1,9 +1,11 @@
 """Named, versioned random generators.
 
-Every stochastic step in the toolkit (subset draws, pair sampling, loss-side
-reference draws, optimizer inits) gets its own generator derived from a user
-seed plus a purpose string, so each step is independently reproducible and
-adding a new consumer never shifts another one's stream.
+The subset draw, the verification trials and the t-SNE initialisation each
+get a generator derived from a user seed plus a purpose string, so each step
+is independently reproducible and adding a new consumer never shifts another
+one's stream. `metrics.eer_loss` draws from the trial stream on purpose, to
+get the same trials as `pairs`; `spectral.griffin_lim` seeds
+`np.random.default_rng(seed)` directly for its initial phases.
 """
 
 import hashlib

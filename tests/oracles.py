@@ -190,7 +190,8 @@ def load_embeddings_row_oracle(path):
 
     The reference for `spkraug.embedding.load_embeddings`, which must return
     the same ids, speakers and matrix bytes, or raise the same exception
-    type with the same message.
+    type with the same message. A row is refused when four times its squared
+    norm overflows, so every squared distance between two rows is finite.
     """
     from pathlib import Path
 
@@ -222,8 +223,12 @@ def load_embeddings_row_oracle(path):
             raise SpkraugError(f"{path}:{lineno}: non-numeric value") from None
         if not np.all(np.isfinite(values)):
             raise SpkraugError(f"{path}:{lineno}: embedding has non-finite values")
-        if np.linalg.norm(values) == 0.0:
-            raise SpkraugError(f"{path}:{lineno}: zero-norm embedding")
+        with np.errstate(over="ignore"):
+            square = np.dot(values, values)
+            if square == 0.0:
+                raise SpkraugError(f"{path}:{lineno}: zero-norm embedding")
+            if not np.isfinite(4.0 * square):
+                raise SpkraugError(f"{path}:{lineno}: embedding norm too large")
         rows.append((parts[0], parts[1], values))
     try:
         return EmbeddingSet([r[0] for r in rows], [r[1] for r in rows],

@@ -28,7 +28,7 @@ from oracles import (
 from spkraug.audio_io import AudioClip, read_wav, speed_change
 from spkraug.cli import main
 from spkraug.dataset import (
-    RECIPES,
+    RECIPE_JOBS,
     SPEED_RATIOS,
     Manifest,
     execute_plan,
@@ -100,11 +100,11 @@ def test_acceptance_01_recipe_counts(mini_corpus, natural_embeddings, capsys, tm
     _, manifest = mini_corpus
     with criterion(capsys, 1, "each recipe ends at 500 records per speaker"):
         t0 = time.monotonic()
-        for recipe in RECIPES:
+        for recipe in RECIPE_JOBS:
             plan = plan_augmentation(manifest, recipe)
             built, failures = execute_plan(plan, tmp_path / recipe, corpus="counts")
             assert failures == []
-            if recipe in ("psola_dur", "psola_f0"):
+            if recipe in ("psola-dur", "psola-f0"):
                 children = _embed(built)
                 merged = EmbeddingSet(natural_embeddings.ids + children.ids,
                                       natural_embeddings.speaker_ids + children.speaker_ids,

@@ -3,6 +3,7 @@ import os
 import struct
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 
 from spkraug.audio_io import AudioClip, read_wav, write_wav
 from spkraug.cli import main
-from spkraug.dataset import Manifest, UtteranceRecord, load_manifest, save_manifest
+from spkraug.dataset import RECIPE_JOBS, Manifest, UtteranceRecord, load_manifest, save_manifest
 from spkraug.embedding import EmbeddingSet, extract_standin_embedding, save_embeddings
 from spkraug.metrics import load_pairs
 from spkraug.spectral import (
@@ -76,6 +77,11 @@ def test_bad_recipe_choice_is_usage_error(capsys, cli_env):
                                "--audio-root", "x", "--output", "y"])
     assert rc == 1
     assert "invalid choice" in err
+
+
+def test_augment_takes_exactly_the_recipe_table_names(capsys):
+    assert main(["augment", "--help"]) == 0
+    assert "{" + ",".join(sorted(RECIPE_JOBS)) + "}" in capsys.readouterr().out
 
 
 def test_missing_input_file_is_runtime_error(capsys, tmp_path):
@@ -679,7 +685,45 @@ def test_eval_cs_cli_dimension_mismatch(capsys, tmp_path):
                                     "--natural", str(paths[3])])
     assert rc == 1
     assert report is None
-    assert err == "spkraug eval: error: 2 vs 3\n"
+    assert err == "spkraug eval: error: embedding dimensions differ: 2 vs 3\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "cs", "--synth", "{big}", "--natural", "{big}"],
+    ["eval", "eer", "--pairs", "{pairs}", "--embeddings", "{big}"],
+    ["tsne", "--embeddings", "{big}", "--output", "{out}"],
+    ["select-best", "--naturals", "{manifest}", "--augmented", "{manifest}",
+     "--embeddings", "{big}", "--output", "{out}"],
+], ids=["eval-cs", "eval-eer", "tsne", "select-best"])
+def test_row_whose_norm_overflows_is_one_line_error(capsys, cli_env, tmp_path, argv):
+    """Finite values whose squared norm overflows: refused at load, so no
+    NaN score, distance or t-SNE coordinate and no RuntimeWarning."""
+    big = tmp_path / "big.tsv"
+    big.write_text("#dim=2\nu1\ts1\t1e200\t1e200\nu2\ts2\t1e200\t1e200\n", encoding="utf-8")
+    pairs = tmp_path / "pairs.tsv"
+    pairs.write_text("u1\tu2\tdiff\n", encoding="utf-8")
+    paths = {"big": big, "pairs": pairs, "out": tmp_path / "out",
+             "manifest": cli_env["manifest_path"]}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, report, err = _run(capsys, [a.format(**paths) for a in argv])
+    assert rc == 1
+    assert report is None
+    assert err == f"spkraug {argv[0]}: error: {big}:2: embedding norm too large\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_subset_of_a_manifest_without_naturals_is_one_line_error(capsys, tmp_path):
+    path = tmp_path / "aug.jsonl"
+    path.write_text('{"corpus":"c","sample_rate":16000}\n'
+                    '{"utterance_id":"u__x","speaker_id":"s","path":"p","kind":"psola_dur",'
+                    '"duration_ratio":1.1,"parent_id":"u"}\n', encoding="utf-8")
+    rc, report, err = _run(capsys, ["subset", "--manifest", str(path), "--per-speaker", "1",
+                                    "--output", str(tmp_path / "out.jsonl")])
+    assert rc == 1
+    assert report is None
+    assert err == "spkraug subset: error: manifest has no natural records\n"
+    assert not (tmp_path / "out.jsonl").exists()
 
 
 def test_eval_cs_cli_non_finite_row_names_path_and_line(capsys, tmp_path):
@@ -804,6 +848,8 @@ def test_iterations_below_one_is_usage_error(capsys, tmp_path, command, inputs, 
     (["tsne", "--embeddings", "missing.tsv"], "--perplexity", "nan", "must exceed 1, got nan"),
     (["tsne", "--embeddings", "missing.tsv"], "--perplexity", "x",
      "invalid float value: 'x'"),
+    (["select-best", "--naturals", "missing.jsonl", "--augmented", "missing.jsonl",
+      "--embeddings", "missing.tsv"], "--k", "abc", "invalid int value: 'abc'"),
 ])
 def test_bad_count_is_usage_error_before_a_missing_input(capsys, tmp_path, argv, flag, value,
                                                          message):

@@ -13,7 +13,7 @@ from spkraug.dataset import (
     PSOLA_F0_RATIOS,
     PSOLA_MIX,
     PSOLA_MIX_JOBS,
-    RECIPES,
+    RECIPE_JOBS,
     RESAMPLED,
     SPEED_RATIOS,
     AugmentationJob,
@@ -383,10 +383,10 @@ def test_subset_rejects_bad_per_speaker():
 # -- planning ----------------------------------------------------------------
 
 @pytest.mark.parametrize("recipe,kind,count", [
-    ("up_down", RESAMPLED, 4),
-    ("psola_dur", PSOLA_DUR, 7),
-    ("psola_f0", PSOLA_F0, 7),
-    ("psola_mix", PSOLA_MIX, 4),
+    ("resample", RESAMPLED, 4),
+    ("psola-dur", PSOLA_DUR, 7),
+    ("psola-f0", PSOLA_F0, 7),
+    ("psola-mix", PSOLA_MIX, 4),
 ])
 def test_plan_counts_and_kinds(recipe, kind, count):
     m = _numbered_manifest(per_speaker=2)
@@ -399,37 +399,37 @@ def test_plan_counts_and_kinds(recipe, kind, count):
 
 
 def test_plan_up_down_ties_both_ratios_to_speed():
-    plan = plan_augmentation(Manifest([_natural("sp0_000")]), "up_down")
+    plan = plan_augmentation(Manifest([_natural("sp0_000")]), "resample")
     assert [(j.duration_ratio, j.f0_ratio) for j in plan] == [(s, s) for s in SPEED_RATIOS]
 
 
 def test_plan_psola_dur_ratio_set():
-    plan = plan_augmentation(Manifest([_natural("sp0_000")]), "psola_dur")
+    plan = plan_augmentation(Manifest([_natural("sp0_000")]), "psola-dur")
     assert [j.duration_ratio for j in plan] == list(PSOLA_DUR_RATIOS)
     assert all(j.f0_ratio == 1.0 for j in plan)
 
 
 def test_plan_psola_f0_ratio_set():
-    plan = plan_augmentation(Manifest([_natural("sp0_000")]), "psola_f0")
+    plan = plan_augmentation(Manifest([_natural("sp0_000")]), "psola-f0")
     assert [j.f0_ratio for j in plan] == list(PSOLA_F0_RATIOS)
     assert all(j.duration_ratio == 1.0 for j in plan)
 
 
 def test_plan_psola_mix_single_axis_jobs():
-    plan = plan_augmentation(Manifest([_natural("sp0_000")]), "psola_mix")
+    plan = plan_augmentation(Manifest([_natural("sp0_000")]), "psola-mix")
     assert [(j.duration_ratio, j.f0_ratio) for j in plan] == list(PSOLA_MIX_JOBS)
 
 
 def test_plan_rejects_unknown_recipe():
     with pytest.raises(SpkraugError, match="unknown recipe 'chorus', expected one of "):
         plan_augmentation(_numbered_manifest(), "chorus")
-    assert set(RECIPES) == {"up_down", "psola_dur", "psola_f0", "psola_mix"}
+    assert set(RECIPE_JOBS) == {"resample", "psola-dur", "psola-f0", "psola-mix"}
 
 
 def test_plan_rejects_augmented_input():
     m = Manifest([_natural("a"), _augmented("a__x", "a")])
     with pytest.raises(SpkraugError, match="a__x: cannot augment a psola_f0 record"):
-        plan_augmentation(m, "psola_f0")
+        plan_augmentation(m, "psola-f0")
 
 
 def test_job_output_name_is_compact_and_unique():
@@ -438,7 +438,7 @@ def test_job_output_name_is_compact_and_unique():
     job = AugmentationJob(_natural("sp0_003"), RESAMPLED, 0.975, 0.975)
     assert job_output_name(job) == "sp0_003__resampled_0.975_0.975"
     plan = []
-    for recipe in RECIPES:
+    for recipe in RECIPE_JOBS:
         plan.extend(plan_augmentation(Manifest([_natural("sp0_000")]), recipe))
     names = [job_output_name(j) for j in plan]
     assert len(set(names)) == len(names)
@@ -454,7 +454,7 @@ def _parents(manifest, count=4):
 def test_execute_plan_full_run(small_corpus, tmp_path):
     _, manifest = small_corpus
     parents = _parents(manifest)
-    plan = plan_augmentation(parents, "psola_f0")
+    plan = plan_augmentation(parents, "psola-f0")
     built, failures = execute_plan(plan, tmp_path / "aug", corpus="aug-test")
     assert failures == []
     assert len(built) == len(plan)
@@ -472,14 +472,14 @@ def test_execute_plan_duration_contracts(small_corpus, tmp_path):
     parents = _parents(manifest, count=2)
     parent_len = {r.utterance_id: len(read_wav(r.path)) for r in parents}
 
-    built, failures = execute_plan(plan_augmentation(parents, "psola_dur"),
+    built, failures = execute_plan(plan_augmentation(parents, "psola-dur"),
                                    tmp_path / "dur")
     assert failures == []
     for r in built:
         expected = round(parent_len[r.parent_id] * r.duration_ratio)
         assert len(read_wav(r.path)) == expected
 
-    built, failures = execute_plan(plan_augmentation(parents, "up_down"),
+    built, failures = execute_plan(plan_augmentation(parents, "resample"),
                                    tmp_path / "spd")
     assert failures == []
     for r in built:
@@ -490,7 +490,7 @@ def test_execute_plan_duration_contracts(small_corpus, tmp_path):
 def test_execute_plan_is_idempotent(small_corpus, tmp_path):
     _, manifest = small_corpus
     parents = _parents(manifest, count=2)
-    plan = plan_augmentation(parents, "psola_mix")
+    plan = plan_augmentation(parents, "psola-mix")
     root = tmp_path / "idem"
     first, _ = execute_plan(plan, root)
     stamps = {r.utterance_id: (r.path, os.stat(r.path).st_mtime_ns) for r in first}
@@ -509,7 +509,7 @@ def test_execute_plan_reports_partial_failures(small_corpus, tmp_path):
     plan = plan_augmentation(
         Manifest(list(parents) + [ghost], corpus=parents.corpus,
                  sample_rate=parents.sample_rate),
-        "psola_f0",
+        "psola-f0",
     )
     built, failures = execute_plan(plan, tmp_path / "partial")
     assert len(failures) == 7  # every job for the missing parent
@@ -531,7 +531,7 @@ def test_execute_plan_rejects_parent_at_other_rate(small_corpus, tmp_path):
     _, manifest = small_corpus
     parents = _parents(manifest, count=2)
     odd = _write_parent(tmp_path, "sp9_000", "sp9", 22050)
-    plan = plan_augmentation(Manifest(list(parents) + [odd]), "psola_mix")
+    plan = plan_augmentation(Manifest(list(parents) + [odd]), "psola-mix")
     built, failures = execute_plan(plan, tmp_path / "aug", sample_rate=16000)
     assert len(failures) == 4  # every job of the 22050 Hz parent
     assert all(f["parent_id"] == "sp9_000" for f in failures)
@@ -565,7 +565,7 @@ def counts(monkeypatch):
 
 def test_execute_plan_reads_and_analyses_each_parent_once(small_corpus, tmp_path, counts):
     _, manifest = small_corpus
-    plan = plan_augmentation(_parents(manifest, count=2), "psola_dur")
+    plan = plan_augmentation(_parents(manifest, count=2), "psola-dur")
     built, failures = execute_plan(plan, tmp_path / "aug")
     assert failures == []
     assert len(built) == 14
@@ -575,7 +575,7 @@ def test_execute_plan_reads_and_analyses_each_parent_once(small_corpus, tmp_path
 def test_execute_plan_full_resume_reads_nothing(tmp_path, counts):
     parents = Manifest([_write_parent(tmp_path, f"sp0_00{i}", "sp0", 22050) for i in range(2)],
                        sample_rate=22050)
-    plan = plan_augmentation(parents, "psola_f0")
+    plan = plan_augmentation(parents, "psola-f0")
     first, failures = execute_plan(plan, tmp_path / "aug", sample_rate=22050)
     assert failures == [] and len(first) == 14
     counts.update(reads=0, analyses=0)
@@ -604,7 +604,7 @@ def _damage(path, how):
 
 @pytest.mark.parametrize("how", ["third", "third_odd", "one_sample_short", "other_rate",
                                  "garbage", "empty"])
-@pytest.mark.parametrize("recipe", ["up_down", "psola_dur"])
+@pytest.mark.parametrize("recipe", ["resample", "psola-dur"])
 def test_execute_plan_rewrites_incomplete_outputs(tmp_path, counts, recipe, how):
     parents = Manifest([_write_parent(tmp_path, "sp0_000", "sp0", 16000)])
     plan = plan_augmentation(parents, recipe)
@@ -617,14 +617,14 @@ def test_execute_plan_rewrites_incomplete_outputs(tmp_path, counts, recipe, how)
     assert failures == []
     assert list(second) == list(first)
     assert {r.path: open(r.path, "rb").read() for r in second} == written
-    assert counts == {"reads": 1, "analyses": int(recipe == "psola_dur")}
+    assert counts == {"reads": 1, "analyses": int(recipe == "psola-dur")}
 
 
 def test_execute_plan_resume_fails_jobs_of_a_vanished_parent(tmp_path):
     """A kept output is checked against its parent's length, so a parent
     that is gone fails its jobs rather than passing them unchecked."""
     parent = _write_parent(tmp_path, "sp0_000", "sp0", 16000)
-    plan = plan_augmentation(Manifest([parent]), "up_down")
+    plan = plan_augmentation(Manifest([parent]), "resample")
     execute_plan(plan, tmp_path / "aug")
     os.remove(parent.path)
     built, failures = execute_plan(plan, tmp_path / "aug")

@@ -49,6 +49,11 @@ def test_vector_validation():
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(SpkraugError, match="^v: embedding has non-finite values$"):
             EmbeddingSet(ids, speakers, [[1.0, 0.0], [bad, 1.0]])
+    # 4 |v|^2 overflows: 1e154 squares to a finite 1e308, four times that does not
+    for big in (1e200, -1e154):
+        with pytest.raises(SpkraugError, match="^v: embedding norm too large$"):
+            EmbeddingSet(ids, speakers, [[1.0, 0.0], [big, 0.0]])
+    assert len(EmbeddingSet(ids, speakers, [[0.0, 0.0], [1e153, 1e153]])) == 2  # zero rows are legal
 
 
 def test_set_rejects_mixed_dimensions_and_duplicates():
@@ -343,6 +348,7 @@ def test_load_embeddings_missing_file(tmp_path):
     "#dim=2\nu1\ts1\t1.0\t2.0\t3.0\n",      # too many fields
     "#dim=2\nu1\ts1\t1.0\tbanana\n",        # non-numeric
     "#dim=2\nu1\ts1\t0.0\t0.0\n",           # zero-norm row
+    "#dim=2\nu1\ts1\t1e200\t1.0\n",         # norm too large
     "#dim=2\nu1\ts1\t1.0\t0.0\nu1\ts1\t0.0\t1.0\n",  # duplicate id
 ])
 def test_load_embeddings_rejects_malformed(tmp_path, content):
@@ -374,7 +380,7 @@ _VALUE = st.one_of(
     st.integers(-10**6, 10**6).map(str),
     st.sampled_from(["1e3", " 2.5", "-0.0", "1_000", "+.5", "1E-5 "]),
 )
-_DEFECTS = ("ragged", "extra", "non-numeric", "nan", "inf", "overflow", "zero",
+_DEFECTS = ("ragged", "extra", "non-numeric", "nan", "inf", "overflow", "huge", "zero",
             "underflow", "duplicate")
 
 
@@ -388,6 +394,8 @@ def _inject(rows, defect, at, dim):
         values = values[:-1] + ["banana"]
     elif defect in ("nan", "inf", "overflow"):
         values = values[:-1] + [{"nan": "nan", "inf": "-inf", "overflow": "1e400"}[defect]]
+    elif defect == "huge":  # finite values whose squared norm overflows
+        values = ["1e200"] * dim
     elif defect == "zero":
         values = ["0.0"] * dim
     elif defect == "underflow":  # every square underflows, so the norm is 0
@@ -431,6 +439,9 @@ def test_load_embeddings_matches_row_loader(tmp_path_factory_session, content):
     "#dim=2\nu1\ts1\t1.0\t2.0\nu1\ts1\t1.0\tinf\n",    # non-finite row beats a duplicate
     "#dim=2\nu1\ts1\t1e-170\t1e-170\n",                # squares underflow: zero norm
     "#dim=2\nu1\ts1\t1e-160\t1e-170\n",                # smallest square survives
+    "#dim=2\nu1\ts1\t1e200\t1.0\nu2\ts1\t1.0\n",       # norm too large before a ragged row
+    "#dim=2\nu1\ts1\t1.0\t2.0\nu1\ts1\t1e154\t0.0\n",  # 4 |v|^2 overflows, beats a duplicate
+    "#dim=2\nu1\ts1\t1e153\t1e153\n",                  # 4 |v|^2 is finite: sound
 ])
 def test_load_embeddings_first_defect_wins(tmp_path, content):
     path = tmp_path / "emb.tsv"

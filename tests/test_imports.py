@@ -60,7 +60,7 @@ def test_no_command_loads_scipy_or_numpy_ma(tmp_path):
         return str(tmp_path / name)
 
     corpus = build_corpus(tmp_path / "corpus", per_speaker=2, seed=3, dur_range=(0.4, 0.5))
-    aug, failures = execute_plan(plan_augmentation(corpus, "psola_dur"), tmp_path / "aug",
+    aug, failures = execute_plan(plan_augmentation(corpus, "psola-dur"), tmp_path / "aug",
                                  corpus=corpus.corpus, sample_rate=corpus.sample_rate)
     assert failures == []
     save_manifest(corpus, p("corpus.jsonl"))
