@@ -182,14 +182,11 @@ def write_wav(clip: AudioClip, path) -> None:
     x = np.clip(x, -1.0, 1.0) * 32768.0
     pcm = np.trunc(x + np.copysign(0.5, x))
     pcm = np.clip(pcm, -32768, 32767).astype("<i2")
-    try:
-        with _replacing(path) as tmp, wave.open(str(tmp), "wb") as handle:
-            handle.setnchannels(1)
-            handle.setsampwidth(2)
-            handle.setframerate(clip.sample_rate)
-            handle.writeframes(pcm.tobytes())
-    except wave.Error as exc:
-        raise OSError(f"{path}: {exc}") from exc
+    with _replacing(path) as tmp, wave.open(str(tmp), "wb") as handle:
+        handle.setnchannels(1)
+        handle.setsampwidth(2)
+        handle.setframerate(clip.sample_rate)
+        handle.writeframes(pcm.tobytes())
 
 
 def _design_lowpass(up: int, down: int) -> tuple[np.ndarray, int]:

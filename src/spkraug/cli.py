@@ -9,6 +9,7 @@ but the rest were written.
 import argparse
 import json
 import os
+import re
 import sys
 
 import numpy as np
@@ -23,7 +24,12 @@ from .tsne import render_scatter_svg, run_tsne, save_coordinates
 
 class _Parser(argparse.ArgumentParser):
     """argparse exits with status 2 on usage errors; we reserve 2 for partial
-    job failure, so remap bad usage to 1."""
+    job failure, so remap bad usage to 1. A negative number in exponent
+    notation (`--sv -1e-3`) is read as a value, as `-0.001` is."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
     def error(self, message):
         self.print_usage(sys.stderr)

@@ -14,10 +14,12 @@ from itertools import groupby
 from pathlib import Path
 from typing import NamedTuple
 
+import numpy as np
+
 from .audio_io import (DEFAULT_SAMPLE_RATE, _check_id, _check_rate, _check_ratio, _text_lines,
                        _write_lines, read_wav, read_wav_header, speed_change, speed_change_length,
                        write_wav)
-from .embedding import EmbeddingSet, _first_seen, _row_index, select_k_nearest
+from .embedding import EmbeddingSet, _first_seen, _row_dots, _row_index, select_k_nearest
 from .errors import SpkraugError
 from .metrics import ScoredPair, _draw_trials
 from .psola import analyse, synthesis_length, synthesise
@@ -409,20 +411,21 @@ def select_best_augmented(naturals: Manifest, augmented: Manifest,
         if r.utterance_id not in embeddings:
             raise SpkraugError(f"no embedding for {r.utterance_id!r}")
 
-    children = {}
-    for r in augmented:
-        children.setdefault(r.parent_id, []).append(r)
+    children = [r for r in augmented if not r.is_natural]
+    diff = embeddings._rows(r.parent_id for r in children)  # one pass: every child vs its parent
+    diff -= embeddings._rows(r.utterance_id for r in children)
+    scored = {}
+    for r, distance in zip(children, np.sqrt(_row_dots(diff, diff)).tolist()):
+        scored.setdefault(r.parent_id, []).append((distance, r.utterance_id))
 
     keep = set()
     for natural in naturals:
-        kids = children.get(natural.utterance_id, [])
+        kids = scored.get(natural.utterance_id, [])
         if len(kids) < k:
             raise SpkraugError(
                 f"{natural.utterance_id}: has {len(kids)} augmented children, need {k}"
             )
-        if k:
-            child_set = embeddings._subset(c.utterance_id for c in kids)
-            keep.update(select_k_nearest(embeddings.get(natural.utterance_id), child_set, k))
+        keep.update(select_k_nearest(kids, k))
 
     selected = [r for r in augmented if r.utterance_id in keep]
     return Manifest(list(naturals) + selected, corpus=naturals.corpus,

@@ -73,12 +73,6 @@ class EmbeddingSet:
         """Matrix rows of the given ids, in that order."""
         return self.matrix[[self._index[uid] for uid in utterance_ids]]
 
-    def _subset(self, utterance_ids) -> "EmbeddingSet":
-        """The given ids' rows as a new set, in that order."""
-        rows = [self._index[uid] for uid in utterance_ids]
-        return EmbeddingSet([self.ids[i] for i in rows], [self.speaker_ids[i] for i in rows],
-                            self.matrix[rows])
-
 
 def _row_index(ids) -> dict:
     """utterance_id -> row; raises on the first id seen twice."""
@@ -142,21 +136,15 @@ def euclidean_distance(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.linalg.norm(np.subtract(a, b)))
 
 
-def select_k_nearest(natural: np.ndarray, candidates: EmbeddingSet, k: int) -> list:
-    """ids of the k candidates closest to `natural` in Euclidean distance.
+def select_k_nearest(scored, k: int) -> list:
+    """ids of the k smallest (distance, utterance_id) pairs of `scored`.
 
     Ties are broken by ascending utterance_id, so the result does not depend
-    on the order candidates were loaded in.
+    on the order the pairs come in.
     """
-    if k > len(candidates):
-        raise SpkraugError(f"k={k} but only {len(candidates)} candidates")
-    if k < 0:
-        raise SpkraugError(f"k must be non-negative, got {k}")
-    if len(natural) != candidates.dimension:
-        raise SpkraugError(f"{len(natural)} vs {candidates.dimension}")
-    diff = natural - candidates.matrix
-    ranked = sorted(zip(np.sqrt(_row_dots(diff, diff)).tolist(), candidates.ids))
-    return [uid for _, uid in ranked[:k]]
+    if not 0 <= k <= len(scored):
+        raise SpkraugError(f"k must be in 0..{len(scored)}, got {k}")
+    return [uid for _, uid in sorted(scored)[:k]]
 
 
 def _hz_to_mel(f):

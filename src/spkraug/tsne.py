@@ -77,7 +77,11 @@ def conditional_rows(distances_sq: np.ndarray, perplexity: float) -> np.ndarray:
     # normalize scale before searching so uniformly scaled inputs produce
     # bitwise-identical rows (the bandwidth absorbs the constant)
     off = ~np.eye(n, dtype=bool)
-    mean_d2 = d2[off].mean()
+    with np.errstate(over="ignore"):
+        mean_d2 = d2[off].mean()
+    if not np.isfinite(mean_d2):  # the sum overflowed: average d2 / 2**e, e the exponent of its max
+        exponent = np.frexp(d2.max())[1]
+        mean_d2 = np.ldexp(np.ldexp(d2[off], -exponent).mean(), exponent)
     if mean_d2 > 0:
         d2 = d2 / mean_d2
 
@@ -169,16 +173,13 @@ def kl_divergence(P: np.ndarray, Y: np.ndarray) -> float:
 
 
 def run_tsne(embeddings: EmbeddingSet, perplexity: float = 30.0, iterations: int = 1000,
-             seed: int = 0, callback=None) -> np.ndarray:
+             seed: int = 0) -> np.ndarray:
     """Project an embedding set to 2-D coordinates.
 
     Gradient descent with momentum (0.5 until iteration 250, then 0.8, at
     learning rate 200) and early exaggeration x12 for the first 100 iterations,
     starting from a Gaussian initialization of scale 1e-4 drawn from `seed`.
     The output is recentered every step, and rows follow the input entry order.
-
-    callback, when given, is invoked as callback(iteration, coords_copy)
-    after every update.
     """
     if not perplexity > 1:
         raise SpkraugError(f"perplexity must exceed 1, got {perplexity}")
@@ -203,8 +204,6 @@ def run_tsne(embeddings: EmbeddingSet, perplexity: float = 30.0, iterations: int
         update = momentum * update - LEARNING_RATE * grad
         Y = Y + update
         Y = Y - Y.mean(axis=0)
-        if callback is not None:
-            callback(it, Y.copy())
     return Y
 
 

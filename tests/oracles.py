@@ -141,10 +141,10 @@ def psola_grain_loop_oracle(analysis, duration_ratio, f0_ratio):
     it, add it into the numerator and its window into the denominator, step.
 
     The reference for `spkraug.psola.synthesise`, which must match it byte
-    for byte. Returns the output samples.
+    for byte. Returns the output samples. The grain window is built here,
+    not taken from spkraug: sin^2 over the `left` samples before the mark,
+    cos^2 over the `right` samples from it.
     """
-    from spkraug.psola import _grain_window
-
     clip, marks, periods, voiced_mark = analysis
     x = clip.samples
     n = len(x)
@@ -169,7 +169,8 @@ def psola_grain_loop_oracle(analysis, duration_ratio, f0_ratio):
         center = marks[j + 1]
         left = center - marks[j]
         right = marks[j + 2] - center
-        window = _grain_window(left, right)
+        window = np.concatenate([np.sin(0.5 * np.pi * (np.arange(left) / left)) ** 2,
+                                 np.cos(0.5 * np.pi * (np.arange(right) / right)) ** 2])
         grain = x[marks[j]:marks[j + 2]] * window
 
         start = int(round(s)) - left + margin

@@ -132,6 +132,26 @@ def test_loss_overflow_is_an_error(capsys):
     assert err.splitlines() == ["spkraug loss: error: weighted loss is not finite: inf"]
 
 
+@pytest.mark.parametrize("flag,value,section", [
+    ("--sv", "-1e-3", "terms"),
+    ("--alpha", "-1.5e2", "weights"),
+    ("--gamma", "-2E+1", "weights"),
+    ("--gamma", "-.5e-1", "weights"),
+])
+def test_loss_reads_negative_values_in_exponent_notation(capsys, flag, value, section):
+    rc, report, err = _run(capsys, ["loss", "--l1", "1", "--att", "1", "--sv", "1",
+                                    flag, value])
+    assert (rc, err) == (0, "")
+    assert report[section][flag[2:]] == float(value)
+
+
+def test_loss_flag_in_place_of_a_value_is_usage_error(capsys):
+    rc, report, err = _run(capsys, ["loss", "--l1", "1", "--att", "1", "--sv", "--alpha", "1"])
+    assert rc == 1
+    assert report is None
+    assert err.splitlines()[-1] == "spkraug loss: error: argument --sv: expected one argument"
+
+
 def test_wer_identical_transcripts(capsys, tmp_path):
     ref = tmp_path / "ref.txt"
     hyp = tmp_path / "hyp.txt"
@@ -751,6 +771,23 @@ def test_tsne_cli(capsys, cli_env, tmp_path):
     lines = coords.read_text().splitlines()
     assert len(lines) == 12
     assert svg.read_text().startswith("<svg")
+
+
+def test_tsne_cli_on_rows_whose_distance_sum_overflows(capsys, tmp_path):
+    """12 rows near 1e153: each squared distance is finite, their sum is not.
+    The run ends as on any input, with no RuntimeWarning."""
+    emb = tmp_path / "big.tsv"
+    rows = np.random.default_rng(5).uniform(-1e153, 1e153, size=(12, 4))
+    save_embeddings(EmbeddingSet([f"u{i}" for i in range(12)], [f"s{i % 3}" for i in range(12)],
+                                 rows), emb)
+    coords = tmp_path / "coords.tsv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, report, err = _run(capsys, ["tsne", "--embeddings", str(emb), "--output", str(coords),
+                                        "--perplexity", "3", "--iterations", "50"])
+    assert (rc, err) == (0, "")
+    assert report["points"] == 12
+    assert len(coords.read_text().splitlines()) == 12
 
 
 def test_tsne_cli_perplexity_too_large(capsys, cli_env, tmp_path):

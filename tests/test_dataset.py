@@ -1,9 +1,11 @@
+import math
 import os
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from oracles import knn_oracle
 from spkraug.audio_io import AudioClip, read_wav, write_wav
 from spkraug.dataset import (
     NATURAL,
@@ -732,6 +734,40 @@ def test_select_best_checks_parent_links():
     orphan = Manifest([_augmented("ghost__c0", "ghost", "sp0")])
     with pytest.raises(SpkraugError, match="ghost__c0: parent 'ghost' not found"):
         select_best_augmented(naturals, orphan, embeddings, k=1)
+
+
+def test_select_best_matches_knn_oracle():
+    """Per natural, the kept children are knn_oracle's: a full sort on
+    (math.dist, id). Half the children sit at small integer offsets from
+    their parent, so equal distances (ties) are common and exact; children
+    are listed shuffled across parents and out of id order."""
+    rng = np.random.default_rng(42)
+    ties_at_the_cut = 0
+    for _ in range(30):
+        k = int(rng.integers(0, 5))
+        naturals, children, vectors = [], [], {}
+        for i in range(int(rng.integers(1, 5))):
+            parent = f"n{i}"
+            naturals.append(_natural(parent))
+            vectors[parent] = rng.integers(-5, 6, size=3).astype(float)
+            for j in range(k + int(rng.integers(0, 5))):
+                uid = f"{parent}__c{j:02d}"
+                children.append(_augmented(uid, parent))
+                offset = (rng.integers(-2, 3, size=3).astype(float) if rng.random() < 0.5
+                          else rng.standard_normal(3))
+                vectors[uid] = vectors[parent] + offset
+        children = [children[i] for i in rng.permutation(len(children))]
+        embeddings = EmbeddingSet(list(vectors), ["sp0"] * len(vectors), list(vectors.values()))
+        best = select_best_augmented(Manifest(naturals), Manifest(children), embeddings, k)
+        for natural in naturals:
+            uid = natural.utterance_id
+            kids = [(c.utterance_id, vectors[c.utterance_id]) for c in children
+                    if c.parent_id == uid]
+            kept = {r.utterance_id for r in best if r.parent_id == uid}
+            assert kept == set(knn_oracle(vectors[uid], kids, k))
+            distances = sorted(math.dist(vectors[uid], v) for _, v in kids)
+            ties_at_the_cut += 0 < k < len(kids) and distances[k - 1] == distances[k]
+    assert ties_at_the_cut > 0
 
 
 # -- verification pairs ------------------------------------------------------

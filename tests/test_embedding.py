@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from oracles import (
     dense_mel_energies_oracle,
-    knn_oracle,
     load_embeddings_row_oracle,
     standin_embedding_oracle,
 )
@@ -25,12 +24,6 @@ from spkraug.embedding import (
 )
 from spkraug.errors import SpkraugError
 from synth import SPEAKER_RECIPES, SR, speechlike
-
-
-def _set(rows, speaker="s"):
-    """A set of one speaker from (utterance_id, values) pairs."""
-    return EmbeddingSet([uid for uid, _ in rows], [speaker] * len(rows),
-                        [values for _, values in rows])
 
 
 # -- the set type ------------------------------------------------------------
@@ -163,43 +156,29 @@ def test_euclidean_triangle_inequality(xs, ys, zs):
 # -- nearest neighbours ------------------------------------------------------
 
 def test_select_k_nearest_example():
-    cands = _set([("far", [5.0, 0.0]), ("near", [1.0, 0.0]), ("mid", [3.0, 0.0])])
-    assert select_k_nearest(_v(0.0, 0.0), cands, 2) == ["near", "mid"]
+    scored = [(5.0, "far"), (1.0, "near"), (3.0, "mid")]
+    assert select_k_nearest(scored, 2) == ["near", "mid"]
 
 
 def test_select_k_nearest_ties_break_by_id():
-    points = {"zeta": (1.0, 0.0), "alpha": (0.0, 1.0), "mike": (-1.0, 0.0)}
     for order in (["zeta", "alpha", "mike"], ["zeta", "mike", "alpha"]):  # mixed, reverse id
-        cands = _set([(uid, points[uid]) for uid in order])
-        assert select_k_nearest(_v(0.0, 0.0), cands, 2) == ["alpha", "mike"]
-
-
-def test_select_k_nearest_matches_oracle():
-    rng = np.random.default_rng(42)
-    for _ in range(25):
-        n = int(rng.integers(2, 20))
-        k = int(rng.integers(0, n + 1))
-        query = rng.standard_normal(4)
-        rows = [(f"c{i:02d}", rng.standard_normal(4)) for i in range(n)]
-        assert select_k_nearest(query, _set(rows), k) == knn_oracle(query, rows, k)
+        assert select_k_nearest([(1.0, uid) for uid in order], 2) == ["alpha", "mike"]
 
 
 def test_select_k_nearest_order_independent():
     rng = np.random.default_rng(9)
-    rows = [(f"c{i}", rng.standard_normal(3)) for i in range(8)]
-    query = rng.standard_normal(3)
-    assert select_k_nearest(query, _set(rows), 4) == select_k_nearest(query, _set(rows[::-1]), 4)
+    scored = [(float(d), f"c{i}") for i, d in enumerate(rng.integers(0, 4, size=8))]
+    assert select_k_nearest(scored, 4) == select_k_nearest(scored[::-1], 4)
 
 
 def test_select_k_nearest_bounds():
-    cands = _set([("a", [1.0]), ("b", [2.0])])
-    assert select_k_nearest(_v(0.0), cands, 0) == []
-    with pytest.raises(SpkraugError, match="k=3 but only 2 candidates"):
-        select_k_nearest(_v(0.0), cands, 3)
-    with pytest.raises(SpkraugError, match="k must be non-negative, got -1"):
-        select_k_nearest(_v(0.0), cands, -1)
-    with pytest.raises(SpkraugError, match="2 vs 1"):
-        select_k_nearest(_v(0.0, 0.0), cands, 1)
+    scored = [(1.0, "a"), (2.0, "b")]
+    assert select_k_nearest(scored, 0) == []
+    assert select_k_nearest([], 0) == []
+    with pytest.raises(SpkraugError, match=r"k must be in 0\.\.2, got 3"):
+        select_k_nearest(scored, 3)
+    with pytest.raises(SpkraugError, match=r"k must be in 0\.\.2, got -1"):
+        select_k_nearest(scored, -1)
 
 
 # -- stand-in extractor ------------------------------------------------------

@@ -1,4 +1,5 @@
 import inspect
+import warnings
 from xml.etree import ElementTree
 
 import numpy as np
@@ -115,6 +116,22 @@ def test_conditional_rows_scale_invariant():
     a = conditional_rows(d2, 4.0)
     b = conditional_rows(1e6 * d2, 4.0)
     np.testing.assert_allclose(a, b, atol=1e-8)
+
+
+def test_conditional_probabilities_of_rows_near_1e153():
+    """Rows the norm rule accepts whose squared distances sum past the largest
+    float: the mean is taken at a power-of-two scale, so nothing warns and P
+    is the P of the same rows divided by 2**510."""
+    points = np.random.default_rng(5).uniform(-1e153, 1e153, size=(12, 4))
+    d2 = _squared_distances(points)
+    with np.errstate(over="ignore"):
+        assert d2.sum() == np.inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        P = conditional_probabilities(d2, 3.0)
+    scaled = conditional_probabilities(_squared_distances(points / 2.0**510), 3.0)
+    assert P.tobytes() == scaled.tobytes()  # the scaling is exact in binary floating point
+    assert np.ptp(P[~np.eye(12, dtype=bool)]) > 0  # not the uniform rows of an infinite mean
 
 
 def test_conditional_rows_nearer_point_gets_more_mass():
@@ -321,16 +338,6 @@ def test_run_tsne_separates_two_clusters():
                  np.linalg.norm(b - b.mean(axis=0), axis=1).mean())
     between = np.linalg.norm(a.mean(axis=0) - b.mean(axis=0))
     assert between > 3.0 * within
-
-
-def test_run_tsne_callback_sees_every_iteration():
-    rng = np.random.default_rng(12)
-    emb = _embedding_clusters(rng)
-    seen = []
-    run_tsne(emb, perplexity=4.0, iterations=25,
-             callback=lambda it, y: seen.append((it, y.shape)))
-    assert [it for it, _ in seen] == list(range(25))
-    assert all(shape == (len(emb), 2) for _, shape in seen)
 
 
 def test_run_tsne_too_few_points():
