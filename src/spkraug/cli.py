@@ -29,6 +29,10 @@ class _Parser(argparse.ArgumentParser):
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
+        # replaces argparse's private matcher: on Python 3.11 its pattern
+        # `^-\d+$|^-\d*\.\d+$` misses exponent notation, so `-1e-3` reads as
+        # an option; if test_loss_reads_negative_values_in_exponent_notation
+        # fails after a Python upgrade, look here first
         self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
     def error(self, message):

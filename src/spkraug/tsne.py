@@ -77,11 +77,11 @@ def conditional_rows(distances_sq: np.ndarray, perplexity: float) -> np.ndarray:
     # normalize scale before searching so uniformly scaled inputs produce
     # bitwise-identical rows (the bandwidth absorbs the constant)
     off = ~np.eye(n, dtype=bool)
-    with np.errstate(over="ignore"):
-        mean_d2 = d2[off].mean()
-    if not np.isfinite(mean_d2):  # the sum overflowed: average d2 / 2**e, e the exponent of its max
-        exponent = np.frexp(d2.max())[1]
-        mean_d2 = np.ldexp(np.ldexp(d2[off], -exponent).mean(), exponent)
+    # average d2 / 2**e, e the exponent of its max, so the sum cannot overflow;
+    # scaling by a power of two is exact, so the mean equals the plain one
+    exponent = np.frexp(d2.max())[1]
+    scaled = d2[off]
+    mean_d2 = np.ldexp(np.ldexp(scaled, -exponent, out=scaled).mean(), exponent)
     if mean_d2 > 0:
         d2 = d2 / mean_d2
 
