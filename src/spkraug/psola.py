@@ -1,15 +1,17 @@
 """Pitch tracking and time-domain pitch-synchronous overlap-add (TD-PSOLA).
 
-Duration and F0 are modified independently. `analyse` tracks F0 and places
-pitch marks once per clip; `synthesise` then, per ratio pair, cuts grains of
-two local periods at those marks, re-selects them along a time-scaled axis
-and overlap-adds them at a spacing of period / f0_ratio. Unvoiced stretches
-keep their original spacing so noise is never pitch-shifted.
+Duration and F0 are modified independently. `analyse` tracks F0, places
+pitch marks and builds every grain's window once per clip; `synthesise` then,
+per ratio pair, cuts grains of two local periods at those marks, re-selects
+them along a time-scaled axis and overlap-adds them at a spacing of
+period / f0_ratio. Unvoiced stretches keep their original spacing so noise is
+never pitch-shifted.
 
 Synthesis runs in two passes. The grain schedule is inherently sequential
 (each step depends on the last grain's hop), so it walks plain Python lists
 with `bisect`. Windowing and overlap-add then cover every grain of the job at
-once: one `np.bincount` sums the windowed grains and one sums the windows,
+once: the windows are gathered from the analysis with the grains' source
+indices, then one `np.bincount` sums the windowed grains and one the windows,
 over indices laid out grain after grain, so each output sample receives its
 terms in schedule order and the result equals a grain-by-grain loop bit for
 bit.
@@ -147,30 +149,28 @@ def place_pitch_marks(clip: AudioClip, f0: np.ndarray) -> np.ndarray:
     return np.asarray(marks, dtype=np.int64)
 
 
-def _grain_window(left: int, right: int) -> np.ndarray:
-    """Asymmetric two-period window: sin^2 ramp up, cos^2 ramp down.
-
-    Adjacent grains placed at their native marks sum to exactly one.
-    """
-    t_rise = np.arange(left) / left
-    t_fall = np.arange(right) / right
-    return np.concatenate([np.sin(0.5 * np.pi * t_rise) ** 2,
-                           np.cos(0.5 * np.pi * t_fall) ** 2])
-
-
 class PsolaAnalysis(NamedTuple):
     """The ratio-independent half of TD-PSOLA: pitch marks of one clip, the
-    local period at each interior mark and whether that mark is voiced."""
+    local period at each interior mark, whether that mark is voiced, and the
+    grain windows.
+
+    The grain around interior mark j + 1 spans marks[j]..marks[j + 2] and is
+    windowed by sin^2 over the gap before its mark and cos^2 over the gap
+    after it, so adjacent grains at their native marks sum to one. The
+    windows lie grain after grain in one array: grain j's starts at
+    (marks[j] - marks[0]) + (marks[j + 1] - marks[1]).
+    """
 
     clip: AudioClip
     marks: np.ndarray
     periods: np.ndarray
     voiced: np.ndarray
+    windows: np.ndarray
 
 
 def analyse(clip: AudioClip) -> PsolaAnalysis:
-    """Track F0 and place pitch marks once; any number of synthesise calls
-    can then reuse the result."""
+    """Track F0, place pitch marks and build the grain windows once; any
+    number of synthesise calls can then reuse the result."""
     f0 = estimate_f0(clip)
     marks = place_pitch_marks(clip, f0)
     if len(marks) < 3:
@@ -185,7 +185,18 @@ def analyse(clip: AudioClip) -> PsolaAnalysis:
     win, hop = (round(s * clip.sample_rate) for s in (F0_WINDOW_SECONDS, F0_HOP_SECONDS))
     nearest = np.clip(np.rint((marks[1:-1] - win / 2) / hop), 0, len(f0) - 1).astype(np.int64)
     voiced = f0[nearest] > 0 if len(f0) else np.zeros(len(nearest), dtype=bool)
-    return PsolaAnalysis(clip, marks, periods, voiced)
+    # the grain windows, laid out as PsolaAnalysis says: per grain a sin^2
+    # half over the gap before its mark, then a cos^2 half over the gap after.
+    # A clip has few distinct gaps, so `ramps` holds one row per gap size, the
+    # rises then the falls, and each half is gathered from its row.
+    halves = np.stack([gaps[:-1], gaps[1:]], axis=1).ravel()
+    sizes, row = np.unique(halves, return_inverse=True)
+    half_pi_t = 0.5 * np.pi * (np.arange(sizes.max()) / sizes[:, None])
+    ramps = np.concatenate([np.sin(half_pi_t) ** 2, np.cos(half_pi_t) ** 2]).ravel()
+    row += np.arange(len(halves)) % 2 * len(sizes)  # every second half falls
+    start = row * sizes.max() - (np.cumsum(halves) - halves)
+    windows = ramps[np.arange(halves.sum()) + np.repeat(start, halves)]
+    return PsolaAnalysis(clip, marks, periods, voiced, windows)
 
 
 def _grain_schedule(interior: list, hops: list, duration_ratio: float,
@@ -231,7 +242,7 @@ def synthesise(analysis: PsolaAnalysis, duration_ratio: float,
     _check_ratio("duration_ratio", duration_ratio)
     _check_ratio("f0_ratio", f0_ratio)
 
-    clip, marks, periods, voiced_mark = analysis
+    clip, marks, periods, voiced_mark, windows = analysis
     x = clip.samples
     out_len = synthesis_length(len(x), duration_ratio)
     hops = np.maximum(np.where(voiced_mark, periods / f0_ratio, periods), 1.0)
@@ -243,17 +254,17 @@ def synthesise(analysis: PsolaAnalysis, duration_ratio: float,
     # grain g spans marks[j]..marks[j + 2] around marks[j + 1], j = chosen[g]
     j = np.asarray(chosen)
     lo, center, hi = marks[j], marks[j + 1], marks[j + 2]
-    pairs = list(zip((center - lo).tolist(), (hi - center).tolist()))
-    windows = {pair: _grain_window(*pair) for pair in set(pairs)}
-    window = np.concatenate([windows[pair] for pair in pairs])
 
-    # every grain sample's source and destination index, grain after grain;
-    # the margin keeps destinations of grains at either edge non-negative
+    # every grain sample's source, window and destination index, grain after
+    # grain (a window starts at lo + center - marks[0] - marks[1], so its index
+    # is src + center - marks[0] - marks[1]); the margin keeps destinations of
+    # grains at either edge non-negative
     lengths = hi - lo
     first = np.cumsum(lengths) - lengths
     margin = int(np.diff(marks).max()) + 1
-    offset = np.arange(len(window))
+    offset = np.arange(first[-1] + lengths[-1])
     src = offset + np.repeat(lo - first, lengths)
+    window = windows[src + np.repeat(center - (marks[0] + marks[1]), lengths)]
     dst = offset + np.repeat(np.asarray(centres) - (center - lo) + margin - first, lengths)
 
     # bincount adds each sample's terms in index order, i.e. in grain order,

@@ -5,6 +5,12 @@ sample is covered; synthesis is weighted overlap-add normalized by the summed
 squared window, i.e. the least-squares signal estimate. That inverse is what
 makes the Griffin-Lim consistency error non-increasing.
 
+Overlap-add cuts the frames into frame_shift-sized pieces and adds one piece
+of every frame at a time, last piece first, so each output sample sums its
+frames' terms in frame order from 0.0: the bits of a frame-by-frame loop,
+with no per-sample index. The normaliser is the same sum of the squared
+window.
+
 Griffin-Lim sets each iteration's phase by the unit-phase projection
 Z * (M / |Z|) rather than through angle() and exp(), and takes its norms as
 NumPy's fixed-order pairwise sums rather than a BLAS call, so its output
@@ -15,7 +21,6 @@ import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -91,32 +96,27 @@ def _stft_array(x, win, frame_shift, fft_size):
     return np.fft.rfft(frames, n=fft_size, axis=1)
 
 
-class _OverlapAdd(NamedTuple):
-    """What the least-squares inverse STFT needs besides the spectrum: the
-    window, each frame sample's output index and the summed squared window
-    (`den`) with its usable samples (`nonzero`). Depends only on the geometry."""
+def _overlap_add(frames: np.ndarray, frame_shift: int) -> np.ndarray:
+    """Sum frames placed frame_shift apart, frame_length + (n_frames-1)*shift
+    samples long.
 
-    win: np.ndarray
-    idx: np.ndarray
-    den: np.ndarray
-    nonzero: np.ndarray
+    Each frame is cut into shift-sized pieces, and piece p of every frame is
+    added at once into the buffer, last piece first. Every output sample thus
+    receives its frames' terms in increasing frame order, starting from 0.0,
+    exactly as a frame-by-frame loop would.
+    """
+    n_frames, frame_length = frames.shape
+    n_pieces = -(-frame_length // frame_shift)  # ceil division
+    out = np.zeros((n_frames + n_pieces - 1, frame_shift))
+    for p in reversed(range(n_pieces)):
+        piece = frames[:, p * frame_shift:(p + 1) * frame_shift]
+        out[p:p + n_frames, :piece.shape[1]] += piece
+    return out.ravel()[:frame_length + (n_frames - 1) * frame_shift]
 
 
-def _overlap_add(frame_length, frame_shift, n_frames) -> _OverlapAdd:
-    win = _window(frame_length)
-    out_len = frame_length + (n_frames - 1) * frame_shift
-    idx = _frame_signal(np.arange(out_len), frame_length, frame_shift).ravel()
-    den = np.bincount(idx, weights=np.tile(win * win, n_frames), minlength=out_len)
-    return _OverlapAdd(win, idx, den, den > 1e-12)
-
-
-def _istft_array(spec, fft_size, ola: _OverlapAdd):
-    frames = np.fft.irfft(spec, n=fft_size, axis=1)[:, :len(ola.win)] * ola.win
-    # bincount adds each sample's overlaps in frame order, as a frame loop would
-    num = np.bincount(ola.idx, weights=frames.ravel(), minlength=len(ola.den))
-    num[ola.nonzero] /= ola.den[ola.nonzero]
-    num[~ola.nonzero] = 0.0
-    return num
+def _istft_array(spec, fft_size, frame_shift, win, den):
+    num = _overlap_add(np.fft.irfft(spec, n=fft_size, axis=1)[:, :len(win)] * win, frame_shift)
+    return np.divide(num, den, out=np.zeros_like(num), where=den > 1e-12)
 
 
 def stft(clip: AudioClip, frame_length: int = DEFAULT_FRAME_LENGTH,
@@ -138,7 +138,10 @@ def istft(spec: np.ndarray, frame_length: int = DEFAULT_FRAME_LENGTH,
     """Least-squares inverse STFT (weighted overlap-add).
 
     Returns the full overlap-add length frame_length + (n_frames-1)*shift;
-    istft(stft(x)) reconstructs interior samples of x exactly.
+    istft(stft(x)) reconstructs interior samples of x exactly. Windowed
+    frames and squared windows are overlap-added piece by piece, each sample
+    summing in frame order as a frame loop would; samples whose summed
+    squared window is at most 1e-12 are 0.
     """
     _check_params(frame_length, frame_shift, fft_size)
     spec = np.asarray(spec, dtype=np.complex128)
@@ -146,8 +149,9 @@ def istft(spec: np.ndarray, frame_length: int = DEFAULT_FRAME_LENGTH,
         raise SpkraugError(f"spectrum must be frames x {fft_size // 2 + 1}, got {spec.shape}")
     if spec.shape[0] == 0:
         raise SpkraugError("spectrum has no frames")
-    ola = _overlap_add(frame_length, frame_shift, spec.shape[0])
-    return AudioClip(_istft_array(spec, fft_size, ola), sample_rate)
+    win = _window(frame_length)
+    den = _overlap_add(np.broadcast_to(win * win, (spec.shape[0], frame_length)), frame_shift)
+    return AudioClip(_istft_array(spec, fft_size, frame_shift, win, den), sample_rate)
 
 
 def magnitude_spectrogram(clip: AudioClip, frame_length: int = DEFAULT_FRAME_LENGTH,
@@ -166,8 +170,10 @@ def griffin_lim(spec: Spectrogram, iterations: int = DEFAULT_ITERATIONS, seed: i
     half spectrum stays Hermitian-consistent), then alternates
     signal <- istft(S), Z <- stft(signal), S <- Z * (M / |Z|): the unit-phase
     projection of Griffin & Lim (1984), with S = M where |Z| = 0, so no
-    iteration takes an angle or a complex exponential. The final signal is
-    peak-normalized to 0.99.
+    iteration takes an angle or a complex exponential. The window and the
+    istft normaliser (the squared window, overlap-added) are built once; each
+    iteration's istft overlap-adds its frames piece by piece, as istft does.
+    The final signal is peak-normalized to 0.99. seed must be non-negative.
 
     With return_errors=True also returns the per-iteration relative
     consistency error ||M - |STFT(x_k)||_F / ||M||_F, which is non-increasing.
@@ -176,6 +182,8 @@ def griffin_lim(spec: Spectrogram, iterations: int = DEFAULT_ITERATIONS, seed: i
     """
     if iterations < 1:
         raise SpkraugError(f"iterations must be >= 1, got {iterations}")
+    if seed < 0:
+        raise SpkraugError(f"seed must be >= 0, got {seed}")
     m = spec.magnitudes
     m_norm = math.sqrt(float(np.sum(m * m)))
     if m_norm == 0.0:
@@ -190,13 +198,15 @@ def griffin_lim(spec: Spectrogram, iterations: int = DEFAULT_ITERATIONS, seed: i
         phase[:, -1] = 0.0
     s = m * np.exp(1j * phase)
 
-    # the window and the overlap-add geometry are the same in every iteration
-    ola = _overlap_add(spec.frame_length, spec.frame_shift, spec.n_frames)
+    # the window and its overlap-added square, the least-squares normaliser,
+    # are the same in every iteration
+    win = _window(spec.frame_length)
+    den = _overlap_add(np.broadcast_to(win * win, (len(m), len(win))), spec.frame_shift)
     errors = []
     x = None
     for _ in range(iterations):
-        x = _istft_array(s, spec.fft_size, ola)
-        s = _stft_array(x, ola.win, spec.frame_shift, spec.fft_size)
+        x = _istft_array(s, spec.fft_size, spec.frame_shift, win, den)
+        s = _stft_array(x, win, spec.frame_shift, spec.fft_size)
         a = np.abs(s)
         d = m - a
         errors.append(math.sqrt(float(np.sum(np.square(d, out=d)))) / m_norm)

@@ -136,16 +136,22 @@ def median_voiced_f0(clip):
     return float(np.median(voiced))
 
 
+def grain_window_oracle(left, right):
+    """One TD-PSOLA grain window: sin^2 over the `left` samples before the
+    mark, cos^2 over the `right` samples from it."""
+    return np.concatenate([np.sin(0.5 * np.pi * (np.arange(left) / left)) ** 2,
+                           np.cos(0.5 * np.pi * (np.arange(right) / right)) ** 2])
+
+
 def psola_grain_loop_oracle(analysis, duration_ratio, f0_ratio):
     """TD-PSOLA synthesis as one grain at a time: schedule a grain, window
     it, add it into the numerator and its window into the denominator, step.
 
     The reference for `spkraug.psola.synthesise`, which must match it byte
-    for byte. Returns the output samples. The grain window is built here,
-    not taken from spkraug: sin^2 over the `left` samples before the mark,
-    cos^2 over the `right` samples from it.
+    for byte. Returns the output samples. The grain windows are built here
+    by grain_window_oracle, not taken from the analysis.
     """
-    clip, marks, periods, voiced_mark = analysis
+    clip, marks, periods, voiced_mark, _ = analysis  # builds its own windows
     x = clip.samples
     n = len(x)
     interior = marks[1:-1]
@@ -169,8 +175,7 @@ def psola_grain_loop_oracle(analysis, duration_ratio, f0_ratio):
         center = marks[j + 1]
         left = center - marks[j]
         right = marks[j + 2] - center
-        window = np.concatenate([np.sin(0.5 * np.pi * (np.arange(left) / left)) ** 2,
-                                 np.cos(0.5 * np.pi * (np.arange(right) / right)) ** 2])
+        window = grain_window_oracle(left, right)
         grain = x[marks[j]:marks[j + 2]] * window
 
         start = int(round(s)) - left + margin
@@ -291,26 +296,57 @@ def kl_gradient_oracle(P, Y):
     return 4.0 * (M.sum(axis=1)[:, None] * Y - M @ Y)
 
 
+def _periodic_hann(frame_length):
+    return 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(frame_length) / frame_length)
+
+
+def _tail_reflect_frames(x, frame_length, frame_shift):
+    """The frames an STFT takes: as many as reach the last sample, the tail
+    reflect-padded (edge-padded for a one-sample signal), one row each."""
+    n_frames = 1 + max(0, math.ceil((len(x) - frame_length) / frame_shift))
+    pad = frame_length + (n_frames - 1) * frame_shift - len(x)
+    if pad > 0:
+        x = np.pad(x, (0, pad), mode="reflect" if len(x) > 1 else "edge")
+    return np.array([x[j * frame_shift:j * frame_shift + frame_length]
+                     for j in range(n_frames)])
+
+
+def istft_frame_loop_oracle(spec, frame_length, frame_shift, fft_size):
+    """The least-squares inverse STFT one frame at a time: each windowed frame
+    is added into the numerator at j * shift and its squared window into the
+    denominator; the quotient is taken where the denominator exceeds 1e-12
+    and is 0 elsewhere. `spkraug.spectral.istft` must equal it bit for bit."""
+    win = _periodic_hann(frame_length)
+    frames = np.fft.irfft(spec, n=fft_size, axis=1)[:, :frame_length] * win
+    out_len = frame_length + (len(frames) - 1) * frame_shift
+    num, den = np.zeros(out_len), np.zeros(out_len)
+    for j, frame in enumerate(frames):
+        num[j * frame_shift:j * frame_shift + frame_length] += frame
+        den[j * frame_shift:j * frame_shift + frame_length] += win * win
+    out = np.zeros(out_len)
+    usable = den > 1e-12
+    out[usable] = num[usable] / den[usable]
+    return out
+
+
 def griffin_lim_oracle(spec, iterations, seed=0):
     """Classic Griffin-Lim, phase step M * exp(i * angle(Z)) and BLAS norms,
     rebuilding the window, the overlap-add index and the window-square
     normaliser in every iteration. Returns (samples, errors);
     `spkraug.spectral.griffin_lim` must agree within the unit-phase
     projection's stated tolerance."""
-    from spkraug.spectral import _frame_signal, _window
-
     fl, fs, fft = spec.frame_length, spec.frame_shift, spec.fft_size
 
     def stft(x):
-        return np.fft.rfft(_frame_signal(x, fl, fs) * _window(fl), n=fft, axis=1)
+        return np.fft.rfft(_tail_reflect_frames(x, fl, fs) * _periodic_hann(fl), n=fft, axis=1)
 
     def istft(s):
         frames = np.fft.irfft(s, n=fft, axis=1)[:, :fl]
-        win = _window(fl)
+        win = _periodic_hann(fl)
         frames = frames * win
         n_frames = frames.shape[0]
         out_len = fl + (n_frames - 1) * fs
-        idx = _frame_signal(np.arange(out_len), fl, fs).ravel()
+        idx = (np.arange(n_frames)[:, None] * fs + np.arange(fl)).ravel()
         num = np.bincount(idx, weights=frames.ravel(), minlength=out_len)
         den = np.bincount(idx, weights=np.tile(win * win, n_frames), minlength=out_len)
         nonzero = den > 1e-12
@@ -345,20 +381,18 @@ def griffin_lim_unit_phase_oracle(spec, iterations, seed=0):
     overlap-add index and the window-square normaliser in every iteration.
     Returns (samples, errors); `spkraug.spectral.griffin_lim` must equal bit
     for bit."""
-    from spkraug.spectral import _frame_signal, _window
-
     fl, fs, fft = spec.frame_length, spec.frame_shift, spec.fft_size
 
     def stft(x):
-        return np.fft.rfft(_frame_signal(x, fl, fs) * _window(fl), n=fft, axis=1)
+        return np.fft.rfft(_tail_reflect_frames(x, fl, fs) * _periodic_hann(fl), n=fft, axis=1)
 
     def istft(s):
         frames = np.fft.irfft(s, n=fft, axis=1)[:, :fl]
-        win = _window(fl)
+        win = _periodic_hann(fl)
         frames = frames * win
         n_frames = frames.shape[0]
         out_len = fl + (n_frames - 1) * fs
-        idx = _frame_signal(np.arange(out_len), fl, fs).ravel()
+        idx = (np.arange(n_frames)[:, None] * fs + np.arange(fl)).ravel()
         num = np.bincount(idx, weights=frames.ravel(), minlength=out_len)
         den = np.bincount(idx, weights=np.tile(win * win, n_frames), minlength=out_len)
         nonzero = den > 1e-12

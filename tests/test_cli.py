@@ -1,13 +1,18 @@
+import io
 import json
+import math
 import os
 import struct
 import subprocess
 import sys
 import warnings
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from spkraug.audio_io import AudioClip, read_wav, write_wav
 from spkraug.cli import main
@@ -853,6 +858,20 @@ def test_vocode_report_carries_the_error_curve(capsys, tmp_path):
     assert all(b <= a for a, b in zip(want, want[1:]))
 
 
+def test_vocode_cli_rejects_a_negative_seed(capsys, tmp_path):
+    """One error line, not NumPy's traceback; the commands that hash the seed
+    text through rng_for still take a negative seed."""
+    spec_path = tmp_path / "clip.spg"
+    write_spectrogram(magnitude_spectrogram(sine(330.0, 0.3), 400, 100, 512), spec_path)
+    out = tmp_path / "voc.wav"
+    rc, report, err = _run(capsys, ["--seed", "-1", "vocode", "--spectrogram", str(spec_path),
+                                    "--output", str(out), "--iterations", "2"])
+    assert rc == 1
+    assert report is None
+    assert err == "spkraug vocode: error: seed must be >= 0, got -1\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command,inputs", [
     ("vocode", ["--spectrogram", "missing.spg"]),
     ("tsne", ["--embeddings", "missing.tsv"]),
@@ -910,3 +929,81 @@ def test_vocode_cli_rejects_zero_frame_spectrogram(capsys, tmp_path):
     assert report is None
     assert err == f"spkraug vocode: error: {spec_path}: spectrogram has no frames\n"
     assert not out.exists()
+
+
+# -- values at the float extremes ---------------------------------------------
+
+_FLOAT_MAX = 1.7976931348623157e308
+
+# every finite double, subnormals included, with the extremes drawn often
+_EXTREME = st.one_of(st.sampled_from([0.0, 5e-324, -5e-324, 1e-308, -1e-308, 1e308, -1e308,
+                                      _FLOAT_MAX, -_FLOAT_MAX]),
+                     st.floats(allow_nan=False, allow_infinity=False))
+
+
+def _run_in_process(argv):
+    """Like _run, without capsys (hypothesis examples share one test call):
+    the exit code, the report of finite numbers or None, and stderr. A report
+    must be strict JSON and a failure exactly one error line."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        rc = main(argv)
+    if rc != 0:
+        assert (rc, out.getvalue()) == (1, "")
+        assert err.getvalue().count("\n") == 1 and ": error: " in err.getvalue()
+        return rc, None, err.getvalue()
+    assert err.getvalue() == ""
+    report = json.loads(out.getvalue(), parse_constant=_strict_json)
+    numbers = [v for v in report.values() if isinstance(v, float)]
+    numbers += [v for d in report.values() if isinstance(d, dict) for v in d.values()]
+    assert all(math.isfinite(v) for v in numbers)
+    return rc, report, ""
+
+
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=80, database=None, derandomize=True)
+@given(genuine=st.lists(_EXTREME, min_size=1, max_size=4),
+       impostor=st.lists(_EXTREME, min_size=1, max_size=4))
+@example(genuine=[_FLOAT_MAX], impostor=[-_FLOAT_MAX])
+@example(genuine=[5e-324], impostor=[-5e-324])
+@example(genuine=[1e308, -1e308], impostor=[-1e308, 1e308])
+def test_eval_eer_at_the_float_extremes_ends_cleanly(tmp_path_factory_session, genuine,
+                                                     impostor):
+    """Scores anywhere in the doubles give an EER in [0, 1] at a finite
+    threshold; only a top score at the largest double, above which no finite
+    threshold lies, is refused."""
+    path = tmp_path_factory_session / "extreme_pairs.tsv"
+    path.write_text("".join(f"e{i}\tt{i}\t{label}\t{score!r}\n" for label, scores in
+                            (("same", genuine), ("diff", impostor))
+                            for i, score in enumerate(scores)), encoding="utf-8")
+    rc, report, err = _run_in_process(["eval", "eer", "--pairs", str(path)])
+    top = max(genuine + impostor)
+    if top == _FLOAT_MAX:
+        assert err == f"spkraug eval: error: no finite threshold lies above the top score {top!r}\n"
+    else:
+        assert rc == 0
+        assert 0.0 <= report["eer"] <= 1.0
+        assert (report["genuine"], report["impostor"]) == (len(genuine), len(impostor))
+
+
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=80, database=None, derandomize=True)
+@given(terms=st.tuples(_EXTREME, _EXTREME, _EXTREME),
+       weights=st.tuples(_EXTREME, _EXTREME, _EXTREME))
+@example(terms=(1e308, 0.0, -1e308), weights=(1.0, 1.0, 1e-308))
+@example(terms=(5e-324, 5e-324, -5e-324), weights=(-5e-324, _FLOAT_MAX, _FLOAT_MAX))
+def test_loss_at_the_float_extremes_ends_cleanly(terms, weights):
+    """Terms and weights anywhere in the doubles: the weighted sum when it
+    is finite and both non-SV terms are non-negative, else one error line."""
+    flags = ["--l1", "--att", "--sv", "--alpha", "--beta", "--gamma"]
+    rc, report, err = _run_in_process(
+        ["loss", *(a for flag, v in zip(flags, terms + weights) for a in (flag, repr(v)))])
+    (l1, att, sv), (alpha, beta, gamma) = terms, weights
+    want = alpha * l1 + beta * att + gamma * sv
+    if l1 < 0 or att < 0:
+        assert err == "spkraug loss: error: l_l1 and l_attention must be non-negative\n"
+    elif not math.isfinite(want):
+        assert err == f"spkraug loss: error: weighted loss is not finite: {want}\n"
+    else:
+        assert report["loss"] == want
+        assert report["terms"] == {"l1": l1, "attention": att, "sv": sv}

@@ -3,7 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import f0_refinement_loop_oracle, median_voiced_f0, psola_grain_loop_oracle
+from oracles import (
+    f0_refinement_loop_oracle,
+    grain_window_oracle,
+    median_voiced_f0,
+    psola_grain_loop_oracle,
+)
 from spkraug.audio_io import MAX_RATIO, MIN_RATIO, AudioClip
 from spkraug import psola
 from spkraug.errors import SpkraugError
@@ -254,10 +259,10 @@ def test_synthesise_matches_grain_loop_bitwise(f_start, f_end, dur, burst_at, bu
 @pytest.mark.parametrize("dur", [1.0, 0.5])
 def test_synthesise_without_grains_is_silence(dur):
     """A first interior mark at or past the output end schedules no grain;
-    the output is then round(n * d) zeros, as in the loop."""
+    the output is then round(n * d) zeros, as in the loop. No window is read."""
     clip = AudioClip(np.full(100, 0.3), SR)
     analysis = PsolaAnalysis(clip, np.array([0, 100, 120]), np.array([60.0]),
-                             np.array([True]))
+                             np.array([True]), np.full(120, np.nan))
     out = synthesise(analysis, dur, 1.3).samples
     assert out.tobytes() == np.zeros(round(100 * dur)).tobytes()
     assert out.tobytes() == psola_grain_loop_oracle(analysis, dur, 1.3).tobytes()
@@ -286,6 +291,21 @@ def test_analyse_voicing_matches_per_mark_lookup(clip):
     marks = place_pitch_marks(clip, f0)
     expected = np.array([_f0_at(f0, m, clip.sample_rate) > 0 for m in marks[1:-1]])
     assert np.array_equal(analyse(clip).voiced, expected)
+
+
+@_FIXTURES
+def test_analyse_lays_out_every_grain_window(clip):
+    """One window per interior mark, grain after grain, each equal to the
+    one-grain oracle's, at the start PsolaAnalysis documents."""
+    analysis = analyse(clip)
+    marks = analysis.marks
+    start = 0
+    for j in range(len(marks) - 2):
+        want = grain_window_oracle(marks[j + 1] - marks[j], marks[j + 2] - marks[j + 1])
+        assert start == (marks[j] - marks[0]) + (marks[j + 1] - marks[1])
+        assert analysis.windows[start:start + len(want)].tobytes() == want.tobytes()
+        start += len(want)
+    assert start == len(analysis.windows)
 
 
 def test_analyse_voicing_rounds_half_way_marks_as_round_does(monkeypatch):

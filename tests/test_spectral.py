@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import griffin_lim_oracle, griffin_lim_unit_phase_oracle
+from oracles import griffin_lim_oracle, griffin_lim_unit_phase_oracle, istft_frame_loop_oracle
 from spkraug import spectral
 from spkraug.audio_io import AudioClip, read_wav, write_wav
 from spkraug.errors import SpkraugError
@@ -230,6 +230,20 @@ def _noise_spectrogram(n, length, shift, fft):
 
 
 @_ORACLE_GEOMETRIES
+def test_istft_matches_frame_loop_bitwise(n, length, shift, fft):
+    """The piece-wise overlap-add adds each sample's frames in frame order
+    from 0.0, as the loop does, so numerator, normaliser and quotient agree
+    to the bit. n = 300 < length is a one-frame input, whose first sample,
+    under the window's zero, is 0."""
+    rng = np.random.default_rng(n)
+    spec = stft(AudioClip(rng.standard_normal(n), SR), length, shift, fft)
+    spec = spec * np.exp(1j * rng.uniform(-np.pi, np.pi, spec.shape))  # inconsistent phase
+    out = istft(spec, length, shift, fft)
+    assert out.samples.tobytes() == istft_frame_loop_oracle(spec, length, shift, fft).tobytes()
+    assert out.samples[0] == 0.0
+
+
+@_ORACLE_GEOMETRIES
 def test_griffin_lim_matches_per_iteration_oracle_bitwise(n, length, shift, fft):
     spec = _noise_spectrogram(n, length, shift, fft)
     clip, errors = griffin_lim(spec, iterations=12, seed=5, return_errors=True)
@@ -299,6 +313,15 @@ def test_griffin_lim_rejects_zero_iterations():
     spec = magnitude_spectrogram(sine(440.0, 0.2), 400, 100, 512)
     with pytest.raises(SpkraugError, match="iterations must be >= 1, got 0"):
         griffin_lim(spec, iterations=0)
+
+
+@pytest.mark.parametrize("silent", [False, True])
+def test_griffin_lim_rejects_a_negative_seed(silent):
+    spec = magnitude_spectrogram(sine(440.0, 0.2), 400, 100, 512)
+    if silent:
+        spec.magnitudes[:] = 0.0
+    with pytest.raises(SpkraugError, match=r"seed must be >= 0, got -1"):
+        griffin_lim(spec, iterations=2, seed=-1)
 
 
 # -- container ---------------------------------------------------------------
