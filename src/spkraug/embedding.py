@@ -27,6 +27,7 @@ STANDIN_MEL_BANDS = 80
 STANDIN_DIMENSION = 2 * STANDIN_MEL_BANDS
 MIN_CLIP_SECONDS = 0.2
 _LOG_FLOOR = 1e-10
+_SMALLEST_NORMAL = np.finfo(np.float64).tiny  # a smaller non-zero |v|^2 is subnormal
 _FRAME_BLOCK = 64  # frames per power-spectrum block: bounds each clip's transient memory
 
 
@@ -34,8 +35,9 @@ class EmbeddingSet:
     """Embeddings of one dimension: `ids` and `speaker_ids` (lists, one per
     row) plus one read-only (n, dimension) float64 `matrix`. A single
     embedding is a 1-D array; `get()` returns a read-only row. Every row is
-    finite and 4 times its squared norm is too (see _row_defect). An id
-    holds no tab, line break or character XML 1.0 forbids."""
+    finite, its squared norm is 0 or normal, and 4 times it is finite (see
+    _row_defect). An id holds no tab, line break or character XML 1.0
+    forbids."""
 
     def __init__(self, ids, speaker_ids, matrix):
         ids = [_check_id("utterance_id", uid) for uid in ids]
@@ -78,12 +80,18 @@ def _row_index(ids) -> dict:
     """utterance_id -> row; raises on the first id seen twice."""
     index = dict(zip(ids, range(len(ids))))
     if len(index) < len(ids):
-        seen = set()
-        for uid in ids:
-            if uid in seen:
-                raise SpkraugError(f"duplicate utterance_id {uid!r}")
-            seen.add(uid)
+        raise SpkraugError(f"duplicate utterance_id {ids[_first_repeat(ids)]!r}")
     return index
+
+
+def _first_repeat(ids):
+    """Position of the first id seen before, or None."""
+    seen = set()
+    for i, uid in enumerate(ids):
+        if uid in seen:
+            return i
+        seen.add(uid)
+    return None
 
 
 def _first_seen(items) -> list:
@@ -98,20 +106,23 @@ def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _row_defect(matrix: np.ndarray, zero_ok: bool):
     """(row, message) for the first row with non-finite values, a squared norm
-    whose 4 times overflows, or (unless zero_ok) norm 0; else None. 4|v|^2
-    bounds every squared distance between two rows (2|a|^2 + 2|b|^2), so
-    distances and cosine products of sound rows stay finite."""
+    whose 4 times overflows, a subnormal squared norm, or (unless zero_ok)
+    norm 0; else None. 4|v|^2 bounds every squared distance between two rows
+    (2|a|^2 + 2|b|^2), so distances and cosine products of sound rows stay
+    finite; a normal |v|^2 keeps the cosine's rounding that of unit rows."""
     with np.errstate(over="ignore", invalid="ignore"):  # one n-vector pass, no n x d temporary
         squares = _row_dots(matrix, matrix)
-        bad = ~np.isfinite(4.0 * squares)
-    if not zero_ok:
-        bad |= squares == 0.0  # np.linalg.norm(v) is sqrt(np.dot(v, v))
+        bad = ~np.isfinite(4.0 * squares) | (squares < _SMALLEST_NORMAL)
+    if zero_ok:
+        bad &= squares != 0.0  # np.linalg.norm(v) is sqrt(np.dot(v, v))
     if not bad.any():
         return None
     row = int(np.argmax(bad))
     if not np.isfinite(matrix[row]).all():
         return row, "embedding has non-finite values"
-    return row, "zero-norm embedding" if squares[row] == 0.0 else "embedding norm too large"
+    if squares[row] == 0.0:
+        return row, "zero-norm embedding"
+    return row, f"embedding norm too {'small' if squares[row] < _SMALLEST_NORMAL else 'large'}"
 
 
 def _cosine_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -155,23 +166,6 @@ def _mel_to_hz(m):
     return 700.0 * (10.0 ** (np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)
 
 
-@lru_cache(maxsize=8)
-def _mel_filterbank_cached(n_bands: int, fft_size: int, sample_rate: int) -> np.ndarray:
-    """Triangular mel filters, n_bands x (fft_size//2 + 1), spanning 0..Nyquist.
-    Cached, so every caller gets the same read-only array."""
-    n_bins = fft_size // 2 + 1
-    edges_hz = _mel_to_hz(np.linspace(0.0, _hz_to_mel(sample_rate / 2.0), n_bands + 2))
-    bin_hz = np.arange(n_bins) * sample_rate / fft_size
-    fb = np.zeros((n_bands, n_bins))
-    for b in range(n_bands):
-        lo, center, hi = edges_hz[b], edges_hz[b + 1], edges_hz[b + 2]
-        rising = (bin_hz - lo) / (center - lo)
-        falling = (hi - bin_hz) / (hi - center)
-        fb[b] = np.clip(np.minimum(rising, falling), 0.0, None)
-    fb.setflags(write=False)
-    return fb
-
-
 class _MelProjection(NamedTuple):
     """A mel filterbank stored per bin. Every bin lies in at most two adjacent
     triangular filters: `band[k]` with weight `lower[k]` and `band[k] + 1`
@@ -187,7 +181,13 @@ class _MelProjection(NamedTuple):
 
 @lru_cache(maxsize=8)
 def _mel_projection(n_bands: int, fft_size: int, sample_rate: int) -> _MelProjection:
-    fb = _mel_filterbank_cached(n_bands, fft_size, sample_rate)
+    """The n_bands triangular mel filters over the fft_size//2 + 1 bins,
+    spanning 0..Nyquist, built in one broadcast and stored per bin."""
+    edges = _mel_to_hz(np.linspace(0.0, _hz_to_mel(sample_rate / 2.0), n_bands + 2))
+    bin_hz = np.arange(fft_size // 2 + 1) * sample_rate / fft_size
+    lo, center, hi = edges[:-2, None], edges[1:-1, None], edges[2:, None]
+    fb = np.clip(np.minimum((bin_hz - lo) / (center - lo), (hi - bin_hz) / (hi - center)),
+                 0.0, None)
     nonzero = fb > 0
     # a bin's band is its first non-zero filter; a bin in no filter takes its
     # left neighbour's (0 at DC) with zero weights, so `band` never decreases
@@ -272,10 +272,11 @@ def save_embeddings(embeddings: EmbeddingSet, path) -> None:
 def load_embeddings(path) -> EmbeddingSet:
     """Read the TSV format into one matrix, row by row.
 
-    A defective line raises on its own: a wrong field count, a non-numeric
-    value, non-finite values, a norm too large (see _row_defect) or an
-    all-zero row; the first defective line wins, and a duplicate
-    utterance_id is reported only when every line is sound.
+    Each defect names its line: a wrong field count, a refused id (see
+    _check_id), a non-numeric value, non-finite values, a norm too large or
+    too small (see _row_defect) or an all-zero row; the first defective line
+    wins, and a repeated utterance_id is reported at its second line only
+    when every line is sound.
     """
     lines = _text_lines(path)
     if not lines or lines[0][0] != 1 or not lines[0][1].startswith("#dim="):  # line 1, not blank
@@ -289,30 +290,28 @@ def load_embeddings(path) -> EmbeddingSet:
         raise SpkraugError(f"{path}: dimension must be positive, got {dim}")
     values = array("d")  # grows with the rows read, whatever the header claims
     ids, speaker_ids, linenos = [], [], []
-
-    def raise_row_errors():
-        """Raise for the first parsed row that _row_defect refuses."""
-        defect = _row_defect(np.frombuffer(values).reshape(-1, dim), zero_ok=False)
-        if defect:
-            raise SpkraugError(f"{path}:{linenos[defect[0]]}: {defect[1]}")
-
+    stop = None  # the first line that does not parse, and why
     for lineno, line in lines[1:]:
         parts = line.split("\t")
-        if len(parts) != 2 + dim:
-            raise_row_errors()
-            raise SpkraugError(
-                f"{path}:{lineno}: expected {2 + dim} fields, found {len(parts)}"
-            )
         try:
-            values.fromlist(list(map(float, parts[2:])))
-        except ValueError:
-            raise_row_errors()
-            raise SpkraugError(f"{path}:{lineno}: non-numeric value") from None
-        ids.append(parts[0])
-        speaker_ids.append(parts[1])
+            if len(parts) != 2 + dim:
+                raise SpkraugError(f"expected {2 + dim} fields, found {len(parts)}")
+            ids.append(_check_id("utterance_id", parts[0]))
+            speaker_ids.append(_check_id("speaker_id", parts[1]))
+            try:
+                values.fromlist(list(map(float, parts[2:])))
+            except ValueError:
+                raise SpkraugError("non-numeric value") from None
+        except SpkraugError as exc:
+            stop = lineno, exc
+            break
         linenos.append(lineno)
-    raise_row_errors()
-    try:
-        return EmbeddingSet(ids, speaker_ids, np.frombuffer(values).reshape(-1, dim))
-    except SpkraugError as exc:  # a duplicate utterance_id
-        raise SpkraugError(f"{path}: {exc}") from None
+    matrix = np.frombuffer(values).reshape(-1, dim)
+    defect = _row_defect(matrix, zero_ok=False)  # a row before the stop comes first
+    if defect:
+        stop = linenos[defect[0]], defect[1]
+    elif not stop and (repeat := _first_repeat(ids)) is not None:
+        stop = linenos[repeat], f"duplicate utterance_id {ids[repeat]!r}"
+    if stop:
+        raise SpkraugError(f"{path}:{stop[0]}: {stop[1]}")
+    return EmbeddingSet(ids, speaker_ids, matrix)

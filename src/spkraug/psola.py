@@ -52,19 +52,20 @@ def estimate_f0(clip: AudioClip) -> np.ndarray:
     frames = sliding_window_view(x, win)[::hop]
     frames = frames - frames.mean(axis=1, keepdims=True)
 
-    # autocorrelation of every frame at once, lags 0..win-1
-    nfft = 1 << int(np.ceil(np.log2(2 * win)))
-    spectra = np.fft.rfft(frames, n=nfft, axis=1)
-    acf = np.fft.irfft(spectra * np.conj(spectra), n=nfft, axis=1)[:, :win]
-    acf /= (win - np.arange(win))[None, :]  # unbiased: no taper bias at the peak
-
     lag_min = max(2, int(np.ceil(sr / F0_MAX)))
     lag_max = min(win - 2, int(np.floor(sr / F0_MIN)))
 
+    # autocorrelation of every frame at once, lags 0..lag_max+1: all the
+    # search and the parabolic refinement read
+    nfft = 1 << int(np.ceil(np.log2(2 * win)))
+    spectra = np.fft.rfft(frames, n=nfft, axis=1)
+    acf = np.fft.irfft(spectra * np.conj(spectra), n=nfft, axis=1)[:, :lag_max + 2]
+    acf /= (win - np.arange(lag_max + 2))[None, :]  # unbiased: no taper bias at the peak
+
     energy = acf[:, 0]
     searchable = energy > 1e-12
-    norm = np.ones_like(acf)
-    norm[searchable] = acf[searchable] / energy[searchable, None]
+    # a silent row is never voiced, so its values need only stay finite
+    norm = acf / np.where(searchable, energy, 1.0)[:, None]
 
     region = norm[:, lag_min:lag_max + 1]
     best = region.max(axis=1)

@@ -197,10 +197,13 @@ def load_embeddings_row_oracle(path):
     The reference for `spkraug.embedding.load_embeddings`, which must return
     the same ids, speakers and matrix bytes, or raise the same exception
     type with the same message. A row is refused when four times its squared
-    norm overflows, so every squared distance between two rows is finite.
+    norm overflows, so every squared distance between two rows is finite, and
+    when its squared norm is subnormal. A repeated utterance_id is reported
+    at its second line once every line has passed.
     """
     from pathlib import Path
 
+    from spkraug.audio_io import _check_id
     from spkraug.embedding import EmbeddingSet
     from spkraug.errors import SpkraugError
 
@@ -215,6 +218,8 @@ def load_embeddings_row_oracle(path):
     if dim < 1:
         raise SpkraugError(f"{path}: dimension must be positive, got {dim}")
     rows = []
+    seen = set()
+    repeat = None  # (line, id) of the first utterance_id seen before
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
@@ -223,6 +228,11 @@ def load_embeddings_row_oracle(path):
             raise SpkraugError(
                 f"{path}:{lineno}: expected {2 + dim} fields, found {len(parts)}"
             )
+        try:
+            _check_id("utterance_id", parts[0])
+            _check_id("speaker_id", parts[1])
+        except SpkraugError as exc:
+            raise SpkraugError(f"{path}:{lineno}: {exc}") from None
         try:
             values = np.array([float(v) for v in parts[2:]])
         except ValueError:
@@ -233,14 +243,18 @@ def load_embeddings_row_oracle(path):
             square = np.dot(values, values)
             if square == 0.0:
                 raise SpkraugError(f"{path}:{lineno}: zero-norm embedding")
+            if square < 2.2250738585072014e-308:  # the smallest normal double
+                raise SpkraugError(f"{path}:{lineno}: embedding norm too small")
             if not np.isfinite(4.0 * square):
                 raise SpkraugError(f"{path}:{lineno}: embedding norm too large")
+        if repeat is None and parts[0] in seen:
+            repeat = lineno, parts[0]
+        seen.add(parts[0])
         rows.append((parts[0], parts[1], values))
-    try:
-        return EmbeddingSet([r[0] for r in rows], [r[1] for r in rows],
-                            np.array([r[2] for r in rows]).reshape(len(rows), dim))
-    except SpkraugError as exc:  # a duplicate utterance_id
-        raise SpkraugError(f"{path}: {exc}") from None
+    if repeat is not None:
+        raise SpkraugError(f"{path}:{repeat[0]}: duplicate utterance_id {repeat[1]!r}")
+    return EmbeddingSet([r[0] for r in rows], [r[1] for r in rows],
+                        np.array([r[2] for r in rows]).reshape(len(rows), dim))
 
 
 def wer_tuple_loop_oracle(reference, hypothesis):
@@ -470,12 +484,26 @@ def f0_refinement_loop_oracle(clip, f0_min=60.0, f0_max=400.0):
     return f0, voiced
 
 
+def mel_filterbank_oracle(n_bands, fft_size, sample_rate):
+    """Triangular mel filters (Davis & Mermelstein), n_bands x (fft_size//2 + 1),
+    spanning 0..Nyquist on the HTK mel scale, built one band at a time."""
+    top_mel = 2595.0 * np.log10(1.0 + np.float64(sample_rate / 2.0) / 700.0)
+    edges_hz = 700.0 * (10.0 ** (np.linspace(0.0, top_mel, n_bands + 2) / 2595.0) - 1.0)
+    bin_hz = np.arange(fft_size // 2 + 1) * sample_rate / fft_size
+    fb = np.zeros((n_bands, len(bin_hz)))
+    for b in range(n_bands):
+        lo, center, hi = edges_hz[b], edges_hz[b + 1], edges_hz[b + 2]
+        rising = (bin_hz - lo) / (center - lo)
+        falling = (hi - bin_hz) / (hi - center)
+        fb[b] = np.clip(np.minimum(rising, falling), 0.0, None)
+    return fb
+
+
 def dense_mel_energies_oracle(clip):
     """Mel band energies of the RMS-normalised clip as one dense product,
     `magnitude_spectrogram(...).magnitudes ** 2 @ fb.T` (frames x 80), the
     form the stand-in embedding used before its fixed-order projection."""
     from spkraug.audio_io import AudioClip
-    from spkraug.embedding import _mel_filterbank_cached
     from spkraug.spectral import magnitude_spectrogram
 
     x = clip.samples
@@ -483,7 +511,7 @@ def dense_mel_energies_oracle(clip):
     if rms > 0:
         x = x / rms
     spec = magnitude_spectrogram(AudioClip(x, clip.sample_rate))
-    return spec.magnitudes ** 2 @ _mel_filterbank_cached(80, spec.fft_size, clip.sample_rate).T
+    return spec.magnitudes ** 2 @ mel_filterbank_oracle(80, spec.fft_size, clip.sample_rate).T
 
 
 def standin_embedding_oracle(clip):

@@ -287,7 +287,7 @@ def test_workers_flag_is_accepted(capsys, cli_env, tmp_path):
     one, three = built
     assert [r.utterance_id for r in one] == [r.utterance_id for r in three]
     for a, b in zip(one, three):
-        assert open(a.path, "rb").read() == open(b.path, "rb").read()
+        assert Path(a.path).read_bytes() == Path(b.path).read_bytes()
 
 
 def test_augment_resume_repeats_the_report(capsys, cli_env, tmp_path):
@@ -315,12 +315,12 @@ def test_augment_resume_rewrites_a_truncated_output(capsys, cli_env, tmp_path):
     rc, first, _ = _run(capsys, argv)
     assert rc == 0 and first["written"] == 7
     victim = load_manifest(out).records[2].path
-    full = open(victim, "rb").read()
+    full = Path(victim).read_bytes()
     with open(victim, "wb") as handle:
         handle.write(full[:len(full) // 3])
     rc, second, _ = _run(capsys, argv)
     assert rc == 0 and second == first
-    assert open(victim, "rb").read() == full
+    assert Path(victim).read_bytes() == full
     rc, report, _ = _run(capsys, ["embed", "--manifest", str(out),
                                   "--output", str(tmp_path / "emb.tsv")])
     assert rc == 0 and report["records"] == 7
@@ -812,7 +812,7 @@ def test_tsne_cli_rejects_an_id_xml_forbids(capsys, tmp_path):
                                     "--perplexity", "2", "--iterations", "5"])
     assert rc == 1
     assert report is None
-    assert err == (f"spkraug tsne: error: {emb}: utterance_id must hold no tab or line break, "
+    assert err == (f"spkraug tsne: error: {emb}:13: utterance_id must hold no tab or line break, "
                    "nor a character XML 1.0 forbids, got 'a\\x01'\n")
     assert not svg.exists()
 

@@ -612,13 +612,13 @@ def test_execute_plan_rewrites_incomplete_outputs(tmp_path, counts, recipe, how)
     plan = plan_augmentation(parents, recipe)
     first, failures = execute_plan(plan, tmp_path / "aug")
     assert failures == []
-    written = {r.path: open(r.path, "rb").read() for r in first}
+    written = {r.path: Path(r.path).read_bytes() for r in first}
     _damage(Path(first.records[1].path), how)
     counts.update(reads=0, analyses=0)
     second, failures = execute_plan(plan, tmp_path / "aug")
     assert failures == []
     assert list(second) == list(first)
-    assert {r.path: open(r.path, "rb").read() for r in second} == written
+    assert {r.path: Path(r.path).read_bytes() for r in second} == written
     assert counts == {"reads": 1, "analyses": int(recipe == "psola-dur")}
 
 

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from oracles import (
     dense_mel_energies_oracle,
     load_embeddings_row_oracle,
+    mel_filterbank_oracle,
     standin_embedding_oracle,
 )
 from spkraug.audio_io import AudioClip
@@ -13,7 +14,6 @@ from spkraug.embedding import (
     STANDIN_DIMENSION,
     EmbeddingSet,
     _mel_energy_blocks,
-    _mel_filterbank_cached,
     _mel_projection,
     cosine_similarity,
     euclidean_distance,
@@ -183,22 +183,33 @@ def test_select_k_nearest_bounds():
 
 # -- stand-in extractor ------------------------------------------------------
 
-def test_filterbank_shape_and_coverage():
-    fb = _mel_filterbank_cached(80, 2048, SR)
-    assert fb.shape == (80, 1025)
-    assert np.all(fb >= 0)
-    assert np.all(fb.sum(axis=1) > 0)
-    # band centers move upward
-    centers = np.argmax(fb, axis=1)
-    assert np.all(np.diff(centers) >= 0)
+RATES = (8000, 11025, 16000, 22050, 24000, 32000, 44100, 48000, 88200, 96000, 176400, 192000)
 
 
-def test_filterbank_is_read_only():
-    """Every caller gets the same cached array, so none may write to it."""
-    fb = _mel_filterbank_cached(80, 2048, SR)
-    assert _mel_filterbank_cached(80, 2048, SR) is fb
-    with pytest.raises(ValueError, match="read-only"):
-        fb[0, 0] = 123.0
+def test_mel_projection_shape_and_coverage():
+    """Bands never decrease along the bins, and every band gets positive
+    weight from some bin, except band 0 at 192 kHz, which holds no bin."""
+    for rate in RATES:
+        p = _mel_projection(80, 2048, rate)
+        assert p.n_bands == 80 and len(p.lower) == len(p.upper) == 1025
+        assert np.all(p.lower >= 0) and np.all(p.upper >= 0)
+        assert p.starts[0] == 0 and np.all(np.diff(p.starts) > 0)
+        assert np.all(np.diff(p.bands) >= 0)
+        band = np.repeat(p.bands, np.diff(p.starts, append=len(p.lower)))
+        weight = np.zeros(81)
+        np.add.at(weight, band, p.lower)
+        np.add.at(weight, band + 1, p.upper)
+        assert np.array_equal(weight[:80] > 0, np.arange(80) >= (rate == 192000)), rate
+        assert weight[80] == 0
+
+
+def test_mel_projection_is_read_only():
+    """Every caller gets the same cached projection, so none may write to it."""
+    p = _mel_projection(80, 2048, SR)
+    assert _mel_projection(80, 2048, SR) is p
+    for a in (p.starts, p.bands, p.lower, p.upper):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 123
 
 
 def _clip_for(recipe_index, seed=0, dur=1.0):
@@ -235,9 +246,6 @@ def test_standin_minimum_duration():
     extract_standin_embedding(_clip_for(0, dur=0.2))
 
 
-RATES = (8000, 11025, 16000, 22050, 24000, 32000, 44100, 48000, 88200, 96000, 176400, 192000)
-
-
 @pytest.mark.parametrize("rate", RATES)
 def test_mel_projection_holds_the_filterbank(rate):
     """Every bin lies in at most two adjacent filters, so the per-bin lower
@@ -247,7 +255,7 @@ def test_mel_projection_holds_the_filterbank(rate):
     rebuilt = np.zeros((81, len(p.lower)))
     rebuilt[band, np.arange(len(band))] = p.lower
     rebuilt[band + 1, np.arange(len(band))] = p.upper
-    assert np.array_equal(rebuilt[:80], _mel_filterbank_cached(80, 2048, rate))
+    assert np.array_equal(rebuilt[:80], mel_filterbank_oracle(80, 2048, rate))
     assert not rebuilt[80].any()
 
 
@@ -263,7 +271,7 @@ def test_mel_energies_match_the_dense_product(rate):
     dense = dense_mel_energies_oracle(clip)
     assert energies.shape == dense.shape
     np.testing.assert_allclose(energies, dense, rtol=1e-12, atol=0)
-    empty = ~_mel_filterbank_cached(80, 2048, rate).any(axis=1)
+    empty = ~mel_filterbank_oracle(80, 2048, rate).any(axis=1)
     assert empty.any() == (rate == 192000)
     assert not energies[:, empty].any() and not dense[:, empty].any()
     np.testing.assert_allclose(extract_standin_embedding(clip), standin_embedding_oracle(clip),
@@ -333,7 +341,7 @@ def test_load_embeddings_missing_file(tmp_path):
 def test_load_embeddings_rejects_malformed(tmp_path, content):
     path = tmp_path / "bad.tsv"
     path.write_text(content)
-    with pytest.raises(SpkraugError, match=r"bad.tsv(:2)?: "):
+    with pytest.raises(SpkraugError, match=r"bad.tsv(:[23])?: "):
         load_embeddings(path)
 
 
@@ -359,8 +367,8 @@ _VALUE = st.one_of(
     st.integers(-10**6, 10**6).map(str),
     st.sampled_from(["1e3", " 2.5", "-0.0", "1_000", "+.5", "1E-5 "]),
 )
-_DEFECTS = ("ragged", "extra", "non-numeric", "nan", "inf", "overflow", "huge", "zero",
-            "underflow", "duplicate")
+_DEFECTS = ("ragged", "extra", "bad id", "non-numeric", "nan", "inf", "overflow", "huge",
+            "zero", "underflow", "subnormal", "duplicate")
 
 
 def _inject(rows, defect, at, dim):
@@ -369,6 +377,8 @@ def _inject(rows, defect, at, dim):
         values = values[:-1]
     elif defect == "extra":
         values = values + ["1.0"]
+    elif defect == "bad id":  # a character XML 1.0 forbids, in either id
+        uid, speaker = (uid + "\x01", speaker) if at % 2 else (uid, speaker + "\ufffe")
     elif defect == "non-numeric":
         values = values[:-1] + ["banana"]
     elif defect in ("nan", "inf", "overflow"):
@@ -379,6 +389,8 @@ def _inject(rows, defect, at, dim):
         values = ["0.0"] * dim
     elif defect == "underflow":  # every square underflows, so the norm is 0
         values = ["1e-170"] * dim
+    elif defect == "subnormal":  # a non-zero squared norm below the smallest normal double
+        values = ["1e-160"] * dim
     else:
         uid = rows[0][0]
     rows[at] = (uid, speaker, values)
@@ -417,7 +429,7 @@ def test_load_embeddings_matches_row_loader(tmp_path_factory_session, content):
     "#dim=2\nu1\ts1\t0.0\t0.0\nu2\ts1\t1.0\tx\n",      # zero row before a non-numeric one
     "#dim=2\nu1\ts1\t1.0\t2.0\nu1\ts1\t1.0\tinf\n",    # non-finite row beats a duplicate
     "#dim=2\nu1\ts1\t1e-170\t1e-170\n",                # squares underflow: zero norm
-    "#dim=2\nu1\ts1\t1e-160\t1e-170\n",                # smallest square survives
+    "#dim=2\nu1\ts1\t1e-160\t1e-170\n",                # subnormal square: norm too small
     "#dim=2\nu1\ts1\t1e200\t1.0\nu2\ts1\t1.0\n",       # norm too large before a ragged row
     "#dim=2\nu1\ts1\t1.0\t2.0\nu1\ts1\t1e154\t0.0\n",  # 4 |v|^2 overflows, beats a duplicate
     "#dim=2\nu1\ts1\t1e153\t1e153\n",                  # 4 |v|^2 is finite: sound

@@ -47,24 +47,25 @@ def _spg(path, frames=2, fft_size=8, frame_shift=4, frame_length=8, sample_rate=
     path.write_bytes(header + np.full(frames * bins, value, dtype="<f4").tobytes())
 
 
+# name -> (file, writer, reader, what follows the path: ": message" or ":line: message")
 _DEFECTS = {
     "wav-rate-4000": ("u.wav", lambda p: _wav(p, rate=4000), read_wav,
-                      "sample rate must be an integer in [8000, 192000], got 4000"),
+                      ": sample rate must be an integer in [8000, 192000], got 4000"),
     "wav-oversized-chunk": ("u.wav", _wav_with_oversized_fmt_chunk, read_wav,
-                            "chunk size exceeds its RIFF container"),
+                            ": chunk size exceeds its RIFF container"),
     "wav-header-oversized-chunk": ("u.wav", _wav_with_oversized_fmt_chunk, read_wav_header,
-                                   "chunk size exceeds its RIFF container"),
+                                   ": chunk size exceeds its RIFF container"),
     "spg-no-frames": ("s.spg", lambda p: _spg(p, frames=0), read_spectrogram,
-                      "spectrogram has no frames"),
+                      ": spectrogram has no frames"),
     "spg-fft-size-4": ("s.spg", lambda p: _spg(p, fft_size=4), read_spectrogram,
-                       "need 0 < frame_shift <= frame_length <= fft_size, got shift=4 length=8 "
+                       ": need 0 < frame_shift <= frame_length <= fft_size, got shift=4 length=8 "
                        "fft=4"),
     "spg-rate-5": ("s.spg", lambda p: _spg(p, sample_rate=5), read_spectrogram,
-                   "sample rate must be an integer in [8000, 192000], got 5"),
+                   ": sample rate must be an integer in [8000, 192000], got 5"),
     "spg-nan": ("s.spg", lambda p: _spg(p, value=np.nan), read_spectrogram,
-                "magnitudes must be finite and non-negative"),
+                ": magnitudes must be finite and non-negative"),
     "tsv-duplicate-id": ("e.tsv", lambda p: p.write_text("#dim=1\nu1\ts1\t1.0\nu1\ts1\t2.0\n"),
-                         load_embeddings, "duplicate utterance_id 'u1'"),
+                         load_embeddings, ":3: duplicate utterance_id 'u1'"),
 }
 
 
@@ -73,7 +74,7 @@ def test_file_defects_name_the_file(tmp_path, defect):
     name, write, reader, message = _DEFECTS[defect]
     path = tmp_path / name
     write(path)
-    with pytest.raises(SpkraugError, match=f"^{re.escape(f'{path}: {message}')}$"):
+    with pytest.raises(SpkraugError, match=f"^{re.escape(f'{path}{message}')}$"):
         reader(path)
 
 
