@@ -21,7 +21,7 @@ from .audio_io import (DEFAULT_SAMPLE_RATE, _check_id, _check_rate, _check_ratio
                        write_wav)
 from .embedding import EmbeddingSet, _first_seen, _row_dots, _row_index, select_k_nearest
 from .errors import SpkraugError
-from .metrics import ScoredPair, _draw_trials
+from .metrics import _draw_trials
 from .psola import analyse, synthesis_length, synthesise
 from .rng import rng_for
 
@@ -104,6 +104,10 @@ class Manifest:
     sample_rate: int = DEFAULT_SAMPLE_RATE
 
     def __post_init__(self):
+        self.sample_rate = _check_rate(self.sample_rate)
+        if not isinstance(self.corpus, str):
+            raise SpkraugError(f"corpus must be a string, got {self.corpus!r}")
+        _check_text("corpus", self.corpus)
         rows = _row_index([r.utterance_id for r in self.records])  # raises on a duplicate
         self._by_id = {uid: self.records[row] for uid, row in rows.items()}
 
@@ -163,10 +167,7 @@ def load_manifest(path) -> Manifest:
     lineno, line = lines[0]
     try:
         meta = json.loads(line)
-        corpus, sample_rate = meta["corpus"], _check_rate(meta["sample_rate"])
-        if not isinstance(corpus, str):
-            raise SpkraugError(f"corpus must be a string, got {corpus!r}")
-        _check_text("corpus", corpus)
+        header = Manifest(corpus=meta["corpus"], sample_rate=meta["sample_rate"])
     except (json.JSONDecodeError, RecursionError, SpkraugError) as exc:
         raise SpkraugError(f"{path}:{lineno}: {exc}") from None
     except (KeyError, TypeError):
@@ -194,7 +195,7 @@ def load_manifest(path) -> Manifest:
             raise SpkraugError(f"{path}:{lineno}: missing field {exc}") from None
         except (ValueError, RecursionError) as exc:  # SpkraugError is a ValueError
             raise SpkraugError(f"{path}:{lineno}: {exc}") from None
-    return Manifest(records, corpus=corpus, sample_rate=sample_rate)
+    return Manifest(records, corpus=header.corpus, sample_rate=header.sample_rate)
 
 
 def _utterance_number(utterance_id: str) -> int:
@@ -435,7 +436,6 @@ def select_best_augmented(naturals: Manifest, augmented: Manifest,
 def generate_eer_pairs(eval_manifest: Manifest, natural_pool: Manifest, seed: int) -> list:
     """Two unscored trials per evaluated utterance, one genuine and one
     impostor, drawn from the pool's naturals (see metrics._draw_trials)."""
-    trials = _draw_trials(((r.utterance_id, r.speaker_id) for r in eval_manifest),
-                          ((r.utterance_id, r.speaker_id) for r in natural_pool if r.is_natural),
-                          seed)
-    return [ScoredPair(*t) for t in trials]
+    return _draw_trials(((r.utterance_id, r.speaker_id) for r in eval_manifest),
+                        ((r.utterance_id, r.speaker_id) for r in natural_pool if r.is_natural),
+                        seed)

@@ -35,9 +35,9 @@ class EmbeddingSet:
     """Embeddings of one dimension: `ids` and `speaker_ids` (lists, one per
     row) plus one read-only (n, dimension) float64 `matrix`. A single
     embedding is a 1-D array; `get()` returns a read-only row. Every row is
-    finite, its squared norm is 0 or normal, and 4 times it is finite (see
-    _row_defect). An id holds no tab, line break or character XML 1.0
-    forbids."""
+    finite, its squared norm is normal (so not 0), and 4 times it is finite
+    (see _row_defect), the rule load_embeddings reads a file by. An id holds
+    no tab, line break or character XML 1.0 forbids."""
 
     def __init__(self, ids, speaker_ids, matrix):
         ids = [_check_id("utterance_id", uid) for uid in ids]
@@ -50,7 +50,7 @@ class EmbeddingSet:
                 f"{len(ids)} ids and {len(speaker_ids)} speakers for a matrix of shape "
                 f"{matrix.shape}: need one of each per row and dimension >= 1"
             )
-        defect = _row_defect(matrix, zero_ok=True)
+        defect = _row_defect(matrix)
         if defect:
             raise SpkraugError(f"{ids[defect[0]]}: {defect[1]}")
         matrix.setflags(write=False)
@@ -104,17 +104,15 @@ def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
 
 
-def _row_defect(matrix: np.ndarray, zero_ok: bool):
+def _row_defect(matrix: np.ndarray):
     """(row, message) for the first row with non-finite values, a squared norm
-    whose 4 times overflows, a subnormal squared norm, or (unless zero_ok)
-    norm 0; else None. 4|v|^2 bounds every squared distance between two rows
-    (2|a|^2 + 2|b|^2), so distances and cosine products of sound rows stay
-    finite; a normal |v|^2 keeps the cosine's rounding that of unit rows."""
+    whose 4 times overflows, a subnormal squared norm, or norm 0; else None.
+    4|v|^2 bounds every squared distance between two rows (2|a|^2 + 2|b|^2),
+    so distances and cosine products of sound rows stay finite; a normal
+    |v|^2 keeps the cosine's rounding that of unit rows."""
     with np.errstate(over="ignore", invalid="ignore"):  # one n-vector pass, no n x d temporary
         squares = _row_dots(matrix, matrix)
         bad = ~np.isfinite(4.0 * squares) | (squares < _SMALLEST_NORMAL)
-    if zero_ok:
-        bad &= squares != 0.0  # np.linalg.norm(v) is sqrt(np.dot(v, v))
     if not bad.any():
         return None
     row = int(np.argmax(bad))
@@ -307,7 +305,7 @@ def load_embeddings(path) -> EmbeddingSet:
             break
         linenos.append(lineno)
     matrix = np.frombuffer(values).reshape(-1, dim)
-    defect = _row_defect(matrix, zero_ok=False)  # a row before the stop comes first
+    defect = _row_defect(matrix)  # a row before the stop comes first
     if defect:
         stop = linenos[defect[0]], defect[1]
     elif not stop and (repeat := _first_repeat(ids)) is not None:

@@ -31,7 +31,7 @@ class ScoredPair:
     def __post_init__(self):
         if self.score is not None:
             self.score = float(self.score)
-            if not np.isfinite(self.score):
+            if not math.isfinite(self.score):
                 raise SpkraugError(f"pair {self.enroll_id}/{self.test_id}: score not finite")
 
 
@@ -79,11 +79,7 @@ def equal_error_rate(pairs) -> tuple:
         raise SpkraugError("all pairs must be scored before computing EER")
     scores = np.array([p.score for p in pairs], dtype=np.float64)
     same = np.array([p.same_speaker for p in pairs], dtype=bool)
-    return _eer(scores[same], scores[~same])
-
-
-def _eer(genuine: np.ndarray, impostor: np.ndarray) -> tuple:
-    """equal_error_rate's sweep over score arrays, one sort per class."""
+    genuine, impostor = scores[same], scores[~same]
     if len(genuine) == 0 or len(impostor) == 0:
         raise SpkraugError(
             f"need both classes, got {len(genuine)} genuine / {len(impostor)} impostor"
@@ -119,20 +115,27 @@ def eer_loss(batch_synth: EmbeddingSet, reference_pool: EmbeddingSet, seed: int 
     """EER of synthesized embeddings against natural references.
 
     The trials are those `pairs` draws (dataset.generate_eer_pairs): one
-    genuine and one impostor reference per synthesized row. For sets that
-    hold the same ids and speakers as the `pairs` manifests, and the same
-    seed, the result equals what `pairs` + `eval eer` report, bit for bit.
+    genuine and one impostor reference per synthesized row. They are scored
+    as `eval eer --embeddings` scores them, so for sets that hold the same ids
+    and speakers as the `pairs` manifests, and the same seed, the result
+    equals what `pairs` + `eval eer` report, bit for bit.
     """
     trials = _draw_trials(zip(batch_synth.ids, batch_synth.speaker_ids),
                           zip(reference_pool.ids, reference_pool.speaker_ids), seed)
-    scores = _cosine_rows(batch_synth._rows(t[0] for t in trials),
-                          reference_pool._rows(t[1] for t in trials))
-    same = np.array([t[2] for t in trials], dtype=bool)
-    return _eer(scores[same], scores[~same])[0]
+    return equal_error_rate(_scored(trials, batch_synth, reference_pool))[0]
+
+
+def _scored(trials, enroll_set: EmbeddingSet, test_set: EmbeddingSet) -> list:
+    """The trials scored by the cosine similarity of each enroll row of
+    enroll_set with its test row of test_set."""
+    scores = _cosine_rows(enroll_set._rows(t.enroll_id for t in trials),
+                          test_set._rows(t.test_id for t in trials))
+    return [ScoredPair(t.enroll_id, t.test_id, t.same_speaker, score)
+            for t, score in zip(trials, scores.tolist())]
 
 
 def _draw_trials(items, pool, seed: int) -> list:
-    """Two (enroll_id, test_id, same_speaker) trials per item: one genuine, one impostor.
+    """Two unscored ScoredPair trials per item: one genuine, one impostor.
 
     `items` and `pool` are (utterance_id, speaker_id) pairs. The genuine
     partner is a seeded uniform draw from the item's speaker in `pool`; the
@@ -159,7 +162,7 @@ def _draw_trials(items, pool, seed: int) -> list:
         other = others[speaker]
         other_ids = pool_by_speaker[other[int(rng.integers(len(other)))]]
         diff_id = other_ids[int(rng.integers(len(other_ids)))]
-        trials += [(uid, same_id, True), (uid, diff_id, False)]
+        trials += [ScoredPair(uid, same_id, True), ScoredPair(uid, diff_id, False)]
     return trials
 
 
@@ -259,8 +262,5 @@ def score_pairs(pairs, embeddings: EmbeddingSet) -> list:
         for uid in (p.enroll_id, p.test_id):
             if uid not in embeddings:
                 raise SpkraugError(f"no embedding for utterance {uid!r}")
-    scores = iter(_cosine_rows(embeddings._rows(p.enroll_id for p in todo),
-                               embeddings._rows(p.test_id for p in todo)))
-    return [p if p.score is not None
-            else ScoredPair(p.enroll_id, p.test_id, p.same_speaker, next(scores))
-            for p in pairs]
+    scored = iter(_scored(todo, embeddings, embeddings))
+    return [p if p.score is not None else next(scored) for p in pairs]

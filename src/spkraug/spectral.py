@@ -223,14 +223,18 @@ def griffin_lim(spec: Spectrogram, iterations: int = DEFAULT_ITERATIONS, seed: i
 
 
 def write_spectrogram(spec: Spectrogram, path) -> None:
-    """Binary SPG1 container: header of six u32 fields, then f32 row-major data."""
-    frames, bins = spec.magnitudes.shape
-    header = _SPG_MAGIC + struct.pack(
-        "<6I", frames, bins, spec.fft_size, spec.frame_shift, spec.frame_length, spec.sample_rate
-    )
-    data = spec.magnitudes.astype("<f4").tobytes()
+    """Binary SPG1 container: header of six u32 fields, then f32 row-major data.
+    Refuses, writing nothing, magnitudes that round past the float32 maximum,
+    which read_spectrogram would refuse as infinite."""
+    header = _SPG_MAGIC + struct.pack("<6I", *spec.magnitudes.shape, spec.fft_size,
+                                      spec.frame_shift, spec.frame_length, spec.sample_rate)
+    with np.errstate(over="ignore"):
+        data = spec.magnitudes.astype("<f4")
+    if not np.isfinite(data).all():
+        raise SpkraugError(f"{path}: magnitudes must round to at most the float32 maximum "
+                           f"{float(np.finfo(np.float32).max)!r}")
     with _replacing(path) as tmp:
-        tmp.write_bytes(header + data)
+        tmp.write_bytes(header + data.tobytes())
 
 
 def read_spectrogram(path) -> Spectrogram:

@@ -14,18 +14,21 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from spkraug.audio_io import AudioClip, read_wav, write_wav
+from spkraug.audio_io import AudioClip, _text_lines, read_wav, write_wav
 from spkraug.cli import main
 from spkraug.dataset import RECIPE_JOBS, Manifest, UtteranceRecord, load_manifest, save_manifest
 from spkraug.embedding import EmbeddingSet, extract_standin_embedding, save_embeddings
+from spkraug.errors import SpkraugError
 from spkraug.metrics import load_pairs
 from spkraug.spectral import (
+    Spectrogram,
     griffin_lim,
     magnitude_spectrogram,
     read_spectrogram,
     write_spectrogram,
 )
 from synth import SR, build_corpus, sine
+from test_file_readers import _SEEDS, _mutations
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -1007,3 +1010,205 @@ def test_loss_at_the_float_extremes_ends_cleanly(terms, weights):
     else:
         assert report["loss"] == want
         assert report["terms"] == {"l1": l1, "attention": att, "sv": sv}
+
+
+def _extreme_rows(scale: str) -> np.ndarray:
+    """12 seeded 4-dim rows at a norm scale of about 1e-150 or 1e153, or
+    alternating between the two ("mixed")."""
+    rows = np.random.default_rng(8).uniform(-1.0, 1.0, size=(12, 4))
+    scales = {"1e-150": [1e-150], "1e153": [1e153], "mixed": [1e-150, 1e153]}[scale]
+    return rows * np.resize(scales, 12)[:, None]
+
+
+def _report(argv) -> dict:
+    """The report of a run that must exit 0 (see _run_in_process)."""
+    rc, report, err = _run_in_process(argv)
+    assert rc == 0, err
+    return report
+
+
+def _select_best(base, emb_path) -> list:
+    """select-best with k = 2 over naturals u0..u2 and children u3..u11 (child
+    u_i of u_(i % 3)): the ids it keeps."""
+    naturals = Manifest([UtteranceRecord(f"u{i}", f"s{i}", f"u{i}.wav") for i in range(3)])
+    children = Manifest([UtteranceRecord(f"u{i}", f"s{i % 3}", f"u{i}.wav", "psola_dur", 1.1,
+                                         1.0, f"u{i % 3}") for i in range(3, 12)])
+    save_manifest(naturals, base / "naturals.jsonl")
+    save_manifest(children, base / "children.jsonl")
+    report = _report(["select-best", "--naturals", str(base / "naturals.jsonl"),
+                      "--augmented", str(base / "children.jsonl"), "--embeddings", str(emb_path),
+                      "--k", "2", "--output", str(base / "best.jsonl")])
+    assert report["kept"] == 6
+    return [r.utterance_id for r in load_manifest(base / "best.jsonl")]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("scale", ["1e-150", "1e153", "mixed"])
+@pytest.mark.parametrize("command", ["eval-cs", "eval-eer", "tsne", "select-best"])
+def test_embedding_rows_at_the_norm_extremes_end_cleanly(tmp_path, command, scale):
+    """Rows anywhere in the accepted norm range, from ~1e-150 to ~1e153:
+    every command that reads embeddings exits 0 with finite numbers, and a
+    result that does not depend on the rows' scale equals the one at unit
+    norm."""
+    ids, speakers = [f"u{i}" for i in range(12)], [f"s{i % 3}" for i in range(12)]
+    rows = _extreme_rows(scale)
+    emb, unit = tmp_path / "emb.tsv", tmp_path / "unit.tsv"
+    save_embeddings(EmbeddingSet(ids, speakers, rows), emb)
+    save_embeddings(EmbeddingSet(ids, speakers,
+                                 rows / np.linalg.norm(rows, axis=1, keepdims=True)), unit)
+    if command == "eval-cs":
+        reversed_emb = tmp_path / "reversed.tsv"
+        save_embeddings(EmbeddingSet(ids[::-1], speakers[::-1], rows[::-1]), reversed_emb)
+        same = _report(["eval", "cs", "--synth", str(emb), "--natural", str(emb)])
+        assert same["mean_cs"] == pytest.approx(1.0, abs=1e-12)
+        crossed = [_report(["eval", "cs", "--synth", str(emb), "--natural", str(path)])
+                   for path in (reversed_emb, unit)]
+        assert -1.0 <= crossed[0]["mean_cs"] <= 1.0
+        assert crossed[1]["mean_cs"] == pytest.approx(1.0, abs=1e-12)
+    elif command == "eval-eer":
+        pairs = tmp_path / "pairs.tsv"
+        pairs.write_text("".join(f"u{i}\tu{(i + d) % 12}\t{'same' if d % 3 == 0 else 'diff'}\n"
+                                 for i in range(12) for d in (1, 3)), encoding="utf-8")
+        eers = [_report(["eval", "eer", "--pairs", str(pairs), "--embeddings", str(path)])["eer"]
+                for path in (emb, unit)]
+        assert eers[0] == pytest.approx(eers[1], abs=1e-12)
+    elif command == "tsne":
+        coords = tmp_path / "coords.tsv"
+        _report(["tsne", "--embeddings", str(emb), "--output", str(coords),
+                 "--perplexity", "3", "--iterations", "50"])
+        values = [float(v) for line in coords.read_text().splitlines()
+                  for v in line.split("\t")[2:]]
+        assert len(values) == 24 and all(math.isfinite(v) for v in values)
+    else:
+        kept = _select_best(tmp_path, emb)
+        if scale != "mixed":  # a common scale keeps the rank of every distance
+            assert kept == _select_best(tmp_path, unit)
+
+
+_F32_MAX = float(np.finfo(np.float32).max)
+_F32_TINY = float(np.finfo(np.float32).smallest_subnormal)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("magnitudes", ["float32-max", "float32-subnormal", "mixed"])
+def test_vocode_at_the_float32_extremes_ends_cleanly(tmp_path, magnitudes):
+    """.spg magnitudes at the largest float32, the smallest subnormal one, or
+    a checkerboard of both: vocode writes a WAV and a finite error curve."""
+    values = np.full((8, 33), _F32_TINY if magnitudes == "float32-subnormal" else _F32_MAX)
+    if magnitudes == "mixed":
+        values[::2, ::2] = _F32_TINY
+    spec_path, out = tmp_path / "x.spg", tmp_path / "x.wav"
+    write_spectrogram(Spectrogram(values, 16, 64, 64, SR), spec_path)
+    assert np.array_equal(read_spectrogram(spec_path).magnitudes, values)
+    report = _report(["vocode", "--spectrogram", str(spec_path), "--output", str(out),
+                      "--iterations", "10"])
+    assert len(report["errors"]) == 10 and all(math.isfinite(e) for e in report["errors"])
+    assert len(read_wav(out)) == report["samples"]
+
+
+def _full_scale_wav(kind: str) -> np.ndarray:
+    """0.5 s at SR: a 200 Hz full-scale square wave, full-scale samples of
+    alternating sign, full-scale DC, or one full-scale spike in silence."""
+    k = np.arange(SR // 2)
+    return {"square": np.where((k // (SR // 400)) % 2 == 0, 1.0, -1.0),
+            "alternating": np.where(k % 2 == 0, 1.0, -1.0),
+            "dc": np.ones(len(k)),
+            "spike": (k == len(k) // 2).astype(np.float64)}[kind]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("kind", ["square", "alternating", "dc", "spike"])
+def test_full_scale_wavs_through_augment_and_embed_end_cleanly(tmp_path, kind):
+    """Every augment recipe writes all of its jobs from the WAV, and embed
+    reads the natural and every child: exit 0 each time."""
+    write_wav(AudioClip(_full_scale_wav(kind), SR), tmp_path / "u1.wav")
+    natural = tmp_path / "natural.jsonl"
+    save_manifest(Manifest([UtteranceRecord("u1", "s", str(tmp_path / "u1.wav"))]), natural)
+    manifests = [natural]
+    for recipe, (_, jobs) in RECIPE_JOBS.items():
+        manifests.append(tmp_path / f"{recipe}.jsonl")
+        report = _report(["augment", recipe, "--manifest", str(natural),
+                          "--audio-root", str(tmp_path / "audio"), "--output", str(manifests[-1])])
+        assert (report["written"], report["failures"]) == (len(jobs), [])
+    for path in manifests:
+        report = _report(["--workers", "1", "embed", "--manifest", str(path),
+                          "--output", str(tmp_path / "emb.tsv")])
+        assert report["records"] == len(load_manifest(path))
+
+
+# -- mutated inputs, end to end ------------------------------------------------
+
+_HEADER = '{"corpus":"c","sample_rate":16000}\n'
+
+# sound inputs that a mutated one is run beside ({B} is their directory)
+_COMPANIONS = {
+    "pool.jsonl": _HEADER + '{"utterance_id":"u1","speaker_id":"s","path":"a.wav"}\n'
+                            '{"utterance_id":"v1","speaker_id":"t","path":"b.wav"}\n',
+    "naturals.jsonl": _HEADER + '{"utterance_id":"u1","speaker_id":"s1","path":"a.wav"}\n',
+    "children.jsonl": _HEADER + '{"utterance_id":"u2","speaker_id":"s1","path":"b.wav",'
+                                '"kind":"psola_dur","duration_ratio":1.1,"parent_id":"u1"}\n',
+    "trials.tsv": "u1\tu2\tsame\nu2\tu1\tdiff\n",
+    "emb3.tsv": "#dim=2\nu1\ts1\t1.0\t0.5\nu2\ts2\t0.25\t1.0\nu3\ts3\t-1.0\t0.5\n",
+    "hyp.txt": "the cat sat on a mat\n",
+    "wav.jsonl": '{"corpus":"c","sample_rate":8000}\n'
+                 '{"utterance_id":"u1","speaker_id":"s","path":"{B}/mutated_embed"}\n',
+}
+
+# the readers and seed files of tests/test_file_readers.py, and a transcript
+_CLI_SEEDS = {**_SEEDS, "transcript": (_text_lines, lambda p: p.write_text("The cat sat\n"
+                                                                            "on the MAT.\n"))}
+
+# run -> (the seed of the mutated input {F}, argv)
+_MUTATED_RUNS = {
+    "subset": ("load_manifest", ["subset", "--manifest", "{F}", "--per-speaker", "1",
+                                 "--output", "{B}/out"]),
+    "pairs --eval": ("load_manifest", ["pairs", "--eval", "{F}", "--pool", "{B}/pool.jsonl",
+                                       "--output", "{B}/out"]),
+    "pairs --pool": ("load_manifest", ["pairs", "--eval", "{B}/manifest.jsonl", "--pool", "{F}",
+                                       "--output", "{B}/out"]),
+    "select-best": ("load_embeddings", ["select-best", "--naturals", "{B}/naturals.jsonl",
+                                        "--augmented", "{B}/children.jsonl", "--embeddings",
+                                        "{F}", "--k", "1", "--output", "{B}/out"]),
+    "eval cs": ("load_embeddings", ["eval", "cs", "--synth", "{F}", "--natural", "{B}/emb.tsv"]),
+    "eval eer --embeddings": ("load_embeddings", ["eval", "eer", "--pairs", "{B}/trials.tsv",
+                                                  "--embeddings", "{F}"]),
+    "tsne": ("load_embeddings", ["tsne", "--embeddings", "{F}", "--output", "{B}/out",
+                                 "--perplexity", "1.5", "--iterations", "5"]),
+    "eval eer": ("load_pairs", ["eval", "eer", "--pairs", "{F}", "--embeddings", "{B}/emb3.tsv"]),
+    "vocode": ("read_spectrogram", ["vocode", "--spectrogram", "{F}", "--output", "{B}/out",
+                                    "--iterations", "5"]),
+    "embed": ("read_wav", ["--workers", "1", "embed", "--manifest", "{B}/wav.jsonl",
+                           "--output", "{B}/out"]),
+    "eval wer": ("transcript", ["eval", "wer", "--ref", "{F}", "--hyp", "{B}/hyp.txt"]),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("run", sorted(_MUTATED_RUNS))
+@settings(max_examples=30, database=None, derandomize=True)
+@given(data=st.data())
+def test_mutated_input_ends_with_a_report_or_one_line(tmp_path_factory_session, run, data):
+    """A command on a mutated input exits 0 with a strict-JSON report or 1
+    with one error line; nothing raises or warns. When the input's reader
+    refuses the file, the line carries the reader's message, which names the
+    file. A file the reader accepts may still fail on its content (too few
+    points for t-SNE, one trial class for EER) with a line of its own."""
+    seed, argv = _MUTATED_RUNS[run]
+    read, write_seed = _CLI_SEEDS[seed]
+    base = tmp_path_factory_session / "mutated_cli"
+    base.mkdir(exist_ok=True)
+    for name, text in _COMPANIONS.items():
+        (base / name).write_text(text.replace("{B}", str(base)), encoding="utf-8")
+    _SEEDS["load_manifest"][1](base / "manifest.jsonl")
+    _SEEDS["load_embeddings"][1](base / "emb.tsv")
+    path = base / f"mutated_{run.split()[0]}"
+    write_seed(path)
+    path.write_bytes(data.draw(_mutations(path.read_bytes()), label="file"))
+    try:
+        read(path)
+        refusal = None
+    except (SpkraugError, OSError) as exc:
+        refusal = str(exc)
+    rc, _, err = _run_in_process([a.format(F=path, B=base) for a in argv])
+    if refusal is not None:
+        assert rc == 1 and refusal in err

@@ -1,3 +1,4 @@
+import json
 import math
 import os
 from pathlib import Path
@@ -262,6 +263,37 @@ def test_load_manifest_reports_line_numbers(tmp_path):
         path.write_text(content)
         with pytest.raises(SpkraugError, match=f"bad.jsonl:{lineno}:"):
             load_manifest(path)
+
+
+@pytest.mark.parametrize("header", [
+    {"corpus": "c", "sample_rate": "x"},
+    {"corpus": "c", "sample_rate": True},
+    {"corpus": "c", "sample_rate": math.inf},  # what a JSON 1e999 reads as
+    {"corpus": "c", "sample_rate": 5},
+    {"corpus": "c", "sample_rate": 4000},
+    {"corpus": "c", "sample_rate": 16000.5},
+    {"corpus": "c", "sample_rate": 16000.0},
+    {"corpus": 5, "sample_rate": 16000},
+    {"corpus": "c\x00", "sample_rate": 16000},
+    {"corpus": "\ud800", "sample_rate": 16000},
+])
+def test_manifest_refuses_every_header_load_manifest_refuses(tmp_path, header):
+    """A Manifest holds only a header that save_manifest writes and
+    load_manifest reads back; both refuse a bad one with the same message."""
+    with pytest.raises(SpkraugError) as built:
+        Manifest([_natural("u")], **header)
+    path = tmp_path / "bad.jsonl"
+    path.write_text(json.dumps(header) + "\n")
+    with pytest.raises(SpkraugError) as loaded:
+        load_manifest(path)
+    assert str(loaded.value) == f"{path}:1: {built.value}"
+
+
+def test_manifest_stores_its_sample_rate_as_an_int(tmp_path):
+    manifest = Manifest([_natural("u")], sample_rate=np.int64(22050))
+    assert type(manifest.sample_rate) is int
+    save_manifest(manifest, tmp_path / "m.jsonl")
+    assert load_manifest(tmp_path / "m.jsonl").sample_rate == 22050
 
 
 def test_augmented_only_manifest_loads(tmp_path):
@@ -669,9 +701,10 @@ def _selection_fixture():
     embeddings = EmbeddingSet(
         ["n0", "n1", "n0__c0", "n0__c1", "n0__c2", "n1__c0", "n1__c1", "n1__c2"],
         ["sp0", "sp1", "sp0", "sp0", "sp0", "sp1", "sp1", "sp1"],
-        # n0's children at distances 1, 2, 3; n1's at distances 3, 2, 1
-        [[0.0, 0.0], [10.0, 0.0], [1.0, 0.0], [2.0, 0.0], [3.0, 0.0],
-         [13.0, 0.0], [12.0, 0.0], [11.0, 0.0]])
+        # n0's children at distances 1, 2, 3; n1's at distances 3, 2, 1; no row
+        # at the origin, which EmbeddingSet refuses
+        [[0.0, 1.0], [10.0, 1.0], [1.0, 1.0], [2.0, 1.0], [3.0, 1.0],
+         [13.0, 1.0], [12.0, 1.0], [11.0, 1.0]])
     return naturals, augmented, embeddings
 
 

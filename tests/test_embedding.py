@@ -46,7 +46,10 @@ def test_vector_validation():
     for big in (1e200, -1e154):
         with pytest.raises(SpkraugError, match="^v: embedding norm too large$"):
             EmbeddingSet(ids, speakers, [[1.0, 0.0], [big, 0.0]])
-    assert len(EmbeddingSet(ids, speakers, [[0.0, 0.0], [1e153, 1e153]])) == 2  # zero rows are legal
+    # a zero row is refused, as load_embeddings refuses it; a row near the top bound is legal
+    with pytest.raises(SpkraugError, match="^u: zero-norm embedding$"):
+        EmbeddingSet(ids, speakers, [[0.0, 0.0], [1e153, 1e153]])
+    assert len(EmbeddingSet(ids, speakers, [[1.0, 0.0], [1e153, 1e153]])) == 2
 
 
 def test_set_rejects_mixed_dimensions_and_duplicates():
@@ -319,6 +322,34 @@ def test_embeddings_file_roundtrip(tmp_path):
     assert back.ids == emb.ids
     assert back.speaker_ids == emb.speaker_ids
     assert np.array_equal(back.matrix, emb.matrix)  # repr() round-trips floats
+
+
+# any double, with the zero, subnormal and overflowing norms drawn often
+_ROW_VALUE = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, 1e-160, 1e-150, 1e153, 1e154]),
+                       st.floats(allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=80, database=None, derandomize=True)
+@given(rows=st.lists(st.lists(_ROW_VALUE, min_size=2, max_size=2), min_size=1, max_size=4))
+def test_a_set_holds_exactly_the_rows_its_file_can_hold(tmp_path_factory_session, rows):
+    """EmbeddingSet and load_embeddings share one rule for a valid row: a set
+    that builds saves to a file that loads back bit for bit, and a row the
+    set refuses is refused by the loader at that row's line, with the same
+    message."""
+    ids = [f"u{i}" for i in range(len(rows))]
+    path = tmp_path_factory_session / "one_rule.tsv"
+    try:
+        built = EmbeddingSet(ids, ["s"] * len(rows), rows)
+    except SpkraugError as exc:
+        uid, message = str(exc).split(": ", 1)
+        path.write_text("#dim=2\n" + "".join(f"{i}\ts\t{a!r}\t{b!r}\n"
+                                             for i, (a, b) in zip(ids, rows)))
+        with pytest.raises(SpkraugError) as loaded:
+            load_embeddings(path)
+        assert str(loaded.value) == f"{path}:{ids.index(uid) + 2}: {message}"
+    else:
+        save_embeddings(built, path)
+        assert np.array_equal(load_embeddings(path).matrix, built.matrix)
 
 
 def test_load_embeddings_missing_file(tmp_path):

@@ -8,14 +8,14 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "spkraug"
 # Public module-level callables that nothing inside the package refers to,
 # each kept for a stated reason. Any other one without a caller is dead code.
 CALLER_LESS_KEEP = {
-    "cosine_similarity": "a perfbench TARGETS layer; deleted with ROADMAP items 1 and 5",
-    "euclidean_distance": "a perfbench TARGETS layer; deleted with ROADMAP items 1 and 5",
-    "psola_modify": "a perfbench TARGETS layer; deleted with ROADMAP items 1 and 5",
-    "magnitude_spectrogram": "a perfbench TARGETS layer; deleted with ROADMAP items 1 and 5",
+    "cosine_similarity": "a perfbench TARGETS layer; deleted with ROADMAP items 1 and 4",
+    "euclidean_distance": "a perfbench TARGETS layer; deleted with ROADMAP items 1 and 4",
+    "psola_modify": "a perfbench TARGETS layer; deleted with ROADMAP items 1 and 4",
+    "magnitude_spectrogram": "a perfbench TARGETS layer; deleted with ROADMAP items 1 and 4",
     "istft": "the STFT reconstruction oracle judges it",
     "write_spectrogram": "the only writer of the .spg files vocode reads",
     "kl_divergence": "the benchmark fingerprint's tsne_final_kl",
-    "eer_loss": "ROADMAP item 5 gives it a caller",
+    "eer_loss": "ROADMAP item 4 gives it a caller",
     "entrypoint": "the `spkraug` console script in pyproject.toml",
 }
 

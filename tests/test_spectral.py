@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -346,6 +347,19 @@ def test_spectrogram_file_vocodes_like_original(tmp_path):
     write_spectrogram(spec, path)
     _, errors = griffin_lim(read_spectrogram(path), iterations=60, return_errors=True)
     assert errors[-1] < 0.1
+
+
+def test_write_spectrogram_refuses_magnitudes_past_float32(tmp_path):
+    """A magnitude float32 cannot hold would be written as inf, which
+    read_spectrogram refuses: it is refused here and nothing is written."""
+    top = float(np.finfo(np.float32).max)
+    path = tmp_path / "big.spg"
+    with pytest.raises(SpkraugError, match=f"^{re.escape(str(path))}: magnitudes must round to "
+                                           r"at most the float32 maximum 3\.4028234663852886e\+38$"):
+        write_spectrogram(Spectrogram(np.full((2, 5), 1e39), 4, 8, 8, 8000), path)
+    assert list(tmp_path.iterdir()) == []
+    write_spectrogram(Spectrogram(np.full((2, 5), top), 4, 8, 8, 8000), path)
+    assert np.array_equal(read_spectrogram(path).magnitudes, np.full((2, 5), top))
 
 
 def test_read_spectrogram_missing_file(tmp_path):
