@@ -7,6 +7,7 @@ but the rest were written.
 """
 
 import argparse
+import contextlib
 import json
 import os
 import re
@@ -62,6 +63,15 @@ def _perplexity(text: str) -> float:
     if not value > 1:
         raise argparse.ArgumentTypeError(f"must exceed 1, got {text}")
     return value
+
+
+@contextlib.contextmanager
+def _about(*paths):
+    """Prefix an error raised on the inputs' content with their paths."""
+    try:
+        yield
+    except SpkraugError as exc:
+        raise SpkraugError(f"{', '.join(paths)}: {exc}") from exc
 
 
 def _command(sub, name: str, handler, help: str) -> _Parser:
@@ -148,8 +158,9 @@ def _build_parser() -> _Parser:
 
 def _cmd_subset(args) -> dict:
     manifest = dataset.load_manifest(args.manifest)
-    result = dataset.select_subset(manifest, args.per_speaker, args.seed,
-                                   parallel=not args.independent)
+    with _about(args.manifest):
+        result = dataset.select_subset(manifest, args.per_speaker, args.seed,
+                                       parallel=not args.independent)
     dataset.save_manifest(result, args.output)
     return {"command": "subset", "records": len(result),
             "speakers": len(result.speakers()), "output": args.output}
@@ -157,11 +168,11 @@ def _cmd_subset(args) -> dict:
 
 def _cmd_augment(args) -> dict:
     manifest = dataset.load_manifest(args.manifest)
-    plan = dataset.plan_augmentation(manifest, args.recipe)
-    augmented, failures = dataset.execute_plan(plan, args.audio_root, corpus=manifest.corpus,
-                                               sample_rate=manifest.sample_rate)
+    with _about(args.manifest):
+        augmented, failures = dataset.execute_plan(manifest, args.recipe, args.audio_root)
     dataset.save_manifest(augmented, args.output)
-    return {"command": "augment", "recipe": args.recipe, "jobs": len(plan),
+    # each job adds one record or one failure
+    return {"command": "augment", "recipe": args.recipe, "jobs": len(augmented) + len(failures),
             "written": len(augmented), "failures": failures, "output": args.output}
 
 
@@ -201,7 +212,8 @@ def _cmd_select_best(args) -> dict:
     naturals = dataset.load_manifest(args.naturals)
     augmented = dataset.load_manifest(args.augmented)
     embeddings = load_embeddings(args.embeddings)
-    result = dataset.select_best_augmented(naturals, augmented, embeddings, args.k)
+    with _about(args.naturals, args.augmented, args.embeddings):
+        result = dataset.select_best_augmented(naturals, augmented, embeddings, args.k)
     dataset.save_manifest(result, args.output)
     return {"command": "select-best", "k": args.k, "naturals": len(naturals),
             "kept": len(result) - len(naturals), "output": args.output}
@@ -210,7 +222,8 @@ def _cmd_select_best(args) -> dict:
 def _cmd_pairs(args) -> dict:
     eval_manifest = dataset.load_manifest(args.eval_manifest)
     pool = dataset.load_manifest(args.pool)
-    pairs = dataset.generate_eer_pairs(eval_manifest, pool, args.seed)
+    with _about(args.eval_manifest, args.pool):
+        pairs = dataset.generate_eer_pairs(eval_manifest, pool, args.seed)
     metrics.save_pairs(pairs, args.output)
     genuine = sum(1 for p in pairs if p.same_speaker)
     return {"command": "pairs", "pairs": len(pairs), "genuine": genuine,
@@ -219,11 +232,13 @@ def _cmd_pairs(args) -> dict:
 
 def _cmd_eval_eer(args) -> dict:
     pairs = metrics.load_pairs(args.pairs)
-    if any(p.score is None for p in pairs):
-        if not args.embeddings:
-            raise SpkraugError("pair list has unscored rows; pass --embeddings")
-        pairs = metrics.score_pairs(pairs, load_embeddings(args.embeddings))
-    eer, threshold = metrics.equal_error_rate(pairs)
+    unscored = any(p.score is None for p in pairs)
+    if unscored and not args.embeddings:
+        raise SpkraugError(f"{args.pairs}: pair list has unscored rows; pass --embeddings")
+    embeddings = load_embeddings(args.embeddings) if unscored else None
+    with _about(args.pairs, *([args.embeddings] if unscored else [])):
+        eer, threshold = metrics.equal_error_rate(
+            metrics.score_pairs(pairs, embeddings) if unscored else pairs)
     genuine = sum(1 for p in pairs if p.same_speaker)
     return {"command": "eval-eer", "eer": eer, "threshold": threshold,
             "genuine": genuine, "impostor": len(pairs) - genuine}
@@ -232,7 +247,8 @@ def _cmd_eval_eer(args) -> dict:
 def _cmd_eval_cs(args) -> dict:
     synth = load_embeddings(args.synth)
     natural = load_embeddings(args.natural)
-    loss = metrics.batch_cs_loss(synth, natural)
+    with _about(args.synth, args.natural):
+        loss = metrics.batch_cs_loss(synth, natural)
     return {"command": "eval-cs", "cs_loss": loss, "mean_cs": 1.0 - loss, "pairs": len(synth)}
 
 
@@ -241,7 +257,8 @@ def _cmd_eval_wer(args) -> dict:
     # the lines with "\n" gives the tokens of the whole text
     ref, hyp = (metrics.tokenize_transcript("\n".join(line for _, line in _text_lines(path)))
                 for path in (args.ref, args.hyp))
-    wer, subs, dels, ins = metrics.word_error_rate(ref, hyp)
+    with _about(args.ref, args.hyp):
+        wer, subs, dels, ins = metrics.word_error_rate(ref, hyp)
     return {"command": "eval-wer", "wer": wer, "substitutions": subs,
             "deletions": dels, "insertions": ins, "reference_tokens": len(ref)}
 
@@ -255,7 +272,8 @@ def _cmd_loss(args) -> dict:
 
 def _cmd_tsne(args) -> dict:
     embeddings = load_embeddings(args.embeddings)
-    coords = run_tsne(embeddings, args.perplexity, args.iterations, args.seed)
+    with _about(args.embeddings):
+        coords = run_tsne(embeddings, args.perplexity, args.iterations, args.seed)
     save_coordinates(embeddings, coords, args.output)
     if args.svg:
         render_scatter_svg(embeddings, coords, args.svg)

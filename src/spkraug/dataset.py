@@ -10,9 +10,7 @@ import json
 import os
 import re
 from dataclasses import dataclass, field
-from itertools import groupby
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
@@ -262,33 +260,8 @@ def select_subset(manifest: Manifest, per_speaker: int, seed: int,
     return Manifest(selected, corpus=manifest.corpus, sample_rate=manifest.sample_rate)
 
 
-class AugmentationJob(NamedTuple):
-    parent: UtteranceRecord
-    kind: str
-    duration_ratio: float
-    f0_ratio: float
-
-
-def plan_augmentation(manifest: Manifest, recipe: str) -> list:
-    """Expand a manifest of naturals into per-utterance augmentation jobs,
-    one per (duration_ratio, f0_ratio) pair that RECIPE_JOBS lists for the
-    recipe."""
-    if recipe not in RECIPE_JOBS:
-        raise SpkraugError(f"unknown recipe {recipe!r}, expected one of {tuple(RECIPE_JOBS)}")
-    for r in manifest:
-        if not r.is_natural:
-            raise SpkraugError(f"{r.utterance_id}: cannot augment a {r.kind} record")
-    kind, ratio_pairs = RECIPE_JOBS[recipe]
-    return [AugmentationJob(r, kind, d, f) for r in manifest for d, f in ratio_pairs]
-
-
-def _ratio_tag(value: float) -> str:
-    return f"{value:g}"
-
-
-def job_output_name(job: AugmentationJob) -> str:
-    return (f"{job.parent.utterance_id}__{job.kind}"
-            f"_{_ratio_tag(job.duration_ratio)}_{_ratio_tag(job.f0_ratio)}")
+def _output_name(parent, kind: str, duration_ratio: float, f0_ratio: float) -> str:
+    return f"{parent.utterance_id}__{kind}_{duration_ratio:g}_{f0_ratio:g}"
 
 
 def _once(fn):
@@ -319,11 +292,11 @@ def read_utterance(record: UtteranceRecord, sample_rate: int):
     return clip
 
 
-def _output_length(job: AugmentationJob, n_samples: int) -> int:
+def _output_length(kind: str, duration_ratio: float, n_samples: int) -> int:
     """Samples in the output of a job whose parent has n_samples."""
-    if job.kind == RESAMPLED:
-        return speed_change_length(n_samples, job.duration_ratio)
-    return synthesis_length(n_samples, job.duration_ratio)
+    if kind == RESAMPLED:
+        return speed_change_length(n_samples, duration_ratio)
+    return synthesis_length(n_samples, duration_ratio)
 
 
 def _is_complete(out_path: Path, sample_rate: int, n_samples: int) -> bool:
@@ -342,9 +315,10 @@ def _check_path_part(field: str, value: str) -> None:
         raise SpkraugError(f"{field} {value!r} would place an output outside the audio root")
 
 
-def _run_parent(parent, jobs, audio_root, sample_rate, records, failures) -> None:
-    """Write the missing or incomplete outputs of consecutive jobs that share
-    a parent, appending one record or failure dict per job.
+def _run_parent(parent, kind, ratio_pairs, audio_root, sample_rate, records, failures) -> None:
+    """Write the missing or incomplete outputs of one parent's jobs, one per
+    (duration_ratio, f0_ratio) pair, appending one record or failure dict per
+    job.
 
     An existing output is kept when its header shows the rate and length the
     job would write (the parent's length comes from the parent's header).
@@ -356,45 +330,51 @@ def _run_parent(parent, jobs, audio_root, sample_rate, records, failures) -> Non
     parent_length = _once(lambda: read_wav_header(parent.path)[1])
     clip = _once(lambda: read_utterance(parent, sample_rate))
     analysis = _once(lambda: analyse(clip()))
-    for job in jobs:
-        out_id = job_output_name(job)
+    for duration_ratio, f0_ratio in ratio_pairs:
+        out_id = _output_name(parent, kind, duration_ratio, f0_ratio)
         out_path = Path(audio_root) / parent.speaker_id / f"{out_id}.wav"
         try:
             _check_path_part("speaker_id", parent.speaker_id)
             _check_path_part("utterance_id", parent.utterance_id)
             if not (out_path.exists() and _is_complete(
-                    out_path, sample_rate, _output_length(job, parent_length()))):
-                if job.kind == RESAMPLED:
-                    out = speed_change(clip(), job.duration_ratio)
+                    out_path, sample_rate, _output_length(kind, duration_ratio, parent_length()))):
+                if kind == RESAMPLED:
+                    out = speed_change(clip(), duration_ratio)
                 else:
-                    out = synthesise(analysis(), job.duration_ratio, job.f0_ratio)
+                    out = synthesise(analysis(), duration_ratio, f0_ratio)
                 out_path.parent.mkdir(parents=True, exist_ok=True)
                 write_wav(out, out_path)
         except Exception as exc:  # noqa: BLE001 - every job failure is reported
-            failures.append({"parent_id": parent.utterance_id, "kind": job.kind,
-                             "duration_ratio": job.duration_ratio, "f0_ratio": job.f0_ratio,
+            failures.append({"parent_id": parent.utterance_id, "kind": kind,
+                             "duration_ratio": duration_ratio, "f0_ratio": f0_ratio,
                              "error": f"{out_id}: {type(exc).__name__}: {exc}"})
         else:
-            records.append(UtteranceRecord(out_id, parent.speaker_id, str(out_path), job.kind,
-                                           job.duration_ratio, job.f0_ratio,
-                                           parent.utterance_id))
+            records.append(UtteranceRecord(out_id, parent.speaker_id, str(out_path), kind,
+                                           duration_ratio, f0_ratio, parent.utterance_id))
 
 
-def execute_plan(plan, audio_root, corpus: str = "augmented",
-                 sample_rate: int = DEFAULT_SAMPLE_RATE):
-    """Run every job, writing WAVs under audio_root/<speaker>/.
+def execute_plan(manifest: Manifest, recipe: str, audio_root):
+    """Run the recipe over a manifest of naturals: one job per parent and per
+    (duration_ratio, f0_ratio) pair that RECIPE_JOBS lists for the recipe,
+    writing WAVs under audio_root/<speaker>/.
 
     Existing outputs whose headers show the expected rate and length are
-    kept as-is (re-running a finished plan reads headers only and writes
-    nothing); others are written again. Each parent WAV must be at
-    sample_rate, which the returned manifest carries. Failures do not abort
-    the batch; returns (manifest of successful records in plan order, list
-    of failure dicts).
+    kept as-is (re-running a finished recipe reads headers only and writes
+    nothing); others are written again. Each parent WAV must be at the
+    manifest's sample_rate. Failures do not abort the batch; returns (manifest
+    of successful records, in parent then ratio order, with the input's
+    corpus and sample_rate; list of failure dicts).
     """
+    if recipe not in RECIPE_JOBS:
+        raise SpkraugError(f"unknown recipe {recipe!r}, expected one of {tuple(RECIPE_JOBS)}")
+    for r in manifest:
+        if not r.is_natural:
+            raise SpkraugError(f"{r.utterance_id}: cannot augment a {r.kind} record")
+    kind, ratio_pairs = RECIPE_JOBS[recipe]
     records, failures = [], []
-    for parent, jobs in groupby(plan, key=lambda job: job.parent):
-        _run_parent(parent, jobs, audio_root, sample_rate, records, failures)
-    return Manifest(records, corpus=corpus, sample_rate=sample_rate), failures
+    for parent in manifest:
+        _run_parent(parent, kind, ratio_pairs, audio_root, manifest.sample_rate, records, failures)
+    return Manifest(records, corpus=manifest.corpus, sample_rate=manifest.sample_rate), failures
 
 
 def select_best_augmented(naturals: Manifest, augmented: Manifest,

@@ -34,7 +34,6 @@ from spkraug.dataset import (
     execute_plan,
     generate_eer_pairs,
     load_manifest,
-    plan_augmentation,
     save_manifest,
     select_best_augmented,
 )
@@ -101,8 +100,7 @@ def test_acceptance_01_recipe_counts(mini_corpus, natural_embeddings, capsys, tm
     with criterion(capsys, 1, "each recipe ends at 500 records per speaker"):
         t0 = time.monotonic()
         for recipe in RECIPE_JOBS:
-            plan = plan_augmentation(manifest, recipe)
-            built, failures = execute_plan(plan, tmp_path / recipe, corpus="counts")
+            built, failures = execute_plan(manifest, recipe, tmp_path / recipe)
             assert failures == []
             if recipe in ("psola-dur", "psola-f0"):
                 children = _embed(built)

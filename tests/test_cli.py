@@ -2,6 +2,7 @@ import io
 import json
 import math
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -31,6 +32,13 @@ from synth import SR, build_corpus, sine
 from test_file_readers import _SEEDS, _mutations
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+
+# warnings are errors here whatever -W says, as pyproject.toml makes them for
+# every test; like pyproject.toml, this spares the DeprecationWarning that the
+# hypothesis plugin raises while it reports a failing example, which would
+# otherwise hide the example behind an INTERNALERROR
+_WARNINGS_ARE_ERRORS = pytest.mark.filterwarnings(
+    "error", "ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")
 
 
 @pytest.fixture(scope="module")
@@ -246,6 +254,7 @@ def test_augment_cli_partial_failure_exits_2(capsys, cli_env, tmp_path):
                                   "--audio-root", str(tmp_path / "audio"),
                                   "--output", str(out)])
     assert rc == 2
+    assert report["jobs"] == 12
     assert len(report["failures"]) == 4
     assert report["written"] == 8
     assert len(load_manifest(out)) == 8  # the partial manifest is still usable
@@ -681,8 +690,8 @@ def test_eer_cli_tie_at_the_largest_float_is_an_error(capsys, tmp_path):
     rc, report, err = _run(capsys, ["eval", "eer", "--pairs", str(pairs_path)])
     assert rc == 1
     assert report is None
-    assert err.splitlines() == [
-        "spkraug eval: error: no finite threshold lies above the top score 1.7976931348623157e+308"]
+    assert err.splitlines() == [f"spkraug eval: error: {pairs_path}: no finite threshold lies "
+                                "above the top score 1.7976931348623157e+308"]
 
 
 def test_eval_cs_cli(capsys, cli_env):
@@ -713,7 +722,8 @@ def test_eval_cs_cli_dimension_mismatch(capsys, tmp_path):
                                     "--natural", str(paths[3])])
     assert rc == 1
     assert report is None
-    assert err == "spkraug eval: error: embedding dimensions differ: 2 vs 3\n"
+    assert err == (f"spkraug eval: error: {paths[2]}, {paths[3]}: "
+                   "embedding dimensions differ: 2 vs 3\n")
 
 
 @pytest.mark.parametrize("argv", [
@@ -750,8 +760,59 @@ def test_subset_of_a_manifest_without_naturals_is_one_line_error(capsys, tmp_pat
                                     "--output", str(tmp_path / "out.jsonl")])
     assert rc == 1
     assert report is None
-    assert err == "spkraug subset: error: manifest has no natural records\n"
+    assert err == f"spkraug subset: error: {path}: manifest has no natural records\n"
     assert not (tmp_path / "out.jsonl").exists()
+
+
+_HEADER = '{"corpus":"c","sample_rate":16000}\n'
+
+_NATURAL = '{"utterance_id":"%s","speaker_id":"%s","path":"%s.wav"}\n'
+_CHILD = ('{"utterance_id":"u1__x","speaker_id":"s","path":"x.wav","kind":"psola_dur",'
+          '"duration_ratio":1.1,"parent_id":"u1"}\n')
+_EMB2 = "#dim=2\nu1\ts\t1.0\t0.5\nu2\tt\t0.5\t1.0\n"
+
+# a content check after the read -> (input files, argv ({0}, {1}... are their
+# paths), the error message that follows the paths)
+_CONTENT_ERRORS = {
+    "augment": ({"m.jsonl": _HEADER + _NATURAL % ("u1", "s", "a") + _CHILD},
+                ["augment", "resample", "--manifest", "{0}", "--audio-root", "{T}/aug",
+                 "--output", "{T}/out"], "u1__x: cannot augment a psola_dur record"),
+    "select-best": ({"n.jsonl": _HEADER + _NATURAL % ("u0", "s", "a"),
+                     "a.jsonl": _HEADER + _CHILD,
+                     "e.tsv": "#dim=2\nu0\ts\t1.0\t0.5\nu1__x\ts\t0.5\t1.0\n"},
+                    ["select-best", "--naturals", "{0}", "--augmented", "{1}",
+                     "--embeddings", "{2}", "--output", "{T}/out"],
+                    "u1__x: parent 'u1' not found"),
+    "pairs": ({"e.jsonl": _HEADER + _NATURAL % ("u1", "t", "a"),
+               "p.jsonl": _HEADER + _NATURAL % ("v1", "s", "b") + _NATURAL % ("w1", "r", "c")},
+              ["pairs", "--eval", "{0}", "--pool", "{1}", "--output", "{T}/out"],
+              "no natural pool utterances for 't'"),
+    "eval eer": ({"p.tsv": "u1\tu2\tsame\t0.5\n"}, ["eval", "eer", "--pairs", "{0}"],
+                 "need both classes, got 1 genuine / 0 impostor"),
+    "eval eer unscored": ({"p.tsv": "u1\tu2\tsame\n"}, ["eval", "eer", "--pairs", "{0}"],
+                          "pair list has unscored rows; pass --embeddings"),
+    "eval cs": ({"s.tsv": "#dim=2\nu1\ts\t1.0\t0.5\n", "n.tsv": _EMB2},
+                ["eval", "cs", "--synth", "{0}", "--natural", "{1}"],
+                "need equal non-empty batches, got 1 vs 2"),
+    "eval wer": ({"r.txt": " \n", "h.txt": "a b\n"},
+                 ["eval", "wer", "--ref", "{0}", "--hyp", "{1}"],
+                 "reference transcript has no tokens"),
+    "tsne": ({"e.tsv": _EMB2}, ["tsne", "--embeddings", "{0}", "--output", "{T}/out"],
+             "need at least 4 points, got 2"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_CONTENT_ERRORS))
+def test_content_error_names_the_inputs(capsys, tmp_path, case):
+    """A file its reader accepts but the command cannot use: one line that
+    names the command's inputs, in argument order, before the message."""
+    files, argv, message = _CONTENT_ERRORS[case]
+    paths = [tmp_path / name for name in files]
+    for path, text in zip(paths, files.values()):
+        path.write_text(text, encoding="utf-8")
+    rc, report, err = _run(capsys, [a.format(*paths, T=tmp_path) for a in argv])
+    assert (rc, report) == (1, None)
+    assert err == f"spkraug {argv[0]}: error: {', '.join(map(str, paths))}: {message}\n"
 
 
 def test_eval_cs_cli_non_finite_row_names_path_and_line(capsys, tmp_path):
@@ -963,7 +1024,7 @@ def _run_in_process(argv):
     return rc, report, ""
 
 
-@pytest.mark.filterwarnings("error")
+@_WARNINGS_ARE_ERRORS
 @settings(max_examples=80, database=None, derandomize=True)
 @given(genuine=st.lists(_EXTREME, min_size=1, max_size=4),
        impostor=st.lists(_EXTREME, min_size=1, max_size=4))
@@ -982,14 +1043,15 @@ def test_eval_eer_at_the_float_extremes_ends_cleanly(tmp_path_factory_session, g
     rc, report, err = _run_in_process(["eval", "eer", "--pairs", str(path)])
     top = max(genuine + impostor)
     if top == _FLOAT_MAX:
-        assert err == f"spkraug eval: error: no finite threshold lies above the top score {top!r}\n"
+        assert err == (f"spkraug eval: error: {path}: no finite threshold lies above the top "
+                       f"score {top!r}\n")
     else:
         assert rc == 0
         assert 0.0 <= report["eer"] <= 1.0
         assert (report["genuine"], report["impostor"]) == (len(genuine), len(impostor))
 
 
-@pytest.mark.filterwarnings("error")
+@_WARNINGS_ARE_ERRORS
 @settings(max_examples=80, database=None, derandomize=True)
 @given(terms=st.tuples(_EXTREME, _EXTREME, _EXTREME),
        weights=st.tuples(_EXTREME, _EXTREME, _EXTREME))
@@ -1042,7 +1104,7 @@ def _select_best(base, emb_path) -> list:
     return [r.utterance_id for r in load_manifest(base / "best.jsonl")]
 
 
-@pytest.mark.filterwarnings("error")
+@_WARNINGS_ARE_ERRORS
 @pytest.mark.parametrize("scale", ["1e-150", "1e153", "mixed"])
 @pytest.mark.parametrize("command", ["eval-cs", "eval-eer", "tsne", "select-best"])
 def test_embedding_rows_at_the_norm_extremes_end_cleanly(tmp_path, command, scale):
@@ -1089,7 +1151,7 @@ _F32_MAX = float(np.finfo(np.float32).max)
 _F32_TINY = float(np.finfo(np.float32).smallest_subnormal)
 
 
-@pytest.mark.filterwarnings("error")
+@_WARNINGS_ARE_ERRORS
 @pytest.mark.parametrize("magnitudes", ["float32-max", "float32-subnormal", "mixed"])
 def test_vocode_at_the_float32_extremes_ends_cleanly(tmp_path, magnitudes):
     """.spg magnitudes at the largest float32, the smallest subnormal one, or
@@ -1116,7 +1178,7 @@ def _full_scale_wav(kind: str) -> np.ndarray:
             "spike": (k == len(k) // 2).astype(np.float64)}[kind]
 
 
-@pytest.mark.filterwarnings("error")
+@_WARNINGS_ARE_ERRORS
 @pytest.mark.parametrize("kind", ["square", "alternating", "dc", "spike"])
 def test_full_scale_wavs_through_augment_and_embed_end_cleanly(tmp_path, kind):
     """Every augment recipe writes all of its jobs from the WAV, and embed
@@ -1137,8 +1199,6 @@ def test_full_scale_wavs_through_augment_and_embed_end_cleanly(tmp_path, kind):
 
 
 # -- mutated inputs, end to end ------------------------------------------------
-
-_HEADER = '{"corpus":"c","sample_rate":16000}\n'
 
 # sound inputs that a mutated one is run beside ({B} is their directory)
 _COMPANIONS = {
@@ -1183,19 +1243,44 @@ _MUTATED_RUNS = {
 }
 
 
-@pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("run", sorted(_MUTATED_RUNS))
-@settings(max_examples=30, database=None, derandomize=True)
-@given(data=st.data())
-def test_mutated_input_ends_with_a_report_or_one_line(tmp_path_factory_session, run, data):
-    """A command on a mutated input exits 0 with a strict-JSON report or 1
-    with one error line; nothing raises or warns. When the input's reader
-    refuses the file, the line carries the reader's message, which names the
-    file. A file the reader accepts may still fail on its content (too few
-    points for t-SNE, one trial class for EER) with a line of its own."""
+# a value in a text seed: a TSV field, a word, a JSON value or the number after
+# `#dim=`; a JSON key (followed by `":`), quotes and separators are framing
+_TEXT_VALUE = re.compile(rb'(?<![^\t\n "{}:,=#])(?<!#)[^\t\n "{}:,=#]+(?![^\t\n "{}:,=#])(?!":)')
+_TEXT_VALUES = [b"", b"0", b"-1", b"2", b"1e308", b"1e-320", b"nan", b"inf", b"8000", b"same",
+                b"diff", b"natural", b"psola_dur", b"x"]
+# binary seed -> (header bytes kept, sample type, values a sample may take)
+_BINARY_VALUES = {"read_wav": (44, "<i2", [-32768, -1, 0, 1, 32767]),
+                  "read_spectrogram": (28, "<f4", [0.0, -1.0, 1e-45, 3.4e38, np.inf, np.nan])}
+
+
+@st.composite
+def _value_edits(draw, seed_name: str, data: bytes) -> bytes:
+    """data with one to three ids or numbers replaced, by one of the file's own
+    values or a boundary value; the framing stays as it is."""
+    if seed_name in _BINARY_VALUES:
+        start, dtype, values = _BINARY_VALUES[seed_name]
+        samples = np.frombuffer(data, dtype, offset=start).copy()
+        for _ in range(draw(st.integers(1, 3))):
+            samples[draw(st.integers(0, len(samples) - 1))] = draw(st.sampled_from(values))
+        return data[:start] + samples.tobytes()
+    tokens = list(_TEXT_VALUE.finditer(data))
+    pool = [m.group() for m in tokens] + _TEXT_VALUES
+    edits = {draw(st.integers(0, len(tokens) - 1)): draw(st.sampled_from(pool))
+             for _ in range(draw(st.integers(1, 3)))}
+    pieces, end = [], 0
+    for i, m in enumerate(tokens):
+        pieces += [data[end:m.start()], edits.get(i, m.group())]
+        end = m.end()
+    return b"".join(pieces) + data[end:]
+
+
+def _check_mutated_run(base, run, mutate) -> None:
+    """Run `run` on its seed after `mutate`: exit 0 with a strict-JSON report
+    or 1 with one error line that names the mutated file; nothing raises or
+    warns. When the input's reader refuses the file, the line carries the
+    reader's message."""
     seed, argv = _MUTATED_RUNS[run]
     read, write_seed = _CLI_SEEDS[seed]
-    base = tmp_path_factory_session / "mutated_cli"
     base.mkdir(exist_ok=True)
     for name, text in _COMPANIONS.items():
         (base / name).write_text(text.replace("{B}", str(base)), encoding="utf-8")
@@ -1203,12 +1288,36 @@ def test_mutated_input_ends_with_a_report_or_one_line(tmp_path_factory_session, 
     _SEEDS["load_embeddings"][1](base / "emb.tsv")
     path = base / f"mutated_{run.split()[0]}"
     write_seed(path)
-    path.write_bytes(data.draw(_mutations(path.read_bytes()), label="file"))
+    path.write_bytes(mutate(seed, path.read_bytes()))
     try:
         read(path)
         refusal = None
     except (SpkraugError, OSError) as exc:
         refusal = str(exc)
     rc, _, err = _run_in_process([a.format(F=path, B=base) for a in argv])
+    if rc == 1:
+        assert str(path) in err
     if refusal is not None:
         assert rc == 1 and refusal in err
+
+
+@_WARNINGS_ARE_ERRORS
+@pytest.mark.parametrize("run", sorted(_MUTATED_RUNS))
+@settings(max_examples=30, database=None, derandomize=True)
+@given(data=st.data())
+def test_mutated_input_ends_with_a_report_or_one_line(tmp_path_factory_session, run, data):
+    """Byte edits: most files fail in their reader."""
+    _check_mutated_run(tmp_path_factory_session / "mutated_cli", run,
+                       lambda _, seed: data.draw(_mutations(seed), label="file"))
+
+
+@_WARNINGS_ARE_ERRORS
+@pytest.mark.parametrize("run", sorted(_MUTATED_RUNS))
+@settings(max_examples=30, database=None, derandomize=True)
+@given(data=st.data())
+def test_value_edited_input_ends_with_a_report_or_one_line(tmp_path_factory_session, run, data):
+    """Edits of ids and numbers only: more files pass their reader and reach
+    the content checks (too few points for t-SNE, one trial class for EER,
+    a parent not found)."""
+    _check_mutated_run(tmp_path_factory_session / "value_edited_cli", run,
+                       lambda name, seed: data.draw(_value_edits(name, seed), label="file"))

@@ -19,14 +19,11 @@ from spkraug.dataset import (
     RECIPE_JOBS,
     RESAMPLED,
     SPEED_RATIOS,
-    AugmentationJob,
     Manifest,
     UtteranceRecord,
     execute_plan,
     generate_eer_pairs,
-    job_output_name,
     load_manifest,
-    plan_augmentation,
     save_manifest,
     select_best_augmented,
     select_subset,
@@ -414,7 +411,15 @@ def test_subset_rejects_bad_per_speaker():
         select_subset(_numbered_manifest(), per_speaker=0, seed=0)
 
 
-# -- planning ----------------------------------------------------------------
+# -- the jobs of a recipe -----------------------------------------------------
+
+def _jobs(manifest, recipe, audio_root):
+    """(parent_id, kind, duration_ratio, f0_ratio) of every job execute_plan
+    runs, in order, over a manifest whose WAVs do not exist: each job fails."""
+    built, failures = execute_plan(manifest, recipe, audio_root)
+    assert len(built) == 0
+    return [(f["parent_id"], f["kind"], f["duration_ratio"], f["f0_ratio"]) for f in failures]
+
 
 @pytest.mark.parametrize("recipe,kind,count", [
     ("resample", RESAMPLED, 4),
@@ -422,60 +427,68 @@ def test_subset_rejects_bad_per_speaker():
     ("psola-f0", PSOLA_F0, 7),
     ("psola-mix", PSOLA_MIX, 4),
 ])
-def test_plan_counts_and_kinds(recipe, kind, count):
+def test_plan_counts_and_kinds(tmp_path, recipe, kind, count):
     m = _numbered_manifest(per_speaker=2)
-    plan = plan_augmentation(m, recipe)
-    assert len(plan) == count * len(m)
-    assert all(job.kind == kind for job in plan)
-    # jobs appear grouped by parent, in manifest order
-    parents = [job.parent.utterance_id for job in plan]
-    assert parents == sorted(parents, key=[r.utterance_id for r in m].index)
+    jobs = _jobs(m, recipe, tmp_path)
+    assert len(jobs) == count * len(m)
+    assert all(job[1] == kind for job in jobs)
+    # jobs run grouped by parent, in manifest order
+    assert [job[0] for job in jobs] == [r.utterance_id for r in m for _ in range(count)]
 
 
-def test_plan_up_down_ties_both_ratios_to_speed():
-    plan = plan_augmentation(Manifest([_natural("sp0_000")]), "resample")
-    assert [(j.duration_ratio, j.f0_ratio) for j in plan] == [(s, s) for s in SPEED_RATIOS]
+def test_plan_up_down_ties_both_ratios_to_speed(tmp_path):
+    jobs = _jobs(Manifest([_natural("sp0_000")]), "resample", tmp_path)
+    assert [(d, f) for _, _, d, f in jobs] == [(s, s) for s in SPEED_RATIOS]
 
 
-def test_plan_psola_dur_ratio_set():
-    plan = plan_augmentation(Manifest([_natural("sp0_000")]), "psola-dur")
-    assert [j.duration_ratio for j in plan] == list(PSOLA_DUR_RATIOS)
-    assert all(j.f0_ratio == 1.0 for j in plan)
+def test_plan_psola_dur_ratio_set(tmp_path):
+    jobs = _jobs(Manifest([_natural("sp0_000")]), "psola-dur", tmp_path)
+    assert [d for _, _, d, _ in jobs] == list(PSOLA_DUR_RATIOS)
+    assert all(f == 1.0 for _, _, _, f in jobs)
 
 
-def test_plan_psola_f0_ratio_set():
-    plan = plan_augmentation(Manifest([_natural("sp0_000")]), "psola-f0")
-    assert [j.f0_ratio for j in plan] == list(PSOLA_F0_RATIOS)
-    assert all(j.duration_ratio == 1.0 for j in plan)
+def test_plan_psola_f0_ratio_set(tmp_path):
+    jobs = _jobs(Manifest([_natural("sp0_000")]), "psola-f0", tmp_path)
+    assert [f for _, _, _, f in jobs] == list(PSOLA_F0_RATIOS)
+    assert all(d == 1.0 for _, _, d, _ in jobs)
 
 
-def test_plan_psola_mix_single_axis_jobs():
-    plan = plan_augmentation(Manifest([_natural("sp0_000")]), "psola-mix")
-    assert [(j.duration_ratio, j.f0_ratio) for j in plan] == list(PSOLA_MIX_JOBS)
+def test_plan_psola_mix_single_axis_jobs(tmp_path):
+    jobs = _jobs(Manifest([_natural("sp0_000")]), "psola-mix", tmp_path)
+    assert [(d, f) for _, _, d, f in jobs] == list(PSOLA_MIX_JOBS)
 
 
-def test_plan_rejects_unknown_recipe():
+def test_plan_rejects_unknown_recipe(tmp_path, counts):
     with pytest.raises(SpkraugError, match="unknown recipe 'chorus', expected one of "):
-        plan_augmentation(_numbered_manifest(), "chorus")
+        execute_plan(_numbered_manifest(), "chorus", tmp_path / "aug")
     assert set(RECIPE_JOBS) == {"resample", "psola-dur", "psola-f0", "psola-mix"}
+    assert counts == {"reads": 0, "analyses": 0}
+    assert not (tmp_path / "aug").exists()
 
 
-def test_plan_rejects_augmented_input():
-    m = Manifest([_natural("a"), _augmented("a__x", "a")])
+def test_plan_rejects_augmented_input(small_corpus, tmp_path, counts):
+    """Refused before any work, even with a natural listed first."""
+    natural = small_corpus[1].records[0]
+    m = Manifest([natural, _augmented("a__x", natural.utterance_id)])
     with pytest.raises(SpkraugError, match="a__x: cannot augment a psola_f0 record"):
-        plan_augmentation(m, "psola-f0")
+        execute_plan(m, "psola-f0", tmp_path / "aug")
+    assert counts == {"reads": 0, "analyses": 0}
+    assert not (tmp_path / "aug").exists()
 
 
-def test_job_output_name_is_compact_and_unique():
-    job = AugmentationJob(_natural("sp0_003"), PSOLA_DUR, 0.85, 1.0)
-    assert job_output_name(job) == "sp0_003__psola_dur_0.85_1"
-    job = AugmentationJob(_natural("sp0_003"), RESAMPLED, 0.975, 0.975)
-    assert job_output_name(job) == "sp0_003__resampled_0.975_0.975"
-    plan = []
+def test_job_output_name_is_compact_and_unique(tmp_path):
+    """The ids execute_plan writes, over all four recipes, each its WAV's name."""
+    parent = _write_parent(tmp_path, "sp0_003", "sp0", 16000, dur=0.3)
+    ids = []
     for recipe in RECIPE_JOBS:
-        plan.extend(plan_augmentation(Manifest([_natural("sp0_000")]), recipe))
-    names = [job_output_name(j) for j in plan]
-    assert len(set(names)) == len(names)
+        built, failures = execute_plan(Manifest([parent]), recipe, tmp_path / "aug")
+        assert failures == []
+        assert all(Path(r.path).name == f"{r.utterance_id}.wav" for r in built)
+        ids += [r.utterance_id for r in built]
+    assert "sp0_003__psola_dur_0.85_1" in ids
+    assert "sp0_003__resampled_0.975_0.975" in ids
+    assert len(ids) == 22
+    assert len(set(ids)) == len(ids)
 
 
 # -- execution ---------------------------------------------------------------
@@ -488,13 +501,12 @@ def _parents(manifest, count=4):
 def test_execute_plan_full_run(small_corpus, tmp_path):
     _, manifest = small_corpus
     parents = _parents(manifest)
-    plan = plan_augmentation(parents, "psola-f0")
-    built, failures = execute_plan(plan, tmp_path / "aug", corpus="aug-test")
+    built, failures = execute_plan(parents, "psola-f0", tmp_path / "aug")
     assert failures == []
-    assert len(built) == len(plan)
-    assert built.corpus == "aug-test"
-    assert built.sample_rate == manifest.sample_rate
-    assert [r.utterance_id for r in built] == [job_output_name(j) for j in plan]
+    assert len(built) == 7 * len(parents)
+    assert (built.corpus, built.sample_rate) == (parents.corpus, parents.sample_rate)
+    assert [r.utterance_id for r in built] == [f"{p.utterance_id}__psola_f0_1_{f:g}"
+                                               for p in parents for f in PSOLA_F0_RATIOS]
     for r in built:
         assert r.parent_id in parents
         assert len(read_wav(r.path)) > 0
@@ -506,15 +518,13 @@ def test_execute_plan_duration_contracts(small_corpus, tmp_path):
     parents = _parents(manifest, count=2)
     parent_len = {r.utterance_id: len(read_wav(r.path)) for r in parents}
 
-    built, failures = execute_plan(plan_augmentation(parents, "psola-dur"),
-                                   tmp_path / "dur")
+    built, failures = execute_plan(parents, "psola-dur", tmp_path / "dur")
     assert failures == []
     for r in built:
         expected = round(parent_len[r.parent_id] * r.duration_ratio)
         assert len(read_wav(r.path)) == expected
 
-    built, failures = execute_plan(plan_augmentation(parents, "resample"),
-                                   tmp_path / "spd")
+    built, failures = execute_plan(parents, "resample", tmp_path / "spd")
     assert failures == []
     for r in built:
         expected = round(parent_len[r.parent_id] / r.duration_ratio)
@@ -524,11 +534,10 @@ def test_execute_plan_duration_contracts(small_corpus, tmp_path):
 def test_execute_plan_is_idempotent(small_corpus, tmp_path):
     _, manifest = small_corpus
     parents = _parents(manifest, count=2)
-    plan = plan_augmentation(parents, "psola-mix")
     root = tmp_path / "idem"
-    first, _ = execute_plan(plan, root)
+    first, _ = execute_plan(parents, "psola-mix", root)
     stamps = {r.utterance_id: (r.path, os.stat(r.path).st_mtime_ns) for r in first}
-    second, failures = execute_plan(plan, root)
+    second, failures = execute_plan(parents, "psola-mix", root)
     assert failures == []
     assert list(second) == list(first)
     for r in second:
@@ -540,12 +549,11 @@ def test_execute_plan_reports_partial_failures(small_corpus, tmp_path):
     _, manifest = small_corpus
     parents = _parents(manifest, count=2)
     ghost = _natural("sp9_000", "sp9", path=str(tmp_path / "missing.wav"))
-    plan = plan_augmentation(
+    built, failures = execute_plan(
         Manifest(list(parents) + [ghost], corpus=parents.corpus,
                  sample_rate=parents.sample_rate),
-        "psola-f0",
+        "psola-f0", tmp_path / "partial",
     )
-    built, failures = execute_plan(plan, tmp_path / "partial")
     assert len(failures) == 7  # every job for the missing parent
     assert all(f["parent_id"] == "sp9_000" for f in failures)
     assert all("FileNotFoundError" in f["error"] for f in failures)
@@ -565,13 +573,14 @@ def test_execute_plan_rejects_parent_at_other_rate(small_corpus, tmp_path):
     _, manifest = small_corpus
     parents = _parents(manifest, count=2)
     odd = _write_parent(tmp_path, "sp9_000", "sp9", 22050)
-    plan = plan_augmentation(Manifest(list(parents) + [odd]), "psola-mix")
-    built, failures = execute_plan(plan, tmp_path / "aug", sample_rate=16000)
+    built, failures = execute_plan(Manifest(list(parents) + [odd], sample_rate=16000),
+                                   "psola-mix", tmp_path / "aug")
     assert len(failures) == 4  # every job of the 22050 Hz parent
     assert all(f["parent_id"] == "sp9_000" for f in failures)
     assert all(f["error"].endswith(
         ": SpkraugError: sp9_000: WAV is 22050 Hz, manifest says 16000 Hz") for f in failures)
     assert len(built) == 8
+    assert built.sample_rate == 16000
     assert all(r.parent_id != "sp9_000" for r in built)
 
 
@@ -599,8 +608,7 @@ def counts(monkeypatch):
 
 def test_execute_plan_reads_and_analyses_each_parent_once(small_corpus, tmp_path, counts):
     _, manifest = small_corpus
-    plan = plan_augmentation(_parents(manifest, count=2), "psola-dur")
-    built, failures = execute_plan(plan, tmp_path / "aug")
+    built, failures = execute_plan(_parents(manifest, count=2), "psola-dur", tmp_path / "aug")
     assert failures == []
     assert len(built) == 14
     assert counts == {"reads": 2, "analyses": 2}
@@ -609,11 +617,11 @@ def test_execute_plan_reads_and_analyses_each_parent_once(small_corpus, tmp_path
 def test_execute_plan_full_resume_reads_nothing(tmp_path, counts):
     parents = Manifest([_write_parent(tmp_path, f"sp0_00{i}", "sp0", 22050) for i in range(2)],
                        sample_rate=22050)
-    plan = plan_augmentation(parents, "psola-f0")
-    first, failures = execute_plan(plan, tmp_path / "aug", sample_rate=22050)
+    first, failures = execute_plan(parents, "psola-f0", tmp_path / "aug")
     assert failures == [] and len(first) == 14
+    assert first.sample_rate == 22050
     counts.update(reads=0, analyses=0)
-    second, failures = execute_plan(plan, tmp_path / "aug", sample_rate=22050)
+    second, failures = execute_plan(parents, "psola-f0", tmp_path / "aug")
     assert failures == []
     assert list(second) == list(first)
     assert second.sample_rate == 22050
@@ -641,13 +649,12 @@ def _damage(path, how):
 @pytest.mark.parametrize("recipe", ["resample", "psola-dur"])
 def test_execute_plan_rewrites_incomplete_outputs(tmp_path, counts, recipe, how):
     parents = Manifest([_write_parent(tmp_path, "sp0_000", "sp0", 16000)])
-    plan = plan_augmentation(parents, recipe)
-    first, failures = execute_plan(plan, tmp_path / "aug")
+    first, failures = execute_plan(parents, recipe, tmp_path / "aug")
     assert failures == []
     written = {r.path: Path(r.path).read_bytes() for r in first}
     _damage(Path(first.records[1].path), how)
     counts.update(reads=0, analyses=0)
-    second, failures = execute_plan(plan, tmp_path / "aug")
+    second, failures = execute_plan(parents, recipe, tmp_path / "aug")
     assert failures == []
     assert list(second) == list(first)
     assert {r.path: Path(r.path).read_bytes() for r in second} == written
@@ -658,32 +665,37 @@ def test_execute_plan_resume_fails_jobs_of_a_vanished_parent(tmp_path):
     """A kept output is checked against its parent's length, so a parent
     that is gone fails its jobs rather than passing them unchecked."""
     parent = _write_parent(tmp_path, "sp0_000", "sp0", 16000)
-    plan = plan_augmentation(Manifest([parent]), "resample")
-    execute_plan(plan, tmp_path / "aug")
+    execute_plan(Manifest([parent]), "resample", tmp_path / "aug")
     os.remove(parent.path)
-    built, failures = execute_plan(plan, tmp_path / "aug")
+    built, failures = execute_plan(Manifest([parent]), "resample", tmp_path / "aug")
     assert len(built) == 0
     assert len(failures) == 4 and all("FileNotFoundError" in f["error"] for f in failures)
 
 
 def test_execute_plan_analysis_error_fails_only_psola_jobs(tmp_path, counts):
+    """A clip too short for two pitch periods fails every PSOLA job after one
+    read and one analysis; the same clip still resamples, with no analysis."""
     path = tmp_path / "tiny.wav"
-    write_wav(AudioClip(np.zeros(30), 16000), path)  # too short for two pitch periods
-    parent = _natural("sp0_000", path=str(path))
-    plan = [AugmentationJob(parent, PSOLA_F0, 1.0, 1.2),
-            AugmentationJob(parent, RESAMPLED, 1.05, 1.05),
-            AugmentationJob(parent, PSOLA_DUR, 1.1, 1.0)]
-    built, failures = execute_plan(plan, tmp_path / "aug")
-    assert [r.kind for r in built] == [RESAMPLED]
-    assert [f["kind"] for f in failures] == [PSOLA_F0, PSOLA_DUR]
+    write_wav(AudioClip(np.zeros(30), 16000), path)
+    parents = Manifest([_natural("sp0_000", path=str(path))])
+    built, failures = execute_plan(parents, "psola-f0", tmp_path / "aug")
+    assert len(built) == 0
+    assert [f["f0_ratio"] for f in failures] == list(PSOLA_F0_RATIOS)
     assert all(f["error"].endswith(": SpkraugError: found only 1 pitch marks; "
                                    "input is shorter than two periods") for f in failures)
     assert counts == {"reads": 1, "analyses": 1}
+    counts.update(reads=0, analyses=0)
+    built, failures = execute_plan(parents, "resample", tmp_path / "aug")
+    assert failures == []
+    assert [r.kind for r in built] == [RESAMPLED] * len(SPEED_RATIOS)
+    assert counts == {"reads": 1, "analyses": 0}
 
 
 def test_execute_plan_empty_plan(tmp_path):
-    built, failures = execute_plan([], tmp_path)
+    built, failures = execute_plan(Manifest([], corpus="c", sample_rate=22050), "resample",
+                                   tmp_path)
     assert len(built) == 0
+    assert (built.corpus, built.sample_rate) == ("c", 22050)
     assert failures == []
 
 

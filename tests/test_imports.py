@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from spkraug.dataset import Manifest, execute_plan, plan_augmentation, save_manifest
+from spkraug.dataset import Manifest, execute_plan, save_manifest
 from spkraug.embedding import EmbeddingSet, save_embeddings
 from spkraug.spectral import magnitude_spectrogram, write_spectrogram
 from synth import build_corpus, sine
@@ -60,8 +60,7 @@ def test_no_command_loads_scipy_or_numpy_ma(tmp_path):
         return str(tmp_path / name)
 
     corpus = build_corpus(tmp_path / "corpus", per_speaker=2, seed=3, dur_range=(0.4, 0.5))
-    aug, failures = execute_plan(plan_augmentation(corpus, "psola-dur"), tmp_path / "aug",
-                                 corpus=corpus.corpus, sample_rate=corpus.sample_rate)
+    aug, failures = execute_plan(corpus, "psola-dur", tmp_path / "aug")
     assert failures == []
     save_manifest(corpus, p("corpus.jsonl"))
     save_manifest(aug, p("aug.jsonl"))
