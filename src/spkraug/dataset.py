@@ -106,8 +106,7 @@ class Manifest:
         if not isinstance(self.corpus, str):
             raise SpkraugError(f"corpus must be a string, got {self.corpus!r}")
         _check_text("corpus", self.corpus)
-        rows = _row_index([r.utterance_id for r in self.records])  # raises on a duplicate
-        self._by_id = {uid: self.records[row] for uid, row in rows.items()}
+        _row_index([r.utterance_id for r in self.records])  # raises on a duplicate
 
     def __len__(self) -> int:
         return len(self.records)
@@ -115,31 +114,8 @@ class Manifest:
     def __iter__(self):
         return iter(self.records)
 
-    def __contains__(self, utterance_id: str) -> bool:
-        return utterance_id in self._by_id
-
-    def get(self, utterance_id: str) -> UtteranceRecord:
-        return self._by_id[utterance_id]
-
     def speakers(self) -> list:
         return _first_seen(r.speaker_id for r in self.records)
-
-    def naturals(self) -> list:
-        return [r for r in self.records if r.is_natural]
-
-    def require_parents(self, parents: "Manifest" = None) -> None:
-        """Check every augmented record's parent resolves to a natural record,
-        in this manifest or the supplementary one."""
-        for r in self.records:
-            if r.is_natural:
-                continue
-            parent = self._by_id.get(r.parent_id)
-            if parent is None and parents is not None:
-                parent = parents._by_id.get(r.parent_id)
-            if parent is None:
-                raise SpkraugError(f"{r.utterance_id}: parent {r.parent_id!r} not found")
-            if not parent.is_natural:
-                raise SpkraugError(f"{r.utterance_id}: parent {r.parent_id!r} is not natural")
 
 
 def save_manifest(manifest: Manifest, path) -> None:
@@ -166,7 +142,7 @@ def load_manifest(path) -> Manifest:
     try:
         meta = json.loads(line)
         header = Manifest(corpus=meta["corpus"], sample_rate=meta["sample_rate"])
-    except (json.JSONDecodeError, RecursionError, SpkraugError) as exc:
+    except (ValueError, RecursionError) as exc:  # SpkraugError is a ValueError
         raise SpkraugError(f"{path}:{lineno}: {exc}") from None
     except (KeyError, TypeError):
         raise SpkraugError(
@@ -216,7 +192,7 @@ def select_subset(manifest: Manifest, per_speaker: int, seed: int,
     """
     if per_speaker < 1:
         raise SpkraugError(f"per_speaker must be >= 1, got {per_speaker}")
-    naturals = manifest.naturals()
+    naturals = [r for r in manifest if r.is_natural]
     by_speaker = {}
     for r in naturals:
         by_speaker.setdefault(r.speaker_id, []).append(r)
@@ -383,16 +359,24 @@ def select_best_augmented(naturals: Manifest, augmented: Manifest,
 
     Distances are Euclidean in the embedding space; the result contains the
     naturals followed by every kept child, both in manifest order. k = 0
-    keeps just the naturals; a negative k is an error.
+    keeps just the naturals; a negative k is an error. Each child's parent
+    must be a natural record of either manifest; an id in both resolves to
+    the augmented manifest's record.
     """
     if k < 0:
         raise SpkraugError(f"k must be non-negative, got {k}")
-    augmented.require_parents(naturals)
+    children = [r for r in augmented if not r.is_natural]
+    by_id = {r.utterance_id: r for r in [*naturals, *augmented]}  # augmented wins a tie
+    for r in children:
+        parent = by_id.get(r.parent_id)
+        if parent is None:
+            raise SpkraugError(f"{r.utterance_id}: parent {r.parent_id!r} not found")
+        if not parent.is_natural:
+            raise SpkraugError(f"{r.utterance_id}: parent {r.parent_id!r} is not natural")
     for r in list(naturals) + list(augmented):
         if r.utterance_id not in embeddings:
             raise SpkraugError(f"no embedding for {r.utterance_id!r}")
 
-    children = [r for r in augmented if not r.is_natural]
     diff = embeddings._rows(r.parent_id for r in children)  # one pass: every child vs its parent
     diff -= embeddings._rows(r.utterance_id for r in children)
     scored = {}

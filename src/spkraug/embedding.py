@@ -267,6 +267,10 @@ def save_embeddings(embeddings: EmbeddingSet, path) -> None:
     _write_lines(path, [f"#dim={embeddings.dimension}", *_tsv_rows(embeddings, embeddings.matrix)])
 
 
+# the longest float64 row a NumPy shape can hold: its size in bytes fits an intp
+_MAX_DIMENSION = int(np.iinfo(np.intp).max) // 8
+
+
 def load_embeddings(path) -> EmbeddingSet:
     """Read the TSV format into one matrix, row by row.
 
@@ -284,8 +288,8 @@ def load_embeddings(path) -> EmbeddingSet:
         dim = int(header[5:])
     except ValueError:
         raise SpkraugError(f"{path}: unparseable header {header!r}") from None
-    if dim < 1:
-        raise SpkraugError(f"{path}: dimension must be positive, got {dim}")
+    if not 0 < dim <= _MAX_DIMENSION:
+        raise SpkraugError(f"{path}: dimension must be in [1, {_MAX_DIMENSION}], got {dim}")
     values = array("d")  # grows with the rows read, whatever the header claims
     ids, speaker_ids, linenos = [], [], []
     stop = None  # the first line that does not parse, and why

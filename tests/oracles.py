@@ -215,8 +215,9 @@ def load_embeddings_row_oracle(path):
         dim = int(lines[0][5:])
     except ValueError:
         raise SpkraugError(f"{path}: unparseable header {lines[0]!r}") from None
-    if dim < 1:
-        raise SpkraugError(f"{path}: dimension must be positive, got {dim}")
+    top = np.iinfo(np.intp).max // np.dtype(np.float64).itemsize
+    if not 1 <= dim <= top:
+        raise SpkraugError(f"{path}: dimension must be in [1, {top}], got {dim}")
     rows = []
     seen = set()
     repeat = None  # (line, id) of the first utterance_id seen before

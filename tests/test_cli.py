@@ -372,6 +372,51 @@ def test_non_utf8_input_is_one_line_error(capsys, cli_env, tmp_path, argv):
     assert err.startswith(f"spkraug {argv[0]}: error: {bad}: not UTF-8 text")
 
 
+@pytest.mark.parametrize("argv", [
+    ["subset", "--manifest", "{bad}", "--per-speaker", "1", "--output", "{out}"],
+    ["augment", "resample", "--manifest", "{bad}", "--audio-root", "{out}", "--output", "{out}"],
+    ["embed", "--manifest", "{bad}", "--output", "{out}"],
+    ["select-best", "--naturals", "{bad}", "--augmented", "{manifest}",
+     "--embeddings", "{emb}", "--output", "{out}"],
+    ["pairs", "--eval", "{manifest}", "--pool", "{bad}", "--output", "{out}"],
+], ids=["subset", "augment", "embed", "select-best", "pairs"])
+def test_manifest_header_past_the_int_digit_limit_is_one_line_error(capsys, cli_env, tmp_path,
+                                                                    argv):
+    """json.loads refuses an integer of more than 4300 digits with a plain
+    ValueError; the header reports it as its own line-1 error."""
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text('{"corpus":"c","sample_rate":' + "1" * 4301 + "}\n", encoding="utf-8")
+    paths = {"bad": bad, "out": tmp_path / "out", "manifest": cli_env["manifest_path"],
+             "emb": cli_env["emb_path"]}
+    rc, report, err = _run(capsys, [a.format(**paths) for a in argv])
+    assert (rc, report) == (1, None)
+    assert err.count("\n") == 1
+    assert err.startswith(f"spkraug {argv[0]}: error: {bad}:1: Exceeds the limit (4300 digits)")
+
+
+@pytest.mark.parametrize("argv", [
+    ["tsne", "--embeddings", "{bad}", "--output", "{out}"],
+    ["select-best", "--naturals", "{manifest}", "--augmented", "{manifest}",
+     "--embeddings", "{bad}", "--output", "{out}"],
+    ["eval", "cs", "--synth", "{bad}", "--natural", "{emb}"],
+    ["eval", "eer", "--pairs", "{pairs}", "--embeddings", "{bad}"],
+], ids=["tsne", "select-best", "eval-cs", "eval-eer"])
+def test_embeddings_dimension_past_numpy_shapes_is_one_line_error(capsys, cli_env, tmp_path,
+                                                                  argv):
+    """A #dim= no NumPy shape can hold (here 10**30, with no rows): one line,
+    not NumPy's reshape error."""
+    bad = tmp_path / "bad.tsv"
+    bad.write_text(f"#dim={10**30}\n", encoding="utf-8")
+    pairs = tmp_path / "pairs.tsv"
+    pairs.write_text("u1\tu2\tsame\nu2\tu1\tdiff\n", encoding="utf-8")
+    paths = {"bad": bad, "out": tmp_path / "out", "manifest": cli_env["manifest_path"],
+             "emb": cli_env["emb_path"], "pairs": pairs}
+    rc, report, err = _run(capsys, [a.format(**paths) for a in argv])
+    assert (rc, report) == (1, None)
+    assert err == (f"spkraug {argv[0]}: error: {bad}: dimension must be in [1, {2**60 - 1}], "
+                   f"got {10**30}\n")
+
+
 def test_embed_empty_manifest_is_one_line_error(capsys, tmp_path):
     path = tmp_path / "empty.jsonl"
     path.write_text('{"corpus":"c","sample_rate":16000}\n')
@@ -622,7 +667,40 @@ def test_select_best_cli(capsys, cli_env, tmp_path):
     assert report["kept"] == 8  # 4 children kept for each of the 2 naturals
     best = load_manifest(out)
     assert len(best) == 10
-    assert len(best.naturals()) == 2
+    assert sum(r.is_natural for r in best) == 2
+
+
+def test_select_best_cli_reports_its_checks_in_order(capsys, tmp_path):
+    """A negative --k is refused while parsing; then each child's parent, in
+    augmented-record order, then a missing embedding, then too few children.
+    Mending each defect in turn brings up the next."""
+    naturals, augmented, emb = tmp_path / "n.jsonl", tmp_path / "a.jsonl", tmp_path / "e.tsv"
+    naturals.write_text(_HEADER + _NATURAL % ("n", "s", "n"), encoding="utf-8")
+    emb.write_text("#dim=2\n" + "".join(f"{uid}\ts\t1.0\t{i}.0\n" for i, uid in
+                                        enumerate(["n", "c0", "c1", "c2"])), encoding="utf-8")
+    parents = {"c0": "n", "c1": "c0", "c2": "ghost", "c3": "n"}
+
+    def run(k):
+        augmented.write_text(_HEADER + "".join(
+            '{"utterance_id":"%s","speaker_id":"s","path":"%s.wav","kind":"psola_dur",'
+            '"duration_ratio":1.1,"parent_id":"%s"}\n' % (uid, uid, parent)
+            for uid, parent in parents.items()), encoding="utf-8")
+        rc, report, err = _run(capsys, ["select-best", "--naturals", str(naturals),
+                                        "--augmented", str(augmented), "--embeddings", str(emb),
+                                        "--k", k, "--output", str(tmp_path / "out.jsonl")])
+        assert (rc, report) == (1, None)
+        return err.splitlines()[-1].removeprefix(
+            f"spkraug select-best: error: {naturals}, {augmented}, {emb}: ")
+
+    assert run("-1").endswith("argument --k: must be at least 0, got -1")
+    assert run("4") == "c1: parent 'c0' is not natural"
+    parents["c1"] = "n"
+    assert run("4") == "c2: parent 'ghost' not found"
+    parents["c2"] = "n"
+    assert run("4") == "no embedding for 'c3'"
+    del parents["c3"]
+    assert run("4") == "n: has 3 augmented children, need 4"
+    assert not (tmp_path / "out.jsonl").exists()
 
 
 # -- pairs / eval ------------------------------------------------------------
@@ -1246,27 +1324,36 @@ _MUTATED_RUNS = {
 # a value in a text seed: a TSV field, a word, a JSON value or the number after
 # `#dim=`; a JSON key (followed by `":`), quotes and separators are framing
 _TEXT_VALUE = re.compile(rb'(?<![^\t\n "{}:,=#])(?<!#)[^\t\n "{}:,=#]+(?![^\t\n "{}:,=#])(?!":)')
+# boundary values, listed in the value pool before the seed's own; the last
+# two are an integer past Python's 4300-digit int-string limit and 2**60, a
+# dimension no NumPy shape holds
 _TEXT_VALUES = [b"", b"0", b"-1", b"2", b"1e308", b"1e-320", b"nan", b"inf", b"8000", b"same",
-                b"diff", b"natural", b"psola_dur", b"x"]
+                b"diff", b"natural", b"psola_dur", b"x", b"1" * 4301, str(2**60).encode()]
 # binary seed -> (header bytes kept, sample type, values a sample may take)
 _BINARY_VALUES = {"read_wav": (44, "<i2", [-32768, -1, 0, 1, 32767]),
                   "read_spectrogram": (28, "<f4", [0.0, -1.0, 1e-45, 3.4e38, np.inf, np.nan])}
+# one to three (position, value) picks; or, one time in ten, None: every value
+# blanked (so a transcript holds no word), every sample 0
+_VALUE_PICKS = st.integers(0, 9).flatmap(lambda n: st.none() if n == 0 else st.lists(
+    st.tuples(st.integers(0, 2**16), st.integers(0, 2**16)), min_size=1, max_size=3))
 
 
-@st.composite
-def _value_edits(draw, seed_name: str, data: bytes) -> bytes:
-    """data with one to three ids or numbers replaced, by one of the file's own
-    values or a boundary value; the framing stays as it is."""
+def _value_edit(seed_name: str, data: bytes, picks) -> bytes:
+    """data with each picked id, number or sample (position modulo their
+    count) replaced by a picked value (modulo the pool: a boundary value or
+    one of the file's own); the framing stays as it is."""
     if seed_name in _BINARY_VALUES:
         start, dtype, values = _BINARY_VALUES[seed_name]
         samples = np.frombuffer(data, dtype, offset=start).copy()
-        for _ in range(draw(st.integers(1, 3))):
-            samples[draw(st.integers(0, len(samples) - 1))] = draw(st.sampled_from(values))
+        if picks is None:
+            samples[:] = 0
+        for at, value in picks or []:
+            samples[at % len(samples)] = values[value % len(values)]
         return data[:start] + samples.tobytes()
     tokens = list(_TEXT_VALUE.finditer(data))
-    pool = [m.group() for m in tokens] + _TEXT_VALUES
-    edits = {draw(st.integers(0, len(tokens) - 1)): draw(st.sampled_from(pool))
-             for _ in range(draw(st.integers(1, 3)))}
+    pool = _TEXT_VALUES + [m.group() for m in tokens]
+    edits = ({at % len(tokens): pool[value % len(pool)] for at, value in picks} if picks
+             else dict.fromkeys(range(len(tokens)), b""))
     pieces, end = [], 0
     for i, m in enumerate(tokens):
         pieces += [data[end:m.start()], edits.get(i, m.group())]
@@ -1274,13 +1361,18 @@ def _value_edits(draw, seed_name: str, data: bytes) -> bytes:
     return b"".join(pieces) + data[end:]
 
 
-def _check_mutated_run(base, run, mutate) -> None:
+# the value edits' seeds: embed's WAV lasts 0.25 s, long enough to embed
+_VALUE_SEEDS = {**_CLI_SEEDS,
+                "read_wav": (read_wav, lambda p: write_wav(sine(200.0, 0.25, 8000), p))}
+
+
+def _check_mutated_run(base, run, mutate, seeds=_CLI_SEEDS) -> None:
     """Run `run` on its seed after `mutate`: exit 0 with a strict-JSON report
     or 1 with one error line that names the mutated file; nothing raises or
     warns. When the input's reader refuses the file, the line carries the
     reader's message."""
     seed, argv = _MUTATED_RUNS[run]
-    read, write_seed = _CLI_SEEDS[seed]
+    read, write_seed = seeds[seed]
     base.mkdir(exist_ok=True)
     for name, text in _COMPANIONS.items():
         (base / name).write_text(text.replace("{B}", str(base)), encoding="utf-8")
@@ -1314,10 +1406,15 @@ def test_mutated_input_ends_with_a_report_or_one_line(tmp_path_factory_session, 
 @_WARNINGS_ARE_ERRORS
 @pytest.mark.parametrize("run", sorted(_MUTATED_RUNS))
 @settings(max_examples=30, database=None, derandomize=True)
-@given(data=st.data())
-def test_value_edited_input_ends_with_a_report_or_one_line(tmp_path_factory_session, run, data):
+@given(picks=_VALUE_PICKS)
+# the header's first value: a manifest's corpus or an embeddings file's #dim=
+# set to 2**60; its second: the manifest's sample_rate set past 4300 digits
+@example(picks=[(0, len(_TEXT_VALUES) - 1)])
+@example(picks=[(1, len(_TEXT_VALUES) - 2)])
+@example(picks=None)
+def test_value_edited_input_ends_with_a_report_or_one_line(tmp_path_factory_session, run, picks):
     """Edits of ids and numbers only: more files pass their reader and reach
     the content checks (too few points for t-SNE, one trial class for EER,
-    a parent not found)."""
+    a parent not found, an empty reference)."""
     _check_mutated_run(tmp_path_factory_session / "value_edited_cli", run,
-                       lambda name, seed: data.draw(_value_edits(name, seed), label="file"))
+                       lambda name, seed: _value_edit(name, seed, picks), _VALUE_SEEDS)

@@ -91,7 +91,7 @@ def test_manifest_rejects_duplicate_ids():
         Manifest([_natural("a"), _natural("a")])
 
 
-def test_manifest_lookup_helpers():
+def test_manifest_length_order_and_speakers():
     records = [
         _natural("sp0_000", "sp0"),
         _natural("sp1_000", "sp1"),
@@ -99,36 +99,84 @@ def test_manifest_lookup_helpers():
     ]
     m = Manifest(records, corpus="demo", sample_rate=16000)
     assert len(m) == 3
-    assert "sp1_000" in m and "ghost" not in m
-    assert m.get("sp0_000").speaker_id == "sp0"
+    assert list(m) == records
     assert m.speakers() == ["sp0", "sp1"]
-    assert [r.utterance_id for r in m.naturals()] == ["sp0_000", "sp1_000"]
 
 
-def test_require_parents_within_manifest():
+def _embeddings_for(*ids):
+    """A distinct, non-zero row per id, so a selection over them can run."""
+    return EmbeddingSet(list(ids), ["sp0"] * len(ids), [[1.0, float(i)] for i in range(len(ids))])
+
+
+def test_select_best_resolves_parents_within_augmented():
+    """A natural record of the augmented manifest is a parent, too (only the
+    naturals manifest's records keep children, so nothing is kept here)."""
     m = Manifest([_natural("a"), _augmented("a__x", "a")])
-    m.require_parents()
+    assert len(select_best_augmented(Manifest([]), m, _embeddings_for("a", "a__x"), k=1)) == 0
     dangling = Manifest([_augmented("b__x", "b")])
     with pytest.raises(SpkraugError, match="b__x: parent 'b' not found"):
-        dangling.require_parents()
+        select_best_augmented(Manifest([]), dangling, _embeddings_for("b__x"), k=1)
 
 
-def test_require_parents_with_supplement():
+def test_select_best_resolves_parents_in_naturals():
     naturals = Manifest([_natural("a")])
     children = Manifest([_augmented("a__x", "a")])
-    children.require_parents(naturals)
+    best = select_best_augmented(naturals, children, _embeddings_for("a", "a__x"), k=1)
+    assert [r.utterance_id for r in best] == ["a", "a__x"]
     with pytest.raises(SpkraugError, match="a__x: parent 'a' not found"):
-        children.require_parents(Manifest([_natural("other")]))
+        select_best_augmented(Manifest([_natural("other")]), children,
+                              _embeddings_for("other", "a__x"), k=1)
 
 
-def test_require_parents_rejects_augmented_parent():
+def test_select_best_rejects_augmented_parent():
     m = Manifest([
         _natural("a"),
         _augmented("a__x", "a"),
         _augmented("a__x__y", "a__x"),
     ])
     with pytest.raises(SpkraugError, match="a__x__y: parent 'a__x' is not natural"):
-        m.require_parents()
+        select_best_augmented(Manifest([]), m, _embeddings_for("a", "a__x", "a__x__y"), k=0)
+
+
+def test_select_best_parent_in_both_manifests_is_the_augmented_one():
+    """An id in both manifests resolves to the augmented manifest's record,
+    here an augmented one, even though --naturals holds a natural of that id."""
+    naturals = Manifest([_natural("a"), _natural("n")])
+    augmented = Manifest([_augmented("c", "a"), _augmented("a", "n")])
+    with pytest.raises(SpkraugError, match="^c: parent 'a' is not natural$"):
+        select_best_augmented(naturals, augmented, _embeddings_for("a", "n", "c"), k=1)
+
+
+# the checks select_best_augmented makes, in the order it makes them: the
+# first defect left in the inputs is the one reported
+_SELECT_BEST_DEFECTS = [
+    ("negative k", "k must be non-negative, got -1"),
+    ("parent not natural", "c1: parent 'c0' is not natural"),
+    ("parent not found", "c2: parent 'ghost' not found"),
+    ("missing embedding", "no embedding for 'c3'"),
+    ("too few children", "n: has 3 augmented children, need 4"),
+]
+
+
+def _select_best_inputs(defects):
+    """Naturals, augmented manifest, embeddings and k for select-best, with
+    the named defects of _SELECT_BEST_DEFECTS present."""
+    children = [_augmented("c0", "n"),
+                _augmented("c1", "c0" if "parent not natural" in defects else "n"),
+                _augmented("c2", "ghost" if "parent not found" in defects else "n")]
+    children += [_augmented("c3", "n")] if "missing embedding" in defects else []
+    ids = ["n", "c0", "c1", "c2"]
+    k = -1 if "negative k" in defects else 4 if "too few children" in defects else 2
+    return Manifest([_natural("n")]), Manifest(children), _embeddings_for(*ids), k
+
+
+@pytest.mark.parametrize("first", range(len(_SELECT_BEST_DEFECTS)))
+def test_select_best_reports_the_first_check_that_fails(first):
+    """k < 0, then each child's parent in augmented-record order, then a
+    missing embedding, then too few children for k."""
+    defects = [name for name, _ in _SELECT_BEST_DEFECTS[first:]]
+    with pytest.raises(SpkraugError, match=f"^{_SELECT_BEST_DEFECTS[first][1]}$"):
+        select_best_augmented(*_select_best_inputs(defects))
 
 
 # -- manifest files ----------------------------------------------------------
@@ -233,6 +281,8 @@ _CHILD = '{"utterance_id":"u__x","speaker_id":"s","path":"p","kind":"psola_dur",
     pytest.param(_HEADER + _CHILD + '"f0_ratio":true}\n', id="ratio-bool"),
     pytest.param(_HEADER + _CHILD + '"f0_ratio":"1.05"}\n', id="ratio-string-number"),
     pytest.param('{"corpus":5,"sample_rate":16000}\n', id="corpus-not-a-string"),
+    pytest.param('{"corpus":"c","sample_rate":' + "1" * 4301 + '}\n',
+                 id="rate-past-the-int-digit-limit"),
     pytest.param("[" * 100000 + "]" * 100000 + "\n", id="header-nested-too-deeply"),
     pytest.param('{"corpus":"c","sample_rate":16000}\n' + "[" * 100000 + "]" * 100000 + "\n",
                  id="record-nested-too-deeply"),
@@ -295,14 +345,14 @@ def test_manifest_stores_its_sample_rate_as_an_int(tmp_path):
 
 def test_augmented_only_manifest_loads(tmp_path):
     """A shard holding only augmented records is legal on disk; parents are
-    checked only when a caller asks for them."""
+    checked only by select-best, which needs them."""
     m = Manifest([_augmented("a__x", "a")])
     path = tmp_path / "aug.jsonl"
     save_manifest(m, path)
     back = load_manifest(path)
     assert len(back) == 1
     with pytest.raises(SpkraugError, match="a__x: parent 'a' not found"):
-        back.require_parents()
+        select_best_augmented(Manifest([]), back, _embeddings_for("a__x"), k=0)
 
 
 # -- subset selection --------------------------------------------------------
@@ -507,8 +557,9 @@ def test_execute_plan_full_run(small_corpus, tmp_path):
     assert (built.corpus, built.sample_rate) == (parents.corpus, parents.sample_rate)
     assert [r.utterance_id for r in built] == [f"{p.utterance_id}__psola_f0_1_{f:g}"
                                                for p in parents for f in PSOLA_F0_RATIOS]
+    parent_ids = {p.utterance_id for p in parents}
     for r in built:
-        assert r.parent_id in parents
+        assert r.parent_id in parent_ids
         assert len(read_wav(r.path)) > 0
 
 
@@ -830,13 +881,14 @@ def _pair_fixture():
 def test_generate_pairs_shape_and_labels():
     eval_m, pool = _pair_fixture()
     pairs = generate_eer_pairs(eval_m, pool, seed=0)
+    speaker_of = {p.utterance_id: p.speaker_id for p in pool}
     assert len(pairs) == 2 * len(eval_m)
     for k, r in enumerate(eval_m):
         same, diff = pairs[2 * k], pairs[2 * k + 1]
         assert same.enroll_id == r.utterance_id and same.same_speaker
         assert diff.enroll_id == r.utterance_id and not diff.same_speaker
-        assert pool.get(same.test_id).speaker_id == r.speaker_id
-        assert pool.get(diff.test_id).speaker_id != r.speaker_id
+        assert speaker_of[same.test_id] == r.speaker_id
+        assert speaker_of[diff.test_id] != r.speaker_id
         assert same.score is None and diff.score is None
 
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -476,6 +478,24 @@ def test_load_embeddings_huge_header_dimension_is_refused(tmp_path):
     path.write_text("#dim=1000000000000\nu1\ts1\t1.0\n")
     with pytest.raises(SpkraugError, match="expected 1000000000002 fields, found 3"):
         load_embeddings(path)
+
+
+@pytest.mark.parametrize("rows", ["", "u1\ts1\t1.0\n"], ids=["no-rows", "one-row"])
+@pytest.mark.parametrize("dim", [2**60, 10**30], ids=["2**60", "10**30"])
+def test_load_embeddings_dimension_past_numpy_shapes_is_refused(tmp_path, dim, rows):
+    """No NumPy shape holds a float64 row of 2**60 values: the header is
+    refused before any row is read."""
+    path = tmp_path / "emb.tsv"
+    path.write_text(f"#dim={dim}\n{rows}")
+    message = f"{path}: dimension must be in [1, {2**60 - 1}], got {dim}"
+    with pytest.raises(SpkraugError, match=f"^{re.escape(message)}$"):
+        load_embeddings(path)
+    path.write_text(f"#dim={2**60 - 1}\n{rows}")  # the largest dimension a header may give
+    if rows:
+        with pytest.raises(SpkraugError, match=f"expected {2**60 + 1} fields, found 3"):
+            load_embeddings(path)
+    else:
+        assert load_embeddings(path).matrix.shape == (0, 2**60 - 1)
 
 
 def test_load_embeddings_matrix_is_read_only(tmp_path):

@@ -1,12 +1,12 @@
 """Count logical lines of Python source: non-blank lines that are neither
 comments nor docstrings.
 
-Usage: python tools/loc.py DIR [DIR ...]
+Usage: python tools/loc.py PATH [PATH ...]
 
-Prints the total over every *.py file under the given directories. A line
-counts when at least one token other than a comment, a newline or an
-indentation change lies on it; lines covered by a module, class or function
-docstring do not count.
+Prints the total over every *.py file under the given directories, plus each
+given file; a missing path is an error. A line counts when at least one token
+other than a comment, a newline or an indentation change lies on it; lines
+covered by a module, class or function docstring do not count.
 """
 
 import ast
@@ -40,13 +40,19 @@ def logical_lines(source: str) -> int:
     return sum(1 for n in code if n <= len(text) and text[n - 1].strip())
 
 
-def count(directory) -> int:
-    """Logical lines of every *.py file under directory."""
-    return sum(logical_lines(p.read_text(encoding="utf-8"))
-               for p in sorted(Path(directory).rglob("*.py")))
+def count(path) -> int:
+    """Logical lines of the file at path, or of every *.py file under it."""
+    path = Path(path)
+    if not path.exists():
+        raise FileNotFoundError(f"no such file or directory: {path}")
+    files = sorted(path.rglob("*.py")) if path.is_dir() else [path]
+    return sum(logical_lines(p.read_text(encoding="utf-8")) for p in files)
 
 
 if __name__ == "__main__":
     if len(sys.argv) < 2:
         sys.exit(__doc__)
-    print(sum(count(d) for d in sys.argv[1:]))
+    try:
+        print(sum(count(p) for p in sys.argv[1:]))
+    except FileNotFoundError as exc:
+        sys.exit(f"loc.py: {exc}")
