@@ -178,7 +178,10 @@ def _utterance_number(utterance_id: str) -> int:
         raise SpkraugError(
             f"{utterance_id!r}: parallel selection needs a trailing utterance number"
         )
-    return int(m.group(1))
+    try:
+        return int(m.group(1))
+    except ValueError:  # past Python's int-string digit limit
+        raise SpkraugError(f"{utterance_id!r}: utterance number has too many digits") from None
 
 
 def select_subset(manifest: Manifest, per_speaker: int, seed: int,
@@ -360,22 +363,20 @@ def select_best_augmented(naturals: Manifest, augmented: Manifest,
     Distances are Euclidean in the embedding space; the result contains the
     naturals followed by every kept child, both in manifest order. k = 0
     keeps just the naturals; a negative k is an error. Each child's parent
-    must be a natural record of either manifest; an id in both resolves to
-    the augmented manifest's record.
+    must be a natural record of `naturals`; the naturals of `augmented` are
+    skipped. Checks run in this order: k, each child's parent, the
+    parents' embeddings, the children's embeddings, each natural's count.
     """
     if k < 0:
         raise SpkraugError(f"k must be non-negative, got {k}")
     children = [r for r in augmented if not r.is_natural]
-    by_id = {r.utterance_id: r for r in [*naturals, *augmented]}  # augmented wins a tie
+    by_id = {r.utterance_id: r for r in naturals}
     for r in children:
         parent = by_id.get(r.parent_id)
         if parent is None:
             raise SpkraugError(f"{r.utterance_id}: parent {r.parent_id!r} not found")
         if not parent.is_natural:
             raise SpkraugError(f"{r.utterance_id}: parent {r.parent_id!r} is not natural")
-    for r in list(naturals) + list(augmented):
-        if r.utterance_id not in embeddings:
-            raise SpkraugError(f"no embedding for {r.utterance_id!r}")
 
     diff = embeddings._rows(r.parent_id for r in children)  # one pass: every child vs its parent
     diff -= embeddings._rows(r.utterance_id for r in children)

@@ -34,7 +34,7 @@ _FRAME_BLOCK = 64  # frames per power-spectrum block: bounds each clip's transie
 class EmbeddingSet:
     """Embeddings of one dimension: `ids` and `speaker_ids` (lists, one per
     row) plus one read-only (n, dimension) float64 `matrix`. A single
-    embedding is a 1-D array; `get()` returns a read-only row. Every row is
+    embedding is a 1-D array; `_rows()` is the one lookup by id. Every row is
     finite, its squared norm is normal (so not 0), and 4 times it is finite
     (see _row_defect), the rule load_embeddings reads a file by. An id holds
     no tab, line break or character XML 1.0 forbids."""
@@ -62,18 +62,16 @@ class EmbeddingSet:
     def __len__(self) -> int:
         return len(self.ids)
 
-    def __contains__(self, utterance_id: str) -> bool:
-        return utterance_id in self._index
-
-    def get(self, utterance_id: str) -> np.ndarray:
-        return self.matrix[self._index[utterance_id]]
-
     def speakers(self) -> list:
         return _first_seen(self.speaker_ids)
 
     def _rows(self, utterance_ids) -> np.ndarray:
-        """Matrix rows of the given ids, in that order."""
-        return self.matrix[[self._index[uid] for uid in utterance_ids]]
+        """Matrix rows of the given ids, in that order; the first id with no
+        row is named."""
+        try:
+            return self.matrix[[self._index[uid] for uid in utterance_ids]]
+        except KeyError as e:
+            raise SpkraugError(f"no embedding for {e.args[0]!r}") from None
 
 
 def _row_index(ids) -> dict:

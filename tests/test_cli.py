@@ -668,6 +668,14 @@ def test_select_best_cli(capsys, cli_env, tmp_path):
     best = load_manifest(out)
     assert len(best) == 10
     assert sum(r.is_natural for r in best) == 2
+    # the merged manifest as --augmented: its naturals are skipped; as both
+    # inputs at k = 0: the output is that manifest
+    again = tmp_path / "again.jsonl"
+    for naturals, k, want in ((parents_path, "4", out), (merged_path, "0", merged_path)):
+        rc, _, _ = _run(capsys, ["select-best", "--naturals", str(naturals),
+                                 "--augmented", str(merged_path), "--embeddings", str(emb_path),
+                                 "--k", k, "--output", str(again)])
+        assert rc == 0 and again.read_bytes() == want.read_bytes()
 
 
 def test_select_best_cli_reports_its_checks_in_order(capsys, tmp_path):
@@ -675,10 +683,12 @@ def test_select_best_cli_reports_its_checks_in_order(capsys, tmp_path):
     augmented-record order, then a missing embedding, then too few children.
     Mending each defect in turn brings up the next."""
     naturals, augmented, emb = tmp_path / "n.jsonl", tmp_path / "a.jsonl", tmp_path / "e.tsv"
-    naturals.write_text(_HEADER + _NATURAL % ("n", "s", "n"), encoding="utf-8")
+    naturals.write_text(_HEADER + _NATURAL % ("n", "s", "n") + '{"utterance_id":"m",'
+                        '"speaker_id":"s","path":"m.wav","kind":"psola_dur",'
+                        '"duration_ratio":1.1,"parent_id":"n"}\n', encoding="utf-8")
     emb.write_text("#dim=2\n" + "".join(f"{uid}\ts\t1.0\t{i}.0\n" for i, uid in
                                         enumerate(["n", "c0", "c1", "c2"])), encoding="utf-8")
-    parents = {"c0": "n", "c1": "c0", "c2": "ghost", "c3": "n"}
+    parents = {"c0": "n", "c1": "m", "c2": "ghost", "c3": "n"}
 
     def run(k):
         augmented.write_text(_HEADER + "".join(
@@ -693,7 +703,7 @@ def test_select_best_cli_reports_its_checks_in_order(capsys, tmp_path):
             f"spkraug select-best: error: {naturals}, {augmented}, {emb}: ")
 
     assert run("-1").endswith("argument --k: must be at least 0, got -1")
-    assert run("4") == "c1: parent 'c0' is not natural"
+    assert run("4") == "c1: parent 'm' is not natural"
     parents["c1"] = "n"
     assert run("4") == "c2: parent 'ghost' not found"
     parents["c2"] = "n"
@@ -861,6 +871,18 @@ _CONTENT_ERRORS = {
                     ["select-best", "--naturals", "{0}", "--augmented", "{1}",
                      "--embeddings", "{2}", "--output", "{T}/out"],
                     "u1__x: parent 'u1' not found"),
+    # a natural that sits only in the augmented manifest is no parent
+    "select-best natural in augmented": (
+        {"n.jsonl": _HEADER, "a.jsonl": _HEADER + _NATURAL % ("u1", "s", "a") + _CHILD,
+         "e.tsv": "#dim=2\nu1\ts\t1.0\t0.5\nu1__x\ts\t0.5\t1.0\n"},
+        ["select-best", "--naturals", "{0}", "--augmented", "{1}", "--embeddings", "{2}",
+         "--k", "1", "--output", "{T}/out"],
+        "u1__x: parent 'u1' not found"),
+    # an utterance number past Python's 4300-digit int-string limit
+    "subset": ({"m.jsonl": _HEADER + "".join(_NATURAL % (f"{s}_{n}", s, f"{s}{i}")
+                                             for s in "ab" for i, n in enumerate([1, "7" * 5000]))},
+               ["subset", "--manifest", "{0}", "--per-speaker", "1", "--output", "{T}/out"],
+               f"'a_{'7' * 5000}': utterance number has too many digits"),
     "pairs": ({"e.jsonl": _HEADER + _NATURAL % ("u1", "t", "a"),
                "p.jsonl": _HEADER + _NATURAL % ("v1", "s", "b") + _NATURAL % ("w1", "r", "c")},
               ["pairs", "--eval", "{0}", "--pool", "{1}", "--output", "{T}/out"],
@@ -1408,9 +1430,11 @@ def test_mutated_input_ends_with_a_report_or_one_line(tmp_path_factory_session, 
 @settings(max_examples=30, database=None, derandomize=True)
 @given(picks=_VALUE_PICKS)
 # the header's first value: a manifest's corpus or an embeddings file's #dim=
-# set to 2**60; its second: the manifest's sample_rate set past 4300 digits
+# set to 2**60; its second: the manifest's sample_rate set past 4300 digits;
+# its third: the manifest's first utterance_id, so subset's utterance number
 @example(picks=[(0, len(_TEXT_VALUES) - 1)])
 @example(picks=[(1, len(_TEXT_VALUES) - 2)])
+@example(picks=[(2, len(_TEXT_VALUES) - 2)])
 @example(picks=None)
 def test_value_edited_input_ends_with_a_report_or_one_line(tmp_path_factory_session, run, picks):
     """Edits of ids and numbers only: more files pass their reader and reach

@@ -108,11 +108,12 @@ def _embeddings_for(*ids):
     return EmbeddingSet(list(ids), ["sp0"] * len(ids), [[1.0, float(i)] for i in range(len(ids))])
 
 
-def test_select_best_resolves_parents_within_augmented():
-    """A natural record of the augmented manifest is a parent, too (only the
-    naturals manifest's records keep children, so nothing is kept here)."""
+def test_select_best_takes_parents_from_naturals_only():
+    """A natural that sits only in the augmented manifest is no parent: its
+    child is refused rather than dropped."""
     m = Manifest([_natural("a"), _augmented("a__x", "a")])
-    assert len(select_best_augmented(Manifest([]), m, _embeddings_for("a", "a__x"), k=1)) == 0
+    with pytest.raises(SpkraugError, match="^a__x: parent 'a' not found$"):
+        select_best_augmented(Manifest([]), m, _embeddings_for("a", "a__x"), k=1)
     dangling = Manifest([_augmented("b__x", "b")])
     with pytest.raises(SpkraugError, match="b__x: parent 'b' not found"):
         select_best_augmented(Manifest([]), dangling, _embeddings_for("b__x"), k=1)
@@ -129,29 +130,36 @@ def test_select_best_resolves_parents_in_naturals():
 
 
 def test_select_best_rejects_augmented_parent():
-    m = Manifest([
-        _natural("a"),
-        _augmented("a__x", "a"),
-        _augmented("a__x__y", "a__x"),
-    ])
+    """A parent must be a natural of the naturals manifest: an augmented record
+    there is not natural, and one of the augmented manifest is not found."""
+    naturals = Manifest([_natural("a"), _augmented("a__x", "a")])
     with pytest.raises(SpkraugError, match="a__x__y: parent 'a__x' is not natural"):
-        select_best_augmented(Manifest([]), m, _embeddings_for("a", "a__x", "a__x__y"), k=0)
+        select_best_augmented(naturals, Manifest([_augmented("a__x__y", "a__x")]),
+                              _embeddings_for("a", "a__x", "a__x__y"), k=0)
+    m = Manifest([_augmented("a__x", "a"), _augmented("a__x__y", "a__x")])
+    with pytest.raises(SpkraugError, match="a__x__y: parent 'a__x' not found"):
+        select_best_augmented(Manifest([_natural("a")]), m,
+                              _embeddings_for("a", "a__x", "a__x__y"), k=0)
 
 
-def test_select_best_parent_in_both_manifests_is_the_augmented_one():
-    """An id in both manifests resolves to the augmented manifest's record,
-    here an augmented one, even though --naturals holds a natural of that id."""
+def test_select_best_parent_in_both_manifests_is_the_natural_one():
+    """An id in both manifests resolves to the naturals manifest's record,
+    here a natural, though the augmented manifest holds an augmented one;
+    keeping both records of that id is then refused."""
     naturals = Manifest([_natural("a"), _natural("n")])
     augmented = Manifest([_augmented("c", "a"), _augmented("a", "n")])
-    with pytest.raises(SpkraugError, match="^c: parent 'a' is not natural$"):
-        select_best_augmented(naturals, augmented, _embeddings_for("a", "n", "c"), k=1)
+    emb = _embeddings_for("a", "n", "c")
+    best = select_best_augmented(naturals, augmented, emb, k=0)
+    assert [r.utterance_id for r in best] == ["a", "n"]
+    with pytest.raises(SpkraugError, match="^duplicate utterance_id 'a'$"):
+        select_best_augmented(naturals, augmented, emb, k=1)
 
 
 # the checks select_best_augmented makes, in the order it makes them: the
 # first defect left in the inputs is the one reported
 _SELECT_BEST_DEFECTS = [
     ("negative k", "k must be non-negative, got -1"),
-    ("parent not natural", "c1: parent 'c0' is not natural"),
+    ("parent not natural", "c1: parent 'm' is not natural"),
     ("parent not found", "c2: parent 'ghost' not found"),
     ("missing embedding", "no embedding for 'c3'"),
     ("too few children", "n: has 3 augmented children, need 4"),
@@ -161,13 +169,15 @@ _SELECT_BEST_DEFECTS = [
 def _select_best_inputs(defects):
     """Naturals, augmented manifest, embeddings and k for select-best, with
     the named defects of _SELECT_BEST_DEFECTS present."""
+    naturals = [_natural("n")]
+    naturals += [_augmented("m", "n")] if "parent not natural" in defects else []
     children = [_augmented("c0", "n"),
-                _augmented("c1", "c0" if "parent not natural" in defects else "n"),
+                _augmented("c1", "m" if "parent not natural" in defects else "n"),
                 _augmented("c2", "ghost" if "parent not found" in defects else "n")]
     children += [_augmented("c3", "n")] if "missing embedding" in defects else []
-    ids = ["n", "c0", "c1", "c2"]
+    ids = ["n", "m", "c0", "c1", "c2"]
     k = -1 if "negative k" in defects else 4 if "too few children" in defects else 2
-    return Manifest([_natural("n")]), Manifest(children), _embeddings_for(*ids), k
+    return Manifest(naturals), Manifest(children), _embeddings_for(*ids), k
 
 
 @pytest.mark.parametrize("first", range(len(_SELECT_BEST_DEFECTS)))

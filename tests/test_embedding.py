@@ -89,17 +89,22 @@ def test_set_lookup_and_speakers():
     emb = EmbeddingSet(["u1", "u2", "u3"], ["alice", "bob", "alice"], values)
     assert emb.dimension == 2
     assert len(emb) == 3
-    assert "u2" in emb
-    assert "u9" not in emb
     assert emb.speakers() == ["alice", "bob"]
-    with pytest.raises(KeyError):
-        emb.get("u9")
     assert emb.ids == ["u1", "u2", "u3"]
     assert emb.speaker_ids == ["alice", "bob", "alice"]
     assert emb.matrix.shape == (3, 2)
-    assert np.array_equal(emb.get("u3"), emb.matrix[2])
-    assert not emb.matrix.flags.writeable and not emb.get("u3").flags.writeable
+    assert np.array_equal(emb._rows(["u3", "u1", "u3"]), values[[2, 0, 2]])
+    assert emb._rows([]).shape == (0, 2)
+    assert not emb.matrix.flags.writeable
     assert values.flags.writeable  # the caller's array is left as it was
+
+
+def test_set_rows_name_the_first_missing_id():
+    emb = EmbeddingSet(["u1", "u2"], ["s", "s"], [[1.0, 0.0], [0.0, 1.0]])
+    with pytest.raises(SpkraugError, match="^no embedding for 'u9'$"):
+        emb._rows(["u1", "u9", "u2", "u8"])
+    with pytest.raises(SpkraugError, match="^no embedding for 'u8'$"):
+        emb._rows(uid for uid in ["u8", "u9"])
 
 
 def test_set_may_be_empty():
@@ -503,4 +508,4 @@ def test_load_embeddings_matrix_is_read_only(tmp_path):
     path.write_text("#dim=2\nu1\ts1\t1.0\t0.0\n\nu2\ts2\t0.0\t1.0\n\n")
     emb = load_embeddings(path)
     assert emb.matrix.shape == (2, 2) and not emb.matrix.flags.writeable
-    assert emb.speaker_ids == ["s1", "s2"] and not emb.get("u2").flags.writeable
+    assert emb.speaker_ids == ["s1", "s2"] and np.array_equal(emb._rows(["u2"]), [[0.0, 1.0]])

@@ -117,8 +117,9 @@ def test_batched_cosine_scores_equal_per_pair_exactly(dim):
     ids = [f"u{i}" for i in range(200)]
     emb = EmbeddingSet(ids, [f"s{i % 3}" for i in range(200)], rng.standard_normal((200, dim)))
     pairs = [ScoredPair(f"u{i}", f"u{j}", False) for i, j in rng.integers(200, size=(500, 2))]
-    want = [_cosine_reference(emb.get(p.enroll_id), emb.get(p.test_id)) for p in pairs]
-    assert [cosine_similarity(emb.get(p.enroll_id), emb.get(p.test_id)) for p in pairs] == want
+    row = dict(zip(ids, emb.matrix))
+    want = [_cosine_reference(row[p.enroll_id], row[p.test_id]) for p in pairs]
+    assert [cosine_similarity(row[p.enroll_id], row[p.test_id]) for p in pairs] == want
     assert [p.score for p in score_pairs(pairs, emb)] == want
     synth = EmbeddingSet(ids[:100], emb.speaker_ids[:100], emb.matrix[:100])
     natural = EmbeddingSet(ids[100:], emb.speaker_ids[100:], emb.matrix[100:])
@@ -404,6 +405,13 @@ def test_score_pairs_fills_only_missing():
 
 
 def test_score_pairs_missing_embedding():
+    """The first missing enroll id over the unscored pairs, then the first
+    missing test id; a scored pair needs no embedding."""
     emb = _set(("a", "s", [1.0, 0.0]))
-    with pytest.raises(SpkraugError, match="no embedding for utterance 'ghost'"):
+    with pytest.raises(SpkraugError, match="^no embedding for 'ghost'$"):
         score_pairs([ScoredPair("a", "ghost", True)], emb)
+    pairs = [ScoredPair("a", "t1", True), ScoredPair("e1", "a", True), ScoredPair("e2", "t2", True)]
+    with pytest.raises(SpkraugError, match="^no embedding for 'e1'$"):
+        score_pairs(pairs, emb)
+    with pytest.raises(SpkraugError, match="^no embedding for 't1'$"):
+        score_pairs(pairs[:1] + [ScoredPair("e1", "a", True, 0.5)], emb)
