@@ -12,6 +12,7 @@ numbers and the final newline.
 
 import os
 import re
+import threading
 import wave
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -44,16 +45,24 @@ _BAD_ID_CHAR = re.compile("[\x00-\x1f\x85\u2028\u2029\ud800-\udfff\ufffe\uffff]"
 
 @contextmanager
 def _replacing(path):
-    """Yield a temporary Path beside `path`; once the block succeeds it is
-    moved onto `path` with os.replace, and on any error it is removed.
+    """Yield a temporary Path in `path`'s directory; once the block succeeds
+    it is moved onto `path` with os.replace, and on any error it is removed.
 
+    The temporary name, `.spkraug-<pid>-<thread id>.tmp`, does not grow with
+    the target's, so any name the directory can hold can be written. An
+    OSError that names a file names `path` instead, never the temporary file.
     A process killed mid-write leaves the old target (or none), never a
     partial one. There is no fsync, so this does not survive a power loss.
     """
-    tmp = Path(f"{path}.{os.getpid()}.tmp")
+    tmp = Path(path).parent / f".spkraug-{os.getpid()}-{threading.get_ident()}.tmp"
     try:
         yield tmp
         os.replace(tmp, path)
+    except OSError as exc:
+        if exc.filename is not None:
+            exc.filename = str(path)
+            del exc.filename2  # set to None, it would print as "-> None"
+        raise
     finally:
         tmp.unlink(missing_ok=True)  # still there only if the block or the rename failed
 
@@ -182,7 +191,9 @@ def write_wav(clip: AudioClip, path) -> None:
     x = np.clip(x, -1.0, 1.0) * 32768.0
     pcm = np.trunc(x + np.copysign(0.5, x))
     pcm = np.clip(pcm, -32768, 32767).astype("<i2")
-    with _replacing(path) as tmp, wave.open(str(tmp), "wb") as handle:
+    # wave.open(name) on an unwritable name leaves a half-built writer whose
+    # __del__ prints a traceback to stderr, so open the file first
+    with _replacing(path) as tmp, open(tmp, "wb") as file, wave.open(file, "wb") as handle:
         handle.setnchannels(1)
         handle.setsampwidth(2)
         handle.setframerate(clip.sample_rate)

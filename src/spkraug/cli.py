@@ -163,7 +163,7 @@ def _cmd_subset(args) -> dict:
                                        parallel=not args.independent)
     dataset.save_manifest(result, args.output)
     return {"command": "subset", "records": len(result),
-            "speakers": len(result.speakers()), "output": args.output}
+            "speakers": len({r.speaker_id for r in result}), "output": args.output}
 
 
 def _cmd_augment(args) -> dict:

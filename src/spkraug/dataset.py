@@ -17,7 +17,7 @@ import numpy as np
 from .audio_io import (DEFAULT_SAMPLE_RATE, _check_id, _check_rate, _check_ratio, _text_lines,
                        _write_lines, read_wav, read_wav_header, speed_change, speed_change_length,
                        write_wav)
-from .embedding import EmbeddingSet, _first_seen, _row_dots, _row_index, select_k_nearest
+from .embedding import EmbeddingSet, _row_dots, _row_index, select_k_nearest
 from .errors import SpkraugError
 from .metrics import _draw_trials
 from .psola import analyse, synthesis_length, synthesise
@@ -113,9 +113,6 @@ class Manifest:
 
     def __iter__(self):
         return iter(self.records)
-
-    def speakers(self) -> list:
-        return _first_seen(r.speaker_id for r in self.records)
 
 
 def save_manifest(manifest: Manifest, path) -> None:
@@ -294,6 +291,14 @@ def _check_path_part(field: str, value: str) -> None:
         raise SpkraugError(f"{field} {value!r} would place an output outside the audio root")
 
 
+def _naturals_only(manifest: Manifest, action: str) -> None:
+    """Refuse the first non-natural record of manifest, naming its id and
+    kind: `<id>: cannot <action> a <kind> record`."""
+    for r in manifest:
+        if not r.is_natural:
+            raise SpkraugError(f"{r.utterance_id}: cannot {action} a {r.kind} record")
+
+
 def _run_parent(parent, kind, ratio_pairs, audio_root, sample_rate, records, failures) -> None:
     """Write the missing or incomplete outputs of one parent's jobs, one per
     (duration_ratio, f0_ratio) pair, appending one record or failure dict per
@@ -346,9 +351,7 @@ def execute_plan(manifest: Manifest, recipe: str, audio_root):
     """
     if recipe not in RECIPE_JOBS:
         raise SpkraugError(f"unknown recipe {recipe!r}, expected one of {tuple(RECIPE_JOBS)}")
-    for r in manifest:
-        if not r.is_natural:
-            raise SpkraugError(f"{r.utterance_id}: cannot augment a {r.kind} record")
+    _naturals_only(manifest, "augment")
     kind, ratio_pairs = RECIPE_JOBS[recipe]
     records, failures = [], []
     for parent in manifest:
@@ -362,21 +365,20 @@ def select_best_augmented(naturals: Manifest, augmented: Manifest,
 
     Distances are Euclidean in the embedding space; the result contains the
     naturals followed by every kept child, both in manifest order. k = 0
-    keeps just the naturals; a negative k is an error. Each child's parent
-    must be a natural record of `naturals`; the naturals of `augmented` are
-    skipped. Checks run in this order: k, each child's parent, the
-    parents' embeddings, the children's embeddings, each natural's count.
+    keeps just the naturals; a negative k is an error. `naturals` holds
+    natural records only, and each child's parent must be one of them; the
+    naturals of `augmented` are skipped. Checks run in this order: k, each
+    record of `naturals`, each child's parent, the parents' embeddings, the
+    children's embeddings, each natural's count.
     """
     if k < 0:
         raise SpkraugError(f"k must be non-negative, got {k}")
+    _naturals_only(naturals, "select children for")
     children = [r for r in augmented if not r.is_natural]
-    by_id = {r.utterance_id: r for r in naturals}
+    parents = {r.utterance_id for r in naturals}
     for r in children:
-        parent = by_id.get(r.parent_id)
-        if parent is None:
+        if r.parent_id not in parents:
             raise SpkraugError(f"{r.utterance_id}: parent {r.parent_id!r} not found")
-        if not parent.is_natural:
-            raise SpkraugError(f"{r.utterance_id}: parent {r.parent_id!r} is not natural")
 
     diff = embeddings._rows(r.parent_id for r in children)  # one pass: every child vs its parent
     diff -= embeddings._rows(r.utterance_id for r in children)

@@ -62,9 +62,6 @@ class EmbeddingSet:
     def __len__(self) -> int:
         return len(self.ids)
 
-    def speakers(self) -> list:
-        return _first_seen(self.speaker_ids)
-
     def _rows(self, utterance_ids) -> np.ndarray:
         """Matrix rows of the given ids, in that order; the first id with no
         row is named."""
@@ -90,11 +87,6 @@ def _first_repeat(ids):
             return i
         seen.add(uid)
     return None
-
-
-def _first_seen(items) -> list:
-    """Distinct items in first-seen order."""
-    return list(dict.fromkeys(items))
 
 
 def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:

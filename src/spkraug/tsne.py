@@ -228,7 +228,7 @@ def render_scatter_svg(embeddings: EmbeddingSet, coords: np.ndarray, path) -> No
         raise SpkraugError(
             f"scatter needs n x 2 coordinates, got {coords.shape} for {len(embeddings)} points"
         )
-    speakers = embeddings.speakers()
+    speakers = list(dict.fromkeys(embeddings.speaker_ids))  # first-seen order
     color = {s: _PALETTE[i % len(_PALETTE)] for i, s in enumerate(speakers)}
 
     width, height, margin = SVG_WIDTH, SVG_HEIGHT, 40.0

@@ -2,11 +2,12 @@
 rename leaves the old file byte for byte and no temporary file behind."""
 
 import os
+import threading
 
 import numpy as np
 import pytest
 
-from spkraug.audio_io import AudioClip, write_wav
+from spkraug.audio_io import AudioClip, _replacing, write_wav
 from spkraug.dataset import Manifest, UtteranceRecord, save_manifest
 from spkraug.embedding import EmbeddingSet, save_embeddings
 from spkraug.metrics import ScoredPair, save_pairs
@@ -63,3 +64,41 @@ def test_rewrite_replaces_the_target(name, tmp_path):
     write(1, target)
     assert target.read_bytes() != old
     assert os.listdir(tmp_path) == ["out"]
+
+
+@pytest.mark.parametrize("name", sorted(WRITERS))
+def test_writes_a_target_name_of_255_bytes(name, tmp_path):
+    """The temporary name does not grow with the target's, so a name the
+    directory holds can be written."""
+    target = tmp_path / ("o" * 255)
+    WRITERS[name](0, target)
+    assert os.listdir(tmp_path) == [target.name]
+
+
+@pytest.mark.parametrize("name", sorted(WRITERS))
+def test_an_unwritable_target_is_named_in_the_error(name, tmp_path):
+    target = tmp_path / "nodir" / "out"
+    with pytest.raises(FileNotFoundError) as info:
+        WRITERS[name](0, target)
+    assert (info.value.filename, info.value.filename2) == (str(target), None)
+    assert str(info.value) == f"[Errno 2] No such file or directory: {str(target)!r}"
+    assert os.listdir(tmp_path) == []
+
+
+def test_threads_write_through_different_temporary_files(tmp_path):
+    """Two threads writing into one directory at once do not share a
+    temporary file."""
+    held = []
+
+    def hold():
+        with _replacing(tmp_path / "a") as tmp:
+            tmp.write_text("a")
+            held.append(tmp)
+
+    with _replacing(tmp_path / "b") as tmp:
+        tmp.write_text("b")
+        thread = threading.Thread(target=hold)
+        thread.start()
+        thread.join()
+        assert held[0] != tmp and held[0].parent == tmp.parent
+    assert [(tmp_path / n).read_text() for n in "ab"] == ["a", "b"]

@@ -125,6 +125,36 @@ def test_help_exits_zero(capsys):
     assert "subset" in capsys.readouterr().out
 
 
+def _run_console_script(*args):
+    """Imports the target that pyproject.toml's [project.scripts] names for
+    `spkraug` (read as text: tomllib is not in Python 3.10) in a fresh
+    interpreter and calls it with sys.argv as an installed `spkraug` would
+    set it."""
+    text = (SRC.parent / "pyproject.toml").read_text(encoding="utf-8")
+    section = text.split("[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+    match = re.search(r'^spkraug = "([\w.]+):(\w+)"$', section, re.MULTILINE)
+    assert match, "pyproject.toml names no `spkraug` console script"
+    module, function = match.groups()
+    code = (f"import sys; from {module} import {function}; "
+            f"sys.argv = ['spkraug', *sys.argv[1:]]; {function}()")
+    return subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(SRC)), timeout=120)
+
+
+def test_console_script_runs_the_cli():
+    run = _run_console_script("loss", "--l1", "1", "--att", "1", "--sv", "-1e-3")
+    assert (run.returncode, run.stderr) == (0, "")
+    report = json.loads(run.stdout, parse_constant=_strict_json)
+    assert report["command"] == "loss" and report["terms"]["sv"] == -1e-3
+
+    run = _run_console_script("loss", "--l1", "1", "--att", "1", "--sv", "x")
+    assert (run.returncode, run.stdout) == (1, "")
+    assert run.stderr.startswith("usage: spkraug loss ")
+    assert sum(line.startswith("usage:") for line in run.stderr.splitlines()) == 1
+    assert run.stderr.splitlines()[-1] == ("spkraug loss: error: argument --sv: "
+                                           "invalid float value: 'x'")
+
+
 # -- loss / wer --------------------------------------------------------------
 
 def test_loss_report(capsys):
@@ -221,7 +251,42 @@ def test_subset_cli_is_seed_deterministic(capsys, cli_env, tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_subset_writes_an_output_name_of_255_bytes(capsys, cli_env, tmp_path):
+    out = tmp_path / ("s" * 249 + ".jsonl")
+    rc, report, _ = _run(capsys, ["subset", "--manifest", cli_env["manifest_path"],
+                                  "--per-speaker", "1", "--output", str(out)])
+    assert rc == 0 and report["records"] == 3
+    assert os.listdir(tmp_path) == [out.name]
+
+
+@pytest.mark.parametrize("output", [os.path.join("nodir", "s.jsonl"), "."])
+def test_an_unwritable_output_is_named_in_one_error_line(capsys, cli_env, tmp_path, monkeypatch,
+                                                         output):
+    """The error names the output as given, never the temporary file."""
+    monkeypatch.chdir(tmp_path)
+    rc, report, err = _run(capsys, ["subset", "--manifest", cli_env["manifest_path"],
+                                    "--per-speaker", "1", "--output", output])
+    assert (rc, report) == (1, None)
+    assert re.fullmatch(rf"spkraug subset: error: \[Errno \d+\] [^\n]*: "
+                        rf"{re.escape(repr(output))}\n", err)
+    assert os.listdir(tmp_path) == []
+
+
 # -- augment / embed / select-best -------------------------------------------
+
+def test_augment_writes_output_names_of_248_bytes(capsys, tmp_path):
+    """A 226-character parent id gives psola-dur output names of up to 248
+    bytes, which a directory holds."""
+    write_wav(sine(150.0, 0.5), tmp_path / "p.wav")
+    manifest = tmp_path / "m.jsonl"
+    manifest.write_text(_HEADER + _NATURAL % ("u" * 226, "s", tmp_path / "p"), encoding="utf-8")
+    rc, report, _ = _run(capsys, ["augment", "psola-dur", "--manifest", str(manifest),
+                                  "--audio-root", str(tmp_path / "aug"),
+                                  "--output", str(tmp_path / "aug.jsonl")])
+    assert (rc, report["written"], report["failures"]) == (0, 7, [])
+    names = os.listdir(tmp_path / "aug" / "s")
+    assert len(names) == 7 and max(len(name.encode()) for name in names) == 248
+
 
 def test_augment_cli(capsys, cli_env, tmp_path):
     out = tmp_path / "aug.jsonl"
@@ -668,20 +733,21 @@ def test_select_best_cli(capsys, cli_env, tmp_path):
     best = load_manifest(out)
     assert len(best) == 10
     assert sum(r.is_natural for r in best) == 2
-    # the merged manifest as --augmented: its naturals are skipped; as both
-    # inputs at k = 0: the output is that manifest
+    # the merged manifest as --augmented: its naturals are skipped, so the
+    # output is the one the children alone give (at k = 0, the naturals)
     again = tmp_path / "again.jsonl"
-    for naturals, k, want in ((parents_path, "4", out), (merged_path, "0", merged_path)):
-        rc, _, _ = _run(capsys, ["select-best", "--naturals", str(naturals),
+    for k, want in (("4", out), ("0", parents_path)):
+        rc, _, _ = _run(capsys, ["select-best", "--naturals", str(parents_path),
                                  "--augmented", str(merged_path), "--embeddings", str(emb_path),
                                  "--k", k, "--output", str(again)])
         assert rc == 0 and again.read_bytes() == want.read_bytes()
 
 
 def test_select_best_cli_reports_its_checks_in_order(capsys, tmp_path):
-    """A negative --k is refused while parsing; then each child's parent, in
-    augmented-record order, then a missing embedding, then too few children.
-    Mending each defect in turn brings up the next."""
+    """A negative --k is refused while parsing; then a non-natural record of
+    --naturals, then each child's parent, in augmented-record order, then a
+    missing embedding, then too few children. Mending each defect in turn
+    brings up the next."""
     naturals, augmented, emb = tmp_path / "n.jsonl", tmp_path / "a.jsonl", tmp_path / "e.tsv"
     naturals.write_text(_HEADER + _NATURAL % ("n", "s", "n") + '{"utterance_id":"m",'
                         '"speaker_id":"s","path":"m.wav","kind":"psola_dur",'
@@ -703,7 +769,9 @@ def test_select_best_cli_reports_its_checks_in_order(capsys, tmp_path):
             f"spkraug select-best: error: {naturals}, {augmented}, {emb}: ")
 
     assert run("-1").endswith("argument --k: must be at least 0, got -1")
-    assert run("4") == "c1: parent 'm' is not natural"
+    assert run("4") == "m: cannot select children for a psola_dur record"
+    naturals.write_text(_HEADER + _NATURAL % ("n", "s", "n"), encoding="utf-8")
+    assert run("4") == "c1: parent 'm' not found"
     parents["c1"] = "n"
     assert run("4") == "c2: parent 'ghost' not found"
     parents["c2"] = "n"
@@ -878,6 +946,14 @@ _CONTENT_ERRORS = {
         ["select-best", "--naturals", "{0}", "--augmented", "{1}", "--embeddings", "{2}",
          "--k", "1", "--output", "{T}/out"],
         "u1__x: parent 'u1' not found"),
+    # naturals plus children as both inputs: the child is refused at every k
+    **{f"select-best child in naturals k={k}": (
+        {"n.jsonl": _HEADER + _NATURAL % ("u1", "s", "a") + _CHILD,
+         "a.jsonl": _HEADER + _NATURAL % ("u1", "s", "a") + _CHILD,
+         "e.tsv": "#dim=2\nu1\ts\t1.0\t0.5\nu1__x\ts\t0.5\t1.0\n"},
+        ["select-best", "--naturals", "{0}", "--augmented", "{1}", "--embeddings", "{2}",
+         "--k", k, "--output", "{T}/out"],
+        "u1__x: cannot select children for a psola_dur record") for k in "01"},
     # an utterance number past Python's 4300-digit int-string limit
     "subset": ({"m.jsonl": _HEADER + "".join(_NATURAL % (f"{s}_{n}", s, f"{s}{i}")
                                              for s in "ab" for i, n in enumerate([1, "7" * 5000]))},

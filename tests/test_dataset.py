@@ -91,7 +91,7 @@ def test_manifest_rejects_duplicate_ids():
         Manifest([_natural("a"), _natural("a")])
 
 
-def test_manifest_length_order_and_speakers():
+def test_manifest_length_and_order():
     records = [
         _natural("sp0_000", "sp0"),
         _natural("sp1_000", "sp1"),
@@ -100,7 +100,7 @@ def test_manifest_length_order_and_speakers():
     m = Manifest(records, corpus="demo", sample_rate=16000)
     assert len(m) == 3
     assert list(m) == records
-    assert m.speakers() == ["sp0", "sp1"]
+    assert not hasattr(m, "speakers")
 
 
 def _embeddings_for(*ids):
@@ -131,11 +131,16 @@ def test_select_best_resolves_parents_in_naturals():
 
 def test_select_best_rejects_augmented_parent():
     """A parent must be a natural of the naturals manifest: an augmented record
-    there is not natural, and one of the augmented manifest is not found."""
+    there is refused up front at every k, whether a child names it or the
+    same manifest is passed as both inputs, and one of the augmented
+    manifest is not found."""
     naturals = Manifest([_natural("a"), _augmented("a__x", "a")])
-    with pytest.raises(SpkraugError, match="a__x__y: parent 'a__x' is not natural"):
-        select_best_augmented(naturals, Manifest([_augmented("a__x__y", "a__x")]),
-                              _embeddings_for("a", "a__x", "a__x__y"), k=0)
+    for augmented in (Manifest([_augmented("a__x__y", "a__x")]), naturals):
+        for k in (0, 1):
+            with pytest.raises(SpkraugError,
+                               match="^a__x: cannot select children for a psola_f0 record$"):
+                select_best_augmented(naturals, augmented,
+                                      _embeddings_for("a", "a__x", "a__x__y"), k)
     m = Manifest([_augmented("a__x", "a"), _augmented("a__x__y", "a__x")])
     with pytest.raises(SpkraugError, match="a__x__y: parent 'a__x' not found"):
         select_best_augmented(Manifest([_natural("a")]), m,
@@ -159,7 +164,7 @@ def test_select_best_parent_in_both_manifests_is_the_natural_one():
 # first defect left in the inputs is the one reported
 _SELECT_BEST_DEFECTS = [
     ("negative k", "k must be non-negative, got -1"),
-    ("parent not natural", "c1: parent 'm' is not natural"),
+    ("augmented in naturals", "m: cannot select children for a psola_f0 record"),
     ("parent not found", "c2: parent 'ghost' not found"),
     ("missing embedding", "no embedding for 'c3'"),
     ("too few children", "n: has 3 augmented children, need 4"),
@@ -170,9 +175,8 @@ def _select_best_inputs(defects):
     """Naturals, augmented manifest, embeddings and k for select-best, with
     the named defects of _SELECT_BEST_DEFECTS present."""
     naturals = [_natural("n")]
-    naturals += [_augmented("m", "n")] if "parent not natural" in defects else []
-    children = [_augmented("c0", "n"),
-                _augmented("c1", "m" if "parent not natural" in defects else "n"),
+    naturals += [_augmented("m", "n")] if "augmented in naturals" in defects else []
+    children = [_augmented("c0", "n"), _augmented("c1", "n"),
                 _augmented("c2", "ghost" if "parent not found" in defects else "n")]
     children += [_augmented("c3", "n")] if "missing embedding" in defects else []
     ids = ["n", "m", "c0", "c1", "c2"]
@@ -182,8 +186,9 @@ def _select_best_inputs(defects):
 
 @pytest.mark.parametrize("first", range(len(_SELECT_BEST_DEFECTS)))
 def test_select_best_reports_the_first_check_that_fails(first):
-    """k < 0, then each child's parent in augmented-record order, then a
-    missing embedding, then too few children for k."""
+    """k < 0, then a non-natural record of the naturals manifest, then each
+    child's parent in augmented-record order, then a missing embedding, then
+    too few children for k."""
     defects = [name for name, _ in _SELECT_BEST_DEFECTS[first:]]
     with pytest.raises(SpkraugError, match=f"^{_SELECT_BEST_DEFECTS[first][1]}$"):
         select_best_augmented(*_select_best_inputs(defects))

@@ -84,12 +84,12 @@ def test_set_reports_the_first_defective_entry():
         EmbeddingSet(["a", "a"], ["s", "s"], [[1.0, np.inf], [1.0, 0.0]])
 
 
-def test_set_lookup_and_speakers():
+def test_set_fields_and_lookup():
     values = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
     emb = EmbeddingSet(["u1", "u2", "u3"], ["alice", "bob", "alice"], values)
     assert emb.dimension == 2
     assert len(emb) == 3
-    assert emb.speakers() == ["alice", "bob"]
+    assert not hasattr(emb, "speakers")
     assert emb.ids == ["u1", "u2", "u3"]
     assert emb.speaker_ids == ["alice", "bob", "alice"]
     assert emb.matrix.shape == (3, 2)

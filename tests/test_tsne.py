@@ -401,15 +401,16 @@ def test_render_svg_deterministic_with_point_per_utterance(tmp_path):
 
 def test_render_svg_escapes_ids(tmp_path):
     """Ids may hold XML's special characters; the SVG still parses and gives
-    them back as the points' titles and the legend's labels."""
+    them back as the points' titles and the legend's labels, one per speaker
+    in first-seen order (here not the sorted order)."""
     ids = ["a&b", "c<d", "e>f"]
-    emb = EmbeddingSet(ids, ["s&1", "s<2", "s<2"], np.eye(3))
+    emb = EmbeddingSet(ids, ["s<2", "s&1", "s<2"], np.eye(3))
     path = tmp_path / "ids.svg"
     render_scatter_svg(emb, np.arange(6.0).reshape(3, 2), path)
     root = ElementTree.parse(path).getroot()
     svg = "{http://www.w3.org/2000/svg}"
     assert [title.text for title in root.iter(f"{svg}title")] == ids
-    assert [label.text for label in root.iter(f"{svg}text")] == ["s&1", "s<2"]
+    assert [label.text for label in root.iter(f"{svg}text")] == ["s<2", "s&1"]
 
 
 def test_render_svg_requires_2d(tmp_path):
