@@ -85,8 +85,10 @@ def _write_lines(path, lines) -> None:
         tmp.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _check_id(field: str, value: str) -> str:
-    """value, when a TSV row and an SVG can hold it as an id."""
+def _check_id(field: str, value) -> str:
+    """value, when it is a string a TSV row and an SVG can hold as an id."""
+    if not isinstance(value, str):
+        raise SpkraugError(f"{field} must be a string, got {value!r}")
     if _BAD_ID_CHAR.search(value):
         raise SpkraugError(f"{field} must hold no tab or line break, nor a character XML 1.0 "
                            f"forbids, got {value!r}")
@@ -109,14 +111,20 @@ def _check_ratio(name: str, value) -> float:
 
 @dataclass
 class AudioClip:
-    """Mono audio: float samples in [-1, 1] plus a sample rate in Hz."""
+    """Mono audio: finite float samples in [-1, 1] plus a sample rate in Hz.
+    `samples` is read-only; it shares memory with a float64 source array,
+    which stays writable."""
 
     samples: np.ndarray
     sample_rate: int
 
     def __post_init__(self):
-        self.samples = np.asarray(self.samples, dtype=np.float64).reshape(-1)
         self.sample_rate = _check_rate(self.sample_rate)
+        # a view: its flags are the clip's own, the source array's stay as they were
+        self.samples = np.asarray(self.samples, dtype=np.float64).reshape(-1).view()
+        if not np.isfinite(self.samples).all():
+            raise SpkraugError("clip contains NaN/Inf samples")
+        self.samples.setflags(write=False)
 
     @property
     def duration_seconds(self) -> float:
@@ -129,7 +137,8 @@ class AudioClip:
 def _read_pcm(path, header_only: bool):
     """Parse a 16-bit mono PCM WAV into (rate, nframes, raw sample bytes), or
     (rate, nframes, None) from the header alone; either way raises when the
-    data chunk holds fewer than 2 * nframes bytes."""
+    data chunk holds fewer than 2 * nframes bytes, then when the rate is out
+    of range."""
     path = Path(path)
     try:
         with open(path, "rb") as file, wave.open(file, "rb") as handle:
@@ -159,17 +168,16 @@ def _read_pcm(path, header_only: bool):
         raise SpkraugError(
             f"{path}: truncated data, {available} bytes for {nframes} frames of 2 bytes"
         )
-    return rate, nframes, raw
+    try:
+        return _check_rate(rate), nframes, raw
+    except SpkraugError as exc:
+        raise SpkraugError(f"{path}: {exc}") from None
 
 
 def read_wav(path) -> AudioClip:
     """Read a 16-bit mono PCM WAV file, scaling samples to [-1, 1]."""
     rate, _, raw = _read_pcm(path, header_only=False)
-    pcm = np.frombuffer(raw, dtype="<i2")
-    try:
-        return AudioClip(pcm.astype(np.float64) / 32768.0, rate)
-    except SpkraugError as exc:
-        raise SpkraugError(f"{path}: {exc}") from None
+    return AudioClip(np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0, rate)
 
 
 def read_wav_header(path) -> tuple[int, int]:
@@ -185,10 +193,7 @@ def write_wav(clip: AudioClip, path) -> None:
     Quantization rounds half away from zero, so read_wav(write_wav(c)) is
     within 1/32768 of c per sample.
     """
-    x = clip.samples
-    if not np.all(np.isfinite(x)):
-        raise SpkraugError("clip contains NaN/Inf samples")
-    x = np.clip(x, -1.0, 1.0) * 32768.0
+    x = np.clip(clip.samples, -1.0, 1.0) * 32768.0
     pcm = np.trunc(x + np.copysign(0.5, x))
     pcm = np.clip(pcm, -32768, 32767).astype("<i2")
     # wave.open(name) on an unwritable name leaves a half-built writer whose

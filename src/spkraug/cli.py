@@ -15,12 +15,10 @@ import sys
 
 import numpy as np
 
-from . import dataset, metrics
+from . import dataset, metrics, spectral, tsne
 from .audio_io import _text_lines, write_wav
 from .embedding import EmbeddingSet, extract_standin_embedding, load_embeddings, save_embeddings
 from .errors import SpkraugError
-from .spectral import griffin_lim, read_spectrogram
-from .tsne import render_scatter_svg, run_tsne, save_coordinates
 
 
 class _Parser(argparse.ArgumentParser):
@@ -145,13 +143,13 @@ def _build_parser() -> _Parser:
     p.add_argument("--embeddings", required=True)
     p.add_argument("--output", required=True)
     p.add_argument("--svg", help="also render a speaker-colored scatter plot")
-    p.add_argument("--perplexity", type=_perplexity, default=30.0)
-    p.add_argument("--iterations", type=_int_at_least(1), default=1000)
+    p.add_argument("--perplexity", type=_perplexity, default=tsne.DEFAULT_PERPLEXITY)
+    p.add_argument("--iterations", type=_int_at_least(1), default=tsne.DEFAULT_ITERATIONS)
 
     p = _command(sub, "vocode", _cmd_vocode, "Griffin-Lim a stored magnitude spectrogram")
     p.add_argument("--spectrogram", required=True)
     p.add_argument("--output", required=True)
-    p.add_argument("--iterations", type=_int_at_least(1), default=60)
+    p.add_argument("--iterations", type=_int_at_least(1), default=spectral.DEFAULT_ITERATIONS)
 
     return parser
 
@@ -273,19 +271,19 @@ def _cmd_loss(args) -> dict:
 def _cmd_tsne(args) -> dict:
     embeddings = load_embeddings(args.embeddings)
     with _about(args.embeddings):
-        coords = run_tsne(embeddings, args.perplexity, args.iterations, args.seed)
-    save_coordinates(embeddings, coords, args.output)
+        coords = tsne.run_tsne(embeddings, args.perplexity, args.iterations, args.seed)
+    tsne.save_coordinates(embeddings, coords, args.output)
     if args.svg:
-        render_scatter_svg(embeddings, coords, args.svg)
+        tsne.render_scatter_svg(embeddings, coords, args.svg)
     return {"command": "tsne", "points": len(embeddings), "output": args.output,
             "svg": args.svg, "perplexity": args.perplexity,
             "iterations": args.iterations}
 
 
 def _cmd_vocode(args) -> dict:
-    spec = read_spectrogram(args.spectrogram)
-    clip, errors = griffin_lim(spec, iterations=args.iterations, seed=args.seed,
-                               return_errors=True)
+    spec = spectral.read_spectrogram(args.spectrogram)
+    clip, errors = spectral.griffin_lim(spec, iterations=args.iterations, seed=args.seed,
+                                        return_errors=True)
     write_wav(clip, args.output)
     return {"command": "vocode", "iterations": args.iterations,
             "final_error": errors[-1], "errors": errors, "samples": len(clip),

@@ -50,9 +50,11 @@ _TRAILING_DIGITS = re.compile(r"(\d+)$")
 _SURROGATE = re.compile("[\ud800-\udfff]")
 
 
-def _check_text(field: str, value: str) -> None:
-    """value, when a file name and UTF-8 text can hold it: no NUL and no
-    lone surrogate (the ASCII test spares almost every value the regex)."""
+def _check_text(field: str, value) -> None:
+    """value, when it is a string a file name and UTF-8 text can hold: no NUL
+    and no lone surrogate (the ASCII test spares almost every value the regex)."""
+    if not isinstance(value, str):
+        raise SpkraugError(f"{field} must be a string, got {value!r}")
     if "\x00" in value or (not value.isascii() and _SURROGATE.search(value)):
         raise SpkraugError(f"{field} must hold no NUL or lone surrogate, got {value!r}")
 
@@ -68,14 +70,11 @@ class UtteranceRecord:
     parent_id: str = None
 
     def __post_init__(self):
-        for key in ("utterance_id", "speaker_id", "path", "parent_id"):
-            value = getattr(self, key)
-            if not (isinstance(value, str) or (key == "parent_id" and value is None)):
-                raise SpkraugError(f"{key} must be a string, got {value!r}")
-            if key == "path":
-                _check_text(key, value)
-            elif value is not None:
-                _check_id(key, value)
+        _check_id("utterance_id", self.utterance_id)
+        _check_id("speaker_id", self.speaker_id)
+        _check_text("path", self.path)
+        if self.parent_id is not None:
+            _check_id("parent_id", self.parent_id)
         for key in ("duration_ratio", "f0_ratio"):
             # frozen: set the checked float through object.__setattr__
             object.__setattr__(self, key, _check_ratio(key, getattr(self, key)))
@@ -103,8 +102,6 @@ class Manifest:
 
     def __post_init__(self):
         self.sample_rate = _check_rate(self.sample_rate)
-        if not isinstance(self.corpus, str):
-            raise SpkraugError(f"corpus must be a string, got {self.corpus!r}")
         _check_text("corpus", self.corpus)
         _row_index([r.utterance_id for r in self.records])  # raises on a duplicate
 

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .audio_io import _text_lines, _write_lines
+from .audio_io import _check_id, _text_lines, _write_lines
 from .embedding import EmbeddingSet, _cosine_rows
 from .errors import SpkraugError
 from .rng import rng_for
@@ -21,7 +21,9 @@ WER_PUNCTUATION = '.,;:!?"'
 
 @dataclass
 class ScoredPair:
-    """One verification trial; score is None until it has been computed."""
+    """One verification trial; score is None until it has been computed.
+    Each id is a string holding no tab, line break or character XML 1.0
+    forbids (see _check_id), so every pair fits one row of a pair file."""
 
     enroll_id: str
     test_id: str
@@ -29,6 +31,8 @@ class ScoredPair:
     score: float = None
 
     def __post_init__(self):
+        _check_id("enroll_id", self.enroll_id)
+        _check_id("test_id", self.test_id)
         if self.score is not None:
             self.score = float(self.score)
             if not math.isfinite(self.score):
@@ -228,7 +232,7 @@ def save_pairs(pairs, path) -> None:
         label = "same" if p.same_speaker else "diff"
         row = f"{p.enroll_id}\t{p.test_id}\t{label}"
         if p.score is not None:
-            row += f"\t{repr(float(p.score))}"
+            row += f"\t{p.score!r}"
         lines.append(row)
     _write_lines(path, lines)
 
@@ -237,19 +241,18 @@ def load_pairs(path) -> list:
     pairs = []
     for lineno, line in _text_lines(path):
         parts = line.split("\t")
-        if len(parts) not in (3, 4):
-            raise SpkraugError(f"{path}:{lineno}: expected 3 or 4 fields, found {len(parts)}")
-        if parts[2] not in ("same", "diff"):
-            raise SpkraugError(f"{path}:{lineno}: label must be same|diff, got {parts[2]!r}")
-        score = None
-        if len(parts) == 4:
+        try:
+            if len(parts) not in (3, 4):
+                raise SpkraugError(f"expected 3 or 4 fields, found {len(parts)}")
+            if parts[2] not in ("same", "diff"):
+                raise SpkraugError(f"label must be same|diff, got {parts[2]!r}")
             try:
-                score = float(parts[3])
+                score = float(parts[3]) if len(parts) == 4 else None
             except ValueError:
-                raise SpkraugError(f"{path}:{lineno}: bad score {parts[3]!r}") from None
-            if not math.isfinite(score):
-                raise SpkraugError(f"{path}:{lineno}: score not finite: {parts[3]!r}")
-        pairs.append(ScoredPair(parts[0], parts[1], parts[2] == "same", score))
+                raise SpkraugError(f"bad score {parts[3]!r}") from None
+            pairs.append(ScoredPair(parts[0], parts[1], parts[2] == "same", score))
+        except SpkraugError as exc:
+            raise SpkraugError(f"{path}:{lineno}: {exc}") from None
     if not pairs:
         raise SpkraugError(f"{path}: no pairs found")
     return pairs

@@ -16,6 +16,8 @@ from .rng import rng_for
 
 # Optimizer constants: the standard defaults for the technique, not values
 # taken from any evaluation protocol.
+DEFAULT_PERPLEXITY = 30.0
+DEFAULT_ITERATIONS = 1000
 LEARNING_RATE = 200.0
 MOMENTUM = 0.5
 FINAL_MOMENTUM = 0.8
@@ -172,8 +174,8 @@ def kl_divergence(P: np.ndarray, Y: np.ndarray) -> float:
     return float(np.sum(P[mask] * np.log(P[mask] / np.maximum(Q[mask], 1e-300))))
 
 
-def run_tsne(embeddings: EmbeddingSet, perplexity: float = 30.0, iterations: int = 1000,
-             seed: int = 0) -> np.ndarray:
+def run_tsne(embeddings: EmbeddingSet, perplexity: float = DEFAULT_PERPLEXITY,
+             iterations: int = DEFAULT_ITERATIONS, seed: int = 0) -> np.ndarray:
     """Project an embedding set to 2-D coordinates.
 
     Gradient descent with momentum (0.5 until iteration 250, then 0.8, at

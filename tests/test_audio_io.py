@@ -97,6 +97,22 @@ def test_write_rejects_nonfinite(tmp_path):
         write_wav(AudioClip(np.array([np.inf]), 16000), tmp_path / "bad.wav")
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_clip_refuses_non_finite_samples(bad):
+    with pytest.raises(SpkraugError, match="^clip contains NaN/Inf samples$"):
+        AudioClip(np.array([0.0, bad, 0.5]), 16000)
+
+
+def test_clip_samples_are_a_read_only_view():
+    values = np.array([0.0, 0.5, -0.25])
+    clip = AudioClip(values, 16000)
+    assert not clip.samples.flags.writeable
+    assert np.shares_memory(clip.samples, values)
+    assert values.flags.writeable  # the caller's array is left as it was
+    with pytest.raises(ValueError, match="read-only"):
+        clip.samples[0] = 1.0
+
+
 @given(st.lists(st.floats(min_value=-1.0, max_value=1.0, allow_nan=False),
                 min_size=1, max_size=128))
 def test_roundtrip_quantization_bound(tmp_path_factory_session, values):

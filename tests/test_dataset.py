@@ -86,6 +86,22 @@ def test_record_stores_ratios_as_floats():
     assert type(r.f0_ratio) is float and r.f0_ratio == 0.8
 
 
+@pytest.mark.parametrize("field, args", [
+    ("utterance_id", (7, "s", "p.wav")),
+    ("speaker_id", ("u", ["s"], "p.wav")),
+    ("path", ("u", "s", None)),
+    ("parent_id", ("u", "s", "p.wav", PSOLA_DUR, 1.1, 1.0, 1)),
+])
+def test_record_refuses_a_non_string_field(field, args):
+    with pytest.raises(SpkraugError, match=f"^{field} must be a string, got "):
+        UtteranceRecord(*args)
+
+
+def test_manifest_refuses_a_non_string_corpus():
+    with pytest.raises(SpkraugError, match="^corpus must be a string, got 5$"):
+        Manifest([], corpus=5)
+
+
 def test_manifest_rejects_duplicate_ids():
     with pytest.raises(SpkraugError, match="duplicate utterance_id 'a'"):
         Manifest([_natural("a"), _natural("a")])

@@ -13,7 +13,7 @@ from oracles import (
 )
 from spkraug.audio_io import AudioClip
 from spkraug.embedding import (
-    STANDIN_DIMENSION,
+    STANDIN_MEL_BANDS,
     EmbeddingSet,
     _mel_energy_blocks,
     _mel_projection,
@@ -105,6 +105,15 @@ def test_set_rows_name_the_first_missing_id():
         emb._rows(["u1", "u9", "u2", "u8"])
     with pytest.raises(SpkraugError, match="^no embedding for 'u8'$"):
         emb._rows(uid for uid in ["u8", "u9"])
+
+
+@pytest.mark.parametrize("ids, speaker_ids, field", [
+    ([1], ["s"], "utterance_id"),
+    (["u"], [None], "speaker_id"),
+])
+def test_set_refuses_a_non_string_id(ids, speaker_ids, field):
+    with pytest.raises(SpkraugError, match=f"^{field} must be a string, got "):
+        EmbeddingSet(ids, speaker_ids, [[1.0]])
 
 
 def test_set_may_be_empty():
@@ -229,7 +238,7 @@ def _clip_for(recipe_index, seed=0, dur=1.0):
 
 def test_standin_dimension_and_norm():
     emb = extract_standin_embedding(_clip_for(0))
-    assert emb.shape == (STANDIN_DIMENSION,)
+    assert emb.shape == (2 * STANDIN_MEL_BANDS,)
     assert np.linalg.norm(emb) == pytest.approx(1.0, abs=1e-12)
 
 

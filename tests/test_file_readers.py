@@ -51,6 +51,8 @@ def _spg(path, frames=2, fft_size=8, frame_shift=4, frame_length=8, sample_rate=
 _DEFECTS = {
     "wav-rate-4000": ("u.wav", lambda p: _wav(p, rate=4000), read_wav,
                       ": sample rate must be an integer in [8000, 192000], got 4000"),
+    "wav-header-rate-4000": ("u.wav", lambda p: _wav(p, rate=4000), read_wav_header,
+                             ": sample rate must be an integer in [8000, 192000], got 4000"),
     "wav-oversized-chunk": ("u.wav", _wav_with_oversized_fmt_chunk, read_wav,
                             ": chunk size exceeds its RIFF container"),
     "wav-header-oversized-chunk": ("u.wav", _wav_with_oversized_fmt_chunk, read_wav_header,

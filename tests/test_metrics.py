@@ -204,6 +204,15 @@ def test_scored_pair_rejects_nonfinite_score():
     ScoredPair("a", "b", True)  # unscored is fine
 
 
+@pytest.mark.parametrize("enroll_id, test_id, field", [
+    (1, "t", "enroll_id"),
+    ("e", None, "test_id"),
+])
+def test_scored_pair_refuses_a_non_string_id(enroll_id, test_id, field):
+    with pytest.raises(SpkraugError, match=f"^{field} must be a string, got "):
+        ScoredPair(enroll_id, test_id, True)
+
+
 # -- eer loss ----------------------------------------------------------------
 
 def _reference_pool(rng, speakers=3, per_speaker=6, dim=8, spread=0.1):
@@ -392,8 +401,36 @@ def test_load_pairs_rejects_malformed(tmp_path, content):
 def test_load_pairs_names_the_line_of_a_non_finite_score(tmp_path):
     path = tmp_path / "bad.tsv"
     path.write_text("e1\tt1\tsame\t0.5\n\ne2\tt2\tdiff\tnan\n")
-    with pytest.raises(SpkraugError, match=r"bad\.tsv:3: score not finite"):
+    with pytest.raises(SpkraugError, match=r"bad\.tsv:3: pair e2/t2: score not finite"):
         load_pairs(path)
+
+
+def _holds_as_id(value: str) -> bool:
+    """No tab, no break str.splitlines splits at, no character XML 1.0 forbids."""
+    return f"x{value}x".splitlines() == [f"x{value}x"] and all(
+        c >= " " and not "\ud800" <= c <= "\udfff" and c not in "\ufffe\uffff" for c in value)
+
+
+# any text, with tabs, line breaks and characters XML 1.0 forbids drawn often
+_PAIR_ID = st.text(st.one_of(st.sampled_from("\t\n\r\x0b\x1c\x85\u2028\x00\x01\ufffe\ud800"),
+                             st.characters()), max_size=4)
+_PAIR_ROW = st.tuples(_PAIR_ID, _PAIR_ID, st.booleans(),
+                      st.none() | st.floats(allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=100, database=None, derandomize=True)
+@given(rows=st.lists(_PAIR_ROW, min_size=1, max_size=4))
+def test_every_pair_list_loads_back_equal(tmp_path_factory_session, rows):
+    """ScoredPair holds only ids a pair file can hold, so every non-empty
+    list of pairs that builds is saved and loaded back equal."""
+    if all(_holds_as_id(uid) for row in rows for uid in row[:2]):
+        pairs = [ScoredPair(*row) for row in rows]
+        path = tmp_path_factory_session / "pairs.tsv"
+        save_pairs(pairs, path)
+        assert load_pairs(path) == pairs
+    else:
+        with pytest.raises(SpkraugError, match="^(enroll|test)_id must hold no tab or line break"):
+            [ScoredPair(*row) for row in rows]
 
 
 def test_score_pairs_fills_only_missing():

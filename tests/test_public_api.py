@@ -21,20 +21,22 @@ CALLER_LESS_KEEP = {
 
 
 def caller_less_names(src: Path) -> set:
-    """Public module-level def and class names in src/*.py that no Name or
-    Attribute node in those files refers to."""
+    """Public module-level def, class and assigned names in src/*.py that no
+    Name or Attribute node in those files reads."""
     defined, refs = set(), set()
     for path in src.glob("*.py"):
         tree = ast.parse(path.read_text(encoding="utf-8"))
-        defined.update(node.name for node in tree.body
-                       if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                       and not node.name.startswith("_"))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, ast.Assign):
+                defined.update(t.id for t in node.targets if isinstance(t, ast.Name))
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 refs.add(node.id)
-            elif isinstance(node, ast.Attribute):
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 refs.add(node.attr)
-    return defined - refs
+    return {name for name in defined - refs if not name.startswith("_")}
 
 
 def test_every_exported_callable_has_a_caller_or_a_reason():
@@ -43,7 +45,9 @@ def test_every_exported_callable_has_a_caller_or_a_reason():
 
 
 def test_a_new_function_without_a_caller_fails_the_guard(tmp_path):
-    (tmp_path / "a.py").write_text("def used():\n    pass\n\n\nused()\n", encoding="utf-8")
-    (tmp_path / "b.py").write_text("def orphan():\n    pass\n\n\nclass _Private:\n    pass\n",
+    (tmp_path / "a.py").write_text("def used():\n    pass\n\n\nused()\nLIMIT = 2\n",
                                    encoding="utf-8")
-    assert caller_less_names(tmp_path) == {"orphan"}
+    (tmp_path / "b.py").write_text("def orphan():\n    pass\n\n\nclass _Private:\n    pass\n\n\n"
+                                   "ORPHAN = 1\n_HIDDEN = 3\nSTORED = 4\nSTORED = 5\nprint(LIMIT)\n",
+                                   encoding="utf-8")
+    assert caller_less_names(tmp_path) == {"orphan", "ORPHAN", "STORED"}
