@@ -17,6 +17,7 @@ import wave
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -112,16 +113,23 @@ def _check_ratio(name: str, value) -> float:
 @dataclass
 class AudioClip:
     """Mono audio: finite float samples in [-1, 1] plus a sample rate in Hz.
-    `samples` is read-only; it shares memory with a float64 source array,
-    which stays writable."""
+    `samples` must be real numbers (integer or float, not text, bool or
+    complex) of any regular shape, flattened. It is read-only; it shares
+    memory with a float64 source array, which stays writable."""
 
     samples: np.ndarray
     sample_rate: int
 
     def __post_init__(self):
         self.sample_rate = _check_rate(self.sample_rate)
+        try:
+            samples = np.asarray(self.samples)
+        except ValueError:  # NumPy's refusal of ragged nesting
+            raise SpkraugError("clip samples must be a regular array, got ragged nesting") from None
+        if samples.dtype.kind not in "iuf":
+            raise SpkraugError(f"clip samples must be real numbers, got {samples.dtype} values")
         # a view: its flags are the clip's own, the source array's stay as they were
-        self.samples = np.asarray(self.samples, dtype=np.float64).reshape(-1).view()
+        self.samples = samples.astype(np.float64, copy=False).reshape(-1).view()
         if not np.isfinite(self.samples).all():
             raise SpkraugError("clip contains NaN/Inf samples")
         self.samples.setflags(write=False)
@@ -219,6 +227,20 @@ def _design_lowpass(up: int, down: int) -> tuple[np.ndarray, int]:
     return taps * up, half
 
 
+@lru_cache(maxsize=16)
+def _filter_bank(up: int, down: int) -> tuple[np.ndarray, int]:
+    """(bank, skip) of the up/down polyphase stage: bank[p] holds the phase-p
+    taps in the order a window reads x, and the output starts at m = skip,
+    past the filter delay. Cached read-only: every caller gets these arrays."""
+    taps, center = _design_lowpass(up, down)
+    lead = (-center) % down  # shift so the filter delay lands on the output grid
+    taps = np.concatenate([np.zeros(lead), taps])
+    # bank[p] holds taps[p + j*up] for j = per_phase-1 .. 0
+    bank = np.ascontiguousarray(np.pad(taps, (0, -len(taps) % up)).reshape(-1, up).T[:, ::-1])
+    bank.setflags(write=False)
+    return bank, (center + lead) // down
+
+
 def _polyphase_resample(x: np.ndarray, up: int, down: int, out_len: int) -> np.ndarray:
     """Rational-rate conversion by a polyphase FIR filter (Crochiere & Rabiner,
     1983); output sample m sits at input position m*down/up.
@@ -234,12 +256,7 @@ def _polyphase_resample(x: np.ndarray, up: int, down: int, out_len: int) -> np.n
         return np.zeros(0, dtype=np.float64)
     if up == down:  # then out_len == len(x)
         return x[:out_len].copy()
-    taps, center = _design_lowpass(up, down)
-    lead = (-center) % down  # shift so the filter delay lands on the output grid
-    taps = np.concatenate([np.zeros(lead), taps])
-    skip = (center + lead) // down
-    # bank[p] holds taps[p + j*up] for j = per_phase-1 .. 0, the order a window reads x
-    bank = np.ascontiguousarray(np.pad(taps, (0, -len(taps) % up)).reshape(-1, up).T[:, ::-1])
+    bank, skip = _filter_bank(up, down)
     per_phase = bank.shape[1]
     # window i covers x[i - per_phase + 1 .. i], zero outside x
     last = (skip + out_len - 1) * down // up

@@ -15,19 +15,16 @@ import numpy as np
 
 from .audio_io import AudioClip, _check_id, _text_lines, _write_lines
 from .errors import SpkraugError
-from .spectral import (
-    DEFAULT_FFT_SIZE,
-    DEFAULT_FRAME_LENGTH,
-    DEFAULT_FRAME_SHIFT,
-    _frame_signal,
-    _window,
-)
+from .spectral import DEFAULT_FRAME_LENGTH, DEFAULT_FRAME_SHIFT, _frame_signal, _window
 
 STANDIN_MEL_BANDS = 80
 MIN_CLIP_SECONDS = 0.2
 _LOG_FLOOR = 1e-10
 _SMALLEST_NORMAL = np.finfo(np.float64).tiny  # a smaller non-zero |v|^2 is subnormal
 _FRAME_BLOCK = 64  # frames per power-spectrum block: bounds each clip's transient memory
+# the smallest power of two that holds a frame: its bins sample the frame's
+# spectrum exactly, where a longer zero-padded FFT only interpolates them
+_FFT_SIZE = 1 << (DEFAULT_FRAME_LENGTH - 1).bit_length()
 
 
 class EmbeddingSet:
@@ -205,14 +202,13 @@ def _mel_energies(power: np.ndarray, projection: _MelProjection) -> np.ndarray:
 
 
 def _mel_energy_blocks(x: np.ndarray, sample_rate: int):
-    """Mel energies of the power spectrum of x, framed as magnitude_spectrogram
-    frames it, yielded _FRAME_BLOCK frames at a time."""
+    """Mel energies of the _FFT_SIZE-point power spectrum of x, framed as
+    magnitude_spectrogram frames it, yielded _FRAME_BLOCK frames at a time."""
     frames = _frame_signal(x, DEFAULT_FRAME_LENGTH, DEFAULT_FRAME_SHIFT)
     win = _window(DEFAULT_FRAME_LENGTH)
-    projection = _mel_projection(STANDIN_MEL_BANDS, DEFAULT_FFT_SIZE, sample_rate)
+    projection = _mel_projection(STANDIN_MEL_BANDS, _FFT_SIZE, sample_rate)
     for start in range(0, len(frames), _FRAME_BLOCK):
-        power = np.abs(np.fft.rfft(frames[start:start + _FRAME_BLOCK] * win,
-                                   n=DEFAULT_FFT_SIZE, axis=1))
+        power = np.abs(np.fft.rfft(frames[start:start + _FRAME_BLOCK] * win, n=_FFT_SIZE, axis=1))
         power *= power
         yield _mel_energies(power, projection)
 
@@ -220,20 +216,24 @@ def _mel_energy_blocks(x: np.ndarray, sample_rate: int):
 def extract_standin_embedding(clip: AudioClip) -> np.ndarray:
     """Deterministic non-neural embedding: mel log-energy statistics.
 
-    The waveform is RMS-normalized (so overall gain cancels), analyzed into
-    80 mel-band log power energies, and summarized by each band's mean and
-    standard deviation over time. The 160-dim result is L2-normalized.
+    The waveform is divided by its peak, then by its RMS (so overall gain
+    cancels, and no square overflows), analyzed into 80 mel-band log power
+    energies per frame, and each frame's mean over the bands is subtracted,
+    so a level change that varies over time cancels too. Each band's mean
+    and standard deviation over time form the 160-dim result, L2-normalized.
     """
     if clip.duration_seconds < MIN_CLIP_SECONDS:
         raise SpkraugError(
             f"need at least {MIN_CLIP_SECONDS} s, got {clip.duration_seconds:.3f} s"
         )
     x = clip.samples
-    rms = np.sqrt(np.mean(x * x))
-    if rms > 0:
-        x = x / rms
+    peak = np.max(np.abs(x))
+    if peak > 0:
+        x = x / peak
+        x /= np.sqrt(np.mean(x * x))
     logs = np.concatenate([np.log(energies + _LOG_FLOOR)
                            for energies in _mel_energy_blocks(x, clip.sample_rate)])
+    logs -= logs.mean(axis=1, keepdims=True)
     feats = np.concatenate([logs.mean(axis=0), logs.std(axis=0)])
     norm = math.hypot(*feats)
     if norm == 0.0:

@@ -500,24 +500,34 @@ def mel_filterbank_oracle(n_bands, fft_size, sample_rate):
     return fb
 
 
-def dense_mel_energies_oracle(clip):
-    """Mel band energies of the RMS-normalised clip as one dense product,
-    `magnitude_spectrogram(...).magnitudes ** 2 @ fb.T` (frames x 80), the
-    form the stand-in embedding used before its fixed-order projection."""
+# the stand-in embedding's FFT size: the smallest power of two that holds its
+# 800-sample frame
+STANDIN_FFT_SIZE = 1024
+
+
+def dense_mel_energies_oracle(clip, fft_size=STANDIN_FFT_SIZE):
+    """Mel band energies of the clip, divided by its peak and then by its
+    RMS, as one dense product `magnitude_spectrogram(...).magnitudes ** 2 @
+    fb.T` (frames x 80), the form the stand-in embedding used before its
+    fixed-order projection."""
     from spkraug.audio_io import AudioClip
     from spkraug.spectral import magnitude_spectrogram
 
     x = clip.samples
-    rms = np.sqrt(np.mean(x * x))
-    if rms > 0:
-        x = x / rms
-    spec = magnitude_spectrogram(AudioClip(x, clip.sample_rate))
-    return spec.magnitudes ** 2 @ mel_filterbank_oracle(80, spec.fft_size, clip.sample_rate).T
+    peak = np.max(np.abs(x))
+    if peak > 0:
+        x = x / peak
+        x = x / np.sqrt(np.mean(x * x))
+    spec = magnitude_spectrogram(AudioClip(x, clip.sample_rate), fft_size=fft_size)
+    return spec.magnitudes ** 2 @ mel_filterbank_oracle(80, fft_size, clip.sample_rate).T
 
 
-def standin_embedding_oracle(clip):
-    """The stand-in embedding computed from dense_mel_energies_oracle."""
-    logs = np.log(dense_mel_energies_oracle(clip) + 1e-10)
+def standin_embedding_oracle(clip, fft_size=STANDIN_FFT_SIZE):
+    """The stand-in embedding computed from dense_mel_energies_oracle: log
+    energies, each frame's mean over the bands subtracted, then each band's
+    mean and std over time, L2-normalised."""
+    logs = np.log(dense_mel_energies_oracle(clip, fft_size) + 1e-10)
+    logs = logs - logs.mean(axis=1, keepdims=True)
     feats = np.concatenate([logs.mean(axis=0), logs.std(axis=0)])
     return feats / np.linalg.norm(feats)
 

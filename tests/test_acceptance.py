@@ -1,4 +1,4 @@
-"""Acceptance suite: ten end-to-end checks over the whole toolkit.
+"""Acceptance suite: eleven end-to-end checks over the whole toolkit.
 
 Each test prints one `ACCEPTANCE nn [...]: PASS|FAIL` line (bypassing pytest's
 capture) so the verdict is readable straight from the test run. The corpus is
@@ -37,7 +37,7 @@ from spkraug.dataset import (
     save_manifest,
     select_best_augmented,
 )
-from spkraug.embedding import EmbeddingSet, extract_standin_embedding
+from spkraug.embedding import EmbeddingSet, cosine_similarity, extract_standin_embedding
 from spkraug.metrics import ScoredPair, equal_error_rate, score_pairs, word_error_rate
 from spkraug.psola import psola_modify
 from spkraug.spectral import griffin_lim, istft, magnitude_spectrogram, stft
@@ -312,3 +312,18 @@ def test_acceptance_10_embedding_sanity(mini_corpus, natural_embeddings, capsys)
         scored = score_pairs(pairs, natural_embeddings)
         eer, _ = equal_error_rate(scored)
         assert eer < 0.25, eer
+
+
+def test_acceptance_11_copy_synthesis_reads_as_the_same_voice(mini_corpus, capsys):
+    """A natural's magnitude spectrogram vocoded back with Griffin-Lim is the
+    ceiling of any system vocoded that way, so its stand-in embedding must
+    match the natural's; the per-frame centring of the log mel energies
+    cancels the level shift Griffin-Lim leaves in quiet frames."""
+    _, manifest = mini_corpus
+    with criterion(capsys, 11, "copy-synthesis CS >= 0.99 against the natural"):
+        for record in manifest.records[::25]:  # 4 utterances per speaker
+            natural = read_wav(record.path)
+            copy = griffin_lim(magnitude_spectrogram(natural), seed=42)
+            cs = cosine_similarity(extract_standin_embedding(natural),
+                                   extract_standin_embedding(copy))
+            assert cs >= 0.99, (record.utterance_id, cs)

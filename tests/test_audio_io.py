@@ -1,3 +1,4 @@
+import re
 import struct
 import wave
 
@@ -10,6 +11,7 @@ from oracles import fft_bin_width, fft_peak_hz, upfirdn_resample_oracle
 from spkraug.audio_io import (
     AudioClip,
     _design_lowpass,
+    _filter_bank,
     _polyphase_resample,
     _speed_geometry,
     read_wav,
@@ -101,6 +103,21 @@ def test_write_rejects_nonfinite(tmp_path):
 def test_clip_refuses_non_finite_samples(bad):
     with pytest.raises(SpkraugError, match="^clip contains NaN/Inf samples$"):
         AudioClip(np.array([0.0, bad, 0.5]), 16000)
+
+
+@pytest.mark.parametrize("samples, message", [
+    ("abc", "must be real numbers, got <U3 values"),
+    (["0.5"], "must be real numbers, got <U3 values"),
+    (np.array([0.5, 1j]), "must be real numbers, got complex128 values"),
+    ([True, False], "must be real numbers, got bool values"),
+    ([0.5, None], "must be real numbers, got object values"),
+    ([[0.1], [0.2, 0.3]], "must be a regular array, got ragged nesting"),
+])
+def test_clip_refuses_samples_that_are_not_real_numbers(samples, message):
+    """Text is not parsed, a complex part is not dropped, and ragged nesting
+    is not NumPy's ValueError: each is one SpkraugError."""
+    with pytest.raises(SpkraugError, match=f"^clip samples {re.escape(message)}$"):
+        AudioClip(samples, 16000)
 
 
 def test_clip_samples_are_a_read_only_view():
@@ -273,6 +290,16 @@ def test_resample_matches_upfirdn_oracle(tmp_path_factory_session, ratio, n, see
         write_wav(AudioClip(samples, SR), path)
         pcm.append(read_wav(path).samples * 32768.0)
     assert np.max(np.abs(pcm[0] - pcm[1]), initial=0.0) <= 1.0
+
+
+def test_filter_bank_is_built_once_and_read_only():
+    """Every speed change by one ratio shares one cached filter bank, so no
+    caller may write to it."""
+    up, down, _ = _speed_geometry(16000, 1.05)
+    bank, skip = _filter_bank(up, down)
+    assert _filter_bank(up, down)[0] is bank and bank.shape[0] == up
+    with pytest.raises(ValueError, match="read-only"):
+        bank[0, 0] = 1.0
 
 
 @given(ratio=st.one_of(st.sampled_from([0.5, 0.7071, 0.9999, 2.0]), st.floats(0.5, 2.0)))

@@ -6,12 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    STANDIN_FFT_SIZE,
     dense_mel_energies_oracle,
     load_embeddings_row_oracle,
     mel_filterbank_oracle,
     standin_embedding_oracle,
 )
-from spkraug.audio_io import AudioClip
+from spkraug.audio_io import AudioClip, read_wav
+from spkraug.dataset import RECIPE_JOBS, Manifest, execute_plan
 from spkraug.embedding import (
     STANDIN_MEL_BANDS,
     EmbeddingSet,
@@ -251,6 +253,36 @@ def test_standin_gain_invariant():
     assert cosine_similarity(a, b) > 1 - 1e-9
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("gain", [1e-300, 1e150, 1e300])
+def test_standin_gain_invariant_at_the_float_extremes(gain):
+    """The clip is divided by its peak before its RMS is taken, so no square
+    overflows or vanishes and any finite gain embeds as unit gain does."""
+    clip = _clip_for(1)
+    scaled = extract_standin_embedding(AudioClip(gain * clip.samples, SR))
+    np.testing.assert_allclose(scaled, extract_standin_embedding(clip), rtol=0, atol=1e-11)
+
+
+def test_standin_fft_size_is_within_tolerance_of_2048_points(small_corpus, tmp_path):
+    """The 1024-point bins are the even bins of the 2048-point FFT, whose odd
+    bins only interpolate an 800-sample frame's spectrum: every natural and
+    every child of the four recipes (one parent per speaker) embeds within
+    cosine 0.995 of the same definition at 2048 points."""
+    _, manifest = small_corpus
+    firsts = [r for r in manifest if r.utterance_id.endswith("_000")]
+    assert len(firsts) == 3
+    parents = Manifest(firsts, corpus=manifest.corpus, sample_rate=manifest.sample_rate)
+    records = list(manifest)
+    for recipe in RECIPE_JOBS:
+        children, failures = execute_plan(parents, recipe, tmp_path / recipe)
+        assert failures == [] and len(children) == 3 * len(RECIPE_JOBS[recipe][1])
+        records += children
+    for record in records:
+        clip = read_wav(record.path)
+        cs = cosine_similarity(extract_standin_embedding(clip), standin_embedding_oracle(clip, 2048))
+        assert cs >= 0.995, (record.utterance_id, cs)
+
+
 def test_standin_deterministic():
     clip = _clip_for(2)
     a = extract_standin_embedding(clip)
@@ -282,7 +314,9 @@ def test_mel_projection_holds_the_filterbank(rate):
 def test_mel_energies_match_the_dense_product(rate):
     """Band energies within 1e-12 relative of the dense product, embeddings
     within 1e-12 absolute; the clip spans several frame blocks. A band that
-    holds no bin (the lowest one at 192 kHz) reads exactly 0 in both."""
+    holds no bin of the 1024-point FFT reads exactly 0 in both: an 800-sample
+    frame resolves only rate / 800 Hz, so the lowest bands hold no bin from
+    88.2 kHz on (one band up to 96 kHz, four at 176.4 and 192 kHz)."""
     rng = np.random.default_rng(rate)
     clip = AudioClip(0.1 * rng.standard_normal(int(1.7 * rate)), rate)
     x = clip.samples / np.sqrt(np.mean(clip.samples ** 2))
@@ -290,8 +324,8 @@ def test_mel_energies_match_the_dense_product(rate):
     dense = dense_mel_energies_oracle(clip)
     assert energies.shape == dense.shape
     np.testing.assert_allclose(energies, dense, rtol=1e-12, atol=0)
-    empty = ~mel_filterbank_oracle(80, 2048, rate).any(axis=1)
-    assert empty.any() == (rate == 192000)
+    empty = ~mel_filterbank_oracle(80, STANDIN_FFT_SIZE, rate).any(axis=1)
+    assert empty.sum() == {88200: 1, 96000: 1, 176400: 4, 192000: 4}.get(rate, 0)
     assert not energies[:, empty].any() and not dense[:, empty].any()
     np.testing.assert_allclose(extract_standin_embedding(clip), standin_embedding_oracle(clip),
                                rtol=0, atol=1e-12)
